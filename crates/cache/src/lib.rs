@@ -40,9 +40,9 @@ mod epoch_storage;
 pub mod lifecycle;
 pub mod stats;
 pub mod storage;
-pub mod stripe;
+mod stripe;
 pub mod tcache;
-pub mod txn_record;
+mod txn_record;
 
 pub use consistency::{Violation, ViolationKind};
 pub use entry::CacheEntry;
@@ -53,4 +53,3 @@ pub use stats::{CacheStats, CacheStatsSnapshot};
 pub use storage::{CacheReadPath, CacheStorage, ShardedCacheStorage};
 pub use tcache::EdgeCache;
 pub use tcache_types::{CachePolicyConfig, Strategy};
-pub use txn_record::{FastTxnRecord, TransactionTable};

@@ -39,12 +39,13 @@ pub struct CacheStatsSnapshot {
     pub txns_committed: u64,
     /// Read-only transactions aborted after an inconsistency was detected.
     pub txns_aborted: u64,
-    /// Single-shot read-only transactions served by the allocation-free
-    /// fast path (no transaction-table traffic).
+    /// Whole-transaction calls (`execute_transaction`,
+    /// `execute_read_only`) that ran on the calling thread's local record
+    /// (no transaction-table traffic).
     pub fastpath_txns: u64,
-    /// Transactions promoted into the sharded transaction table (a record
-    /// was created because the transaction spans multiple client calls or
-    /// the fast path was ineligible).
+    /// Transactions begun in the transaction table: the first `read()` of
+    /// a key-by-key transaction, or a whole-transaction call that arrived
+    /// while some key-by-key transaction was open on this cache.
     pub promoted_txns: u64,
 }
 
@@ -91,9 +92,8 @@ impl CacheStatsSnapshot {
         self.promoted_txns += other.promoted_txns;
     }
 
-    /// Fraction of completed transactions that went through the sharded
-    /// transaction table instead of the single-shot fast path (0.0 when no
-    /// transaction completed).
+    /// Fraction of transactions that ran on a transaction-table record
+    /// instead of a thread-local one (0.0 when no transaction started).
     pub fn promotion_rate(&self) -> f64 {
         let total = self.fastpath_txns + self.promoted_txns;
         if total == 0 {
@@ -152,12 +152,12 @@ impl CacheStats {
         self.txns_aborted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a transaction served by the single-shot fast path.
+    /// Records a whole-transaction call run on the local record.
     pub fn record_fastpath_txn(&self) {
         self.fastpath_txns.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a transaction promoted into the transaction table.
+    /// Records a transaction begun in the transaction table.
     pub fn record_promoted_txn(&self) {
         self.promoted_txns.fetch_add(1, Ordering::Relaxed);
     }

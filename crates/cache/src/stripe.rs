@@ -38,11 +38,6 @@ impl<T> Striped<T> {
         self.stripes.len()
     }
 
-    /// Returns `true` if there are no stripes (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.stripes.is_empty()
-    }
-
     /// The stripe responsible for `key`. Fibonacci hashing spreads the
     /// dense ids the workloads use evenly across stripes.
     pub fn stripe_for(&self, key: u64) -> &Mutex<T> {
@@ -82,7 +77,6 @@ mod tests {
     fn rounds_to_power_of_two_and_routes_stably() {
         let s: Striped<u32> = Striped::new(10, || 0);
         assert_eq!(s.len(), 16);
-        assert!(!s.is_empty());
         for key in 0..1000u64 {
             let a = s.stripe_for(key) as *const _;
             let b = s.stripe_for(key) as *const _;

@@ -7,6 +7,23 @@
 //! receives asynchronous invalidations through
 //! [`EdgeCache::apply_invalidation`].
 //!
+//! # One read engine, two drivers
+//!
+//! Every read of every transaction goes through one private step
+//! (`EdgeCache::read_step`): hit or miss, Equations 1 and 2 against the
+//! transaction's `TxnRecord`, record, or the ABORT / EVICT / RETRY
+//! reaction. What differs between the public entry points is only where
+//! the record lives:
+//!
+//! * a whole-transaction call ([`EdgeCache::execute_transaction`],
+//!   [`EdgeCache::execute_read_only`]) runs the step over a thread-local
+//!   record and one storage read session;
+//! * the §III-B call [`EdgeCache::read`] runs it over the record the
+//!   `ShardedTransactionTable` stores between the calls of a
+//!   transaction. While any such transaction is open
+//!   (`open_records_hint() != 0`) whole-transaction calls use the table as
+//!   well, so a client may mix the two interfaces under one `TxnId`.
+//!
 //! # Concurrency
 //!
 //! The cache is built for parallel clients. There is no global lock:
@@ -15,34 +32,34 @@
 //!   `ObjectId` hash, each behind its own short-held lock, so hits on
 //!   different objects proceed in parallel (including concurrently with
 //!   invalidation upcalls);
-//! * transaction records live in a [`ShardedTransactionTable`] keyed by
-//!   `TxnId` hash, so different clients' transactions never contend;
+//! * the transaction table is striped by `TxnId` hash, so different
+//!   clients' transactions never contend;
 //! * statistics are atomics.
 //!
 //! No code path holds two stripe locks at once, so the cache is
-//! deadlock-free by construction. A read locks its object stripe to fetch
-//! the entry (a refcount-bump copy, never a deep clone), releases it, then
-//! locks its transaction stripe to run the consistency check and record the
-//! read atomically with respect to that transaction. The protocol itself is
-//! per-transaction sequential (one client drives one `TxnId`), which is the
-//! only ordering the consistency predicates need.
+//! deadlock-free by construction. A call checks its transaction's record
+//! *out* of the table (one map operation under the transaction stripe),
+//! runs the step with no transaction stripe held — the step borrows the
+//! cached entry under its object stripe or epoch pin, reads the backend and
+//! mutates storage — and stores the record back afterwards. The protocol
+//! itself is per-transaction sequential (one client drives one `TxnId`),
+//! which is the only ordering the consistency predicates need.
 
 use crate::consistency::{Violation, ViolationKind};
 use crate::lifecycle::{
     LifecycleState, LifecycleStats, LifecycleStatsSnapshot, ObservedVec, ReadMode, ReadTxnLog,
 };
 use crate::stats::{CacheStats, CacheStatsSnapshot};
-use crate::storage::{CacheReadPath, ShardedCacheStorage};
-use crate::txn_record::{FastTxnRecord, ShardedTransactionTable};
+use crate::storage::{CacheReadPath, ShardedCacheStorage, StorageReadSession};
+use crate::txn_record::{ShardedTransactionTable, TxnRecord};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use tcache_db::{Database, Invalidation, InvalidationReplay};
 use tcache_types::{
-    CacheId, CachePolicyConfig, DependencyList, ObjectEntry, ObjectId, ReadOnlyOutcome,
-    RecoveryPolicy, SimDuration, SimTime, Strategy, TCacheError, TCacheResult, TxnId,
-    VersionedObject, Version,
+    CacheId, CachePolicyConfig, ObjectEntry, ObjectId, ReadOnlyOutcome, RecoveryPolicy,
+    SimDuration, SimTime, Strategy, TCacheError, TCacheResult, TxnId, VersionedObject,
 };
 
 /// Lock-free mirror of the lifecycle state for the read fast path: healthy
@@ -56,20 +73,17 @@ const TAG_DEGRADED: u8 = 2;
 const PASS_THROUGH_VALIDATION_ROUNDS: usize = 8;
 
 thread_local! {
-    /// Reusable fast-path transaction record, one per client thread. It is
-    /// cleared (not dropped) between transactions, so capacity spilled to
-    /// the heap by a rare oversized transaction is kept — a warmed thread
-    /// serves the common case (≤ 8 reads, cache hits) with **zero** heap
-    /// allocations end to end.
-    static FAST_SCRATCH: RefCell<FastTxnRecord> = RefCell::new(FastTxnRecord::new());
+    /// The record whole-transaction calls run on, one per client thread. It
+    /// is cleared (not dropped) between transactions, so capacity spilled
+    /// to the heap by a rare oversized transaction is kept — a warmed
+    /// thread serves the common case (≤ 8 reads, cache hits) with **zero**
+    /// heap allocations end to end.
+    static LOCAL_RECORD: RefCell<TxnRecord> = RefCell::new(TxnRecord::default());
 }
 
-/// Outcome of the single-shot fast core (the allocation-free analogue of
-/// `ReadOnlyOutcome`, without the values vector).
-enum FastOutcome {
-    Committed,
-    Aborted { violating_object: ObjectId },
-}
+/// Receives the entry of every read the step serves (under the entry guard
+/// on a hit, so it must not reenter the cache).
+type ReadSink<'a> = &'a mut dyn FnMut(&ObjectEntry);
 
 /// The mutable lifecycle core, held behind one mutex: the state machine and
 /// the recovery policy. Locked only on transitions, gap recovery and
@@ -128,7 +142,7 @@ impl EdgeCache {
                 config.ttl,
                 read_path,
             ),
-            txns: ShardedTransactionTable::with_default_stripes(),
+            txns: ShardedTransactionTable::new(),
             stats: CacheStats::new(),
             lifecycle: Mutex::new(Lifecycle {
                 state: LifecycleState::Healthy,
@@ -190,9 +204,11 @@ impl EdgeCache {
     /// # Errors
     /// * [`TCacheError::InconsistencyAbort`] if the read (or an earlier read
     ///   of the same transaction) is detected to be inconsistent and the
-    ///   strategy requires aborting. The transaction record is discarded.
+    ///   strategy requires aborting.
     /// * [`TCacheError::UnknownObject`] if the object does not exist in the
     ///   backend database.
+    ///
+    /// Any error ends the transaction: its record is discarded.
     pub fn read(
         &self,
         now: SimTime,
@@ -200,19 +216,14 @@ impl EdgeCache {
         key: ObjectId,
         last_op: bool,
     ) -> TCacheResult<VersionedObject> {
-        let (versioned, deps) = self.fetch(key, now)?;
-
-        if !self.config.transactional {
-            if last_op {
-                self.stats.record_commit();
-            }
-            return Ok(versioned);
-        }
-
-        match self.check_and_record(txn, key, versioned.version, &deps, last_op) {
-            None => Ok(versioned),
-            Some(violation) => self.handle_violation(now, txn, key, violation, last_op),
-        }
+        // The baselines check nothing, so they carry no record between
+        // calls either.
+        let local = !self.config.transactional;
+        let mut served = None;
+        self.run(now, txn, &[key], last_op, local, &mut |entry| {
+            served = Some(entry.to_versioned());
+        })?;
+        Ok(served.expect("a read the step serves reaches the sink"))
     }
 
     /// Convenience wrapper running a whole read-only transaction over the
@@ -228,186 +239,196 @@ impl EdgeCache {
         txn: TxnId,
         keys: &[ObjectId],
     ) -> TCacheResult<ReadOnlyOutcome> {
-        if self.fast_path_eligible() {
-            return self.execute_transaction_fast(now, keys);
-        }
         let mut values = Vec::with_capacity(keys.len());
-        for (i, &key) in keys.iter().enumerate() {
-            let last_op = i + 1 == keys.len();
-            match self.read(now, txn, key, last_op) {
-                Ok(v) => values.push(v),
-                Err(TCacheError::InconsistencyAbort {
-                    violating_object, ..
-                }) => {
-                    return Ok(ReadOnlyOutcome::Aborted { violating_object });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(ReadOnlyOutcome::Committed(values))
-    }
-
-    /// Whether the single-shot fast path may serve a whole-transaction
-    /// call: the cache must run the transactional protocol, and the
-    /// transaction table must be quiet. When the open-record hint is zero,
-    /// no record can exist for the transaction id of a single-shot call —
-    /// only a *previous sequential call of the same client* could have
-    /// left one, and that call raised the hint before returning — so the
-    /// stack-resident record is observationally identical to a table
-    /// record created and finished within this call.
-    #[inline]
-    fn fast_path_eligible(&self) -> bool {
-        self.config.transactional && self.txns.open_records_hint() == 0
-    }
-
-    /// [`execute_transaction`](EdgeCache::execute_transaction) on the
-    /// allocation-free fast path (one `Vec` for the returned values is the
-    /// only allocation).
-    fn execute_transaction_fast(
-        &self,
-        now: SimTime,
-        keys: &[ObjectId],
-    ) -> TCacheResult<ReadOnlyOutcome> {
-        FAST_SCRATCH.with(|scratch| {
-            let mut rec = scratch.borrow_mut();
-            let mut values = Vec::with_capacity(keys.len());
-            let outcome = self.execute_cached_fast_core(now, keys, &mut rec, &mut |_, entry| {
-                values.push(entry.to_versioned());
-            })?;
-            if !keys.is_empty() {
-                self.stats.record_fastpath_txn();
-            }
-            Ok(match outcome {
-                FastOutcome::Committed => ReadOnlyOutcome::Committed(values),
-                FastOutcome::Aborted { violating_object } => {
-                    ReadOnlyOutcome::Aborted { violating_object }
-                }
-            })
+        let aborted_on = self.run_whole(now, txn, keys, &mut |entry| {
+            values.push(entry.to_versioned());
+        })?;
+        Ok(match aborted_on {
+            None => ReadOnlyOutcome::Committed(values),
+            Some(violating_object) => ReadOnlyOutcome::Aborted { violating_object },
         })
     }
 
-    /// The shared core of the single-shot fast path: runs a whole
-    /// read-only transaction against a stack- (thread-local-) resident
-    /// [`FastTxnRecord`], never touching the sharded transaction table.
-    /// On the hit path the cached entry is *borrowed* under the storage
-    /// entry guard — no entry clone, no `Arc` refcount ping-pong, no
-    /// transaction-stripe lock — and on the epoch read path the whole
-    /// transaction shares **one** storage read session (one epoch pin/unpin
-    /// pair instead of one per read). `sink` observes every successful read
-    /// (it runs under the entry guard and must not reenter the cache).
+    /// Runs a whole-transaction call; `Ok(Some(object))` reports an abort
+    /// on `object`.
     ///
-    /// Statistics and storage effects mirror the classic
-    /// `read`/`handle_violation` path operation for operation.
+    /// The call runs on the thread-local record when the transaction table
+    /// is quiet. With the open-record hint at zero no record can be stored
+    /// for `txn` — only a *previous sequential call of the same client*
+    /// could have left one, and that call raised the hint before returning
+    /// — so the local record is observationally identical to a table
+    /// record created and finished within this call.
     // lint: hot-path
-    fn execute_cached_fast_core(
+    fn run_whole(
         &self,
         now: SimTime,
+        txn: TxnId,
         keys: &[ObjectId],
-        rec: &mut FastTxnRecord,
-        sink: &mut dyn FnMut(ObjectId, &ObjectEntry),
-    ) -> TCacheResult<FastOutcome> {
-        debug_assert!(self.config.transactional);
-        rec.clear();
-        let session = self.storage.read_session();
-        for &key in keys {
-            let step = session.with_entry(key, now, |entry| {
-                match rec.check_read(key, entry.version, &entry.dependencies) {
-                    None => {
-                        rec.record_read(key, entry.version, &entry.dependencies);
-                        sink(key, entry);
-                        None
-                    }
-                    Some(violation) => Some(violation),
-                }
-            });
-            let violation = match step {
-                Some(None) => {
-                    self.stats.record_hit();
-                    continue;
-                }
-                Some(Some(violation)) => {
-                    self.stats.record_hit();
-                    violation
-                }
-                None => {
-                    // Miss: fetch, check against the record, and move the
-                    // fresh entry into storage (insert happens on both
-                    // verdicts, exactly like the classic miss path).
-                    let fresh = self.fetch_from_backend(key)?;
-                    self.stats.record_miss();
-                    match rec.check_read(key, fresh.version, &fresh.dependencies) {
-                        None => {
-                            rec.record_read(key, fresh.version, &fresh.dependencies);
-                            sink(key, &fresh);
-                            self.storage.insert(fresh, now);
-                            continue;
-                        }
-                        Some(violation) => {
-                            self.storage.insert(fresh, now);
-                            violation
-                        }
-                    }
-                }
-            };
-            // Violation handling: the strategy arms below replicate
-            // `handle_violation` (same stats, same storage effects), with
-            // the re-check running against the stack-resident record.
-            match self.config.strategy {
-                Strategy::Abort => {
-                    self.stats.record_abort();
-                    return Ok(FastOutcome::Aborted {
-                        violating_object: violation.violating_object,
-                    });
-                }
-                Strategy::Evict => {
-                    if self.storage.remove(violation.violating_object) {
-                        self.stats.record_eviction();
-                    }
-                    self.stats.record_abort();
-                    return Ok(FastOutcome::Aborted {
-                        violating_object: violation.violating_object,
-                    });
-                }
-                Strategy::Retry => {
-                    if violation.kind == ViolationKind::CurrentReadStale {
-                        if self.storage.remove(key) {
-                            self.stats.record_eviction();
-                        }
-                        let fresh = self.fetch_from_backend(key)?;
-                        self.stats.record_retry();
-                        match rec.check_read(key, fresh.version, &fresh.dependencies) {
-                            None => {
-                                rec.record_read(key, fresh.version, &fresh.dependencies);
-                                sink(key, &fresh);
-                                self.storage.insert(fresh, now);
-                            }
-                            Some(second) => {
-                                self.storage.insert(fresh, now);
-                                if self.storage.remove(second.violating_object) {
-                                    self.stats.record_eviction();
-                                }
-                                self.stats.record_abort();
-                                return Ok(FastOutcome::Aborted {
-                                    violating_object: second.violating_object,
-                                });
-                            }
-                        }
-                    } else {
-                        if self.storage.remove(violation.violating_object) {
-                            self.stats.record_eviction();
-                        }
-                        self.stats.record_abort();
-                        return Ok(FastOutcome::Aborted {
-                            violating_object: violation.violating_object,
-                        });
-                    }
-                }
-            }
+        sink: ReadSink<'_>,
+    ) -> TCacheResult<Option<ObjectId>> {
+        if keys.is_empty() {
+            return Ok(None);
         }
-        if !keys.is_empty() {
+        let local = self.txns.open_records_hint() == 0;
+        if local {
+            self.stats.record_fastpath_txn();
+        }
+        match self.run(now, txn, keys, true, local, sink) {
+            Ok(()) => Ok(None),
+            Err(TCacheError::InconsistencyAbort {
+                violating_object, ..
+            }) => Ok(Some(violating_object)),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// The driver under every entry point: runs the read step over `keys`
+    /// within one storage read session, on the thread-local record
+    /// (`local`) or on the record the transaction table keeps for `txn`.
+    ///
+    /// The table branch is the one place a multi-call transaction ends:
+    /// unless the step succeeded and more reads follow, the record is not
+    /// stored back — so the last read, an abort and any other error all
+    /// discard it and lower the hint the first call raised.
+    // lint: hot-path
+    fn run(
+        &self,
+        now: SimTime,
+        txn: TxnId,
+        keys: &[ObjectId],
+        last_op: bool,
+        local: bool,
+        sink: ReadSink<'_>,
+    ) -> TCacheResult<()> {
+        let mut steps = |rec: &mut TxnRecord| {
+            let session = self.storage.read_session();
+            keys.iter()
+                .try_for_each(|&key| self.read_step(now, &session, rec, txn, key, sink))
+        };
+        if local {
+            LOCAL_RECORD.with(|cell| {
+                let mut rec = cell.borrow_mut();
+                rec.clear();
+                steps(&mut rec)
+            })?;
+        } else {
+            let stored = self.txns.take(txn);
+            let first = stored.is_none();
+            if first {
+                self.stats.record_promoted_txn();
+            }
+            let mut rec = stored.unwrap_or_default();
+            let result = steps(&mut rec);
+            if result.is_ok() && !last_op {
+                self.txns.put(txn, rec, first);
+            } else if !first {
+                self.txns.finish();
+            }
+            result?;
+        }
+        if last_op {
             self.stats.record_commit();
         }
-        Ok(FastOutcome::Committed)
+        Ok(())
+    }
+
+    /// One read of transaction `txn`, the whole of §III-B: serve `key` from
+    /// the store or the backend, check it against `rec` with Equations 1
+    /// and 2, record it and hand it to `sink` — or react to the violation
+    /// with the configured strategy. An abort is reported as
+    /// [`TCacheError::InconsistencyAbort`].
+    ///
+    /// On a hit the cached entry is *borrowed* under the storage entry
+    /// guard — no entry clone, no `Arc` refcount ping-pong. No transaction
+    /// stripe is held here (see the module docs), so reading the backend
+    /// and mutating storage below nest under no lock.
+    // lint: hot-path
+    fn read_step(
+        &self,
+        now: SimTime,
+        session: &StorageReadSession<'_>,
+        rec: &mut TxnRecord,
+        txn: TxnId,
+        key: ObjectId,
+        sink: ReadSink<'_>,
+    ) -> TCacheResult<()> {
+        let hit = session.with_entry(key, now, |entry| self.check_and_record(rec, entry, sink));
+        let verdict = match hit {
+            Some(verdict) => {
+                self.stats.record_hit();
+                verdict
+            }
+            None => {
+                // The fresh entry is moved into storage on both verdicts.
+                let fresh = self.fetch_from_backend(key)?;
+                self.stats.record_miss();
+                let verdict = self.check_and_record(rec, &fresh, sink);
+                self.storage.insert(fresh, now);
+                verdict
+            }
+        };
+        let Some(violation) = verdict else {
+            return Ok(());
+        };
+
+        let (violating_object, evict) = match self.config.strategy {
+            Strategy::Abort => (violation.violating_object, false),
+            Strategy::Evict => (violation.violating_object, true),
+            Strategy::Retry => {
+                if violation.kind == ViolationKind::CurrentReadStale {
+                    // The object being read is the stale one: treat the
+                    // access as a miss and read through to the database.
+                    if self.storage.remove(key) {
+                        self.stats.record_eviction();
+                    }
+                    let fresh = self.fetch_from_backend(key)?;
+                    self.stats.record_retry();
+                    let second = self.check_and_record(rec, &fresh, sink);
+                    self.storage.insert(fresh, now);
+                    match second {
+                        None => return Ok(()),
+                        // The fresh copy exposes a violation that cannot be
+                        // repaired locally (a previously returned object is
+                        // stale): evict that object and abort.
+                        Some(second) => (second.violating_object, true),
+                    }
+                } else {
+                    // The stale object was already returned to the client
+                    // earlier in this transaction: evict it and abort.
+                    (violation.violating_object, true)
+                }
+            }
+        };
+        if evict && self.storage.remove(violating_object) {
+            self.stats.record_eviction();
+        }
+        self.stats.record_abort();
+        Err(TCacheError::InconsistencyAbort {
+            txn,
+            violating_object,
+        })
+    }
+
+    /// Checks `entry` against the transaction's previous reads and, when
+    /// consistent, records it and hands it to `sink`. The baselines
+    /// (`transactional == false`) serve every read unchecked.
+    // lint: hot-path
+    #[inline]
+    fn check_and_record(
+        &self,
+        rec: &mut TxnRecord,
+        entry: &ObjectEntry,
+        sink: ReadSink<'_>,
+    ) -> Option<Violation> {
+        if self.config.transactional {
+            let violation = rec.check_read(entry.id, entry.version, &entry.dependencies);
+            if violation.is_some() {
+                return violation;
+            }
+            rec.record_read(entry.id, entry.version, &entry.dependencies);
+        }
+        sink(entry);
+        None
     }
 
     /// Applies one invalidation received from the database: the cached
@@ -629,7 +650,17 @@ impl EdgeCache {
         keys: &[ObjectId],
     ) -> TCacheResult<ReadTxnLog> {
         match self.read_mode(now) {
-            ReadMode::Cached => self.execute_cached(now, txn, keys),
+            ReadMode::Cached => {
+                let mut observed = ObservedVec::new();
+                let aborted_on = self.run_whole(now, txn, keys, &mut |entry| {
+                    observed.push((entry.id, entry.version));
+                })?;
+                Ok(ReadTxnLog {
+                    observed,
+                    committed: aborted_on.is_none(),
+                    mode: ReadMode::Cached,
+                })
+            }
             ReadMode::PassThrough => self.execute_pass_through(keys),
         }
     }
@@ -657,63 +688,6 @@ impl EdgeCache {
                 }
             }
         }
-    }
-
-    /// The cached path of [`execute_read_only`](EdgeCache::execute_read_only):
-    /// the same per-key loop as [`execute_transaction`](EdgeCache::execute_transaction),
-    /// but reporting observed versions.
-    fn execute_cached(
-        &self,
-        now: SimTime,
-        txn: TxnId,
-        keys: &[ObjectId],
-    ) -> TCacheResult<ReadTxnLog> {
-        if self.fast_path_eligible() {
-            return self.execute_cached_fast(now, keys);
-        }
-        let mut observed = ObservedVec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            let last_op = i + 1 == keys.len();
-            match self.read(now, txn, key, last_op) {
-                Ok(v) => observed.push((key, v.version)),
-                Err(TCacheError::InconsistencyAbort { .. }) => {
-                    return Ok(ReadTxnLog {
-                        observed,
-                        committed: false,
-                        mode: ReadMode::Cached,
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(ReadTxnLog {
-            observed,
-            committed: true,
-            mode: ReadMode::Cached,
-        })
-    }
-
-    /// [`execute_cached`](EdgeCache::execute_cached) on the allocation-free
-    /// fast path: for a warmed thread and a ≤ 8-read cache-hit transaction
-    /// this performs **zero** heap allocations end to end (pinned by the
-    /// `zero_alloc` release-mode regression test).
-    // lint: hot-path
-    fn execute_cached_fast(&self, now: SimTime, keys: &[ObjectId]) -> TCacheResult<ReadTxnLog> {
-        FAST_SCRATCH.with(|scratch| {
-            let mut rec = scratch.borrow_mut();
-            let mut observed = ObservedVec::new();
-            let outcome = self.execute_cached_fast_core(now, keys, &mut rec, &mut |key, entry| {
-                observed.push((key, entry.version));
-            })?;
-            if !keys.is_empty() {
-                self.stats.record_fastpath_txn();
-            }
-            Ok(ReadTxnLog {
-                observed,
-                committed: matches!(outcome, FastOutcome::Committed),
-                mode: ReadMode::Cached,
-            })
-        })
     }
 
     /// The degraded path: every key is read directly from the backend,
@@ -778,70 +752,6 @@ impl EdgeCache {
         self.storage.footprint_bytes()
     }
 
-    /// Fetches `key` from the local storage or, on a miss, from the backend
-    /// database (recording hit/miss statistics). Returns the client-visible
-    /// versioned object plus the entry's dependency list (shared by
-    /// refcount). On a miss the freshly fetched entry is **moved** into
-    /// storage — the protocol state it needs is extracted first, so the
-    /// former whole-entry clone on the miss path is gone.
-    fn fetch(&self, key: ObjectId, now: SimTime) -> TCacheResult<(VersionedObject, Arc<DependencyList>)> {
-        if let Some(entry) = self.storage.get(key, now) {
-            self.stats.record_hit();
-            let versioned = entry.to_versioned();
-            return Ok((versioned, entry.dependencies));
-        }
-        let entry = self.fetch_from_backend(key)?;
-        self.stats.record_miss();
-        let versioned = entry.to_versioned();
-        let deps = Arc::clone(&entry.dependencies);
-        self.storage.insert(entry, now);
-        Ok((versioned, deps))
-    }
-
-    /// The transaction-atomic critical section of a read: checks `entry`
-    /// against the transaction's previous reads and, when consistent,
-    /// records it (finishing the record on `last_op`) — all under one hold
-    /// of the transaction's stripe lock. Returns the violation, if any;
-    /// commit accounting happens here so the RETRY re-check shares it.
-    ///
-    /// Violation *handling* deliberately happens outside this lock (the
-    /// handlers touch object stripes and the backend; no two stripe locks
-    /// are ever held together).
-    fn check_and_record(
-        &self,
-        txn: TxnId,
-        key: ObjectId,
-        version: Version,
-        deps: &Arc<DependencyList>,
-        last_op: bool,
-    ) -> Option<Violation> {
-        let (violation, created, finished) = {
-            let mut table = self.txns.stripe(txn).lock();
-            match table.check_read(txn, key, version, deps.as_ref()) {
-                None => {
-                    let created = table.record_read(txn, key, version, Arc::clone(deps));
-                    let finished = last_op && table.finish(txn).is_some();
-                    (None, created, finished)
-                }
-                Some(violation) => (Some(violation), false, false),
-            }
-        };
-        // Open-record hint bookkeeping happens outside the stripe lock: a
-        // created-and-finished record (single-read transaction) nets out.
-        if created {
-            self.stats.record_promoted_txn();
-            if !finished {
-                self.txns.note_record_created();
-            }
-        } else if finished {
-            self.txns.note_record_finished();
-        }
-        if violation.is_none() && last_op {
-            self.stats.record_commit();
-        }
-        violation
-    }
-
     /// Reads an entry from the backend, re-bounding its dependency list to
     /// the cache's own bound (relevant when the cache is configured with a
     /// smaller bound than the database).
@@ -853,91 +763,8 @@ impl EdgeCache {
         }
         Ok(entry)
     }
-
-    /// Reacts to a detected violation according to the configured strategy.
-    ///
-    /// Returns `Ok(versioned)` when the RETRY strategy repaired the read and
-    /// the transaction may continue with the fresh value; otherwise the
-    /// transaction is aborted and an error is returned.
-    fn handle_violation(
-        &self,
-        now: SimTime,
-        txn: TxnId,
-        key: ObjectId,
-        violation: Violation,
-        last_op: bool,
-    ) -> TCacheResult<VersionedObject> {
-        match self.config.strategy {
-            Strategy::Abort => {
-                self.abort(txn);
-                Err(TCacheError::InconsistencyAbort {
-                    txn,
-                    violating_object: violation.violating_object,
-                })
-            }
-            Strategy::Evict => {
-                if self.storage.remove(violation.violating_object) {
-                    self.stats.record_eviction();
-                }
-                self.abort(txn);
-                Err(TCacheError::InconsistencyAbort {
-                    txn,
-                    violating_object: violation.violating_object,
-                })
-            }
-            Strategy::Retry => {
-                if violation.kind == ViolationKind::CurrentReadStale {
-                    // The object being read is the stale one: treat the
-                    // access as a miss and read through to the database.
-                    if self.storage.remove(key) {
-                        self.stats.record_eviction();
-                    }
-                    let fresh = self.fetch_from_backend(key)?;
-                    self.stats.record_retry();
-                    let versioned = fresh.to_versioned();
-                    let deps = Arc::clone(&fresh.dependencies);
-                    self.storage.insert(fresh, now);
-                    // Re-check the fresh copy and record it atomically under
-                    // the transaction's stripe.
-                    match self.check_and_record(txn, key, versioned.version, &deps, last_op) {
-                        None => Ok(versioned),
-                        Some(second) => {
-                            // The fresh copy exposes a violation that cannot
-                            // be repaired locally (a previously returned
-                            // object is stale): evict it and abort.
-                            if self.storage.remove(second.violating_object) {
-                                self.stats.record_eviction();
-                            }
-                            self.abort(txn);
-                            Err(TCacheError::InconsistencyAbort {
-                                txn,
-                                violating_object: second.violating_object,
-                            })
-                        }
-                    }
-                } else {
-                    // The stale object was already returned to the client
-                    // earlier in this transaction: evict it and abort.
-                    if self.storage.remove(violation.violating_object) {
-                        self.stats.record_eviction();
-                    }
-                    self.abort(txn);
-                    Err(TCacheError::InconsistencyAbort {
-                        txn,
-                        violating_object: violation.violating_object,
-                    })
-                }
-            }
-        }
-    }
-
-    fn abort(&self, txn: TxnId) {
-        if self.txns.stripe(txn).lock().finish(txn).is_some() {
-            self.txns.note_record_finished();
-        }
-        self.stats.record_abort();
-    }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1005,6 +832,86 @@ mod tests {
             .read(SimTime::ZERO, TxnId(1), ObjectId(999), true)
             .unwrap_err();
         assert_eq!(err, TCacheError::UnknownObject(ObjectId(999)));
+    }
+
+    /// Advance of `fastpath_txns` / `promoted_txns` over ten whole-transaction
+    /// calls.
+    fn ten_whole_txns(cache: &EdgeCache, first_txn: u64) -> (u64, u64) {
+        let before = cache.stats();
+        for t in 0..10 {
+            cache
+                .execute_transaction(SimTime::ZERO, TxnId(first_txn + t), &[ObjectId(1), ObjectId(2)])
+                .unwrap();
+        }
+        let after = cache.stats();
+        (
+            after.fastpath_txns - before.fastpath_txns,
+            after.promoted_txns - before.promoted_txns,
+        )
+    }
+
+    #[test]
+    fn failed_read_discards_the_record_and_reopens_the_local_path() {
+        let (_db, cache) = setup(3, Strategy::Abort);
+        let now = SimTime::ZERO;
+        cache.read(now, TxnId(1), ObjectId(1), false).unwrap();
+        assert_eq!(cache.open_transactions(), 1);
+        assert_eq!(ten_whole_txns(&cache, 100), (0, 10), "an open record raises the gate");
+        // The transaction's second read fails with a non-abort error: that
+        // ends it like an abort would.
+        assert_eq!(
+            cache.read(now, TxnId(1), ObjectId(999), true).unwrap_err(),
+            TCacheError::UnknownObject(ObjectId(999))
+        );
+        assert_eq!(cache.open_transactions(), 0);
+        assert_eq!(ten_whole_txns(&cache, 200), (10, 0));
+    }
+
+    #[test]
+    fn failed_whole_transaction_on_the_table_discards_its_record() {
+        let (_db, cache) = setup(3, Strategy::Abort);
+        let now = SimTime::ZERO;
+        // An open key-by-key transaction routes whole-transaction calls
+        // through the table.
+        cache.read(now, TxnId(1), ObjectId(1), false).unwrap();
+        assert!(cache
+            .execute_transaction(now, TxnId(2), &[ObjectId(1), ObjectId(999)])
+            .is_err());
+        assert!(cache
+            .execute_read_only(now, TxnId(3), &[ObjectId(2), ObjectId(999)])
+            .is_err());
+        assert_eq!(cache.open_transactions(), 1, "only transaction 1 is still open");
+        cache.read(now, TxnId(1), ObjectId(2), true).unwrap();
+        assert_eq!(cache.open_transactions(), 0);
+        assert_eq!(ten_whole_txns(&cache, 100), (10, 0));
+    }
+
+    #[test]
+    fn whole_transaction_call_joins_an_open_key_by_key_transaction() {
+        let (db, cache) = setup(3, Strategy::Abort);
+        build_stale_pair(&db, &cache);
+        let now = SimTime::from_secs(1);
+        // The client starts key by key and finishes with a whole-transaction
+        // call under the same id: the raised gate routes the call to the
+        // stored record, so the stale object 2 is checked against read 1.
+        cache.read(now, TxnId(2), ObjectId(1), false).unwrap();
+        let outcome = cache
+            .execute_transaction(now, TxnId(2), &[ObjectId(2)])
+            .unwrap();
+        assert!(outcome.is_aborted());
+        assert_eq!(cache.open_transactions(), 0);
+    }
+
+    #[test]
+    fn baselines_keep_no_record_between_calls() {
+        let db = Arc::new(Database::new(DatabaseConfig::with_bound(3)));
+        db.populate((0..10).map(|i| (ObjectId(i), Value::new(0))));
+        let cache = EdgeCache::plain(CacheId(0), Arc::clone(&db));
+        cache.read(SimTime::ZERO, TxnId(1), ObjectId(1), false).unwrap();
+        assert_eq!(cache.open_transactions(), 0);
+        cache.read(SimTime::ZERO, TxnId(1), ObjectId(2), true).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.txns_committed, stats.promoted_txns), (1, 0));
     }
 
     #[test]

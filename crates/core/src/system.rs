@@ -626,6 +626,17 @@ impl TCacheSystem {
         cache: CacheId,
         objects: &[ObjectId],
     ) -> TCacheResult<ReadOutcome> {
+        self.read_transaction_as(cache, objects)
+            .map(|(_, outcome)| outcome)
+    }
+
+    /// [`read_transaction_on`](TCacheSystem::read_transaction_on), also
+    /// returning the id allocated for the transaction.
+    fn read_transaction_as(
+        &self,
+        cache: CacheId,
+        objects: &[ObjectId],
+    ) -> TCacheResult<(TxnId, ReadOutcome)> {
         let server = self
             .cache(cache)
             .ok_or(TCacheError::UnknownCache(cache))?;
@@ -633,7 +644,7 @@ impl TCacheSystem {
         let now = self.now();
         let outcome = server.execute_transaction(now, txn, objects)?;
         self.advance_time(self.tick);
-        Ok(outcome)
+        Ok((txn, outcome))
     }
 
     /// Executes a read-only transaction through the first edge cache.
@@ -651,14 +662,16 @@ impl TCacheSystem {
     /// Returns an error if `cache` is not deployed or the object does not
     /// exist in the backend.
     pub fn read_on(&self, cache: CacheId, object: ObjectId) -> TCacheResult<VersionedObject> {
-        match self.read_transaction_on(cache, &[object])? {
-            ReadOnlyOutcome::Committed(mut values) => {
+        match self.read_transaction_as(cache, &[object])? {
+            (_, ReadOnlyOutcome::Committed(mut values)) => {
                 Ok(values.pop().expect("single-read transaction returns one value"))
             }
-            ReadOnlyOutcome::Aborted { violating_object } => Err(TCacheError::InconsistencyAbort {
-                txn: TxnId(0),
-                violating_object,
-            }),
+            (txn, ReadOnlyOutcome::Aborted { violating_object }) => {
+                Err(TCacheError::InconsistencyAbort {
+                    txn,
+                    violating_object,
+                })
+            }
         }
     }
 
@@ -771,7 +784,8 @@ impl TCacheSystem {
 mod tests {
     use crate::builder::SystemBuilder;
     use crate::transport::TransportMode;
-    use tcache_types::{CacheId, ObjectId, Strategy, TCacheError, Value};
+    use std::sync::atomic::Ordering;
+    use tcache_types::{CacheId, ObjectId, Strategy, TCacheError, TxnId, Value};
 
     fn small_system(loss: f64) -> super::TCacheSystem {
         let system = SystemBuilder::new()
@@ -833,6 +847,21 @@ mod tests {
             .unwrap();
         assert!(outcome.is_aborted(), "the stale pair must be detected");
         assert!(system.read(ObjectId(2)).is_ok());
+
+        // A lone read can only abort by joining a transaction already open
+        // under its id: open one on the cache, key by key, under the id the
+        // facade allocates next. The error names that id.
+        let txn = TxnId(system.next_txn.load(Ordering::Relaxed));
+        let cache = system.cache(CacheId(0)).unwrap();
+        cache.read(system.now(), txn, ObjectId(2), false).unwrap();
+        assert_eq!(
+            system.read(ObjectId(1)).unwrap_err(),
+            TCacheError::InconsistencyAbort {
+                txn,
+                violating_object: ObjectId(1),
+            }
+        );
+        assert_eq!(cache.open_transactions(), 0);
     }
 
     #[test]

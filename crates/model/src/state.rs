@@ -7,9 +7,11 @@
 //! transition function [`ModelState::apply`] mirrors the implementation
 //! *line by line* — `Database::execute_update`,
 //! `EdgeCache::apply_invalidation` / `resync`, the lifecycle entry points
-//! and the `TxnRecord` incremental consistency check — so that the
-//! differential bridge can replay any model trace against the real stack
-//! and demand exact agreement on every observable.
+//! and the cache's read step with its `TxnRecord` incremental consistency
+//! check (the one record and one step every read of the real cache runs,
+//! whole-transaction call or key by key) — so that the differential bridge
+//! can replay any model trace against the real stack and demand exact
+//! agreement on every observable.
 //!
 //! Versions are plain `u64`s: the backend's version clock assigns
 //! `max(clock, observed) + 1` and the model commits updates one at a time,
@@ -296,8 +298,8 @@ pub enum TxnOutcome {
     },
 }
 
-/// One scripted read-only transaction's record, mirroring `TxnRecord`'s
-/// incremental indexes.
+/// One scripted read-only transaction's record, mirroring the two maps of
+/// the cache's `TxnRecord` (as ordered maps, so states hash canonically).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TxnState {
     /// Next script position to execute.
@@ -719,8 +721,9 @@ impl ModelState {
             TxnMode::Cached => {
                 let key = script.keys[self.txns[txn].next_key];
                 let last_op = self.txns[txn].next_key + 1 == script.keys.len();
-                // fetch(): local hit, or backend read installed with the
-                // dependency list re-bounded to the cache's policy.
+                // `EdgeCache::read_step`: local hit, or backend read
+                // installed with the dependency list re-bounded to the
+                // cache's policy.
                 let entry = match self.caches[cache].store.get(&key) {
                     Some(entry) => entry.clone(),
                     None => {
