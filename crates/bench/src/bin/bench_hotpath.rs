@@ -422,8 +422,8 @@ fn measure_reactor_plane(
         reactor.spawn(async move {
             let mut batch = Vec::with_capacity(batch_budget);
             loop {
-                let drained = rx.recv_batch_async(&mut batch, batch_budget).await;
-                if drained == 0 {
+                let drain = rx.recv_batch_async(&mut batch, batch_budget).await;
+                if drain.drained == 0 {
                     break;
                 }
                 for inv in batch.drain(..) {

@@ -403,10 +403,13 @@ impl RetryPolicy {
 }
 
 /// Builds the per-cache invalidation upcall sink that feeds `sender`'s
-/// pipe from the database's commit path ([`DeliveryMode::Modeled`]): every
-/// invalidation of a published batch is enqueued individually, and the
-/// pipe's overflow / stall behaviour is reported back so the publisher can
-/// attribute what the commit paid. A batch published while `severed` is
+/// pipe from the database's commit path ([`DeliveryMode::Modeled`]): a
+/// published batch enters the pipe in one
+/// [`send_batch`](PipeSender::send_batch) — one pipe-lock acquisition and
+/// at most one wake-up per (commit, cache) while the pipe has room — with
+/// the pipe's overflow policy applied per invalidation exactly as single
+/// sends would, and the overflow / stall behaviour is reported back so the
+/// publisher can attribute what the commit paid. A batch published while `severed` is
 /// set (the cache crashed or partitioned) is retried per `retry` — the
 /// publisher waits out short disconnects — and discarded once the budget
 /// runs out, so a downed cache can never block the commit path. Used by
@@ -440,26 +443,12 @@ pub(crate) fn modeled_delivery_sink(
                 return report;
             }
         }
-        for &inv in batch.iter() {
-            // Try the non-blocking path first so a Block pipe's
-            // backpressure is visible as a stall before we wait it out.
-            let outcome = match sender.try_send(inv) {
-                Ok(outcome) => Some(outcome),
-                Err(tcache_net::pipe::PipeSendError::Full(inv)) => {
-                    report.stalled = true;
-                    sender.send(inv).ok()
-                }
-                Err(tcache_net::pipe::PipeSendError::Disconnected(_)) => None,
-            };
-            if let Some(outcome) = outcome {
-                if outcome.was_enqueued() {
-                    report.enqueued += 1;
-                }
-                if outcome.lost_a_message() {
-                    report.overflowed += 1;
-                }
-            }
-        }
+        // A disconnected pipe means the task is gone (shutdown); the
+        // channel is best-effort, so dropping the rest is correct.
+        let sent = sender.send_batch(batch.iter().copied());
+        report.enqueued = sent.enqueued;
+        report.overflowed = sent.overflowed;
+        report.stalled = sent.stalled;
         report
     })
 }
@@ -467,6 +456,133 @@ pub(crate) fn modeled_delivery_sink(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use tcache_db::{InvalidationBatch, ReportingSink, SinkReport};
+    use tcache_net::pipe::{PipeSendError, PipeStatsSnapshot};
+    use tcache_types::{ObjectId, TxnId, Version};
+
+    /// The sink as it was before batching — one `try_send` per
+    /// invalidation, falling back to a blocking `send` (and reporting the
+    /// stall) on a full `Block` pipe. Kept as the oracle the batched sink
+    /// must be indistinguishable from.
+    fn per_message_reference_sink(sender: PipeSender<Invalidation>) -> ReportingSink {
+        Box::new(move |batch| {
+            let mut report = SinkReport::default();
+            for &inv in batch.iter() {
+                let outcome = match sender.try_send(inv) {
+                    Ok(outcome) => Some(outcome),
+                    Err(PipeSendError::Full(inv)) => {
+                        report.stalled = true;
+                        sender.send(inv).ok()
+                    }
+                    Err(PipeSendError::Disconnected(_)) => None,
+                };
+                if let Some(outcome) = outcome {
+                    report.enqueued += u64::from(outcome.was_enqueued());
+                    report.overflowed += u64::from(outcome.lost_a_message());
+                }
+            }
+            report
+        })
+    }
+
+    fn numbered(seq: u64) -> Invalidation {
+        Invalidation::with_seq(ObjectId(seq), Version(seq), TxnId(seq), seq)
+    }
+
+    /// Publishes one `batch_len`-invalidation batch through the sink
+    /// `make_sink` builds, into a pipe pre-filled with `prefill` messages.
+    /// Returns everything the pipe held afterwards (in queue order), its
+    /// counters, and the sink's report. A `Block` pipe too small for the
+    /// batch stalls the sink by design: the publish then runs on its own
+    /// thread, and draining starts only once the pipe has counted the
+    /// stall, so the outcome is the same on every run.
+    fn publish_through(
+        make_sink: impl FnOnce(PipeSender<Invalidation>) -> ReportingSink,
+        policy: OverflowPolicy,
+        capacity: usize,
+        prefill: usize,
+        batch_len: usize,
+    ) -> (Vec<Invalidation>, PipeStatsSnapshot, SinkReport) {
+        let (tx, rx) = bounded_pipe::<Invalidation>(capacity, policy);
+        for seq in 0..prefill as u64 {
+            tx.send(numbered(seq)).expect("prefill fits");
+        }
+        let sink = make_sink(tx.clone());
+        let batch: InvalidationBatch = (0..batch_len as u64).map(|i| numbered(100 + i)).collect();
+        let will_stall = policy == OverflowPolicy::Block && prefill + batch_len > capacity;
+        if !will_stall {
+            let report = sink(&batch);
+            return (rx.drain(), tx.stats(), report);
+        }
+        let publisher = std::thread::spawn(move || sink(&batch));
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while tx.stats().stalled_sends == 0 {
+            assert!(Instant::now() < deadline, "the full Block pipe never stalled the sink");
+            std::thread::yield_now();
+        }
+        let mut contents = Vec::new();
+        while contents.len() < prefill + batch_len {
+            contents.push(rx.recv().expect("the sink holds a sender"));
+        }
+        let report = publisher.join().expect("sink thread");
+        (contents, tx.stats(), report)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The batched sink against the per-message reference, over every
+        /// overflow policy, small capacities, batches from empty to larger
+        /// than the pipe, and pre-filled queues: same queue contents in the
+        /// same order, same pipe counters, same report to the publisher.
+        #[test]
+        fn batched_sink_matches_the_per_message_reference(
+            policy_choice in 0u32..3,
+            capacity in 1usize..9,
+            batch_len in 0usize..13,
+            prefill_choice in 0usize..9,
+        ) {
+            let policy = match policy_choice {
+                0 => OverflowPolicy::Block,
+                1 => OverflowPolicy::DropNewest,
+                _ => OverflowPolicy::DropOldest,
+            };
+            let prefill = prefill_choice.min(capacity);
+            let (contents, stats, report) = publish_through(
+                |tx| {
+                    modeled_delivery_sink(
+                        CacheId(0),
+                        tx,
+                        Arc::new(AtomicBool::new(false)),
+                        RetryPolicy::default(),
+                    )
+                },
+                policy,
+                capacity,
+                prefill,
+                batch_len,
+            );
+            let (ref_contents, ref_stats, ref_report) =
+                publish_through(per_message_reference_sink, policy, capacity, prefill, batch_len);
+            prop_assert_eq!(contents, ref_contents, "queue contents and order");
+            prop_assert_eq!(
+                (stats.enqueued, stats.rejected, stats.evicted),
+                (ref_stats.enqueued, ref_stats.rejected, ref_stats.evicted),
+                "pipe counters"
+            );
+            prop_assert_eq!(
+                (report.enqueued, report.overflowed, report.stalled),
+                (ref_report.enqueued, ref_report.overflowed, ref_report.stalled),
+                "sink report"
+            );
+            // And against first principles, so the two cannot drift together.
+            let lost = (prefill + batch_len).saturating_sub(capacity) as u64;
+            let expected_overflow = if policy == OverflowPolicy::Block { 0 } else { lost };
+            prop_assert_eq!(report.overflowed, expected_overflow);
+            prop_assert_eq!(report.stalled, policy == OverflowPolicy::Block && lost > 0);
+        }
+    }
 
     #[test]
     fn retry_policy_backoff_is_capped_exponential() {

@@ -220,24 +220,19 @@ impl Database {
     /// Executes the evaluation's standard update transaction over an access
     /// set: every distinct object in the set is read and then written back
     /// with its value bumped ("update transactions first read all objects
-    /// from the database, and then update all objects", §V-B1).
+    /// from the database, and then update all objects", §V-B1). Each object
+    /// is read once: the bumped value, the observed version and the
+    /// inherited dependency list all come from that one snapshot.
     ///
     /// # Errors
     /// Propagates concurrency-control aborts and unknown-object errors.
     pub fn execute_update(&self, txn: TxnId, access: &AccessSet) -> TCacheResult<UpdateCommit> {
-        let distinct = access.distinct();
-        let mut writes = Vec::with_capacity(distinct.len());
-        for &id in &distinct {
-            let current = match self.coordinator.shard_for(id).read_entry(id) {
-                Ok(e) => e,
-                Err(e) => {
-                    self.stats.record_update_abort();
-                    return Err(e);
-                }
-            };
-            writes.push(WriteRecord::new(id, current.value.bump()));
-        }
-        self.execute_update_writes(txn, &distinct, writes)
+        let entries = self.read_for_update(access.distinct())?;
+        let writes = entries
+            .iter()
+            .map(|(id, entry)| WriteRecord::new(*id, entry.value.bump()))
+            .collect();
+        self.commit_update(txn, entries, writes)
     }
 
     /// Executes an update transaction with an explicit read set and write
@@ -266,26 +261,52 @@ impl Database {
                 access_order.push(w.object);
             }
         }
+        let entries = self.read_for_update(access_order)?;
+        self.commit_update(txn, entries, writes)
+    }
 
-        let mut accessed = Vec::with_capacity(access_order.len());
-        let mut observed_reads = Vec::with_capacity(access_order.len());
-        for &id in &access_order {
-            let entry = match self.coordinator.shard_for(id).read_entry(id) {
-                Ok(e) => e,
+    /// Reads the current entry of every object an update transaction
+    /// accesses (already distinct, in access order), recording the abort if
+    /// one is unknown.
+    fn read_for_update(
+        &self,
+        access_order: Vec<ObjectId>,
+    ) -> TCacheResult<Vec<(ObjectId, ObjectEntry)>> {
+        let mut entries = Vec::with_capacity(access_order.len());
+        for id in access_order {
+            match self.coordinator.shard_for(id).read_entry(id) {
+                Ok(entry) => entries.push((id, entry)),
                 Err(e) => {
                     self.stats.record_update_abort();
                     return Err(e);
                 }
-            };
-            observed_reads.push((id, entry.version));
-            accessed.push(AccessedObject {
+            }
+        }
+        self.stats.record_update_reads(entries.len() as u64);
+        Ok(entries)
+    }
+
+    /// Commit assembly shared by both update shapes: assigns the version,
+    /// aggregates dependency lists over the entries the transaction read,
+    /// runs two-phase commit on `writes`, and sequences, logs and publishes
+    /// the invalidations.
+    fn commit_update(
+        &self,
+        txn: TxnId,
+        entries: Vec<(ObjectId, ObjectEntry)>,
+        writes: Vec<WriteRecord>,
+    ) -> TCacheResult<UpdateCommit> {
+        let observed_reads: Vec<(ObjectId, Version)> =
+            entries.iter().map(|(id, e)| (*id, e.version)).collect();
+        let accessed: Vec<AccessedObject> = entries
+            .into_iter()
+            .map(|(id, entry)| AccessedObject {
                 key: id,
                 observed_version: entry.version,
                 dependencies: entry.dependencies,
                 written: writes.iter().any(|w| w.object == id),
-            });
-        }
-        self.stats.record_update_reads(access_order.len() as u64);
+            })
+            .collect();
 
         // Assign the transaction version: larger than every observed version.
         let version = self.clock.assign(observed_reads.iter().map(|&(_, v)| v));
@@ -296,12 +317,12 @@ impl Database {
 
         // Stage the physical writes and run two-phase commit.
         let prepared: Vec<PreparedWrite> = writes
-            .iter()
+            .into_iter()
             .map(|w| PreparedWrite {
-                object: w.object,
-                value: w.value.clone(),
-                version,
                 dependencies: agg.list_for(w.object),
+                object: w.object,
+                value: w.value,
+                version,
             })
             .collect();
 
@@ -646,10 +667,9 @@ mod tests {
         db.execute_update(TxnId(1), &vec![2u64, 3].into()).unwrap();
         let snap = db.stats();
         // Every store snapshot was optimistic and uncontended in this
-        // single-threaded test: the miss read (1), the update's
-        // read-modify-write pre-reads (2), the dependency-aggregation
-        // reads (2) and the prepare-phase existence checks (2).
-        assert_eq!(snap.read_path.optimistic_hits, 7);
+        // single-threaded test: the miss read (1), the update's one read
+        // per object (2) and the prepare-phase existence checks (2).
+        assert_eq!(snap.read_path.optimistic_hits, 5);
         assert_eq!(snap.read_path.optimistic_retries, 0);
         assert_eq!(snap.read_path.lock_fallbacks, 0);
         assert_eq!(snap.read_path.locked_reads, 0);

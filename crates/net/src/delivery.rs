@@ -216,8 +216,8 @@ where
     let budget = batch_budget.max(1);
     let mut batch: Vec<T> = Vec::with_capacity(budget.min(1024));
     loop {
-        let drained = rx.recv_batch_async(&mut batch, budget).await;
-        if drained == 0 {
+        let drain = rx.recv_batch_async(&mut batch, budget).await;
+        if drain.drained == 0 {
             return; // Every sender dropped and the pipe is drained.
         }
         for message in batch.drain(..) {
@@ -252,9 +252,11 @@ where
             apply(message);
             counters.delivered.fetch_add(1, Ordering::Release);
         }
-        if !rx.is_empty() {
-            // Budget exhausted with backlog remaining: hand the reactor
-            // back to sibling tasks before draining the next batch.
+        if drain.backlog > 0 {
+            // Budget exhausted with backlog remaining (as of the drain,
+            // which read the queue length under the lock it already held):
+            // hand the reactor back to sibling tasks before draining the
+            // next batch.
             rx.note_budget_yield();
             crate::reactor::yield_now().await;
         }

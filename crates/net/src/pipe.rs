@@ -18,12 +18,23 @@
 //! *asynchronous* receives; [`PipeReceiver::recv_async`] registers a
 //! [`std::task::Waker`], which is what lets one reactor thread multiplex
 //! many caches' pipes (see [`crate::reactor`]).
+//!
+//! Wake-ups are paid only by whoever is actually asleep. std's futex
+//! `Condvar` makes a system call on every notify, waiter or not, so the
+//! pipe keeps blocked-receiver and blocked-sender counts under its mutex
+//! and every notify on the message path is guarded by them: a send signals
+//! `not_empty` only while a thread sits in [`PipeReceiver::recv`] /
+//! [`PipeReceiver::recv_timeout`] (the reactor receives through wakers and
+//! never does), and a receive signals `not_full` only while a sender is
+//! blocked on a full [`OverflowPolicy::Block`] pipe. The two disconnect
+//! paths (last sender dropped, receiver dropped) are rare and notify
+//! unconditionally.
 
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
@@ -88,9 +99,12 @@ pub struct PipeStatsSnapshot {
     pub batched_polls: u64,
     /// Largest number of messages a single batch poll drained.
     pub max_drain: u64,
-    /// Sends that found a wakeup already in flight and skipped firing the
-    /// receiver's waker again (the receiver observes the message in the
-    /// drain the pending wakeup triggers).
+    /// Messages enqueued while a wakeup was already in flight, so the
+    /// receiver's waker was not fired again for them (the receiver observes
+    /// them in the drain the pending wakeup triggers). A per-message count
+    /// on every send path: a [`PipeSender::send_batch`] window of `k`
+    /// messages that finds a wakeup in flight adds `k`, one that fires the
+    /// waker itself adds `k - 1` — exactly what `k` single sends would.
     pub coalesced_wakeups: u64,
     /// Times the receiver's apply loop exhausted its per-poll budget with
     /// backlog remaining and cooperatively re-yielded to the reactor
@@ -208,13 +222,21 @@ struct PipeInner<T> {
     wake_pending: bool,
     senders: usize,
     receiver_alive: bool,
+    /// Threads currently inside a `not_empty` wait ([`PipeReceiver::recv`]
+    /// / [`PipeReceiver::recv_timeout`]). Sends notify only while nonzero.
+    blocked_receivers: usize,
+    /// Threads currently inside a `not_full` wait (a full `Block` pipe).
+    /// Receives notify only while nonzero.
+    blocked_senders: usize,
 }
 
 struct PipeShared<T> {
     inner: Mutex<PipeInner<T>>,
-    /// Signalled when a message arrives or the last sender disconnects.
+    /// Signalled when a message arrives while `blocked_receivers > 0`, and
+    /// whenever the last sender disconnects.
     not_empty: Condvar,
-    /// Signalled when a slot frees or the receiver disconnects.
+    /// Signalled when a slot frees while `blocked_senders > 0`, and
+    /// whenever the receiver disconnects.
     not_full: Condvar,
     capacity: usize,
     policy: OverflowPolicy,
@@ -222,11 +244,14 @@ struct PipeShared<T> {
 }
 
 impl<T> PipeShared<T> {
-    /// Pops one message, updating counters and signalling writers.
+    /// Pops one message, updating counters and signalling one blocked
+    /// writer, if there is one.
     fn pop(&self, inner: &mut PipeInner<T>) -> Option<T> {
         let value = inner.queue.pop_front()?;
         self.stats.received.fetch_add(1, Ordering::Relaxed);
-        self.not_full.notify_one();
+        if inner.blocked_senders > 0 {
+            self.not_full.notify_one();
+        }
         Some(value)
     }
 
@@ -248,49 +273,120 @@ impl<T> PipeShared<T> {
     }
 
     /// Pops up to `max` messages into `buf`, updating the batch counters
-    /// once for the whole drain and signalling writers once instead of
-    /// per message. Returns the number of messages drained.
-    fn pop_batch(&self, inner: &mut PipeInner<T>, buf: &mut Vec<T>, max: usize) -> usize {
-        let n = inner.queue.len().min(max);
-        if n == 0 {
-            return 0;
+    /// once for the whole drain and signalling blocked writers once instead
+    /// of per message.
+    fn pop_batch(&self, inner: &mut PipeInner<T>, buf: &mut Vec<T>, max: usize) -> BatchDrain {
+        let drained = inner.queue.len().min(max);
+        if drained == 0 {
+            return BatchDrain::default();
         }
-        buf.extend(inner.queue.drain(..n));
-        self.stats.received.fetch_add(n as u64, Ordering::Relaxed);
+        buf.extend(inner.queue.drain(..drained));
+        self.stats.received.fetch_add(drained as u64, Ordering::Relaxed);
         self.stats.batched_polls.fetch_add(1, Ordering::Relaxed);
-        self.stats.max_drain.fetch_max(n as u64, Ordering::Relaxed);
-        // One notify_all for the whole batch: every blocked sender
-        // re-checks capacity under the lock, so over-notifying is safe and
-        // far cheaper than n notify_one calls.
-        self.not_full.notify_all();
-        n
+        self.stats.max_drain.fetch_max(drained as u64, Ordering::Relaxed);
+        if inner.blocked_senders > 0 {
+            // One notify_all for the whole batch: every blocked sender
+            // re-checks capacity under the lock, so over-notifying is safe
+            // and far cheaper than one notify_one per freed slot.
+            self.not_full.notify_all();
+        }
+        BatchDrain {
+            drained,
+            backlog: inner.queue.len(),
+        }
     }
 
-    /// Enqueues `value` and wakes the receiver (waker first, then the
-    /// condvar), releasing the lock before firing the waker. If a wakeup is
-    /// already in flight the send coalesces into it: nothing is re-fired
-    /// and the receiver picks this message up in the same drain.
-    fn push_and_wake(&self, mut inner: std::sync::MutexGuard<'_, PipeInner<T>>, value: T) {
-        inner.queue.push_back(value);
-        self.stats.enqueued.fetch_add(1, Ordering::Relaxed);
-        let waker = if inner.wake_pending {
-            self.stats.coalesced_wakeups.fetch_add(1, Ordering::Relaxed);
-            None
+    /// Accounts `pushed` messages the caller just enqueued under `inner` and
+    /// signals the receiver: `not_empty` if a thread is blocked in a
+    /// receive, and the registered waker unless a wakeup is already in
+    /// flight, in which case the messages coalesce into it. The waker is
+    /// returned, not fired: the caller fires it after dropping the guard.
+    fn announce(&self, inner: &mut PipeInner<T>, pushed: u64) -> Option<Waker> {
+        self.stats.enqueued.fetch_add(pushed, Ordering::Relaxed);
+        if inner.blocked_receivers > 0 {
+            self.not_empty.notify_one();
+        }
+        let mut waker = None;
+        let coalesced = if inner.wake_pending {
+            pushed
+        } else if let Some(w) = inner.recv_waker.take() {
+            inner.wake_pending = true;
+            waker = Some(w);
+            pushed - 1
         } else {
-            match inner.recv_waker.take() {
-                Some(w) => {
-                    inner.wake_pending = true;
-                    Some(w)
-                }
-                None => None,
-            }
+            0
         };
-        self.not_empty.notify_one();
+        if coalesced > 0 {
+            self.stats
+                .coalesced_wakeups
+                .fetch_add(coalesced, Ordering::Relaxed);
+        }
+        waker
+    }
+
+    /// Enqueues `value` and wakes the receiver, releasing the lock before
+    /// firing the waker.
+    fn push_and_wake(&self, mut inner: MutexGuard<'_, PipeInner<T>>, value: T) {
+        inner.queue.push_back(value);
+        let waker = self.announce(&mut inner, 1);
         drop(inner);
         if let Some(w) = waker {
             w.wake();
         }
     }
+
+    /// Parks a sender on a full `Block` pipe until a slot frees or the
+    /// receiver disconnects, counting the stall. Registering in
+    /// `blocked_senders` under the lock the wait releases is what lets
+    /// receives skip the notify when nobody is parked here.
+    fn wait_for_slot<'a>(
+        &self,
+        mut inner: MutexGuard<'a, PipeInner<T>>,
+    ) -> MutexGuard<'a, PipeInner<T>> {
+        self.stats.stalled_sends.fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
+        inner.blocked_senders += 1;
+        while inner.queue.len() >= self.capacity && inner.receiver_alive {
+            inner = self.not_full.wait(inner).expect("pipe lock");
+        }
+        inner.blocked_senders -= 1;
+        self.stats.stall_micros.fetch_add(
+            u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
+        inner
+    }
+}
+
+/// What one batch receive ([`PipeReceiver::recv_batch_async`]) handed out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BatchDrain {
+    /// Messages moved into the caller's buffer; `0` means every sender is
+    /// gone and the pipe is empty.
+    pub drained: usize,
+    /// Messages still queued when the drain finished, read under the lock
+    /// the drain already held — an apply loop deciding whether to re-yield
+    /// needs no second lock round trip for [`PipeReceiver::is_empty`].
+    pub backlog: usize,
+}
+
+/// What [`PipeSender::send_batch`] did with a batch, in the same per-message
+/// terms [`SendOutcome`] reports for single sends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[must_use]
+pub struct BatchOutcome {
+    /// Messages that entered the queue (including ones that evicted the
+    /// head under [`OverflowPolicy::DropOldest`]).
+    pub enqueued: u64,
+    /// Messages lost to overflow: rejected ([`OverflowPolicy::DropNewest`])
+    /// or evicted ([`OverflowPolicy::DropOldest`]).
+    pub overflowed: u64,
+    /// Whether the sender had to wait for a slot ([`OverflowPolicy::Block`]
+    /// at capacity) at least once.
+    pub stalled: bool,
+    /// The receiver was gone (on entry, or while the sender waited for a
+    /// slot); the messages not yet enqueued were dropped.
+    pub disconnected: bool,
 }
 
 /// The sending half of a bounded pipe. Cloneable.
@@ -335,6 +431,8 @@ pub fn bounded_pipe<T>(
             wake_pending: false,
             senders: 1,
             receiver_alive: true,
+            blocked_receivers: 0,
+            blocked_senders: 0,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -411,15 +509,7 @@ impl<T> PipeSender<T> {
         let mut outcome = SendOutcome::Enqueued;
         if inner.queue.len() >= shared.capacity {
             if shared.policy == OverflowPolicy::Block {
-                shared.stats.stalled_sends.fetch_add(1, Ordering::Relaxed);
-                let started = Instant::now();
-                while inner.queue.len() >= shared.capacity && inner.receiver_alive {
-                    inner = shared.not_full.wait(inner).expect("pipe lock");
-                }
-                shared.stats.stall_micros.fetch_add(
-                    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    Ordering::Relaxed,
-                );
+                inner = shared.wait_for_slot(inner);
                 if !inner.receiver_alive {
                     return Err(PipeSendError::Disconnected(value));
                 }
@@ -463,47 +553,43 @@ impl<T> PipeSender<T> {
 
     /// Sends every message in `batch`, taking the pipe lock once per
     /// capacity window instead of once per message and firing at most one
-    /// wakeup per window. With room for the whole batch (the common case
-    /// on the invalidation plane, which runs unbounded) that is a single
-    /// lock acquisition and a single wakeup no matter how many messages
-    /// are enqueued — the producer-side complement of
+    /// wakeup per window. With room for the whole batch (the common case:
+    /// a commit's invalidations against a pipe that is keeping up) that is
+    /// a single lock acquisition and at most a single wakeup no matter how
+    /// many messages are enqueued — the producer-side complement of
     /// [`PipeReceiver::recv_batch_async`].
     ///
     /// Overflow follows [`PipeSender::send`] per message: `Block` parks
     /// until a slot frees (the window already enqueued is signalled first,
     /// so a parked receiver always drains it), `DropNewest` rejects the
-    /// overflowing message, `DropOldest` evicts the head. Returns the
-    /// number of messages enqueued.
+    /// overflowing message, `DropOldest` evicts the head. Queue contents,
+    /// order and every counter end up exactly as after one `send` per
+    /// message; the returned [`BatchOutcome`] sums what those sends would
+    /// have reported, and flags a receiver that was gone instead of
+    /// returning an error so the part already enqueued stays accounted.
     ///
-    /// # Errors
-    /// Returns [`PipeSendError::Disconnected`] carrying the first
-    /// undelivered message when the receiver is gone; the rest of the
-    /// batch is dropped.
-    pub fn send_batch<I>(&self, batch: I) -> Result<u64, PipeSendError<T>>
+    /// `batch` is advanced while the pipe lock is held: pass an iterator
+    /// that yields without waiting on anything (a slice, a drained buffer).
+    pub fn send_batch<I>(&self, batch: I) -> BatchOutcome
     where
         I: IntoIterator<Item = T>,
     {
         let shared = &self.shared;
         let mut iter = batch.into_iter();
         let mut pending: Option<T> = iter.next();
-        let mut total = 0u64;
+        let mut outcome = BatchOutcome::default();
         while pending.is_some() {
             let mut inner = shared.inner.lock().expect("pipe lock");
-            if shared.policy == OverflowPolicy::Block && inner.queue.len() >= shared.capacity {
-                shared.stats.stalled_sends.fetch_add(1, Ordering::Relaxed);
-                let started = Instant::now();
-                while inner.queue.len() >= shared.capacity && inner.receiver_alive {
-                    inner = shared.not_full.wait(inner).expect("pipe lock");
-                }
-                shared.stats.stall_micros.fetch_add(
-                    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    Ordering::Relaxed,
-                );
+            if shared.policy == OverflowPolicy::Block
+                && inner.receiver_alive
+                && inner.queue.len() >= shared.capacity
+            {
+                outcome.stalled = true;
+                inner = shared.wait_for_slot(inner);
             }
             if !inner.receiver_alive {
-                return Err(PipeSendError::Disconnected(
-                    pending.take().expect("pending message"),
-                ));
+                outcome.disconnected = true;
+                return outcome;
             }
             let mut window = 0u64;
             while let Some(value) = pending.take() {
@@ -514,6 +600,7 @@ impl<T> PipeSender<T> {
                         pending = Some(value);
                         break;
                     }
+                    outcome.overflowed += 1;
                     if shared.drop_policy_outcome(&mut inner) == SendOutcome::Rejected {
                         pending = iter.next();
                         continue;
@@ -527,28 +614,15 @@ impl<T> PipeSender<T> {
             let waker = if window == 0 {
                 None
             } else {
-                shared.stats.enqueued.fetch_add(window, Ordering::Relaxed);
-                total += window;
-                shared.not_empty.notify_one();
-                if inner.wake_pending {
-                    shared.stats.coalesced_wakeups.fetch_add(1, Ordering::Relaxed);
-                    None
-                } else {
-                    match inner.recv_waker.take() {
-                        Some(w) => {
-                            inner.wake_pending = true;
-                            Some(w)
-                        }
-                        None => None,
-                    }
-                }
+                outcome.enqueued += window;
+                shared.announce(&mut inner, window)
             };
             drop(inner);
             if let Some(w) = waker {
                 w.wake();
             }
         }
-        Ok(total)
+        outcome
     }
 
     /// Number of messages currently queued.
@@ -595,7 +669,9 @@ impl<T> PipeReceiver<T> {
             if inner.senders == 0 {
                 return None;
             }
+            inner.blocked_receivers += 1;
             inner = self.shared.not_empty.wait(inner).expect("pipe lock");
+            inner.blocked_receivers -= 1;
         }
     }
 
@@ -616,12 +692,14 @@ impl<T> PipeReceiver<T> {
             if now >= deadline {
                 return None;
             }
+            inner.blocked_receivers += 1;
             let (guard, _) = self
                 .shared
                 .not_empty
                 .wait_timeout(inner, deadline - now)
                 .expect("pipe lock");
             inner = guard;
+            inner.blocked_receivers -= 1;
         }
     }
 
@@ -641,7 +719,7 @@ impl<T> PipeReceiver<T> {
     /// the cheap path a batch-dequeuing apply task uses.
     pub fn drain_into(&self, buf: &mut Vec<T>, max: usize) -> usize {
         let mut inner = self.shared.inner.lock().expect("pipe lock");
-        self.shared.pop_batch(&mut inner, buf, max)
+        self.shared.pop_batch(&mut inner, buf, max).drained
     }
 
     /// Returns a future resolving to the next message, or `None` once every
@@ -653,9 +731,10 @@ impl<T> PipeReceiver<T> {
     }
 
     /// Returns a future that waits until the pipe is non-empty, then drains
-    /// up to `max` messages into `buf` in one poll, resolving to the number
-    /// drained. Resolves to `0` only once every sender is dropped and the
-    /// queue is fully drained. One wakeup services the whole backlog — the
+    /// up to `max` messages into `buf` in one poll, resolving to how many
+    /// it drained and how many it left queued ([`BatchDrain`]). Resolves to
+    /// zero drained only once every sender is dropped and the queue is
+    /// fully drained. One wakeup services the whole backlog — the
     /// batch-dequeue half of the reactor apply path.
     pub fn recv_batch_async<'a>(
         &'a self,
@@ -724,7 +803,7 @@ impl<T> Future for RecvFuture<'_, T> {
 }
 
 /// Future returned by [`PipeReceiver::recv_batch_async`]: resolves to the
-/// number of messages drained into the caller's buffer (`0` means every
+/// [`BatchDrain`] of the poll that found messages (zero drained means every
 /// sender is gone and the pipe is empty).
 pub struct RecvBatchFuture<'a, T> {
     receiver: &'a PipeReceiver<T>,
@@ -733,19 +812,16 @@ pub struct RecvBatchFuture<'a, T> {
 }
 
 impl<T> Future for RecvBatchFuture<'_, T> {
-    type Output = usize;
+    type Output = BatchDrain;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let shared = &this.receiver.shared;
         let mut inner = shared.inner.lock().expect("pipe lock");
         inner.wake_pending = false;
-        let n = shared.pop_batch(&mut inner, this.buf, this.max);
-        if n > 0 {
-            return Poll::Ready(n);
-        }
-        if inner.senders == 0 {
-            return Poll::Ready(0);
+        let drain = shared.pop_batch(&mut inner, this.buf, this.max);
+        if drain.drained > 0 || inner.senders == 0 {
+            return Poll::Ready(drain);
         }
         inner.recv_waker = Some(cx.waker().clone());
         Poll::Pending
@@ -774,8 +850,15 @@ mod tests {
     #[test]
     fn send_batch_enqueues_everything_in_one_window() {
         let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
-        assert_eq!(tx.send_batch(0..100), Ok(100));
-        assert_eq!(tx.send_batch(std::iter::empty()), Ok(0));
+        let sent = tx.send_batch(0..100);
+        assert_eq!(
+            sent,
+            BatchOutcome {
+                enqueued: 100,
+                ..BatchOutcome::default()
+            }
+        );
+        assert_eq!(tx.send_batch(std::iter::empty()), BatchOutcome::default());
         assert_eq!(rx.drain(), (0..100).collect::<Vec<_>>());
         assert_eq!(tx.stats().enqueued, 100);
     }
@@ -783,12 +866,14 @@ mod tests {
     #[test]
     fn send_batch_applies_drop_policies_per_message() {
         let (tx, rx) = bounded_pipe::<u64>(2, OverflowPolicy::DropNewest);
-        assert_eq!(tx.send_batch(0..5), Ok(2), "only the window fits");
+        let sent = tx.send_batch(0..5);
+        assert_eq!((sent.enqueued, sent.overflowed), (2, 3), "only the window fits");
         assert_eq!(rx.drain(), vec![0, 1]);
         assert_eq!(rx.stats().rejected, 3);
 
         let (tx, rx) = bounded_pipe::<u64>(2, OverflowPolicy::DropOldest);
-        assert_eq!(tx.send_batch(0..5), Ok(5), "evictions still enqueue");
+        let sent = tx.send_batch(0..5);
+        assert_eq!((sent.enqueued, sent.overflowed), (5, 3), "evictions still enqueue");
         assert_eq!(rx.drain(), vec![3, 4]);
         assert_eq!(rx.stats().evicted, 3);
     }
@@ -801,15 +886,24 @@ mod tests {
         while got.len() < 64 {
             got.push(rx.recv().expect("sender alive until batch done"));
         }
-        assert_eq!(handle.join().unwrap(), Ok(64));
+        let sent = handle.join().unwrap();
+        assert_eq!((sent.enqueued, sent.overflowed), (64, 0));
+        assert!(sent.stalled && !sent.disconnected);
         assert_eq!(got, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
-    fn send_batch_reports_disconnect_with_first_undelivered() {
+    fn send_batch_reports_disconnect() {
         let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
         drop(rx);
-        assert_eq!(tx.send_batch(7..10), Err(PipeSendError::Disconnected(7)));
+        assert_eq!(
+            tx.send_batch(7..10),
+            BatchOutcome {
+                disconnected: true,
+                ..BatchOutcome::default()
+            }
+        );
+        assert_eq!(tx.stats().enqueued, 0);
     }
 
     #[test]

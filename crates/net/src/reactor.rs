@@ -12,12 +12,19 @@
 //! Design:
 //!
 //! * **Ready queue** — task ids whose wakers fired, drained FIFO each
-//!   iteration; cross-thread wakes park/unpark the reactor via a condvar.
-//! * **Parked-task table** — every spawned task lives in a slab keyed by
-//!   [`TaskId`]; a task not in the ready queue is parked and consumes no
-//!   cycles until its waker fires.
+//!   iteration. The reactor thread parks on a condvar only after its
+//!   pre-park spin found nothing, and announces that under the queue's
+//!   lock; a waker fire notifies the condvar (a futex system call) only
+//!   when it finds that announcement, so wakes that land while the reactor
+//!   is mid-batch or spinning cost a queue push and nothing else.
+//! * **Parked-task table** — every spawned task lives in one slab slot
+//!   (future, waker, scheduled flag) indexed by its [`TaskId`]; a task not
+//!   in the ready queue is parked and consumes no cycles until its waker
+//!   fires.
 //! * **Timer wheel** — a min-heap of `(deadline, seq, waker)`; the reactor
-//!   sleeps exactly until the next deadline when no task is ready. Timer
+//!   sleeps exactly until the next deadline when no task is ready, and
+//!   skips the heap (lock and clock read) entirely while no timer is
+//!   registered. Timer
 //!   durations use the same microsecond [`SimDuration`] arithmetic as the
 //!   latency models in [`crate::latency`] (one simulated microsecond maps
 //!   to one wall-clock microsecond), so a [`LatencyModel`] sample can be
@@ -26,7 +33,7 @@
 //! [`LatencyModel`]: crate::latency::LatencyModel
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -35,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 /// parking on the condvar. Tuned to bridge a producer's inter-send gap
 /// (sub-microsecond) without burning meaningful CPU when genuinely idle:
 /// the spin costs a few microseconds once per idle transition, a park
-/// costs two futex syscalls per message under a ping-pong load.
+/// costs a futex wait here plus a futex wake on the thread that ends it.
 const SPIN_BEFORE_PARK: u32 = 4096;
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
@@ -73,7 +80,8 @@ pub struct ReactorStats {
     pub completed: u64,
     /// Total future polls performed.
     pub polls: u64,
-    /// Waker fires observed (ready-queue pushes).
+    /// Waker fires observed (ready-queue pushes). Only a push that finds
+    /// the reactor thread parked also notifies its condvar.
     pub wakes: u64,
     /// Waker fires absorbed by the per-task scheduled flag: the task was
     /// already enqueued (or mid-poll) so no second ready-queue entry was
@@ -82,8 +90,8 @@ pub struct ReactorStats {
     /// Timer entries that reached their deadline and woke a task.
     pub timers_fired: u64,
     /// Idle iterations resolved by the pre-park spin: a waker fired within
-    /// the spin window, so the reactor skipped a condvar park/unpark
-    /// round-trip (each one is two futex syscalls under load).
+    /// the spin window, so the reactor skipped a condvar park and the
+    /// waking thread skipped the futex wake that ends one.
     pub spin_recoveries: u64,
 }
 
@@ -110,9 +118,23 @@ impl Ord for TimerEntry {
     }
 }
 
+/// The ready queue and the reactor thread's park announcement, under one
+/// lock so a waker fire decides "push only" or "push and notify" atomically
+/// with the reactor's decision to park.
+#[derive(Default)]
+struct ReadyQueue {
+    queue: VecDeque<TaskId>,
+    /// Set by the reactor thread just before it waits on `parked` (the wait
+    /// releases this lock atomically) and cleared by whoever ends the park:
+    /// the first pusher that finds it set, or the reactor itself on a
+    /// timeout. While clear, nobody is waiting and a notify would be a
+    /// wasted system call.
+    parked: bool,
+}
+
 /// State shared between the reactor thread, task wakers and handles.
 struct ReactorShared {
-    ready: Mutex<VecDeque<TaskId>>,
+    ready: Mutex<ReadyQueue>,
     /// Lock-free mirror of the ready queue's length, maintained under the
     /// `ready` lock. The run loop's pre-park spin polls this instead of
     /// re-taking the lock on every spin iteration.
@@ -120,6 +142,11 @@ struct ReactorShared {
     /// Parks the reactor thread while no task is ready and no timer is due.
     parked: Condvar,
     timers: Mutex<BinaryHeap<Reverse<TimerEntry>>>,
+    /// Entries in `timers`, maintained under its lock. The run loop reads
+    /// it to skip the lock and the clock while no timer is registered; the
+    /// `Release` increment in [`Sleep::poll`] pairs with the `Acquire` load
+    /// in [`Reactor::fire_due_timers`].
+    pending_timers: AtomicUsize,
     timer_seq: AtomicU64,
     shutdown: AtomicBool,
     counters: ReactorCounters,
@@ -128,11 +155,17 @@ struct ReactorShared {
 impl ReactorShared {
     fn push_ready(&self, id: TaskId) {
         let mut ready = self.ready.lock().expect("reactor lock");
-        ready.push_back(id);
-        self.ready_hint.store(ready.len(), Ordering::Release);
+        ready.queue.push_back(id);
+        self.ready_hint.store(ready.queue.len(), Ordering::Release);
         self.counters.wakes.fetch_add(1, Ordering::Relaxed);
+        // One notify ends one park: taking the announcement down here keeps
+        // the pushes that follow (one per cache on a fan-out commit) from
+        // each paying a futex wake for a thread that is already waking.
+        let unpark = std::mem::take(&mut ready.parked);
         drop(ready);
-        self.parked.notify_one();
+        if unpark {
+            self.parked.notify_one();
+        }
     }
 }
 
@@ -177,26 +210,33 @@ impl Wake for TaskWaker {
 
 type BoxedTask = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
+/// Everything the run loop needs to poll one task, in one slab slot.
+struct TaskSlot {
+    future: BoxedTask,
+    waker: Waker,
+    /// Shared with the task's [`TaskWaker`]; cleared just before each poll
+    /// so wakes arriving mid-poll re-enqueue the task.
+    scheduled: Arc<AtomicBool>,
+}
+
 /// The single-threaded reactor. Build it, [`Reactor::spawn`] tasks onto it,
 /// then move it to its thread and call [`Reactor::run`]. Keep a
 /// [`ReactorHandle`] (from [`Reactor::handle`]) to request shutdown and to
 /// sample [`ReactorStats`] from outside.
 pub struct Reactor {
     shared: Arc<ReactorShared>,
-    /// The parked-task table: every live task, keyed by id. Tasks absent
-    /// from the ready queue sit here untouched until a waker fires.
-    tasks: HashMap<TaskId, BoxedTask>,
-    wakers: HashMap<TaskId, Waker>,
-    /// Per-task scheduled flags shared with the wakers; cleared just before
-    /// each poll so wakes arriving mid-poll re-enqueue the task.
-    scheduled: HashMap<TaskId, Arc<AtomicBool>>,
-    next_task: u64,
+    /// The parked-task table: slot `i` holds task `TaskId(i)` until it
+    /// completes. Ids are never reused, so a stale wake of a completed
+    /// task finds `None`. Tasks absent from the ready queue sit here
+    /// untouched until a waker fires.
+    tasks: Vec<Option<TaskSlot>>,
+    live: usize,
 }
 
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
-            .field("live_tasks", &self.tasks.len())
+            .field("live_tasks", &self.live)
             .finish_non_exhaustive()
     }
 }
@@ -212,35 +252,36 @@ impl Reactor {
     pub fn new() -> Self {
         Reactor {
             shared: Arc::new(ReactorShared {
-                ready: Mutex::new(VecDeque::new()),
+                ready: Mutex::new(ReadyQueue::default()),
                 ready_hint: AtomicUsize::new(0),
                 parked: Condvar::new(),
                 timers: Mutex::new(BinaryHeap::new()),
+                pending_timers: AtomicUsize::new(0),
                 timer_seq: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 counters: ReactorCounters::default(),
             }),
-            tasks: HashMap::new(),
-            wakers: HashMap::new(),
-            scheduled: HashMap::new(),
-            next_task: 0,
+            tasks: Vec::new(),
+            live: 0,
         }
     }
 
     /// Spawns a task; it is immediately ready and will be polled on the
     /// next [`Reactor::run`] iteration.
     pub fn spawn(&mut self, future: impl Future<Output = ()> + Send + 'static) -> TaskId {
-        let id = TaskId(self.next_task);
-        self.next_task += 1;
-        self.tasks.insert(id, Box::pin(future));
+        let id = TaskId(self.tasks.len() as u64);
         let scheduled = Arc::new(AtomicBool::new(true));
         let waker = Waker::from(Arc::new(TaskWaker {
             id,
             shared: Arc::clone(&self.shared),
             scheduled: Arc::clone(&scheduled),
         }));
-        self.wakers.insert(id, waker);
-        self.scheduled.insert(id, scheduled);
+        self.tasks.push(Some(TaskSlot {
+            future: Box::pin(future),
+            waker,
+            scheduled,
+        }));
+        self.live += 1;
         self.shared.counters.spawned.fetch_add(1, Ordering::Relaxed);
         self.shared.push_ready(id);
         id
@@ -263,12 +304,17 @@ impl Reactor {
 
     /// Number of live (parked or ready) tasks.
     pub fn live_tasks(&self) -> usize {
-        self.tasks.len()
+        self.live
     }
 
     /// Fires every timer whose deadline has passed; returns the next
     /// pending deadline, if any.
     fn fire_due_timers(&self) -> Option<Instant> {
+        // Timers are only registered from this thread (see [`Sleep`]), so a
+        // zero count cannot be about to change under us.
+        if self.shared.pending_timers.load(Ordering::Acquire) == 0 {
+            return None;
+        }
         let now = Instant::now();
         let mut due = Vec::new();
         let next = {
@@ -280,6 +326,9 @@ impl Reactor {
                 let Reverse(entry) = timers.pop().expect("peeked entry exists");
                 due.push(entry.waker);
             }
+            self.shared
+                .pending_timers
+                .store(timers.len(), Ordering::Release);
             timers.peek().map(|Reverse(e)| e.deadline)
         };
         self.shared
@@ -296,30 +345,34 @@ impl Reactor {
     /// [`ReactorHandle::shutdown`] is called. This is the reactor thread's
     /// body; everything else talks to it through wakers and handles.
     pub fn run(mut self) {
+        // The ready batch being polled. Swapped with the shared queue under
+        // its lock and drained outside it, so both buffers keep their
+        // capacity and no iteration allocates.
+        let mut batch: VecDeque<TaskId> = VecDeque::new();
         loop {
             if self.shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            if self.tasks.is_empty() {
+            if self.live == 0 {
                 return;
             }
             let next_deadline = self.fire_due_timers();
 
-            // Drain the current ready batch. Tasks woken while this batch
+            // Take the current ready batch. Tasks woken while this batch
             // runs land in the next batch.
-            let batch: Vec<TaskId> = {
+            {
                 let mut ready = self.shared.ready.lock().expect("reactor lock");
-                let batch = ready.drain(..).collect();
+                std::mem::swap(&mut ready.queue, &mut batch);
                 self.shared.ready_hint.store(0, Ordering::Release);
-                batch
-            };
+            }
 
             if batch.is_empty() {
                 // Briefly spin on the lock-free ready hint before parking:
                 // a producer mid-burst refills the queue within
-                // microseconds, and a park/unpark round-trip (two futex
-                // syscalls) costs far more than the gap it bridges. Only
-                // safe to spin when no timer deadline is pending.
+                // microseconds, and a park costs a futex wait here plus a
+                // futex wake on the producer's commit path — far more than
+                // the gap it bridges. Only safe to spin when no timer
+                // deadline is pending.
                 if next_deadline.is_none() {
                     let mut woke = false;
                     for _ in 0..SPIN_BEFORE_PARK {
@@ -340,53 +393,58 @@ impl Reactor {
                     }
                 }
                 // Nothing ready: park until a waker fires or the next timer
-                // is due.
-                let guard = self.shared.ready.lock().expect("reactor lock");
-                if guard.is_empty() && !self.shared.shutdown.load(Ordering::Acquire) {
-                    match next_deadline {
-                        Some(deadline) => {
-                            let now = Instant::now();
-                            if deadline > now {
-                                drop(
-                                    self.shared
-                                        .parked
-                                        .wait_timeout(guard, deadline - now)
-                                        .expect("reactor lock"),
-                                );
+                // is due. The emptiness check, the announcement and the
+                // wait's release of the lock are one critical section, so a
+                // waker either pushed before it (and we do not park) or
+                // finds `parked` set (and notifies).
+                let mut ready = self.shared.ready.lock().expect("reactor lock");
+                if ready.queue.is_empty() && !self.shared.shutdown.load(Ordering::Acquire) {
+                    let timeout =
+                        next_deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                    if timeout != Some(Duration::ZERO) {
+                        ready.parked = true;
+                        let mut ready = match timeout {
+                            Some(timeout) => {
+                                self.shared
+                                    .parked
+                                    .wait_timeout(ready, timeout)
+                                    .expect("reactor lock")
+                                    .0
                             }
-                        }
-                        None => {
-                            drop(self.shared.parked.wait(guard).expect("reactor lock"));
-                        }
+                            None => self.shared.parked.wait(ready).expect("reactor lock"),
+                        };
+                        // A timeout or spurious wake-up ends the park with
+                        // the announcement still up.
+                        ready.parked = false;
                     }
                 }
                 continue;
             }
 
-            for id in batch {
-                let Some(task) = self.tasks.get_mut(&id) else {
+            let mut polls = 0u64;
+            for id in batch.drain(..) {
+                let Some(entry) = self.tasks.get_mut(id.0 as usize) else {
+                    continue;
+                };
+                let Some(slot) = entry.as_mut() else {
                     continue; // Spurious wake of a completed task.
                 };
                 // Clear the scheduled flag *before* polling: a wake that
                 // arrives mid-poll must re-enqueue the task or its signal
                 // would be lost.
-                self.scheduled
-                    .get(&id)
-                    .expect("scheduled flag exists")
-                    .store(false, Ordering::Release);
-                let waker = self.wakers.get(&id).expect("waker exists").clone();
-                let mut cx = Context::from_waker(&waker);
-                self.shared.counters.polls.fetch_add(1, Ordering::Relaxed);
-                if let Poll::Ready(()) = task.as_mut().poll(&mut cx) {
-                    self.tasks.remove(&id);
-                    self.wakers.remove(&id);
-                    self.scheduled.remove(&id);
+                slot.scheduled.store(false, Ordering::Release);
+                let mut cx = Context::from_waker(&slot.waker);
+                polls += 1;
+                if slot.future.as_mut().poll(&mut cx).is_ready() {
+                    *entry = None;
+                    self.live -= 1;
                     self.shared
                         .counters
                         .completed
                         .fetch_add(1, Ordering::Relaxed);
                 }
             }
+            self.shared.counters.polls.fetch_add(polls, Ordering::Relaxed);
         }
     }
 }
@@ -408,6 +466,11 @@ impl ReactorHandle {
     /// are abandoned. Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // Rare, so unconditional — but pass through the `ready` lock first:
+        // the reactor checks the flag and parks in one critical section, so
+        // once the lock has been ours it has either seen the flag or is
+        // already waiting where this notify reaches it.
+        drop(self.shared.ready.lock().expect("reactor lock"));
         self.shared.parked.notify_all();
     }
 
@@ -462,7 +525,10 @@ impl Future for YieldNow {
 }
 
 /// Handle for creating timer futures on a reactor. Cloneable and cheap;
-/// pass one into every task that needs to sleep.
+/// pass one into every task that needs to sleep. The futures must be
+/// awaited by tasks of the reactor the handle came from: registering a
+/// timer does not wake the reactor thread, which picks new deadlines up
+/// when the poll that registered them returns.
 #[derive(Clone)]
 pub struct TimerHandle {
     shared: Arc<ReactorShared>,
@@ -517,16 +583,15 @@ impl Future for Sleep {
         // Re-register on every poll: wakers may change between polls, and a
         // stale duplicate entry merely re-polls the task once.
         let seq = self.shared.timer_seq.fetch_add(1, Ordering::Relaxed);
+        let mut timers = self.shared.timers.lock().expect("reactor lock");
+        timers.push(Reverse(TimerEntry {
+            deadline: self.deadline,
+            seq,
+            waker: cx.waker().clone(),
+        }));
         self.shared
-            .timers
-            .lock()
-            .expect("reactor lock")
-            .push(Reverse(TimerEntry {
-                deadline: self.deadline,
-                seq,
-                waker: cx.waker().clone(),
-            }));
-        self.shared.parked.notify_one();
+            .pending_timers
+            .store(timers.len(), Ordering::Release);
         Poll::Pending
     }
 }

@@ -126,8 +126,9 @@ impl LiveReceiver {
     }
 
     /// Asynchronously waits for traffic, then drains up to `max` queued
-    /// invalidations into `buf` in one poll; resolves to the number drained
-    /// (`0` once every sender is dropped and the queue is empty). The
+    /// invalidations into `buf` in one poll; resolves to how many it drained
+    /// (`0` once every sender is dropped and the queue is empty) and how
+    /// many it left queued ([`crate::pipe::BatchDrain`]). The
     /// batch-dequeue counterpart of [`LiveReceiver::recv_async`].
     pub fn recv_batch_async<'a>(
         &'a self,

@@ -12,11 +12,25 @@
 //!    order;
 //! 2. an 8-producer stress test racing real threads against the single
 //!    reactor consumer, checked against a sequential per-producer oracle.
+//!
+//! The same holds for the condvar notifies the message path guards with a
+//! waiter count or the reactor's parked flag (a notify nobody waits for is
+//! a wasted system call; a skipped notify somebody waits for is a hang).
+//! The second half of this file pins each guard from the waiter's side: a
+//! thread blocked in `recv` / `recv_timeout`, senders blocked on a full
+//! `Block` pipe, and a reactor thread that parks between wakes. Every wait
+//! there runs under a watchdog, so a wrong guard fails the test instead of
+//! hanging the suite.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use tcache_net::pipe::{bounded_pipe, OverflowPolicy, UNBOUNDED};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
+use tcache_net::pipe::{
+    bounded_pipe, BatchDrain, OverflowPolicy, PipeReceiver, PipeSendError, PipeSender, UNBOUNDED,
+};
 use tcache_net::reactor::{yield_now, Reactor};
 
 /// Spawns a batch-draining consumer task mirroring the delivery loop's
@@ -32,12 +46,12 @@ fn spawn_batch_consumer(
     reactor.spawn(async move {
         let mut batch = Vec::new();
         loop {
-            let n = rx.recv_batch_async(&mut batch, budget).await;
-            if n == 0 {
+            let drain = rx.recv_batch_async(&mut batch, budget).await;
+            if drain.drained == 0 {
                 return;
             }
             applied.lock().unwrap().extend(batch.drain(..));
-            if !rx.is_empty() {
+            if drain.backlog > 0 {
                 rx.note_budget_yield();
                 yield_now().await;
             }
@@ -179,7 +193,13 @@ fn burst_sends_coalesce_into_one_wakeup() {
     // The single wakeup services the whole backlog in one drain.
     {
         let mut fut = pin!(rx.recv_batch_async(&mut buf, 16));
-        assert_eq!(fut.as_mut().poll(&mut cx), Poll::Ready(5));
+        assert_eq!(
+            fut.as_mut().poll(&mut cx),
+            Poll::Ready(BatchDrain {
+                drained: 5,
+                backlog: 0
+            })
+        );
     }
     assert_eq!(buf, vec![0, 1, 2, 3, 4]);
     let stats = rx.stats();
@@ -223,4 +243,254 @@ fn budget_yields_are_counted_per_full_batch_with_backlog() {
         "every full batch with backlog left re-yields"
     );
     assert_eq!(stats.coalesced_wakeups, 0, "no waker was ever parked");
+}
+
+/// How long a lost-wakeup scenario may take before it counts as hung. Far
+/// above any scheduling hiccup; a lost wakeup never completes at all.
+const WATCHDOG: Duration = Duration::from_secs(60);
+
+/// Runs `scenario` on its own thread and fails if it has not finished
+/// within [`WATCHDOG`]. A lost wakeup leaves the scenario blocked forever,
+/// so the watchdog turns a hang into a test failure (the stuck thread is
+/// abandoned to process exit).
+fn within_watchdog<R: Send + 'static>(
+    what: &str,
+    scenario: impl FnOnce() -> R + Send + 'static,
+) -> R {
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(scenario());
+    });
+    finished
+        .recv_timeout(WATCHDOG)
+        .unwrap_or_else(|_| panic!("{what}: hung or panicked — a wakeup was lost"))
+}
+
+/// Spins (yielding) until `condition` holds; panics past the watchdog.
+fn spin_until(what: &str, mut condition: impl FnMut() -> bool) {
+    let deadline = Instant::now() + WATCHDOG;
+    while !condition() {
+        assert!(Instant::now() < deadline, "{what}: never happened");
+        std::thread::yield_now();
+    }
+}
+
+/// The three ways a producer can enqueue one message.
+#[derive(Debug, Clone, Copy)]
+enum SendVia {
+    Send,
+    TrySend,
+    SendBatch,
+}
+
+/// The two ways a consumer thread can block for one message.
+#[derive(Debug, Clone, Copy)]
+enum RecvVia {
+    Recv,
+    RecvTimeout,
+}
+
+/// A consumer thread blocked in `recv()` / `recv_timeout()` must be woken
+/// by every send path, and by the last sender's drop. The producer sends
+/// message `i + 1` only after the consumer acknowledged message `i`, so the
+/// consumer is back inside its blocking receive — usually already asleep
+/// on the condvar — when most sends arrive: exactly the state in which
+/// `not_empty` must be notified. A guard that skips that notify strands
+/// the consumer, the acknowledgement never comes, and the watchdog fires.
+#[test]
+fn blocked_receiver_is_woken_by_every_send_path() {
+    const ROUNDS: u64 = 2_000;
+    for recv_via in [RecvVia::Recv, RecvVia::RecvTimeout] {
+        for send_via in [SendVia::Send, SendVia::TrySend, SendVia::SendBatch] {
+            let what = format!("{recv_via:?} consumer against {send_via:?} producer");
+            let received = within_watchdog(&what, move || {
+                let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
+                let (ack, acked) = mpsc::channel::<u64>();
+                let consumer = std::thread::spawn(move || {
+                    let mut received = Vec::new();
+                    loop {
+                        let message = match recv_via {
+                            RecvVia::Recv => rx.recv(),
+                            // The timeout is the watchdog's: it never
+                            // elapses unless the wakeup was lost.
+                            RecvVia::RecvTimeout => rx.recv_timeout(WATCHDOG),
+                        };
+                        match message {
+                            Some(v) => {
+                                received.push(v);
+                                ack.send(v).unwrap();
+                            }
+                            None => {
+                                assert!(rx.is_disconnected(), "timed out with the sender alive");
+                                return received;
+                            }
+                        }
+                    }
+                });
+                for i in 0..ROUNDS {
+                    match send_via {
+                        SendVia::Send => assert!(tx.send(i).unwrap().was_enqueued()),
+                        SendVia::TrySend => assert!(tx.try_send(i).unwrap().was_enqueued()),
+                        SendVia::SendBatch => assert_eq!(tx.send_batch([i]).enqueued, 1),
+                    }
+                    assert_eq!(acked.recv().unwrap(), i);
+                }
+                // The last sender's drop must end the blocked receive.
+                drop(tx);
+                consumer.join().unwrap()
+            });
+            assert_eq!(received, (0..ROUNDS).collect::<Vec<_>>(), "{what}");
+        }
+    }
+}
+
+/// Fills a capacity-1 `Block` pipe, parks `k` senders on it (message `0`
+/// occupies the slot, sender `i` carries message `i`), and returns once
+/// every one of them is inside its `not_full` wait: `stalled_sends` is
+/// bumped under the pipe lock just before the wait releases it, so any
+/// receive issued after this returns is ordered behind all `k` waits.
+#[allow(clippy::type_complexity)]
+fn park_senders_on_a_full_pipe(
+    k: u64,
+) -> (
+    PipeReceiver<u64>,
+    Vec<std::thread::JoinHandle<Result<(), PipeSendError<u64>>>>,
+) {
+    let (tx, rx) = bounded_pipe::<u64>(1, OverflowPolicy::Block);
+    tx.send(0).unwrap();
+    let senders: Vec<_> = (1..=k)
+        .map(|i| {
+            let tx: PipeSender<u64> = tx.clone();
+            std::thread::spawn(move || tx.send(i).map(|_| ()))
+        })
+        .collect();
+    spin_until("every sender parks", || tx.stats().stalled_sends == k);
+    (rx, senders)
+}
+
+/// `K` senders parked on a full capacity-1 `Block` pipe must all get
+/// through when the receiver frees slots with `free_slots` (called until
+/// every message has arrived): each pop has to notify `not_full` because a
+/// sender is waiting on it.
+fn assert_parked_senders_are_released_by(
+    what: &'static str,
+    free_slots: fn(&PipeReceiver<u64>, &mut Vec<u64>),
+) {
+    const K: u64 = 6;
+    let mut got = within_watchdog(what, move || {
+        let (rx, senders) = park_senders_on_a_full_pipe(K);
+        let mut got = Vec::new();
+        spin_until("every parked message arrives", || {
+            free_slots(&rx, &mut got);
+            got.len() as u64 == K + 1
+        });
+        for sender in senders {
+            sender.join().unwrap().unwrap();
+        }
+        got
+    });
+    got.sort_unstable();
+    assert_eq!(got, (0..=K).collect::<Vec<_>>(), "{what}");
+}
+
+/// One `try_recv` at a time (the single-message pop's `notify_one`).
+#[test]
+fn blocked_senders_are_released_by_try_recv() {
+    assert_parked_senders_are_released_by("try_recv against parked senders", |rx, got| {
+        got.extend(rx.try_recv());
+    });
+}
+
+/// Through the non-blocking batch drain (the batch pop's `notify_all`).
+#[test]
+fn blocked_senders_are_released_by_drain_into() {
+    assert_parked_senders_are_released_by("drain_into against parked senders", |rx, got| {
+        rx.drain_into(got, 4);
+    });
+}
+
+/// The same through the reactor's batch receive: the task's first poll
+/// frees the slot and must notify the parked senders, or nobody ever sends
+/// again and the task stays pending forever.
+#[test]
+fn blocked_senders_are_released_by_recv_batch_async() {
+    const K: u64 = 6;
+    let mut got = within_watchdog("recv_batch_async against parked senders", || {
+        let (rx, senders) = park_senders_on_a_full_pipe(K);
+        let applied = Arc::new(Mutex::new(Vec::new()));
+        let mut reactor = Reactor::new();
+        spawn_batch_consumer(&mut reactor, Arc::new(rx), 4, Arc::clone(&applied));
+        // Every sender drops its handle after its send, which ends the task.
+        reactor.run();
+        for sender in senders {
+            sender.join().unwrap().unwrap();
+        }
+        let got = applied.lock().unwrap().clone();
+        got
+    });
+    got.sort_unstable();
+    assert_eq!(got, (0..=K).collect::<Vec<_>>());
+}
+
+/// Dropping the receiver releases every parked sender with its message
+/// handed back.
+#[test]
+fn blocked_senders_are_released_by_receiver_drop() {
+    const K: u64 = 6;
+    let mut returned = within_watchdog("receiver drop against parked senders", || {
+        let (rx, senders) = park_senders_on_a_full_pipe(K);
+        drop(rx);
+        senders
+            .into_iter()
+            .map(|sender| match sender.join().unwrap() {
+                Err(PipeSendError::Disconnected(v)) => v,
+                other => panic!("expected a disconnect, got {other:?}"),
+            })
+            .collect::<Vec<_>>()
+    });
+    returned.sort_unstable();
+    assert_eq!(returned, (1..=K).collect::<Vec<_>>());
+}
+
+/// A reactor whose only task is woken from another thread, with randomized
+/// 0–200 µs gaps between wakes, for 20k rounds. The gaps straddle the
+/// reactor's spin-before-park window, so wakes land while it is polling,
+/// spinning, between its empty-queue check and the park, and fully parked.
+/// The waker notifies the condvar only when it finds the parked flag set;
+/// if that flag could be missed the reactor would sleep through a wake,
+/// the acknowledgement would never come, and the watchdog fires.
+#[test]
+fn cross_thread_wakes_never_strand_a_parking_reactor() {
+    const ROUNDS: u64 = 20_000;
+    let completed = within_watchdog("cross-thread wake stress", || {
+        let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
+        let acked = Arc::new(AtomicU64::new(0));
+        let mut reactor = Reactor::new();
+        let task_acked = Arc::clone(&acked);
+        reactor.spawn(async move {
+            while let Some(round) = rx.recv_async().await {
+                task_acked.store(round + 1, Ordering::Release);
+            }
+        });
+        let handle = reactor.handle();
+        let thread = std::thread::spawn(move || reactor.run());
+        let mut rng = StdRng::seed_from_u64(0x5eed_cafe);
+        for round in 0..ROUNDS {
+            // Busy-wait the gap: a sleep would round it up to the timer
+            // slack and miss the window the test is aimed at.
+            let gap = Duration::from_nanos(rng.gen_range(0..200_000u64));
+            let resume = Instant::now() + gap;
+            while Instant::now() < resume {
+                std::hint::spin_loop();
+            }
+            tx.send(round).unwrap();
+            spin_until("the reactor handles the wake", || {
+                acked.load(Ordering::Acquire) == round + 1
+            });
+        }
+        drop(tx);
+        thread.join().unwrap();
+        handle.stats().completed
+    });
+    assert_eq!(completed, 1, "the task drained every round and completed");
 }
