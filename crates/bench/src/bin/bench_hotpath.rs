@@ -36,7 +36,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tcache_cache::{CacheReadPath, EdgeCache};
+use tcache_cache::EdgeCache;
 use tcache_db::{Database, DatabaseConfig, Invalidation, ReadPath};
 use tcache_net::delivery::DEFAULT_BATCH_BUDGET;
 use tcache_net::pipe::{bounded_pipe, OverflowPolicy, UNBOUNDED};
@@ -44,8 +44,8 @@ use tcache_net::reactor::Reactor;
 use tcache_bench::{git_short_sha, history_comparison};
 use tcache_sim::figures::{backpressure, live_plane, LIVE_PLANE_LOSSES};
 use tcache_types::{
-    AccessSet, CacheId, CachePolicyConfig, ObjectId, RecoveryPolicy, SimDuration, SimTime,
-    Strategy, TxnId, Value, Version,
+    AccessSet, CacheId, ObjectId, RecoveryPolicy, SimDuration, SimTime, Strategy, TxnId, Value,
+    Version,
 };
 
 const OBJECTS: u64 = 1024;
@@ -157,31 +157,6 @@ fn warmed_cache() -> Arc<EdgeCache> {
     warmed_caches(&warmed_db(), 1).pop().expect("one cache")
 }
 
-/// Like [`warmed_caches`], but with an explicit storage read path
-/// (per-stripe-mutex baseline vs epoch-reclaimed lock-free hit path).
-fn warmed_caches_with_path(
-    db: &Arc<Database>,
-    count: u32,
-    read_path: CacheReadPath,
-) -> Vec<Arc<EdgeCache>> {
-    (0..count)
-        .map(|c| {
-            let cache = Arc::new(EdgeCache::with_read_path(
-                CacheId(c),
-                Arc::clone(db),
-                CachePolicyConfig::tcache(3, Strategy::Abort),
-                read_path,
-            ));
-            for i in 0..OBJECTS {
-                cache
-                    .read(SimTime::ZERO, TxnId(1_000_000 + i), ObjectId(i), true)
-                    .unwrap();
-            }
-            cache
-        })
-        .collect()
-}
-
 /// Runs `txns_per_thread` hit transactions on each of `threads` threads, all
 /// hammering the same cache; returns aggregate transactions per second.
 fn measure(cache: &Arc<EdgeCache>, threads: u64, txns_per_thread: u64, seed: &AtomicU64) -> f64 {
@@ -220,36 +195,6 @@ fn measure_threads(caches: &[Arc<EdgeCache>], txns_per_thread: u64, seed: &Atomi
     }
     let elapsed = start.elapsed().as_secs_f64();
     (caches.len() as u64 * txns_per_thread) as f64 / elapsed
-}
-
-/// Like [`measure`], but every transaction reads the *same* three hot
-/// objects, so all threads collide on the same storage stripes. This is
-/// the regime the epoch read path exists for: the locked path serializes
-/// every hit on the hot stripe's mutex, the epoch path only contends on
-/// the (skippable) LRU promotion.
-fn measure_hot(cache: &Arc<EdgeCache>, threads: u64, txns_per_thread: u64, seed: &AtomicU64) -> f64 {
-    let start = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|_| {
-            let cache = Arc::clone(cache);
-            let base_txn = seed.fetch_add(txns_per_thread + 1, Ordering::Relaxed);
-            std::thread::spawn(move || {
-                let keys = [ObjectId(0), ObjectId(1), ObjectId(2)];
-                for i in 0..txns_per_thread {
-                    let txn = TxnId(base_txn + i);
-                    let outcome = cache
-                        .execute_transaction(SimTime::ZERO, txn, &keys)
-                        .expect("backend reachable");
-                    std::hint::black_box(outcome);
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    (threads * txns_per_thread) as f64 / elapsed
 }
 
 /// One row of the database read-path sweep: aggregate reads/s and the
@@ -549,8 +494,8 @@ fn main() {
         );
     }
 
-    // Database read-path sweep (ROADMAP: "does epoch/seqlock pay off at
-    // high miss rates?"): reads with a controlled miss ratio race one
+    // Database read-path sweep (ROADMAP: "does seqlock pay off at high
+    // miss rates?"): reads with a controlled miss ratio race one
     // background writer; the lock-per-read baseline (ReadPath::Locked) is
     // measured against the seqlock path (ReadPath::Optimistic).
     let db_reads_per_thread: u64 = if quick { 20_000 } else { 200_000 };
@@ -658,51 +603,6 @@ fn main() {
             reactor_batch_rows.push((budget, cache_count, sample.min));
         }
     }
-
-    // Cache read-path row: the same hit-heavy transaction workload as the
-    // headline table, on 4 threads, against the per-stripe-mutex storage
-    // (Locked) and the epoch-reclaimed lock-free read path (Epoch).
-    let db_locked = warmed_db();
-    let locked_cache = warmed_caches_with_path(&db_locked, 1, CacheReadPath::Locked)
-        .pop()
-        .expect("one cache");
-    let db_epoch = warmed_db();
-    let epoch_cache = warmed_caches_with_path(&db_epoch, 1, CacheReadPath::Epoch)
-        .pop()
-        .expect("one cache");
-    let locked_hits_sample = repeat(rounds, || measure(&locked_cache, 4, txns_per_thread, &seed));
-    let epoch_hits_sample = repeat(rounds, || measure(&epoch_cache, 4, txns_per_thread, &seed));
-    let locked_hot_sample =
-        repeat(rounds, || measure_hot(&locked_cache, 8, txns_per_thread, &seed));
-    let epoch_hot_sample = repeat(rounds, || measure_hot(&epoch_cache, 8, txns_per_thread, &seed));
-    let (locked_hits, epoch_hits) = (locked_hits_sample.min, epoch_hits_sample.min);
-    let (locked_hot, epoch_hot) = (locked_hot_sample.min, epoch_hot_sample.min);
-    println!(
-        "\ncache read path: hit transactions, one cache \
-         (uniform = 4 threads spread keys, hot = 8 threads on 3 keys; min of {rounds})\n\
-         {:>12} {:>16} {:>9} {:>16} {:>9}\n\
-         {:>12} {:>16.0} {:>8.1}% {:>16.0} {:>8.1}%\n\
-         {:>12} {:>16.0} {:>8.1}% {:>16.0} {:>8.1}%\n\
-         {:>12} {:>15.2}x {:>26.2}x",
-        "path",
-        "uniform txn/s",
-        "spread",
-        "hot txn/s",
-        "spread",
-        "locked",
-        locked_hits,
-        locked_hits_sample.spread_pct(),
-        locked_hot,
-        locked_hot_sample.spread_pct(),
-        "epoch",
-        epoch_hits,
-        epoch_hits_sample.spread_pct(),
-        epoch_hot,
-        epoch_hot_sample.spread_pct(),
-        "epoch speedup",
-        epoch_hits / locked_hits,
-        epoch_hot / locked_hot
-    );
 
     // Read-transaction fast path: the allocation-free single-shot path
     // through `execute_read_only` on one thread — the tentpole regime
@@ -919,14 +819,6 @@ fn main() {
          \"reactor_inv_per_sec\": {:.1}\n  }},\n  \
          \"reactor_batch\": {{\n    \"msgs_per_cache\": {sweep_msgs},\n    \
          \"rows\": [\n{}\n    ]\n  }},\n  \
-         \"cache_read_path\": {{\n    \"uniform_threads\": 4,\n    \
-         \"hot_threads\": 8,\n    \
-         \"locked_txn_per_sec\": {locked_hits:.1},\n    \
-         \"epoch_txn_per_sec\": {epoch_hits:.1},\n    \
-         \"locked_hot_txn_per_sec\": {locked_hot:.1},\n    \
-         \"epoch_hot_txn_per_sec\": {epoch_hot:.1},\n    \
-         \"epoch_speedup\": {:.3},\n    \
-         \"epoch_hot_speedup\": {:.3}\n  }},\n  \
          \"read_txn_fastpath\": {{\n    \"txns\": {fp_txns},\n    \
          \"txn_per_sec\": {:.1},\n    \
          \"ns_per_read\": {:.1},\n    \
@@ -949,8 +841,6 @@ fn main() {
         threaded_plane.min,
         reactor_plane.min,
         reactor_batch_fields.join(",\n"),
-        epoch_hits / locked_hits,
-        epoch_hot / locked_hot,
         fp.min,
         1e9 / (fp.min * READS_PER_TXN as f64),
         backpressure_fields.join(",\n"),
@@ -985,10 +875,6 @@ fn main() {
         ),
         ("threaded_inv_per_sec", threaded_plane.min),
         ("reactor_inv_per_sec", reactor_plane.min),
-        ("locked_hit_txn_per_sec", locked_hits),
-        ("epoch_hit_txn_per_sec", epoch_hits),
-        ("locked_hot_txn_per_sec", locked_hot),
-        ("epoch_hot_txn_per_sec", epoch_hot),
         ("live_read_txns_per_wall_sec", lp.live_read_txns_per_wall_sec),
         ("fastpath_txn_per_sec", fp.min),
         ("fastpath_allocs_per_txn", fp_allocs_per_txn),

@@ -21,9 +21,8 @@
 //! Exit status is non-zero on any unexpected result.
 
 use tcache_model::{
-    explore, explore_epoch, explore_floor, minimize, CacheStatus, EpochExploration,
-    EpochModelConfig, ExploreOptions, Exploration, FloorModelConfig, IntervalOnlyOracle,
-    InvariantKind, ModelConfig, TwoTierOracle,
+    explore, explore_floor, minimize, CacheStatus, Exploration, ExploreOptions, FloorModelConfig,
+    IntervalOnlyOracle, InvariantKind, ModelConfig, TwoTierOracle,
 };
 use tcache_sim::DifferentialBridge;
 use tcache_types::{format_trace, ObjectId, SimTime, Version};
@@ -52,7 +51,7 @@ fn main() {
         report_scenario(config, &result, &mut failed);
     }
 
-    epoch_reclamation_section(&mut failed);
+    floor_section(&mut failed);
 
     broken_oracle_demo(&mut failed);
     if !quick {
@@ -93,86 +92,55 @@ fn report_scenario(config: &ModelConfig, result: &Exploration, failed: &mut bool
     }
 }
 
-/// Exhaustively checks the epoch-reclamation read path at sub-operation
-/// granularity: the faithful protocol (validated pins, gated advance,
-/// grace 3) and the locked invalidation/apply path must hold, while the
-/// deliberately broken variants — ungated advance, grace 1, and the
-/// stripe lock removed — must each produce a depth-minimal
-/// counterexample, proving the model can see the races it guards.
-fn epoch_reclamation_section(failed: &mut bool) {
-    println!("\nepoch reclamation model: pin/retire/advance interleavings");
-    let healthy: [(&str, EpochExploration); 2] = [
-        ("epoch_faithful", explore_epoch(&EpochModelConfig::faithful())),
-        ("floor_locked", explore_floor(&FloorModelConfig::locked())),
-    ];
-    for (name, result) in &healthy {
-        let status = match (&result.violation, result.stats.truncated) {
-            (Some(violation), _) => {
-                *failed = true;
-                format!("VIOLATED ({violation})")
-            }
-            (None, true) => {
-                *failed = true;
-                "TRUNCATED (bounds hit — not exhaustive)".to_string()
-            }
-            (None, false) => "holds (exhaustive)".to_string(),
-        };
-        println!(
-            "{:>20} {:>10} {:>12} {:>7} {:>14}  {}",
-            name,
-            result.stats.states,
-            result.stats.transitions,
-            result.stats.depth,
-            result.stats.reclaims,
-            status
-        );
-        if let Some(violation) = &result.violation {
-            println!("  counterexample:");
-            for step in &violation.trace {
-                println!("    {step}");
-            }
+/// Exhaustively checks the install-vs-invalidate race on one cache slot
+/// at sub-operation granularity: with the stripe mutex held per logical
+/// operation no invalidation is ever lost, while the deliberately broken
+/// variant — the lock removed — must produce a depth-minimal
+/// counterexample, proving the model can see the race the mutex guards.
+fn floor_section(failed: &mut bool) {
+    println!("\nfloor model: install vs invalidate on one cache slot");
+    let locked = explore_floor(&FloorModelConfig::locked());
+    let status = match &locked.violation {
+        Some(violation) => {
+            *failed = true;
+            format!("VIOLATED ({violation})")
         }
-    }
-    if healthy[0].1.stats.reclaims == 0 {
-        println!("  FAILED: faithful exploration never reclaimed (vacuous invariant)");
-        *failed = true;
+        None => "holds (exhaustive)".to_string(),
+    };
+    println!(
+        "{:>20} {:>10} {:>12} {:>7}  {}",
+        "floor_locked", locked.stats.states, locked.stats.transitions, locked.stats.depth, status
+    );
+    if let Some(violation) = &locked.violation {
+        println!("  counterexample:");
+        for step in &violation.trace {
+            println!("    {step}");
+        }
     }
 
-    let broken: [(&str, EpochExploration, &str); 3] = [
-        (
-            "epoch_ungated_advance",
-            explore_epoch(&EpochModelConfig::ungated_advance()),
-            "reclaimed node",
-        ),
-        (
-            "epoch_short_grace",
-            explore_epoch(&EpochModelConfig::short_grace()),
-            "reclaimed node",
-        ),
-        (
-            "floor_unlocked",
-            explore_floor(&FloorModelConfig::unlocked()),
-            "lost",
-        ),
-    ];
-    for (name, result, needle) in &broken {
-        let Some(violation) = &result.violation else {
-            println!("{name:>20}  FAILED: the broken variant was not caught");
+    let unlocked = explore_floor(&FloorModelConfig::unlocked());
+    match &unlocked.violation {
+        None => {
+            println!(
+                "{:>20}  FAILED: the broken variant was not caught",
+                "floor_unlocked"
+            );
             *failed = true;
-            continue;
-        };
-        if !violation.description.contains(needle) {
-            println!("{name:>20}  FAILED: unexpected violation ({violation})");
-            *failed = true;
-            continue;
         }
-        println!(
+        Some(violation) if !violation.description.contains("lost") => {
+            println!(
+                "{:>20}  FAILED: unexpected violation ({violation})",
+                "floor_unlocked"
+            );
+            *failed = true;
+        }
+        Some(violation) => println!(
             "{:>20}  caught after {} states, {}-step counterexample: {}",
-            name,
-            result.stats.states,
+            "floor_unlocked",
+            unlocked.stats.states,
             violation.trace.len(),
             violation
-        );
+        ),
     }
 }
 

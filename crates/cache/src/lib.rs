@@ -31,12 +31,12 @@
 //! assert!(cache.stats().misses >= 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod consistency;
 pub mod entry;
-mod epoch_storage;
 pub mod lifecycle;
 pub mod stats;
 pub mod storage;
@@ -50,6 +50,6 @@ pub use lifecycle::{
     LifecycleState, LifecycleStats, LifecycleStatsSnapshot, ObservedVec, ReadMode, ReadTxnLog,
 };
 pub use stats::{CacheStats, CacheStatsSnapshot};
-pub use storage::{CacheReadPath, CacheStorage, ShardedCacheStorage};
-pub use tcache::EdgeCache;
+pub use storage::{CacheStorage, ShardedCacheStorage};
+pub use tcache::{CacheReadPath, EdgeCache};
 pub use tcache_types::{CachePolicyConfig, Strategy};

@@ -19,7 +19,9 @@
 
 use crate::entry::CacheEntry;
 use crate::stripe::Striped;
+use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use tcache_types::{ObjectEntry, ObjectId, SimTime, TtlConfig, Version};
 
 const NIL: usize = usize::MAX;
@@ -34,7 +36,7 @@ struct LruNode {
 /// An intrusive doubly-linked recency list over a slab. The front is the
 /// least recently used entry; every operation is O(1).
 #[derive(Debug, Default)]
-pub(crate) struct LruQueue {
+struct LruQueue {
     nodes: Vec<LruNode>,
     free: Vec<usize>,
     head: usize,
@@ -42,7 +44,7 @@ pub(crate) struct LruQueue {
 }
 
 impl LruQueue {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         LruQueue {
             nodes: Vec::new(),
             free: Vec::new(),
@@ -52,7 +54,7 @@ impl LruQueue {
     }
 
     /// Appends `id` as the most recently used entry, returning its slot.
-    pub(crate) fn push_back(&mut self, id: ObjectId) -> usize {
+    fn push_back(&mut self, id: ObjectId) -> usize {
         let node = LruNode {
             id,
             prev: self.tail,
@@ -78,7 +80,7 @@ impl LruQueue {
     }
 
     /// Unlinks `slot` and recycles it.
-    pub(crate) fn remove(&mut self, slot: usize) {
+    fn remove(&mut self, slot: usize) {
         let LruNode { prev, next, .. } = self.nodes[slot];
         if prev != NIL {
             self.nodes[prev].next = next;
@@ -94,7 +96,7 @@ impl LruQueue {
     }
 
     /// Moves `slot` to the most recently used position.
-    pub(crate) fn touch(&mut self, slot: usize) {
+    fn touch(&mut self, slot: usize) {
         if self.tail == slot {
             return;
         }
@@ -105,7 +107,7 @@ impl LruQueue {
     }
 
     /// The least recently used entry, if any.
-    pub(crate) fn front(&self) -> Option<ObjectId> {
+    fn front(&self) -> Option<ObjectId> {
         if self.head == NIL {
             None
         } else {
@@ -351,38 +353,8 @@ pub const DEFAULT_STRIPES: usize = 16;
 /// [`ShardedCacheStorage::rebalance_budgets`]).
 pub const REBALANCE_INTERVAL: u64 = 1024;
 
-/// Which concurrent read path [`ShardedCacheStorage`] uses.
-///
-/// Both paths implement identical cache semantics (the differential
-/// proptests in `tests/epoch_differential.rs` hold them to the same
-/// answers); they differ only in how readers synchronize with writers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheReadPath {
-    /// Per-stripe mutexes: every operation, reads included, locks the
-    /// object's stripe. The original path; simple and exactly LRU.
-    #[default]
-    Locked,
-    /// Epoch-based reclamation: reads pin an epoch and traverse published
-    /// pointers without taking any lock; writers CAS entries in and retire
-    /// the old ones through the epoch queue; LRU promotion is batched
-    /// through a per-stripe spinlock (approximate recency under reader
-    /// contention, exact when uncontended).
-    Epoch,
-}
-
-/// The backing structure behind a [`ShardedCacheStorage`], selected by
-/// [`CacheReadPath`].
-#[derive(Debug)]
-enum Backend {
-    Locked(Striped<CacheStorage>),
-    // Boxed: the epoch domain's cache-line-padded pin lanes make the
-    // storage ~3 KiB inline, which would bloat every Locked instance too.
-    Epoch(Box<crate::epoch_storage::EpochShardedStorage>),
-}
-
-/// Concurrent cache storage: N stripes keyed by object-id hash, behind
-/// either per-stripe locks or the epoch-reclaimed read path
-/// ([`CacheReadPath`]).
+/// Concurrent cache storage: N [`CacheStorage`] stripes keyed by object-id
+/// hash, each behind its own short-held mutex.
 ///
 /// All methods take `&self`; each call touches exactly one stripe
 /// (aggregate queries like [`ShardedCacheStorage::len`] visit each stripe
@@ -391,24 +363,22 @@ enum Backend {
 /// hash to the same stripe.
 #[derive(Debug)]
 pub struct ShardedCacheStorage {
-    backend: Backend,
+    stripes: Striped<CacheStorage>,
     /// `true` when a capacity bound is configured (rebalancing applies).
     bounded: bool,
     /// Inserts since construction; every [`REBALANCE_INTERVAL`]-th insert
     /// triggers a budget rebalance on bounded storage.
-    inserts: std::sync::atomic::AtomicU64,
+    inserts: AtomicU64,
 }
 
 impl ShardedCacheStorage {
-    /// Creates sharded storage with [`DEFAULT_STRIPES`] stripes on the
-    /// [`CacheReadPath::Locked`] path.
+    /// Creates sharded storage with [`DEFAULT_STRIPES`] stripes.
     pub fn with_default_stripes(capacity: Option<usize>, ttl: TtlConfig) -> Self {
         ShardedCacheStorage::new(DEFAULT_STRIPES, capacity, ttl)
     }
 
     /// Creates sharded storage with `stripes` stripes (rounded up to a
-    /// power of two) on the [`CacheReadPath::Locked`] path. A total
-    /// `capacity` is split evenly across stripes
+    /// power of two). A total `capacity` is split evenly across stripes
     /// (`ceil(capacity / stripes)`, at least 1, per stripe).
     ///
     /// Because eviction is local to a stripe, the capacity is enforced per
@@ -423,98 +393,49 @@ impl ShardedCacheStorage {
     /// # Panics
     /// Panics if `stripes` is zero.
     pub fn new(stripes: usize, capacity: Option<usize>, ttl: TtlConfig) -> Self {
-        ShardedCacheStorage::with_read_path(stripes, capacity, ttl, CacheReadPath::Locked)
-    }
-
-    /// Creates sharded storage on an explicitly chosen read path.
-    ///
-    /// # Panics
-    /// Panics if `stripes` is zero.
-    pub fn with_read_path(
-        stripes: usize,
-        capacity: Option<usize>,
-        ttl: TtlConfig,
-        path: CacheReadPath,
-    ) -> Self {
-        let backend = match path {
-            CacheReadPath::Locked => {
-                // Build the stripes first and derive the per-stripe
-                // capacity from the *actual* stripe count, so the split
-                // can never drift from Striped's rounding policy.
-                let mut built = Striped::new(stripes, || CacheStorage::new(None, ttl));
-                if let Some(capacity) = capacity {
-                    let per_stripe = capacity.div_ceil(built.len()).max(1);
-                    for stripe in built.iter_mut() {
-                        stripe.get_mut().capacity = Some(per_stripe);
-                    }
-                }
-                Backend::Locked(built)
+        // Build the stripes first and derive the per-stripe capacity from
+        // the *actual* stripe count, so the split can never drift from
+        // Striped's rounding policy.
+        let mut stripes = Striped::new(stripes, || CacheStorage::new(None, ttl));
+        if let Some(capacity) = capacity {
+            let per_stripe = capacity.div_ceil(stripes.len()).max(1);
+            for stripe in stripes.iter_mut() {
+                stripe.get_mut().capacity = Some(per_stripe);
             }
-            CacheReadPath::Epoch => Backend::Epoch(Box::new(
-                crate::epoch_storage::EpochShardedStorage::new(stripes, capacity, ttl),
-            )),
-        };
-        ShardedCacheStorage {
-            backend,
-            bounded: capacity.is_some(),
-            inserts: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// The read path this storage was built on.
-    pub fn read_path(&self) -> CacheReadPath {
-        match &self.backend {
-            Backend::Locked(_) => CacheReadPath::Locked,
-            Backend::Epoch(_) => CacheReadPath::Epoch,
+        ShardedCacheStorage {
+            stripes,
+            bounded: capacity.is_some(),
+            inserts: AtomicU64::new(0),
         }
     }
 
     /// Number of stripes.
     pub fn stripe_count(&self) -> usize {
-        match &self.backend {
-            Backend::Locked(stripes) => stripes.len(),
-            Backend::Epoch(epoch) => epoch.stripe_count(),
-        }
+        self.stripes.len()
     }
 
-    /// The stripe index `id` routes to (both paths share the Fibonacci
-    /// hash, so routing is identical).
+    /// The stripe index `id` routes to.
     pub fn stripe_index_of(&self, id: ObjectId) -> usize {
-        match &self.backend {
-            Backend::Locked(stripes) => stripes.index_for(id.as_u64()),
-            Backend::Epoch(epoch) => epoch.stripe_index_of(id),
-        }
+        self.stripes.index_for(id.as_u64())
     }
 
-    /// Reclamation counters of the epoch read path (`None` on the locked
-    /// path).
-    pub fn epoch_stats(&self) -> Option<tcache_types::epoch::EpochStats> {
-        match &self.backend {
-            Backend::Locked(_) => None,
-            Backend::Epoch(epoch) => Some(epoch.epoch_stats()),
-        }
-    }
-
-    fn stripe(stripes: &Striped<CacheStorage>, id: ObjectId) -> &parking_lot::Mutex<CacheStorage> {
-        stripes.stripe_for(id.as_u64())
+    fn stripe(&self, id: ObjectId) -> &Mutex<CacheStorage> {
+        self.stripes.stripe_for(id.as_u64())
     }
 
     /// Looks up an object (TTL-checked, LRU-touched); see
     /// [`CacheStorage::get`].
     pub fn get(&self, id: ObjectId, now: SimTime) -> Option<ObjectEntry> {
-        match &self.backend {
-            Backend::Locked(stripes) => Self::stripe(stripes, id).lock().get(id, now),
-            Backend::Epoch(epoch) => epoch.get(id, now),
-        }
+        self.stripe(id).lock().get(id, now)
     }
 
     /// Runs `f` against the cached entry **without cloning it** (the borrow
-    /// lives for the duration of the call, under the stripe lock on the
-    /// locked path and under an epoch pin on the epoch path). TTL/LRU
+    /// lives for the duration of the call, under the stripe lock). TTL/LRU
     /// semantics match [`ShardedCacheStorage::get`]; `None` means a miss.
     ///
-    /// `f` must not call back into this storage (locked-path closures run
-    /// under the stripe lock).
+    /// `f` must not call back into this storage (it runs under the stripe
+    /// lock).
     // lint: hot-path
     pub fn with_entry<R>(
         &self,
@@ -522,41 +443,16 @@ impl ShardedCacheStorage {
         now: SimTime,
         f: impl FnOnce(&ObjectEntry) -> R,
     ) -> Option<R> {
-        match &self.backend {
-            Backend::Locked(stripes) => Self::stripe(stripes, id).lock().with_entry(id, now, f),
-            Backend::Epoch(epoch) => epoch.with_entry(id, now, f),
-        }
-    }
-
-    /// Opens a transaction-scoped read session: on the epoch path the
-    /// reclamation domain is pinned **once** for the whole session (one
-    /// pin/unpin pair per transaction instead of ~5 sequentially consistent
-    /// atomics per lookup); on the locked path the session is a zero-cost
-    /// wrapper and stripe locks are still taken per lookup. Holding a
-    /// session open only delays epoch reclamation — it never blocks
-    /// writers, and inserts/removals through `&self` remain legal while the
-    /// session is live.
-    pub fn read_session(&self) -> StorageReadSession<'_> {
-        let pin = match &self.backend {
-            Backend::Locked(_) => None,
-            Backend::Epoch(epoch) => Some(epoch.pin()),
-        };
-        StorageReadSession { storage: self, pin }
+        self.stripe(id).lock().with_entry(id, now, f)
     }
 
     /// Inserts (or refreshes) an object; see [`CacheStorage::insert`].
     /// On capacity-bounded storage, every [`REBALANCE_INTERVAL`]-th insert
     /// also rebalances the per-stripe budgets.
     pub fn insert(&self, entry: ObjectEntry, now: SimTime) -> Option<ObjectId> {
-        let evicted = match &self.backend {
-            Backend::Locked(stripes) => Self::stripe(stripes, entry.id).lock().insert(entry, now),
-            Backend::Epoch(epoch) => epoch.insert(entry, now),
-        };
+        let evicted = self.stripe(entry.id).lock().insert(entry, now);
         if self.bounded {
-            let n = self
-                .inserts
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                + 1;
+            let n = self.inserts.fetch_add(1, Ordering::Relaxed) + 1;
             if n.is_multiple_of(REBALANCE_INTERVAL) {
                 self.rebalance_budgets();
             }
@@ -566,88 +462,62 @@ impl ShardedCacheStorage {
 
     /// Removes an object, returning `true` if it was present.
     pub fn remove(&self, id: ObjectId) -> bool {
-        match &self.backend {
-            Backend::Locked(stripes) => Self::stripe(stripes, id).lock().remove(id),
-            Backend::Epoch(epoch) => epoch.remove(id),
-        }
+        self.stripe(id).lock().remove(id)
     }
 
     /// Applies an invalidation; see [`CacheStorage::invalidate`].
     pub fn invalidate(&self, id: ObjectId, newer_than: Version) -> bool {
-        match &self.backend {
-            Backend::Locked(stripes) => Self::stripe(stripes, id).lock().invalidate(id, newer_than),
-            Backend::Epoch(epoch) => epoch.invalidate(id, newer_than),
-        }
+        self.stripe(id).lock().invalidate(id, newer_than)
     }
 
     /// Clears every stripe (entries and admission floors); see
     /// [`CacheStorage::clear`]. Stripes are cleared one at a time, never
     /// holding two locks.
     pub fn clear(&self) {
-        match &self.backend {
-            Backend::Locked(stripes) => {
-                for stripe in stripes.iter() {
-                    stripe.lock().clear();
-                }
-            }
-            Backend::Epoch(epoch) => epoch.clear(),
+        for stripe in self.stripes.iter() {
+            stripe.lock().clear();
         }
     }
 
     /// Returns `true` if `id` is currently cached (ignoring TTL).
     pub fn contains(&self, id: ObjectId) -> bool {
-        match &self.backend {
-            Backend::Locked(stripes) => Self::stripe(stripes, id).lock().peek(id).is_some(),
-            Backend::Epoch(epoch) => epoch.contains(id),
-        }
+        self.stripe(id).lock().peek(id).is_some()
     }
 
     /// The version currently cached for `id`, ignoring TTL.
     pub fn cached_version(&self, id: ObjectId) -> Option<Version> {
-        match &self.backend {
-            Backend::Locked(stripes) => Self::stripe(stripes, id).lock().cached_version(id),
-            Backend::Epoch(epoch) => epoch.cached_version(id),
-        }
+        self.stripe(id).lock().cached_version(id)
     }
 
     /// Total number of cached objects (sums the stripes; approximate under
     /// concurrent mutation).
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Locked(stripes) => stripes.iter().map(|s| s.lock().len()).sum(),
-            Backend::Epoch(epoch) => epoch.len(),
-        }
+        self.stripes.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Returns `true` if nothing is cached in any stripe.
     pub fn is_empty(&self) -> bool {
-        match &self.backend {
-            Backend::Locked(stripes) => stripes.iter().all(|s| s.lock().is_empty()),
-            Backend::Epoch(epoch) => epoch.is_empty(),
-        }
+        self.stripes.iter().all(|s| s.lock().is_empty())
     }
 
     /// Approximate memory footprint of all cached entries, in bytes.
     pub fn footprint_bytes(&self) -> usize {
-        match &self.backend {
-            Backend::Locked(stripes) => stripes.iter().map(|s| s.lock().footprint_bytes()).sum(),
-            Backend::Epoch(epoch) => epoch.footprint_bytes(),
-        }
+        self.stripes
+            .iter()
+            .map(|s| s.lock().footprint_bytes())
+            .sum()
     }
 
     /// Per-stripe `(len, capacity)` pairs (diagnostics and rebalance
     /// tests). Stripes are sampled one at a time.
     pub fn stripe_budgets(&self) -> Vec<(usize, Option<usize>)> {
-        match &self.backend {
-            Backend::Locked(stripes) => stripes
-                .iter()
-                .map(|s| {
-                    let stripe = s.lock();
-                    (stripe.len(), stripe.capacity)
-                })
-                .collect(),
-            Backend::Epoch(epoch) => epoch.stripe_budgets(),
-        }
+        self.stripes
+            .iter()
+            .map(|s| {
+                let stripe = s.lock();
+                (stripe.len(), stripe.capacity)
+            })
+            .collect()
     }
 
     /// Installs a rebalanced capacity, evicting LRU entries if a racing
@@ -656,16 +526,11 @@ impl ShardedCacheStorage {
     /// separate lock acquisitions, so the stripe may have grown between
     /// them).
     fn set_stripe_capacity(&self, at: usize, capacity: usize) {
-        match &self.backend {
-            Backend::Locked(stripes) => {
-                let mut stripe = stripes.stripe_at(at).lock();
-                stripe.capacity = Some(capacity);
-                while stripe.len() > capacity {
-                    let Some(victim) = stripe.lru.front() else { break };
-                    stripe.remove(victim);
-                }
-            }
-            Backend::Epoch(epoch) => epoch.set_stripe_capacity(at, capacity),
+        let mut stripe = self.stripes.stripe_at(at).lock();
+        stripe.capacity = Some(capacity);
+        while stripe.len() > capacity {
+            let Some(victim) = stripe.lru.front() else { break };
+            stripe.remove(victim);
         }
     }
 
@@ -732,42 +597,6 @@ impl ShardedCacheStorage {
             }
         }
         moved
-    }
-}
-
-/// A transaction-scoped read view over [`ShardedCacheStorage`], created by
-/// [`ShardedCacheStorage::read_session`]. On the epoch read path it holds
-/// the domain pin for its whole lifetime, so a multi-read transaction pays
-/// the pin/unpin cost once; on the locked path it is a transparent
-/// pass-through. Lookups match [`ShardedCacheStorage::with_entry`] exactly.
-pub struct StorageReadSession<'a> {
-    storage: &'a ShardedCacheStorage,
-    pin: Option<tcache_types::epoch::EpochGuard<'a>>,
-}
-
-impl StorageReadSession<'_> {
-    /// Session-scoped [`ShardedCacheStorage::with_entry`]: same TTL
-    /// semantics, but epoch-path lookups reuse the session's pin and park
-    /// LRU promotions in the stripe's lossy buffer (drained by every
-    /// writer before an eviction decision) instead of taking the stripe
-    /// core lock — recency becomes a slightly coarser hint, eviction
-    /// correctness is unchanged.
-    // lint: hot-path
-    pub fn with_entry<R>(
-        &self,
-        id: ObjectId,
-        now: SimTime,
-        f: impl FnOnce(&ObjectEntry) -> R,
-    ) -> Option<R> {
-        match (&self.storage.backend, &self.pin) {
-            (Backend::Locked(stripes), _) => {
-                ShardedCacheStorage::stripe(stripes, id).lock().with_entry(id, now, f)
-            }
-            (Backend::Epoch(epoch), Some(pin)) => epoch.with_entry_pinned(pin, id, now, true, f),
-            // Unreachable by construction (epoch sessions always pin), but
-            // a per-lookup pin keeps it correct if that ever changes.
-            (Backend::Epoch(epoch), None) => epoch.with_entry(id, now, f),
-        }
     }
 }
 
@@ -1057,83 +886,47 @@ mod tests {
     /// distribution skewed onto one stripe used to evict at the stripe's
     /// even share (4 of 64) while the other 15 stripes sat on unused
     /// budget. Rebalancing must donate that slack to the hot stripe —
-    /// without ever growing the total budget — on both read paths.
+    /// without ever growing the total budget.
     #[test]
     fn skewed_load_donates_budget_to_the_hot_stripe() {
-        for path in [CacheReadPath::Locked, CacheReadPath::Epoch] {
-            let s =
-                ShardedCacheStorage::with_read_path(16, Some(64), TtlConfig::Infinite, path);
-            assert_eq!(s.read_path(), path);
-            let hot = s.stripe_index_of(ObjectId(0));
-            // 40 distinct keys that all route to the hot stripe.
-            let keys: Vec<u64> = (0..100_000u64)
-                .filter(|&k| s.stripe_index_of(ObjectId(k)) == hot)
-                .take(40)
-                .collect();
-            assert_eq!(keys.len(), 40);
-            let even_share = 64usize.div_ceil(16);
-            let total_before: usize =
-                s.stripe_budgets().iter().map(|b| b.1.unwrap()).sum();
-            for (i, &k) in keys.iter().enumerate() {
-                s.insert(obj(k, 1), SimTime::ZERO);
-                // "Periodic": what the insert counter does every
-                // REBALANCE_INTERVAL inserts, forced here so the test
-                // doesn't need a thousand warm-up inserts.
-                if i % 8 == 7 {
-                    s.rebalance_budgets();
-                }
+        let s = ShardedCacheStorage::new(16, Some(64), TtlConfig::Infinite);
+        let hot = s.stripe_index_of(ObjectId(0));
+        // 40 distinct keys that all route to the hot stripe.
+        let keys: Vec<u64> = (0..100_000u64)
+            .filter(|&k| s.stripe_index_of(ObjectId(k)) == hot)
+            .take(40)
+            .collect();
+        assert_eq!(keys.len(), 40);
+        let even_share = 64usize.div_ceil(16);
+        let total_before: usize = s.stripe_budgets().iter().map(|b| b.1.unwrap()).sum();
+        for (i, &k) in keys.iter().enumerate() {
+            s.insert(obj(k, 1), SimTime::ZERO);
+            // "Periodic": what the insert counter does every
+            // REBALANCE_INTERVAL inserts, forced here so the test
+            // doesn't need a thousand warm-up inserts.
+            if i % 8 == 7 {
+                s.rebalance_budgets();
             }
-            let budgets = s.stripe_budgets();
-            let total_after: usize = budgets.iter().map(|b| b.1.unwrap()).sum();
-            assert_eq!(total_after, total_before, "{path:?}: budget must be conserved");
-            assert!(
-                budgets[hot].1.unwrap() > even_share,
-                "{path:?}: the hot stripe must receive donated budget, got {:?}",
-                budgets[hot]
-            );
-            assert!(
-                budgets[hot].0 > even_share,
-                "{path:?}: the hot stripe must hold more than its even split, got {:?}",
-                budgets[hot]
-            );
-            assert!(
-                budgets.iter().all(|b| b.1.unwrap() >= 1),
-                "{path:?}: donors never drop below one entry"
-            );
-            // Unbounded storage has nothing to move.
-            let unbounded =
-                ShardedCacheStorage::with_read_path(16, None, TtlConfig::Infinite, path);
-            assert_eq!(unbounded.rebalance_budgets(), 0);
         }
-    }
-
-    /// The epoch path mirrors the sharded semantics end to end (the deep
-    /// differential coverage lives in `tests/epoch_differential.rs`).
-    #[test]
-    fn epoch_path_mirrors_locked_semantics_through_the_selector() {
-        let s = ShardedCacheStorage::with_read_path(
-            8,
-            None,
-            TtlConfig::Infinite,
-            CacheReadPath::Epoch,
+        let budgets = s.stripe_budgets();
+        let total_after: usize = budgets.iter().map(|b| b.1.unwrap()).sum();
+        assert_eq!(total_after, total_before, "budget must be conserved");
+        assert!(
+            budgets[hot].1.unwrap() > even_share,
+            "the hot stripe must receive donated budget, got {:?}",
+            budgets[hot]
         );
-        assert_eq!(s.read_path(), CacheReadPath::Epoch);
-        assert_eq!(s.stripe_count(), 8);
-        for i in 0..100 {
-            s.insert(obj(i, i + 1), SimTime::ZERO);
-        }
-        assert_eq!(s.len(), 100);
-        assert!(s.contains(ObjectId(42)));
-        assert_eq!(s.cached_version(ObjectId(42)), Some(Version(43)));
-        assert!(s.footprint_bytes() > 0);
-        assert!(s.get(ObjectId(42), SimTime::ZERO).is_some());
-        assert!(s.invalidate(ObjectId(42), Version(100)));
-        assert!(!s.contains(ObjectId(42)));
-        assert!(s.remove(ObjectId(41)));
-        assert_eq!(s.len(), 98);
-        let stats = s.epoch_stats().expect("epoch path exposes stats");
-        assert!(stats.pins > 0, "reads and writes pin the domain");
-        s.clear();
-        assert!(s.is_empty());
+        assert!(
+            budgets[hot].0 > even_share,
+            "the hot stripe must hold more than its even split, got {:?}",
+            budgets[hot]
+        );
+        assert!(
+            budgets.iter().all(|b| b.1.unwrap() >= 1),
+            "donors never drop below one entry"
+        );
+        // Unbounded storage has nothing to move.
+        let unbounded = ShardedCacheStorage::new(16, None, TtlConfig::Infinite);
+        assert_eq!(unbounded.rebalance_budgets(), 0);
     }
 }

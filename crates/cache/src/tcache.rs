@@ -17,7 +17,7 @@
 //!
 //! * a whole-transaction call ([`EdgeCache::execute_transaction`],
 //!   [`EdgeCache::execute_read_only`]) runs the step over a thread-local
-//!   record and one storage read session;
+//!   record;
 //! * the §III-B call [`EdgeCache::read`] runs it over the record the
 //!   `ShardedTransactionTable` stores between the calls of a
 //!   transaction. While any such transaction is open
@@ -40,7 +40,7 @@
 //! deadlock-free by construction. A call checks its transaction's record
 //! *out* of the table (one map operation under the transaction stripe),
 //! runs the step with no transaction stripe held — the step borrows the
-//! cached entry under its object stripe or epoch pin, reads the backend and
+//! cached entry under its object stripe, reads the backend and
 //! mutates storage — and stores the record back afterwards. The protocol
 //! itself is per-transaction sequential (one client drives one `TxnId`),
 //! which is the only ordering the consistency predicates need.
@@ -50,7 +50,7 @@ use crate::lifecycle::{
     LifecycleState, LifecycleStats, LifecycleStatsSnapshot, ObservedVec, ReadMode, ReadTxnLog,
 };
 use crate::stats::{CacheStats, CacheStatsSnapshot};
-use crate::storage::{CacheReadPath, ShardedCacheStorage, StorageReadSession};
+use crate::storage::ShardedCacheStorage;
 use crate::txn_record::{ShardedTransactionTable, TxnRecord};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -85,6 +85,16 @@ thread_local! {
 /// on a hit, so it must not reenter the cache).
 type ReadSink<'a> = &'a mut dyn FnMut(&ObjectEntry);
 
+/// The one storage read path. Benchmark-pinned: the type survives only
+/// because `benchmark/src/layers.rs` passes [`EdgeCache::read_path`] to
+/// [`EdgeCache::with_read_path`]; it goes with the next flagged benchmark
+/// PR.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheReadPath {
+    /// Per-stripe mutexes: every operation locks the object's stripe.
+    Locked,
+}
+
 /// The mutable lifecycle core, held behind one mutex: the state machine and
 /// the recovery policy. Locked only on transitions, gap recovery and
 /// non-healthy reads — never on the healthy read path.
@@ -117,31 +127,13 @@ pub struct EdgeCache {
 }
 
 impl EdgeCache {
-    /// Creates a cache with an explicit policy configuration on the
-    /// default ([`CacheReadPath::Locked`]) storage read path.
+    /// Creates a cache with an explicit policy configuration.
     pub fn new(id: CacheId, backend: Arc<Database>, config: CachePolicyConfig) -> Self {
-        EdgeCache::with_read_path(id, backend, config, CacheReadPath::default())
-    }
-
-    /// Creates a cache with an explicit policy configuration and storage
-    /// read path ([`CacheReadPath::Epoch`] for the lock-free hit path,
-    /// [`CacheReadPath::Locked`] for the per-stripe-mutex baseline).
-    pub fn with_read_path(
-        id: CacheId,
-        backend: Arc<Database>,
-        config: CachePolicyConfig,
-        read_path: CacheReadPath,
-    ) -> Self {
         EdgeCache {
             id,
             backend,
             config,
-            storage: ShardedCacheStorage::with_read_path(
-                crate::storage::DEFAULT_STRIPES,
-                None,
-                config.ttl,
-                read_path,
-            ),
+            storage: ShardedCacheStorage::with_default_stripes(None, config.ttl),
             txns: ShardedTransactionTable::new(),
             stats: CacheStats::new(),
             lifecycle: Mutex::new(Lifecycle {
@@ -174,9 +166,24 @@ impl EdgeCache {
         EdgeCache::new(id, backend, CachePolicyConfig::unbounded(strategy))
     }
 
-    /// The storage read path this cache runs on.
+    /// Same as [`EdgeCache::new`]; the read path is ignored (there is one
+    /// storage). Benchmark-pinned: exists only because
+    /// `benchmark/src/layers.rs` (which this repository's PRs may not edit)
+    /// builds its apply-replay cache with it; goes with the next flagged
+    /// benchmark PR.
+    pub fn with_read_path(
+        id: CacheId,
+        backend: Arc<Database>,
+        config: CachePolicyConfig,
+        _read_path: CacheReadPath,
+    ) -> Self {
+        EdgeCache::new(id, backend, config)
+    }
+
+    /// Always [`CacheReadPath::Locked`]. Benchmark-pinned: exists only to
+    /// feed [`EdgeCache::with_read_path`] at that same call site.
     pub fn read_path(&self) -> CacheReadPath {
-        self.storage.read_path()
+        CacheReadPath::Locked
     }
 
     /// The cache server's id.
@@ -283,8 +290,8 @@ impl EdgeCache {
     }
 
     /// The driver under every entry point: runs the read step over `keys`
-    /// within one storage read session, on the thread-local record
-    /// (`local`) or on the record the transaction table keeps for `txn`.
+    /// on the thread-local record (`local`) or on the record the
+    /// transaction table keeps for `txn`.
     ///
     /// The table branch is the one place a multi-call transaction ends:
     /// unless the step succeeded and more reads follow, the record is not
@@ -301,9 +308,7 @@ impl EdgeCache {
         sink: ReadSink<'_>,
     ) -> TCacheResult<()> {
         let mut steps = |rec: &mut TxnRecord| {
-            let session = self.storage.read_session();
-            keys.iter()
-                .try_for_each(|&key| self.read_step(now, &session, rec, txn, key, sink))
+            keys.iter().try_for_each(|&key| self.read_step(now, rec, txn, key, sink))
         };
         if local {
             LOCAL_RECORD.with(|cell| {
@@ -338,21 +343,22 @@ impl EdgeCache {
     /// with the configured strategy. An abort is reported as
     /// [`TCacheError::InconsistencyAbort`].
     ///
-    /// On a hit the cached entry is *borrowed* under the storage entry
-    /// guard — no entry clone, no `Arc` refcount ping-pong. No transaction
+    /// On a hit the cached entry is *borrowed* under its storage stripe
+    /// lock — no entry clone, no `Arc` refcount ping-pong. No transaction
     /// stripe is held here (see the module docs), so reading the backend
     /// and mutating storage below nest under no lock.
     // lint: hot-path
     fn read_step(
         &self,
         now: SimTime,
-        session: &StorageReadSession<'_>,
         rec: &mut TxnRecord,
         txn: TxnId,
         key: ObjectId,
         sink: ReadSink<'_>,
     ) -> TCacheResult<()> {
-        let hit = session.with_entry(key, now, |entry| self.check_and_record(rec, entry, sink));
+        let hit = self
+            .storage
+            .with_entry(key, now, |entry| self.check_and_record(rec, entry, sink));
         let verdict = match hit {
             Some(verdict) => {
                 self.stats.record_hit();

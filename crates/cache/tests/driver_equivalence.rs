@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use tcache_cache::{CacheReadPath, CacheStatsSnapshot, EdgeCache};
+use tcache_cache::{CacheStatsSnapshot, EdgeCache};
 use tcache_db::{Database, DatabaseConfig};
 use tcache_types::{
     AccessSet, CacheId, CachePolicyConfig, ObjectId, SimTime, Strategy, TCacheError, TxnId, Value,
@@ -33,20 +33,14 @@ type Update = (Vec<u64>, u32);
 
 /// Two caches over one database, warmed with every object and then left
 /// stale by `updates` in exactly the same way.
-fn prepare(
-    strategy: Strategy,
-    read_path: CacheReadPath,
-    updates: &[Update],
-    gate_raised: bool,
-) -> [EdgeCache; 2] {
+fn prepare(strategy: Strategy, updates: &[Update], gate_raised: bool) -> [EdgeCache; 2] {
     let db = Arc::new(Database::new(DatabaseConfig::with_bound(BOUND)));
     db.populate((0..=OBJECTS).map(|i| (ObjectId(i), Value::new(0))));
     let caches = [0, 1].map(|id| {
-        EdgeCache::with_read_path(
+        EdgeCache::new(
             CacheId(id),
             Arc::clone(&db),
             CachePolicyConfig::tcache(BOUND, strategy),
-            read_path,
         )
     });
     let all: Vec<ObjectId> = (0..OBJECTS).map(ObjectId).collect();
@@ -125,17 +119,15 @@ proptest! {
             1..10,
         ),
         keys in prop::collection::vec(0u64..OBJECTS, 0..13),
-        epoch in 0u32..2,
         gate in 0u32..2,
     ) {
         let keys: Vec<ObjectId> = keys.into_iter().map(ObjectId).collect();
-        let read_path = if epoch == 1 { CacheReadPath::Epoch } else { CacheReadPath::Locked };
         let gate_raised = gate == 1;
         let now = SimTime::from_secs(1);
         let txn = TxnId(1_000);
 
         for strategy in [Strategy::Abort, Strategy::Evict, Strategy::Retry] {
-            let [a, b] = prepare(strategy, read_path, &updates, gate_raised);
+            let [a, b] = prepare(strategy, &updates, gate_raised);
             let (before_a, before_b) = (a.stats(), b.stats());
             prop_assert_eq!(before_a, before_b);
 

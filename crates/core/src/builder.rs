@@ -3,7 +3,7 @@
 use crate::system::{SystemWiring, TCacheSystem};
 use crate::transport::{DeliveryMode, RetryPolicy, TransportMode};
 use std::sync::Arc;
-use tcache_cache::{CacheReadPath, EdgeCache};
+use tcache_cache::EdgeCache;
 use tcache_db::{Database, DatabaseConfig, ReadPath};
 use tcache_net::delivery::DeliveryModel;
 use tcache_net::fanout::{CacheLink, InvalidationFanout};
@@ -56,7 +56,6 @@ pub struct SystemBuilder {
     pipe_capacity: usize,
     overflow_policy: OverflowPolicy,
     db_read_path: ReadPath,
-    cache_read_path: CacheReadPath,
     invalidation_log_capacity: usize,
     recovery_policy: RecoveryPolicy,
     publish_retry: RetryPolicy,
@@ -82,7 +81,6 @@ impl Default for SystemBuilder {
             pipe_capacity: usize::MAX,
             overflow_policy: OverflowPolicy::Block,
             db_read_path: ReadPath::default(),
-            cache_read_path: CacheReadPath::default(),
             invalidation_log_capacity: DatabaseConfig::default().invalidation_log_capacity,
             recovery_policy: RecoveryPolicy::None,
             publish_retry: RetryPolicy::default(),
@@ -319,16 +317,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Selects every edge cache's storage read path: the per-stripe-lock
-    /// baseline ([`CacheReadPath::Locked`], the default) or the
-    /// epoch-reclaimed lock-free hit path ([`CacheReadPath::Epoch`], kept
-    /// selectable for differential testing and `bench_hotpath`'s
-    /// `cache_read_path` rows).
-    pub fn cache_read_path(mut self, read_path: CacheReadPath) -> Self {
-        self.cache_read_path = read_path;
-        self
-    }
-
     /// Builds the system.
     ///
     /// # Panics
@@ -373,12 +361,7 @@ impl SystemBuilder {
         }
         let caches: Vec<Arc<EdgeCache>> = (0..losses.len())
             .map(|i| {
-                let cache = EdgeCache::with_read_path(
-                    CacheId(i as u32),
-                    Arc::clone(&db),
-                    policy,
-                    self.cache_read_path,
-                );
+                let cache = EdgeCache::new(CacheId(i as u32), Arc::clone(&db), policy);
                 cache.set_recovery_policy(self.recovery_policy);
                 Arc::new(cache)
             })

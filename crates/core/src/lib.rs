@@ -62,6 +62,7 @@
 //! with modeled delivery, so the harness depends on the facade rather than
 //! the other way around.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

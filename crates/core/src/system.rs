@@ -47,7 +47,9 @@ pub struct TCacheSystem {
     /// `caches[i].id() == CacheId(i)` — indexed access is the hot path.
     caches: Vec<Arc<EdgeCache>>,
     fanout: Mutex<InvalidationFanout>,
-    clock: Mutex<SimTime>,
+    /// Virtual time in microseconds. It orders nothing but itself (the
+    /// clocked fan-out has its own mutex), so `Relaxed` suffices.
+    clock: AtomicU64,
     tick: SimDuration,
     next_txn: AtomicU64,
     mode: TransportMode,
@@ -185,7 +187,7 @@ impl TCacheSystem {
             db,
             caches,
             fanout: Mutex::new(fanout),
-            clock: Mutex::new(SimTime::ZERO),
+            clock: AtomicU64::new(0),
             tick: wiring.tick,
             next_txn: AtomicU64::new(1),
             mode: wiring.mode,
@@ -262,7 +264,7 @@ impl TCacheSystem {
 
     /// The current virtual time of the system.
     pub fn now(&self) -> SimTime {
-        *self.clock.lock()
+        SimTime::from_micros(self.clock.load(Ordering::Relaxed))
     }
 
     /// Advances the virtual clock by `duration`, delivering every
@@ -278,11 +280,8 @@ impl TCacheSystem {
     /// caches observe the same state as in threaded mode. A paused cache's
     /// backlog is intentionally left in its pipe.
     pub fn advance_time(&self, duration: SimDuration) {
-        let now = {
-            let mut clock = self.clock.lock();
-            *clock += duration;
-            *clock
-        };
+        let elapsed = duration.as_micros();
+        let now = SimTime::from_micros(self.clock.fetch_add(elapsed, Ordering::Relaxed) + elapsed);
         // Modeled delivery never routes through the discrete-event fanout
         // (the commit path feeds the pipes directly and the delivery tasks
         // run the clock-free link models), so there is nothing to deliver

@@ -1,0 +1,77 @@
+//! Compile-surface guard for the repository benchmark.
+//!
+//! `benchmark/` (tbench) is its own workspace, so `cargo test` here never
+//! builds it — yet the driver builds it against these crates after every
+//! PR, and PRs may not edit it. This test makes the facade calls tbench
+//! makes, with the same types in the same positions, so a simplification
+//! that breaks one fails tier-1 instead of the benchmark run. The call
+//! sites it mirrors:
+//!
+//! * `benchmark/src/spec.rs` `build_system`: `use tcache::prelude::*`,
+//!   `SystemBuilder::new().transport(TransportMode::Reactor)
+//!   .delivery(DeliveryMode::Modeled).invalidation_delay_millis(0)
+//!   .cache_loss_rates(..).seed(..)`, then `.pipe_capacity(..)
+//!   .overflow_policy(OverflowPolicy::Block)`, `.build()`, `populate`;
+//! * `benchmark/src/engine.rs`: `quiesce(..).expect(..)`,
+//!   `reactor_stats().expect(..)`, `quiesce_timeouts()`,
+//!   `database().publish_stats()` (`stalled_publishes`, `overflowed`),
+//!   `cache(id)…last_applied_seq()`;
+//! * `benchmark/src/layers.rs`: `edge_cache()`,
+//!   `EdgeCache::with_read_path(id, db, edge.config(), edge.read_path())`;
+//! * `benchmark/src/run.rs`: `cache(id).expect(..).last_applied_seq()`
+//!   against `database().invalidation_latest_seq()`.
+//!
+//! Changing any of these needs a flagged PR that edits `benchmark/` first.
+
+use std::sync::Arc;
+use std::time::Duration;
+use tcache::cache::EdgeCache;
+use tcache::prelude::*;
+use tcache::types::CacheId;
+
+#[test]
+fn the_facade_calls_tbench_makes_compile_and_behave() {
+    let builder = SystemBuilder::new()
+        .transport(TransportMode::Reactor)
+        .delivery(DeliveryMode::Modeled)
+        .invalidation_delay_millis(0)
+        .cache_loss_rates(vec![0.0, 0.4])
+        .seed(7)
+        .pipe_capacity(4096)
+        .overflow_policy(OverflowPolicy::Block);
+    let system: TCacheSystem = builder.build();
+    system.populate((0..8u64).map(|i| (ObjectId(i), Value::new(0))));
+
+    for _ in 0..4 {
+        system
+            .update(&[ObjectId(0), ObjectId(1)])
+            .expect("update commits");
+    }
+    let settled: bool = system
+        .quiesce(Duration::from_secs(10))
+        .expect("reactor transport supports quiesce");
+    assert!(settled);
+    let _ = system.reactor_stats().expect("reactor transport");
+    assert_eq!(system.quiesce_timeouts(), 0u64);
+    let publish = system.database().publish_stats();
+    let stalled: u64 = publish.iter().map(|(_, p)| p.stalled_publishes).sum();
+    let overflowed: u64 = publish.iter().map(|(_, p)| p.overflowed).sum();
+    assert_eq!((stalled, overflowed), (0, 0));
+
+    // The loss-free cache has applied the whole stream.
+    let applied: u64 = system
+        .cache(CacheId(0))
+        .expect("deployed")
+        .last_applied_seq();
+    assert_eq!(applied, system.database().invalidation_latest_seq());
+
+    // The per-layer replay builds a second cache shaped like the first.
+    let edge: &EdgeCache = system.edge_cache();
+    let replay = EdgeCache::with_read_path(
+        CacheId(0),
+        Arc::clone(system.database()),
+        edge.config(),
+        edge.read_path(),
+    );
+    assert_eq!(replay.config(), edge.config());
+}

@@ -44,6 +44,7 @@
 //! assert_eq!(entry.version, commit.version);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

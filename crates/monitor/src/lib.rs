@@ -22,6 +22,7 @@
 //!   checkers (interval-consistent ⇒ SGT-consistent) that makes this
 //!   layering sound.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -29,6 +29,7 @@
 //! * [`transport`] — a reliable live queue over [`pipe`] for the prototype
 //!   mode (the link's unreliability lives in [`delivery`]).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

@@ -38,6 +38,7 @@
 //! assert!(result.report.read_only_total() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

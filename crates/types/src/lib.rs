@@ -25,12 +25,12 @@
 //! assert_eq!(deps.version_of(ObjectId(4)), Some(Version(13)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod config;
 pub mod dependency;
-pub mod epoch;
 pub mod entry;
 pub mod error;
 pub mod ids;
@@ -43,7 +43,6 @@ pub mod value;
 pub use config::{CachePolicyConfig, DependencyBound, RecoveryPolicy, Strategy, TtlConfig};
 pub use dependency::{DependencyEntry, DependencyList};
 pub use entry::{ObjectEntry, VersionedObject};
-pub use epoch::{EpochDomain, EpochGuard, EpochStats};
 pub use error::{ConflictReason, TCacheError, TCacheResult};
 pub use ids::{CacheId, ClientId, ObjectId, TxnId, Version};
 pub use protocol::{format_trace, ProtocolAction, ProtocolTrace};

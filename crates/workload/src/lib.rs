@@ -30,6 +30,7 @@
 //! [`histogram`] module supplies the HDR-style latency recorder the
 //! engine fills per cache and per scenario.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 

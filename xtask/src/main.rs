@@ -1,6 +1,6 @@
 //! Workspace automation tasks (`cargo xtask <task>`).
 //!
-//! Currently one task: `lint`, a repo-specific static scan with three
+//! Currently one task: `lint`, a repo-specific static scan with two
 //! rules sharing one brace-depth scope tracker:
 //!
 //! * **lock-across-send** — a lock guard held across
@@ -9,12 +9,6 @@
 //!   blocking on a bounded channel while holding a lock that the draining
 //!   thread needs is a classic distributed-cache stall, and clippy has no
 //!   lint for it.
-//! * **pin-across-send** — an epoch pin guard
-//!   (`tcache_types::epoch::EpochDomain::pin`) held across the same
-//!   calls. A pin is not a lock, but it vetoes `try_advance` globally:
-//!   park on a bounded channel while pinned and reclamation stalls for
-//!   every retired entry in the domain until the send unblocks — a
-//!   memory-growth liveness hazard rather than a deadlock.
 //! * **hot-path-alloc** — a heap allocation inside a function marked
 //!   `// lint: hot-path` (the allocation-free cached-read fast path).
 //!   `Vec::new`/`vec!`/`Box::new`/`format!`/`.to_vec()`/
@@ -38,14 +32,8 @@ use std::process::ExitCode;
 /// Marker that exempts an audited line (or its guard's binding line).
 const ALLOW_MARKER: &str = "lint:allow lock-across-send";
 
-/// Marker that exempts an audited epoch-pin site.
-const PIN_ALLOW_MARKER: &str = "lint:allow pin-across-send";
-
 /// Patterns that acquire a guard when bound with `let`.
 const LOCK_PATTERNS: &[&str] = &[".lock()", ".read()", ".write()"];
-
-/// Patterns that acquire an epoch pin when bound with `let`.
-const PIN_PATTERNS: &[&str] = &[".pin()"];
 
 /// Patterns that hand control to a channel or an upcall — the calls a
 /// guard must not be held across.
@@ -109,8 +97,8 @@ fn lint() -> ExitCode {
 
     if findings.is_empty() {
         println!(
-            "xtask lint: {scanned} files scanned, no lock guard or epoch pin held across a \
-             send/upcall, no allocation in a hot-path function"
+            "xtask lint: {scanned} files scanned, no lock guard held across a send/upcall, \
+             no allocation in a hot-path function"
         );
         ExitCode::SUCCESS
     } else {
@@ -118,56 +106,23 @@ fn lint() -> ExitCode {
             eprintln!("{finding}");
         }
         eprintln!(
-            "xtask lint: {} finding(s) in {scanned} files — hold no lock or epoch pin across \
+            "xtask lint: {} finding(s) in {scanned} files — hold no lock across \
              send/try_send/publish/upcall and allocate nothing in `// {HOT_PATH_MARKER}` \
              functions, or audit the site and annotate it with \
-             `// {ALLOW_MARKER} — <reason>` (locks) / `// {PIN_ALLOW_MARKER} — <reason>` (pins) \
-             / `// {HOT_ALLOW_MARKER} — <reason>` (hot-path allocations)",
+             `// {ALLOW_MARKER} — <reason>` (locks) / `// {HOT_ALLOW_MARKER} — <reason>` \
+             (hot-path allocations)",
             findings.len()
         );
         ExitCode::FAILURE
     }
 }
 
-/// Which rule a guard (and thus a finding) belongs to.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum GuardKind {
-    /// A mutex/rwlock guard (`.lock()`/`.read()`/`.write()`).
-    Lock,
-    /// An epoch pin guard (`.pin()`).
-    Pin,
-}
-
-impl GuardKind {
-    fn label(self) -> &'static str {
-        match self {
-            GuardKind::Lock => "lock guard",
-            GuardKind::Pin => "epoch pin guard",
-        }
-    }
-
-    fn allow_marker(self) -> &'static str {
-        match self {
-            GuardKind::Lock => ALLOW_MARKER,
-            GuardKind::Pin => PIN_ALLOW_MARKER,
-        }
-    }
-
-    fn patterns(self) -> &'static [&'static str] {
-        match self {
-            GuardKind::Lock => LOCK_PATTERNS,
-            GuardKind::Pin => PIN_PATTERNS,
-        }
-    }
-}
-
 /// One flagged site.
 enum Finding {
-    /// A lock/pin guard live across a send/upcall.
+    /// A lock guard live across a send/upcall.
     GuardAcrossSend {
         file: PathBuf,
         line: usize,
-        kind: GuardKind,
         guard: String,
         bound_at: usize,
         call: String,
@@ -187,17 +142,15 @@ impl fmt::Display for Finding {
             Finding::GuardAcrossSend {
                 file,
                 line,
-                kind,
                 guard,
                 bound_at,
                 call,
             } => write!(
                 f,
-                "{}:{}: `{}` reached while holding {} `{}` (bound at line {})",
+                "{}:{}: `{}` reached while holding lock guard `{}` (bound at line {})",
                 file.display(),
                 line,
                 call,
-                kind.label(),
                 guard,
                 bound_at
             ),
@@ -223,13 +176,10 @@ impl fmt::Display for Finding {
 /// A live guard binding.
 struct Guard {
     name: String,
-    kind: GuardKind,
     depth: i32,
     line: usize,
     allowed: bool,
 }
-
-const GUARD_KINDS: [GuardKind; 2] = [GuardKind::Lock, GuardKind::Pin];
 
 /// An active `// lint: hot-path` function body.
 struct HotRegion {
@@ -267,31 +217,22 @@ fn scan_file(path: &Path, source: &str, findings: &mut Vec<Finding>) {
         }
 
         // A send while a guard is live — or a single-statement
-        // acquire-then-send chain — is the shape both guard rules flag.
+        // acquire-then-send chain — is the shape the guard rule flags.
         if let Some(call) = SEND_PATTERNS.iter().find(|p| code.contains(**p)) {
-            for kind in GUARD_KINDS {
-                let allowed_here = raw.contains(kind.allow_marker());
-                if allowed_here {
-                    continue;
-                }
-                let live = guards.iter().find(|g| g.kind == kind && !g.allowed);
-                let chained = kind.patterns().iter().any(|p| code.contains(*p));
-                if let Some(guard) = live {
+            if !raw.contains(ALLOW_MARKER) {
+                let live = guards.iter().find(|g| !g.allowed);
+                let chained = LOCK_PATTERNS.iter().any(|p| code.contains(*p));
+                let held = match live {
+                    Some(guard) => Some((guard.name.clone(), guard.line)),
+                    None if chained => Some(("<temporary>".to_string(), line_no)),
+                    None => None,
+                };
+                if let Some((guard, bound_at)) = held {
                     findings.push(Finding::GuardAcrossSend {
                         file: path.to_path_buf(),
                         line: line_no,
-                        kind,
-                        guard: guard.name.clone(),
-                        bound_at: guard.line,
-                        call: call.trim_end_matches('(').to_string(),
-                    });
-                } else if chained {
-                    findings.push(Finding::GuardAcrossSend {
-                        file: path.to_path_buf(),
-                        line: line_no,
-                        kind,
-                        guard: "<temporary>".to_string(),
-                        bound_at: line_no,
+                        guard,
+                        bound_at,
                         call: call.trim_end_matches('(').to_string(),
                     });
                 }
@@ -299,18 +240,15 @@ fn scan_file(path: &Path, source: &str, findings: &mut Vec<Finding>) {
         }
 
         // New guard bindings: `let [mut] name = ….lock()…;` (and RwLock
-        // read/write, and epoch `.pin()`). Temporaries without `let` die
-        // at the statement end and are handled by the chained rule above.
-        for kind in GUARD_KINDS {
-            if let Some(name) = guard_binding(&code, kind) {
-                guards.push(Guard {
-                    name,
-                    kind,
-                    depth,
-                    line: line_no,
-                    allowed: raw.contains(kind.allow_marker()),
-                });
-            }
+        // read/write). Temporaries without `let` die at the statement end
+        // and are handled by the chained rule above.
+        if let Some(name) = guard_binding(&code) {
+            guards.push(Guard {
+                name,
+                depth,
+                line: line_no,
+                allowed: raw.contains(ALLOW_MARKER),
+            });
         }
 
         // Explicit early releases.
@@ -374,8 +312,8 @@ fn alloc_pattern(code: &str) -> Option<&'static str> {
 }
 
 /// Extracts the bound name of a guard-acquiring `let`, if this line is one.
-fn guard_binding(code: &str, kind: GuardKind) -> Option<String> {
-    if !kind.patterns().iter().any(|p| code.contains(*p)) {
+fn guard_binding(code: &str) -> Option<String> {
+    if !LOCK_PATTERNS.iter().any(|p| code.contains(*p)) {
         return None;
     }
     let let_pos = code.find("let ")?;
@@ -509,45 +447,6 @@ mod tests {
         let on_binding =
             "fn f() {\n    let guard = self.state.lock(); // lint:allow lock-across-send — audited\n    tx.send(1).unwrap();\n}\n";
         assert!(findings_for(on_binding).is_empty());
-    }
-
-    #[test]
-    fn flags_pin_guard_across_send() {
-        let src = "fn f() {\n    let guard = self.domain.pin();\n    tx.send(1).unwrap();\n}\n";
-        let found = findings_for(src);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].contains("epoch pin guard"));
-        assert!(found[0].contains("`guard`"));
-    }
-
-    #[test]
-    fn pin_released_before_send_is_fine() {
-        let scoped =
-            "fn f() {\n    {\n        let guard = self.domain.pin();\n    }\n    tx.send(1).unwrap();\n}\n";
-        assert!(findings_for(scoped).is_empty());
-        let dropped =
-            "fn f() {\n    let guard = self.domain.pin();\n    drop(guard);\n    tx.send(1).unwrap();\n}\n";
-        assert!(findings_for(dropped).is_empty());
-    }
-
-    #[test]
-    fn pin_allow_marker_is_rule_specific() {
-        let audited =
-            "fn f() {\n    let guard = self.domain.pin();\n    tx.send(1).unwrap(); // lint:allow pin-across-send — audited\n}\n";
-        assert!(findings_for(audited).is_empty());
-        // The lock marker does not silence the pin rule (and vice versa).
-        let wrong_marker =
-            "fn f() {\n    let guard = self.domain.pin();\n    tx.send(1).unwrap(); // lint:allow lock-across-send — audited\n}\n";
-        assert_eq!(findings_for(wrong_marker).len(), 1);
-    }
-
-    #[test]
-    fn pin_and_lock_guards_are_flagged_independently() {
-        let both = "fn f() {\n    let pin = self.domain.pin();\n    let guard = self.state.lock();\n    tx.send(1).unwrap();\n}\n";
-        let found = findings_for(both);
-        assert_eq!(found.len(), 2);
-        assert!(found.iter().any(|f| f.contains("epoch pin guard")));
-        assert!(found.iter().any(|f| f.contains("lock guard")));
     }
 
     #[test]
