@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Monotone counters describing one cache server's behaviour.
 #[derive(Debug, Default)]
 pub struct CacheStats {
-    reads: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     retries: AtomicU64,
@@ -110,15 +109,14 @@ impl CacheStats {
         CacheStats::default()
     }
 
-    /// Records a read served from the cache.
-    pub fn record_hit(&self) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.hits.fetch_add(1, Ordering::Relaxed);
+    /// Records `n` reads served from the cache (a client call adds its
+    /// hits once, not one shared write per key).
+    pub fn record_hits(&self, n: u64) {
+        self.hits.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records a read that required a database fetch.
     pub fn record_miss(&self) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -162,12 +160,16 @@ impl CacheStats {
         self.promoted_txns.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Takes a snapshot of all counters.
+    /// Takes a snapshot of all counters. `reads` is derived from the two
+    /// counters it is the sum of, so `hits + misses == reads` holds in
+    /// every snapshot, however the loads interleave with running reads.
     pub fn snapshot(&self) -> CacheStatsSnapshot {
+        let hits = self.hits.load(Ordering::Relaxed);
+        let misses = self.misses.load(Ordering::Relaxed);
         CacheStatsSnapshot {
-            reads: self.reads.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            reads: hits + misses,
+            hits,
+            misses,
             retries: self.retries.load(Ordering::Relaxed),
             invalidations_applied: self.invalidations_applied.load(Ordering::Relaxed),
             invalidations_ignored: self.invalidations_ignored.load(Ordering::Relaxed),
@@ -187,9 +189,7 @@ mod tests {
     #[test]
     fn counters_and_ratios() {
         let s = CacheStats::new();
-        for _ in 0..3 {
-            s.record_hit();
-        }
+        s.record_hits(3);
         s.record_miss();
         s.record_retry();
         s.record_invalidation_applied();
@@ -236,6 +236,35 @@ mod tests {
         assert_eq!(total.promoted_txns, 2);
         assert!((total.promotion_rate() - 0.25).abs() < 1e-9);
         assert!((total.hit_ratio() - a.hit_ratio()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn reads_equal_hits_plus_misses_in_every_concurrent_snapshot() {
+        use std::sync::atomic::AtomicBool;
+        let stats = CacheStats::new();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..200_000u64 {
+                    if i % 3 == 0 {
+                        stats.record_miss();
+                    } else {
+                        stats.record_hits(1 + i % 5);
+                    }
+                }
+                done.store(true, Ordering::Release);
+            });
+            let mut last = 0;
+            while !done.load(Ordering::Acquire) {
+                let snap = stats.snapshot();
+                assert_eq!(snap.hits + snap.misses, snap.reads);
+                assert!(snap.reads >= last, "reads went backwards");
+                last = snap.reads;
+            }
+        });
+        let snap = stats.snapshot();
+        assert_eq!(snap.hits + snap.misses, snap.reads);
+        assert!(snap.misses > 0 && snap.hits > snap.misses);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! Two layers live here:
 //!
 //! * [`CacheStorage`] — a single-threaded store whose recency order is an
-//!   intrusive doubly-linked list over slab indices, so `get` (touch),
+//!   intrusive doubly-linked list over slab indices, so a hit's touch,
 //!   `insert` and `remove` are all O(1) — the previous `Vec<ObjectId>`
-//!   recency order made every hit O(n);
+//!   recency order made every hit O(n) — and which a hit on an unbounded
+//!   store does not touch at all;
 //! * [`ShardedCacheStorage`] — N independently locked [`CacheStorage`]
 //!   stripes, keyed by `ObjectId` hash, so cache hits on different objects
 //!   proceed in parallel. This is the structure [`crate::EdgeCache`] uses.
@@ -20,9 +21,8 @@
 use crate::entry::CacheEntry;
 use crate::stripe::Striped;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use tcache_types::{ObjectEntry, ObjectId, SimTime, TtlConfig, Version};
+use tcache_types::{IdMap, ObjectEntry, ObjectId, SimTime, TtlConfig, Version};
 
 const NIL: usize = usize::MAX;
 
@@ -126,7 +126,7 @@ struct Stored {
 /// [`ShardedCacheStorage`] for concurrent use).
 #[derive(Debug)]
 pub struct CacheStorage {
-    entries: HashMap<ObjectId, Stored>,
+    entries: IdMap<ObjectId, Stored>,
     lru: LruQueue,
     capacity: Option<usize>,
     ttl: TtlConfig,
@@ -140,7 +140,7 @@ pub struct CacheStorage {
     /// global-mutex cache serialized fetch+insert+invalidation, the striped
     /// one records the knowledge instead. One `(ObjectId, Version)` pair
     /// per invalidated object; bounded by the object universe.
-    floors: HashMap<ObjectId, Version>,
+    floors: IdMap<ObjectId, Version>,
 }
 
 impl CacheStorage {
@@ -152,12 +152,12 @@ impl CacheStorage {
     /// Creates storage with an optional capacity bound and a TTL policy.
     pub fn new(capacity: Option<usize>, ttl: TtlConfig) -> Self {
         CacheStorage {
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             lru: LruQueue::new(),
             capacity,
             ttl,
             footprint: 0,
-            floors: HashMap::new(),
+            floors: IdMap::default(),
         }
     }
 
@@ -176,30 +176,21 @@ impl CacheStorage {
         self.ttl
     }
 
-    /// Looks up an object. Expired entries are removed and reported as
-    /// misses. A hit refreshes the object's LRU position. The returned
-    /// entry shares its value blob and dependency list with the stored one
-    /// (refcount bumps, no deep copy).
+    /// Looks up an object, returning a copy that shares its value blob and
+    /// dependency list with the stored entry (refcount bumps, no deep copy);
+    /// see [`CacheStorage::with_entry`].
     pub fn get(&mut self, id: ObjectId, now: SimTime) -> Option<ObjectEntry> {
-        let expired = match self.entries.get(&id) {
-            None => return None,
-            Some(s) => s.entry.is_expired(self.ttl, now),
-        };
-        if expired {
-            self.remove(id);
-            return None;
-        }
-        let stored = self.entries.get(&id).expect("checked above");
-        self.lru.touch(stored.slot);
-        Some(stored.entry.entry.clone())
+        self.with_entry(id, now, Clone::clone)
     }
 
     /// Runs `f` against the cached entry **without cloning it**: the borrow
     /// lives only for the duration of the call (under the caller's stripe
-    /// lock in [`ShardedCacheStorage`]). TTL expiry and LRU promotion match
-    /// [`CacheStorage::get`] exactly; `None` means a miss. This is the
-    /// fast-path read: no `Value` clone, no `Arc<DependencyList>` refcount
-    /// ping-pong.
+    /// lock in [`ShardedCacheStorage`]); `None` means a miss. An expired
+    /// entry is removed and reported as a miss. This is the one hit body:
+    /// one map lookup, and the hit refreshes the object's LRU position only
+    /// when a capacity bound exists — recency is read by capacity eviction
+    /// and budget rebalancing alone, and a stripe is bounded or unbounded
+    /// for life, so on an unbounded stripe the relinking is unobservable.
     // lint: hot-path
     pub fn with_entry<R>(
         &mut self,
@@ -207,16 +198,14 @@ impl CacheStorage {
         now: SimTime,
         f: impl FnOnce(&ObjectEntry) -> R,
     ) -> Option<R> {
-        let (slot, expired) = match self.entries.get(&id) {
-            None => return None,
-            Some(s) => (s.slot, s.entry.is_expired(self.ttl, now)),
-        };
-        if expired {
+        let stored = self.entries.get(&id)?;
+        if stored.entry.is_expired(self.ttl, now) {
             self.remove(id);
             return None;
         }
-        self.lru.touch(slot);
-        let stored = self.entries.get(&id).expect("checked above");
+        if self.capacity.is_some() {
+            self.lru.touch(stored.slot);
+        }
         Some(f(&stored.entry.entry))
     }
 
@@ -424,15 +413,15 @@ impl ShardedCacheStorage {
         self.stripes.stripe_for(id.as_u64())
     }
 
-    /// Looks up an object (TTL-checked, LRU-touched); see
+    /// Looks up an object, returning a shared copy; see
     /// [`CacheStorage::get`].
     pub fn get(&self, id: ObjectId, now: SimTime) -> Option<ObjectEntry> {
-        self.stripe(id).lock().get(id, now)
+        self.with_entry(id, now, Clone::clone)
     }
 
     /// Runs `f` against the cached entry **without cloning it** (the borrow
-    /// lives for the duration of the call, under the stripe lock). TTL/LRU
-    /// semantics match [`ShardedCacheStorage::get`]; `None` means a miss.
+    /// lives for the duration of the call, under the stripe lock); `None`
+    /// means a miss. See [`CacheStorage::with_entry`].
     ///
     /// `f` must not call back into this storage (it runs under the stripe
     /// lock).

@@ -307,8 +307,15 @@ impl EdgeCache {
         local: bool,
         sink: ReadSink<'_>,
     ) -> TCacheResult<()> {
+        // Hits are counted here and added to the shared statistics once per
+        // call, whatever the outcome.
+        let mut hits = 0u64;
         let mut steps = |rec: &mut TxnRecord| {
-            keys.iter().try_for_each(|&key| self.read_step(now, rec, txn, key, sink))
+            let result = keys
+                .iter()
+                .try_for_each(|&key| self.read_step(now, rec, txn, key, &mut hits, sink));
+            self.stats.record_hits(hits);
+            result
         };
         if local {
             LOCAL_RECORD.with(|cell| {
@@ -354,6 +361,7 @@ impl EdgeCache {
         rec: &mut TxnRecord,
         txn: TxnId,
         key: ObjectId,
+        hits: &mut u64,
         sink: ReadSink<'_>,
     ) -> TCacheResult<()> {
         let hit = self
@@ -361,7 +369,7 @@ impl EdgeCache {
             .with_entry(key, now, |entry| self.check_and_record(rec, entry, sink));
         let verdict = match hit {
             Some(verdict) => {
-                self.stats.record_hit();
+                *hits += 1;
                 verdict
             }
             None => {

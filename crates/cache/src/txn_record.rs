@@ -27,9 +27,8 @@
 use crate::consistency::{pick_worse, Violation, ViolationKind};
 use crate::stripe::Striped;
 use smallvec::SmallVec;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tcache_types::{DependencyList, ObjectId, TxnId, Version};
+use tcache_types::{DependencyList, IdMap, ObjectId, TxnId, Version};
 
 /// Inline capacity of the observed-floor map: a transaction with at most
 /// this many distinct objects read never heap-allocates it.
@@ -167,7 +166,7 @@ const TXN_STRIPES: usize = 16;
 /// they do to the table is leave the hint raised.
 #[derive(Debug)]
 pub(crate) struct ShardedTransactionTable {
-    stripes: Striped<HashMap<TxnId, TxnRecord>>,
+    stripes: Striped<IdMap<TxnId, TxnRecord>>,
     /// Number of transactions open across client calls: records stored in
     /// a stripe plus records checked out of one. Zero means "no multi-call
     /// transaction is in progress anywhere", which is what lets a
@@ -182,12 +181,12 @@ impl ShardedTransactionTable {
     /// Creates an empty table.
     pub(crate) fn new() -> Self {
         ShardedTransactionTable {
-            stripes: Striped::new(TXN_STRIPES, HashMap::new),
+            stripes: Striped::new(TXN_STRIPES, IdMap::default),
             open_hint: AtomicUsize::new(0),
         }
     }
 
-    fn stripe(&self, txn: TxnId) -> &parking_lot::Mutex<HashMap<TxnId, TxnRecord>> {
+    fn stripe(&self, txn: TxnId) -> &parking_lot::Mutex<IdMap<TxnId, TxnRecord>> {
         self.stripes.stripe_for(txn.as_u64())
     }
 

@@ -2,7 +2,9 @@
 //!
 //! [`ShardedCacheStorage`] (slab LRU, incremental footprint, striped
 //! mutexes) is held to a deliberately naive reference — per stripe a
-//! recency `Vec`, an entry map and a floor map — by two tests:
+//! recency `Vec`, an entry map and a floor map — by two tests (a third
+//! pins that an unbounded storage, whose hits skip the recency list, is
+//! indistinguishable from one whose capacity never binds):
 //!
 //! 1. a property test driving random op sequences through both in
 //!    lockstep and comparing every return value and every aggregate;
@@ -201,6 +203,35 @@ proptest! {
                 stripe.entries.get(&id).map(|(e, _)| e.version)
             );
         }
+    }
+}
+
+proptest! {
+    /// Recency is unobservable without a capacity bound that binds: the
+    /// same op sequence against an unbounded storage (whose hits leave the
+    /// LRU list alone) and against one whose capacity exceeds the key
+    /// universe on every stripe (whose hits relink it) returns the same
+    /// values op by op. Sequences stay below `REBALANCE_INTERVAL` inserts.
+    #[test]
+    fn unbounded_storage_matches_one_whose_capacity_never_binds(
+        ops in prop::collection::vec((0u64..8, 0u64..24, 1u64..8, 0u64..100), 1..300),
+    ) {
+        let ttl = TtlConfig::Limited(SimDuration::from_secs(30));
+        let unbounded = ShardedCacheStorage::new(STRIPES, None, ttl);
+        // 24 keys per stripe: room for the whole universe on any one stripe.
+        let roomy = ShardedCacheStorage::new(STRIPES, Some(24 * STRIPES), ttl);
+        for &(selector, id, version, now_secs) in &ops {
+            let now = SimTime::from_secs(now_secs);
+            let (_, op) = decode(selector, id, version);
+            prop_assert_eq!(
+                run_real(&unbounded, &op, now),
+                run_real(&roomy, &op, now),
+                "selector {} on o{} v{} at {}s diverged", selector, id, version, now_secs
+            );
+            prop_assert_eq!(unbounded.len(), roomy.len());
+            prop_assert_eq!(unbounded.footprint_bytes(), roomy.footprint_bytes());
+        }
+        prop_assert_eq!(unbounded.rebalance_budgets(), 0);
     }
 }
 

@@ -15,8 +15,7 @@
 //! [`ReadPath::Locked`]: crate::store::ReadPath::Locked
 
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
-use tcache_types::{ConflictReason, ObjectId, TCacheError, TCacheResult, TxnId};
+use tcache_types::{ConflictReason, IdMap, IdSet, ObjectId, TCacheError, TCacheResult, TxnId};
 
 /// The mode in which a lock is requested.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,7 +29,7 @@ pub enum LockMode {
 #[derive(Debug, Default)]
 struct ObjectLock {
     /// Transactions holding a shared lock.
-    shared: HashSet<TxnId>,
+    shared: IdSet<TxnId>,
     /// Transaction holding the exclusive lock, if any.
     exclusive: Option<TxnId>,
 }
@@ -80,7 +79,7 @@ impl ObjectLock {
 /// A lock table keyed by object id.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    locks: Mutex<HashMap<ObjectId, ObjectLock>>,
+    locks: Mutex<IdMap<ObjectId, ObjectLock>>,
 }
 
 impl LockTable {

@@ -16,9 +16,8 @@
 use crate::locks::{LockMode, LockTable};
 use crate::store::{HistoricalVersion, ReadPath, VersionedStore};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use tcache_types::{
-    DependencyList, ObjectEntry, ObjectId, TCacheError, TCacheResult, TxnId, Value, Version,
+    DependencyList, IdMap, ObjectEntry, ObjectId, TCacheError, TCacheResult, TxnId, Value, Version,
 };
 
 /// A single write staged during the prepare phase.
@@ -49,7 +48,7 @@ pub struct Shard {
     index: usize,
     store: VersionedStore,
     locks: LockTable,
-    prepared: Mutex<HashMap<TxnId, Vec<PreparedWrite>>>,
+    prepared: Mutex<IdMap<TxnId, Vec<PreparedWrite>>>,
 }
 
 impl Shard {
@@ -66,7 +65,7 @@ impl Shard {
             index,
             store: VersionedStore::with_read_path(history_depth, read_path),
             locks: LockTable::new(),
-            prepared: Mutex::new(HashMap::new()),
+            prepared: Mutex::new(IdMap::default()),
         }
     }
 

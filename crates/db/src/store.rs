@@ -57,12 +57,11 @@
 //! can report how often readers actually collided with writers.
 
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tcache_types::{
-    seeding, DependencyList, ObjectEntry, ObjectId, TCacheError, TCacheResult, TxnId, Value,
-    Version,
+    seeding, DependencyList, IdMap, ObjectEntry, ObjectId, TCacheError, TCacheResult, TxnId,
+    Value, Version,
 };
 
 /// Number of seqlock buckets the optimistic store splits the object space
@@ -163,8 +162,8 @@ impl ReadPathStats {
 /// coherent.
 #[derive(Debug, Default)]
 struct BucketData {
-    objects: HashMap<ObjectId, ObjectEntry>,
-    history: HashMap<ObjectId, Vec<HistoricalVersion>>,
+    objects: IdMap<ObjectId, ObjectEntry>,
+    history: IdMap<ObjectId, Vec<HistoricalVersion>>,
 }
 
 /// One seqlock bucket: the sequence counter is even while the data is

@@ -1,7 +1,6 @@
 //! The global version history assembled from committed update transactions.
 
-use std::collections::HashMap;
-use tcache_types::{ObjectId, TxnId, Version};
+use tcache_types::{IdMap, ObjectId, TxnId, Version};
 
 /// Per-object write history: which transaction installed which version.
 ///
@@ -13,7 +12,7 @@ use tcache_types::{ObjectId, TxnId, Version};
 pub struct VersionHistory {
     /// For every object, the installed versions in increasing order,
     /// together with the writing transaction.
-    writes: HashMap<ObjectId, Vec<(Version, TxnId)>>,
+    writes: IdMap<ObjectId, Vec<(Version, TxnId)>>,
 }
 
 impl VersionHistory {

@@ -15,8 +15,7 @@
 
 use crate::graph::DiGraph;
 use crate::history::VersionHistory;
-use std::collections::{HashMap, HashSet};
-use tcache_types::{ObjectId, TransactionRecord, TxnId, Version};
+use tcache_types::{IdMap, IdSet, ObjectId, TransactionRecord, TxnId, Version};
 
 /// A node of the serialization graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,13 +53,13 @@ pub struct SerializationGraph {
     /// retain belong in an external log, not this in-memory oracle.
     updates: Vec<TransactionRecord>,
     /// Update→update successor lists, maintained incrementally.
-    adjacency: HashMap<TxnId, Vec<TxnId>>,
+    adjacency: IdMap<TxnId, Vec<TxnId>>,
     /// The (max) version each update transaction installed.
-    txn_version: HashMap<TxnId, Version>,
+    txn_version: IdMap<TxnId, Version>,
     /// Which update transactions read each installed `(object, version)`
     /// pair; consulted to add read→overwriter anti-dependency edges when
     /// the overwrite arrives.
-    readers: HashMap<(ObjectId, Version), Vec<TxnId>>,
+    readers: IdMap<(ObjectId, Version), Vec<TxnId>>,
     /// Set when an edge or record arrives out of version order, breaking
     /// the invariant the fast query's pruning relies on; fast queries then
     /// take the exact rebuild path instead.
@@ -259,8 +258,8 @@ impl SerializationGraph {
             // unsound on a non-version-ordered edge set.
             return self.read_only_consistent(TxnId(u64::MAX), reads);
         }
-        let mut predecessors: HashSet<TxnId> = HashSet::new();
-        let mut successors: HashSet<TxnId> = HashSet::new();
+        let mut predecessors: IdSet<TxnId> = IdSet::default();
+        let mut successors: IdSet<TxnId> = IdSet::default();
         for &(object, version) in reads {
             match self.history.writer_of(object, version) {
                 Some(writer) => {
@@ -286,7 +285,7 @@ impl SerializationGraph {
 
         // BFS from every successor, pruned to versions <= horizon.
         let mut queue: Vec<TxnId> = Vec::new();
-        let mut visited: HashSet<TxnId> = HashSet::new();
+        let mut visited: IdSet<TxnId> = IdSet::default();
         for &s in &successors {
             if self.txn_version.get(&s).is_some_and(|&v| v <= horizon) {
                 if predecessors.contains(&s) {

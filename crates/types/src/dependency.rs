@@ -13,7 +13,14 @@
 
 use crate::ids::{ObjectId, Version};
 use serde::{Deserialize, Serialize};
+use smallvec::SmallVec;
 use std::fmt;
+
+/// Entries stored inside the list itself, one pointer hop from whatever
+/// holds the list. A record briefly holds `bound + 1` entries, so bounds up
+/// to 3 (the default, the paper's "lists of length 3") never spill to a
+/// separate heap buffer.
+const INLINE_ENTRIES: usize = 4;
 
 /// A single dependency: an object identifier and the minimum version of that
 /// object which may be observed together with the owner of the list.
@@ -51,7 +58,7 @@ impl fmt::Display for DependencyEntry {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DependencyList {
     /// Most recently recorded first.
-    entries: Vec<DependencyEntry>,
+    entries: SmallVec<[DependencyEntry; INLINE_ENTRIES]>,
     /// Maximum number of entries retained.
     bound: usize,
 }
@@ -69,7 +76,7 @@ impl DependencyList {
     /// list never stores anything, so no inconsistency is ever detected.
     pub fn bounded(bound: usize) -> Self {
         DependencyList {
-            entries: Vec::with_capacity(bound.min(16)),
+            entries: SmallVec::new(),
             bound,
         }
     }
@@ -77,10 +84,7 @@ impl DependencyList {
     /// Creates an empty dependency list with no practical bound
     /// (Theorem 1's "unbounded resources" configuration).
     pub fn unbounded() -> Self {
-        DependencyList {
-            entries: Vec::new(),
-            bound: usize::MAX,
-        }
+        DependencyList::bounded(usize::MAX)
     }
 
     /// Builds a list directly from entries that are **already in
@@ -94,10 +98,11 @@ impl DependencyList {
         entries: impl IntoIterator<Item = DependencyEntry>,
         bound: usize,
     ) -> DependencyList {
-        let entries: Vec<DependencyEntry> = entries.into_iter().take(bound).collect();
+        let entries: SmallVec<[DependencyEntry; INLINE_ENTRIES]> =
+            entries.into_iter().take(bound).collect();
         debug_assert!(
             {
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = crate::ids::IdSet::default();
                 entries.iter().all(|e| seen.insert(e.object))
             },
             "from_most_recent requires distinct objects"
@@ -152,15 +157,13 @@ impl DependencyList {
     /// object appears with a larger version, so only the larger one is kept.
     /// The list is then pruned to its bound from the least-recent end.
     pub fn record(&mut self, object: ObjectId, version: Version) {
-        let merged_version = match self.entries.iter().position(|e| e.object == object) {
-            Some(idx) => {
-                let existing = self.entries.remove(idx);
-                existing.version.max(version)
-            }
+        let merged_version = match self.remove(object) {
+            Some(existing) => existing.max(version),
             None => version,
         };
-        self.entries
-            .insert(0, DependencyEntry::new(object, merged_version));
+        // Insert at the front: append, then rotate the new entry into place.
+        self.entries.push(DependencyEntry::new(object, merged_version));
+        self.entries.rotate_right(1);
         self.prune();
     }
 
@@ -182,10 +185,10 @@ impl DependencyList {
 
     /// Removes any entry referring to `object`, returning its version.
     pub fn remove(&mut self, object: ObjectId) -> Option<Version> {
-        match self.entries.iter().position(|e| e.object == object) {
-            Some(idx) => Some(self.entries.remove(idx).version),
-            None => None,
-        }
+        let idx = self.entries.iter().position(|e| e.object == object)?;
+        // Rotate the entry to the back, keeping the order of the rest.
+        self.entries[idx..].rotate_left(1);
+        self.entries.pop().map(|e| e.version)
     }
 
     /// Changes the bound of the list, pruning if the new bound is smaller.
@@ -237,7 +240,7 @@ impl DependencyList {
     /// Returns the entries as a plain vector (most recent first); useful for
     /// assertions in tests and for serialization into invalidation messages.
     pub fn to_vec(&self) -> Vec<DependencyEntry> {
-        self.entries.clone()
+        self.entries.to_vec()
     }
 }
 
@@ -312,7 +315,7 @@ impl serde::Deserialize for DependencyEntry {
 impl serde::Serialize for DependencyList {
     fn to_json(&self) -> serde::json::Json {
         serde::json::Json::Map(vec![
-            ("entries".into(), self.entries.to_json()),
+            ("entries".into(), self.to_vec().to_json()),
             ("bound".into(), serde::json::Json::U64(self.bound as u64)),
         ])
     }
@@ -327,7 +330,7 @@ impl serde::Deserialize for DependencyList {
             .get("bound")
             .ok_or_else(|| serde::json::JsonError::shape("missing 'bound'"))?;
         Ok(DependencyList {
-            entries: Vec::<DependencyEntry>::from_json(entries)?,
+            entries: Vec::<DependencyEntry>::from_json(entries)?.into_iter().collect(),
             bound: usize::from_json(bound)?,
         })
     }
@@ -552,7 +555,136 @@ mod proptests {
             .prop_map(|(o, v)| DependencyEntry::new(ObjectId(o), Version(v)))
     }
 
+    /// The list as it was before its entries moved inline: a plain `Vec`
+    /// with `insert(0)` / `remove(idx)` / `truncate`. The reference the
+    /// inline list is held to on both sides of the spill boundary.
+    #[derive(Debug, Clone)]
+    struct VecList {
+        entries: Vec<DependencyEntry>,
+        bound: usize,
+    }
+
+    impl VecList {
+        fn record(&mut self, object: ObjectId, version: Version) {
+            let version = self.remove(object).map_or(version, |old| old.max(version));
+            self.entries.insert(0, DependencyEntry::new(object, version));
+            self.entries.truncate(self.bound);
+        }
+
+        fn remove(&mut self, object: ObjectId) -> Option<Version> {
+            let idx = self.entries.iter().position(|e| e.object == object)?;
+            Some(self.entries.remove(idx).version)
+        }
+
+        fn merge(&mut self, other: &[DependencyEntry]) {
+            for e in other.iter().rev() {
+                self.record(e.object, e.version);
+            }
+        }
+
+        fn set_bound(&mut self, bound: usize) {
+            self.bound = bound;
+            self.entries.truncate(bound);
+        }
+    }
+
+    /// Bounds on both sides of the inline capacity (4), and none.
+    const BOUNDS: [usize; 4] = [3, 4, 5, usize::MAX];
+
+    /// A most-recent-first list of distinct objects built from raw entries,
+    /// as both implementations (the reference does the building).
+    fn both(raw: &[DependencyEntry], bound: usize) -> (DependencyList, VecList) {
+        let mut reference = VecList { entries: Vec::new(), bound };
+        reference.merge(raw);
+        let list = DependencyList::from_most_recent(reference.entries.iter().copied(), bound);
+        (list, reference)
+    }
+
     proptest! {
+        /// Every operation agrees with the plain-`Vec` reference, entry for
+        /// entry and in order, while the list grows past its inline
+        /// capacity, shrinks back and is re-bounded around it; so do the
+        /// derived constructors and a serde round trip of the final list.
+        #[test]
+        fn matches_a_plain_vec_across_the_inline_boundary(
+            bound_choice in 0usize..4,
+            ops in prop::collection::vec(
+                (0u64..8, 0u64..12, 0u64..1000, prop::collection::vec(arb_entry(), 0..8)),
+                0..120,
+            ),
+        ) {
+            let bound = BOUNDS[bound_choice];
+            let (mut list, mut reference) = both(&[], bound);
+            // Seven distinct objects up front: bound 5 and the unbounded
+            // list are past the inline capacity from the start.
+            for i in 100..107 {
+                list.record(ObjectId(i), Version(i));
+                reference.record(ObjectId(i), Version(i));
+            }
+            for (selector, object, version, raw) in &ops {
+                let (object, version) = (ObjectId(*object), Version(*version));
+                match selector {
+                    0..=3 => {
+                        list.record(object, version);
+                        reference.record(object, version);
+                    }
+                    4 => prop_assert_eq!(list.remove(object), reference.remove(object)),
+                    5 => {
+                        let (other, other_reference) = both(raw, BOUNDS[raw.len() % 4]);
+                        prop_assert_eq!(other.to_vec(), other_reference.entries.clone());
+                        list.merge(&other);
+                        reference.merge(&other_reference.entries);
+                    }
+                    6 => {
+                        let new_bound = BOUNDS[(version.as_u64() % 4) as usize];
+                        list.set_bound(new_bound);
+                        reference.set_bound(new_bound);
+                    }
+                    _ => {
+                        let new_bound = BOUNDS[(version.as_u64() % 4) as usize];
+                        let mut copy = reference.clone();
+                        copy.set_bound(new_bound);
+                        let rebounded = list.rebounded(new_bound);
+                        prop_assert_eq!(rebounded.to_vec(), copy.entries);
+                        prop_assert_eq!(rebounded.bound(), new_bound);
+                    }
+                }
+                prop_assert_eq!(list.to_vec(), reference.entries.clone());
+                prop_assert_eq!(list.bound(), reference.bound);
+                prop_assert_eq!(list.version_of(object), reference.entries.iter()
+                    .find(|e| e.object == object).map(|e| e.version));
+            }
+
+            let json = serde_json::to_string(&list).unwrap();
+            let back: DependencyList = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(&back, &list);
+            prop_assert_eq!(back.to_vec(), reference.entries.clone());
+
+            for cut in BOUNDS {
+                let derived = DependencyList::from_most_recent(list.iter().copied(), cut);
+                let mut expected = reference.clone();
+                expected.set_bound(cut);
+                prop_assert_eq!(derived.to_vec(), expected.entries);
+
+                // Aggregation over the ops read as (key, version, deps)
+                // accesses, least recent first.
+                let accessed: Vec<_> = ops.iter()
+                    .map(|(_, o, v, raw)| (ObjectId(*o), Version(*v), both(raw, bound).0))
+                    .collect();
+                let full = DependencyList::aggregate(
+                    accessed.iter().map(|(o, v, deps)| (*o, *v, deps)),
+                    cut,
+                );
+                let mut expected = VecList { entries: Vec::new(), bound: usize::MAX };
+                for (o, v, deps) in &accessed {
+                    expected.merge(&deps.to_vec());
+                    expected.record(*o, *v);
+                }
+                expected.set_bound(cut);
+                prop_assert_eq!(full.to_vec(), expected.entries);
+            }
+        }
+
         /// The list never exceeds its bound, regardless of the operation mix.
         #[test]
         fn never_exceeds_bound(

@@ -44,7 +44,7 @@ pub use config::{CachePolicyConfig, DependencyBound, RecoveryPolicy, Strategy, T
 pub use dependency::{DependencyEntry, DependencyList};
 pub use entry::{ObjectEntry, VersionedObject};
 pub use error::{ConflictReason, TCacheError, TCacheResult};
-pub use ids::{CacheId, ClientId, ObjectId, TxnId, Version};
+pub use ids::{CacheId, ClientId, IdHasher, IdMap, IdSet, ObjectId, TxnId, Version};
 pub use protocol::{format_trace, ProtocolAction, ProtocolTrace};
 pub use seeding::{
     cache_channel_seed, cache_delay_seed, derive_stream_seed, fault_seed, scenario_seed, zipf_seed,

@@ -1,7 +1,7 @@
 //! Workspace automation tasks (`cargo xtask <task>`).
 //!
-//! Currently one task: `lint`, a repo-specific static scan with two
-//! rules sharing one brace-depth scope tracker:
+//! Currently one task: `lint`, a repo-specific static scan with three
+//! rules sharing one line scanner:
 //!
 //! * **lock-across-send** — a lock guard held across
 //!   `send`/`try_send`/publish/upcall calls, the deadlock class the
@@ -15,12 +15,19 @@
 //!   `.collect::<Vec<…>>` in such a body defeats the zero-allocation
 //!   guarantee the `zero_alloc` release test pins; the lint catches the
 //!   regression at review time, before the counting allocator does.
+//! * **std-hash-id-map** — a `HashMap` / `HashSet` keyed by an id newtype
+//!   (`ObjectId`, `TxnId`, `CacheId`, `ClientId`, or a tuple starting with
+//!   one) with the default SipHash hasher, in non-test code of the crates
+//!   on the serving and classification paths. Those maps are `IdMap` /
+//!   `IdSet` (`tcache_types::ids`); a default-hasher one costs a hit more
+//!   than the rest of its lookup.
 //!
 //! The scan is a deliberately simple, line-based heuristic (no rustc
 //! plumbing, no external deps), kept honest by a commented allowlist:
 //! audited sites carry `// lint:allow lock-across-send — <why>` (or the
-//! rule's own marker, e.g. `// lint:allow hot-path-alloc — <why>`) on the
-//! flagged line (or the guard's binding line) and are skipped. Multi-line
+//! rule's own marker, `// lint:allow hot-path-alloc — <why>` /
+//! `// lint:allow std-hash-id-map — <why>`) on the flagged line (or the
+//! guard's binding line) and are skipped. Multi-line
 //! statements can evade the scanner; it exists to catch the common shape
 //! early and cheaply, not to be a soundness proof.
 
@@ -58,6 +65,15 @@ const ALLOC_PATTERNS: &[&str] = &[
     ".to_vec()",
     ".collect::<Vec<",
 ];
+
+/// Marker that exempts an audited default-hasher id map.
+const ID_MAP_ALLOW_MARKER: &str = "lint:allow std-hash-id-map";
+
+/// The id newtypes whose maps must not use the default hasher.
+const ID_TYPES: &[&str] = &["ObjectId", "TxnId", "CacheId", "ClientId"];
+
+/// Crates whose `src/` the id-map rule covers.
+const ID_MAP_CRATES: &[&str] = &["types", "db", "cache", "net", "core", "monitor"];
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -98,7 +114,7 @@ fn lint() -> ExitCode {
     if findings.is_empty() {
         println!(
             "xtask lint: {scanned} files scanned, no lock guard held across a send/upcall, \
-             no allocation in a hot-path function"
+             no allocation in a hot-path function, no default-hasher id map"
         );
         ExitCode::SUCCESS
     } else {
@@ -107,10 +123,11 @@ fn lint() -> ExitCode {
         }
         eprintln!(
             "xtask lint: {} finding(s) in {scanned} files — hold no lock across \
-             send/try_send/publish/upcall and allocate nothing in `// {HOT_PATH_MARKER}` \
-             functions, or audit the site and annotate it with \
-             `// {ALLOW_MARKER} — <reason>` (locks) / `// {HOT_ALLOW_MARKER} — <reason>` \
-             (hot-path allocations)",
+             send/try_send/publish/upcall, allocate nothing in `// {HOT_PATH_MARKER}` \
+             functions and key no default-hasher map by an id, or audit the site and \
+             annotate it with `// {ALLOW_MARKER} — <reason>` (locks) / \
+             `// {HOT_ALLOW_MARKER} — <reason>` (hot-path allocations) / \
+             `// {ID_MAP_ALLOW_MARKER} — <reason>` (id maps)",
             findings.len()
         );
         ExitCode::FAILURE
@@ -133,6 +150,12 @@ enum Finding {
         line: usize,
         pattern: &'static str,
         fn_line: usize,
+    },
+    /// A default-hasher `HashMap`/`HashSet` keyed by an id newtype.
+    StdHashIdMap {
+        file: PathBuf,
+        line: usize,
+        found: String,
     },
 }
 
@@ -169,6 +192,14 @@ impl fmt::Display for Finding {
                 pattern,
                 fn_line
             ),
+            Finding::StdHashIdMap { file, line, found } => write!(
+                f,
+                "{}:{}: `{}…>` hashes an id with the default SipHash; use `IdMap` / `IdSet` \
+                 (tcache_types) or annotate with `// {ID_MAP_ALLOW_MARKER} — <reason>`",
+                file.display(),
+                line,
+                found
+            ),
         }
     }
 }
@@ -197,10 +228,24 @@ fn scan_file(path: &Path, source: &str, findings: &mut Vec<Finding>) {
     let mut in_block_comment = false;
     let mut hot_armed = false;
     let mut hot: Option<HotRegion> = None;
+    // The id-map rule covers a file up to its first `#[cfg(test)]` (test
+    // modules close the file, by this workspace's convention).
+    let mut id_maps_checked = in_id_map_scope(path);
 
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
         let code = strip_comments(raw, &mut in_block_comment);
+
+        id_maps_checked &= !code.contains("#[cfg(test)]");
+        if id_maps_checked && !raw.contains(ID_MAP_ALLOW_MARKER) {
+            if let Some(found) = std_hash_id_map(&code) {
+                findings.push(Finding::StdHashIdMap {
+                    file: path.to_path_buf(),
+                    line: line_no,
+                    found,
+                });
+            }
+        }
 
         // Hot-path allocation rule: banned shapes inside the marked body.
         if let Some(region) = &hot {
@@ -289,26 +334,56 @@ fn scan_file(path: &Path, source: &str, findings: &mut Vec<Finding>) {
 /// `ObservedVec::new()` and `smallvec![…]` don't count as `Vec::new(` /
 /// `vec![`).
 fn alloc_pattern(code: &str) -> Option<&'static str> {
-    for &pattern in ALLOC_PATTERNS {
+    ALLOC_PATTERNS.iter().copied().find(|&pattern| {
         let needs_boundary = pattern
             .chars()
             .next()
             .is_some_and(|c| c.is_ascii_alphanumeric());
-        let mut search_from = 0;
-        while let Some(pos) = code[search_from..].find(pattern) {
-            let at = search_from + pos;
-            let bounded = !needs_boundary
-                || code[..at]
-                    .chars()
-                    .next_back()
-                    .is_none_or(|prev| !prev.is_ascii_alphanumeric() && prev != '_');
-            if bounded {
-                return Some(pattern);
-            }
-            search_from = at + pattern.len();
-        }
-    }
-    None
+        token_matches(code, pattern, needs_boundary).next().is_some()
+    })
+}
+
+/// Byte offsets just past each occurrence of `pattern` in `code`; with
+/// `needs_boundary`, only occurrences not preceded by an identifier
+/// character.
+fn token_matches<'a>(
+    code: &'a str,
+    pattern: &'a str,
+    needs_boundary: bool,
+) -> impl Iterator<Item = usize> + 'a {
+    code.match_indices(pattern).filter_map(move |(at, _)| {
+        let bounded = !needs_boundary
+            || code[..at]
+                .chars()
+                .next_back()
+                .is_none_or(|prev| !prev.is_ascii_alphanumeric() && prev != '_');
+        bounded.then_some(at + pattern.len())
+    })
+}
+
+/// `true` for non-test sources (`crates/<name>/src/…`) of the crates in
+/// [`ID_MAP_CRATES`].
+fn in_id_map_scope(path: &Path) -> bool {
+    let parts: Vec<_> = path.components().map(|c| c.as_os_str()).collect();
+    parts.windows(3).any(|w| {
+        w[0] == "crates" && ID_MAP_CRATES.iter().any(|name| w[1] == *name) && w[2] == "src"
+    })
+}
+
+/// The first `HashMap<` / `HashSet<` on the line whose key type is one of
+/// [`ID_TYPES`] or a tuple starting with one, as `HashMap<ObjectId`.
+fn std_hash_id_map(code: &str) -> Option<String> {
+    ["HashMap<", "HashSet<"].iter().find_map(|container| {
+        token_matches(code, container, true).find_map(|end| {
+            let key = code[end..].trim_start().trim_start_matches('(').trim_start();
+            let id = ID_TYPES.iter().find(|id| {
+                key.strip_prefix(**id).is_some_and(|rest| {
+                    !rest.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
+                })
+            })?;
+            Some(format!("{container}{id}"))
+        })
+    })
 }
 
 /// Extracts the bound name of a guard-acquiring `let`, if this line is one.
@@ -409,8 +484,12 @@ mod tests {
     use super::*;
 
     fn findings_for(source: &str) -> Vec<String> {
+        findings_in("test.rs", source)
+    }
+
+    fn findings_in(path: &str, source: &str) -> Vec<String> {
         let mut findings = Vec::new();
-        scan_file(Path::new("test.rs"), source, &mut findings);
+        scan_file(Path::new(path), source, &mut findings);
         findings.iter().map(|f| f.to_string()).collect()
     }
 
@@ -497,6 +576,46 @@ mod tests {
         let found = findings_for(src);
         assert_eq!(found.len(), 4);
         assert!(found.iter().all(|f| f.contains("declared at line 2")));
+    }
+
+    #[test]
+    fn flags_default_hasher_maps_keyed_by_ids() {
+        let src = "struct S {\n    a: HashMap<ObjectId, u32>,\n    b: std::collections::HashSet<TxnId>,\n    c: HashMap<(ObjectId, Version), Vec<TxnId>>,\n    d: Mutex<HashMap< CacheId, u8>>,\n}\n";
+        let found = findings_in("crates/cache/src/storage.rs", src);
+        assert_eq!(found.len(), 4, "{found:#?}");
+        assert!(found[0].contains(":2:") && found[0].contains("`HashMap<ObjectId…>`"));
+        assert!(found[1].contains("`HashSet<TxnId…>`"));
+        assert!(found[2].contains("`HashMap<ObjectId…>`"));
+        assert!(found[3].contains("`HashMap<CacheId…>`"));
+    }
+
+    #[test]
+    fn id_maps_other_keys_and_audited_sites_pass_the_id_map_rule() {
+        let src = "struct S {\n    a: IdMap<ObjectId, u32>,\n    b: IdSet<TxnId>,\n    c: HashMap<String, ObjectId>,\n    d: HashMap<ObjectIdx, u8>,\n    e: HashMap<K, V, BuildHasherDefault<IdHasher>>,\n    f: MyHashMap<ObjectId, u8>,\n    g: HashMap<ClientId, u8>, // lint:allow std-hash-id-map — client-chosen ids\n    // h: HashMap<ObjectId, u8>,\n}\n";
+        assert!(findings_in("crates/db/src/locks.rs", src).is_empty());
+    }
+
+    #[test]
+    fn id_map_rule_covers_non_test_code_of_the_serving_crates_only() {
+        let src = "fn f() {\n    let m: HashMap<ObjectId, u32> = HashMap::new();\n}\n";
+        for covered in ["types", "db", "cache", "net", "core", "monitor"] {
+            let path = format!("crates/{covered}/src/sub/x.rs");
+            assert_eq!(findings_in(&path, src).len(), 1, "{path}");
+        }
+        for exempt in [
+            "crates/cache/tests/storage_model.rs",
+            "crates/cache/benches/b.rs",
+            "crates/sim/src/results.rs",
+            "crates/workload/src/graph/x.rs",
+            "xtask/src/main.rs",
+        ] {
+            assert!(findings_in(exempt, src).is_empty(), "{exempt}");
+        }
+        // A file's unit tests (from `#[cfg(test)]` to its end) are exempt.
+        let with_tests = "type A = HashSet<TxnId>;\n#[cfg(test)]\nmod tests {\n    type B = HashSet<TxnId>;\n}\n";
+        let found = findings_in("crates/monitor/src/sgt.rs", with_tests);
+        assert_eq!(found.len(), 1);
+        assert!(found[0].contains(":1:"));
     }
 
     #[test]
