@@ -121,7 +121,8 @@ pub struct EdgeCache {
     state_tag: AtomicU8,
     /// Highest invalidation sequence number applied (0 = none yet).
     /// Invalidations for one cache are applied by a single delivery loop on
-    /// both planes, so plain load/store suffices.
+    /// both planes; lifecycle transitions on other threads only ever adopt
+    /// a newer position, and the delivery loop advances it with `fetch_max`.
     last_seq: AtomicU64,
     lifecycle_stats: LifecycleStats,
 }
@@ -495,17 +496,11 @@ impl EdgeCache {
                 return;
             }
         }
-        #[cfg(debug_assertions)]
-        {
-            // Deliveries to one cache are serialized; if that ever breaks,
-            // this store could rewind the position past a newer delivery.
-            let current = self.last_seq.load(Ordering::Relaxed);
-            debug_assert!(
-                seq > current,
-                "stream position must advance monotonically: {current} -> {seq}"
-            );
-        }
-        self.last_seq.store(seq, Ordering::Relaxed);
+        // Deliveries to one cache are serialized, but `restart` / `reconnect`
+        // run on the fault-injecting thread and may adopt a newer position
+        // while a delivery that was in flight before the link was severed is
+        // applied here: `fetch_max` keeps the position from rewinding.
+        self.last_seq.fetch_max(seq, Ordering::Relaxed);
     }
 
     /// Catches the local store up with the backend: replays the database's

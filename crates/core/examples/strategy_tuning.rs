@@ -15,7 +15,6 @@ fn drive(strategy: Strategy, bound: usize, loss: f64) -> (f64, f64, f64) {
         .dependency_bound(bound)
         .strategy(strategy)
         .invalidation_loss(loss)
-        .invalidation_delay_millis(5)
         .seed(3)
         .build();
     let objects: u64 = 500;

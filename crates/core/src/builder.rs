@@ -6,13 +6,15 @@ use std::sync::Arc;
 use tcache_cache::EdgeCache;
 use tcache_db::{Database, DatabaseConfig, ReadPath};
 use tcache_net::delivery::DeliveryModel;
-use tcache_net::fanout::{CacheLink, InvalidationFanout};
 use tcache_net::pipe::OverflowPolicy;
 use tcache_types::{
     CacheId, CachePolicyConfig, DependencyBound, RecoveryPolicy, SimDuration, Strategy,
 };
 
-/// Configures and builds a [`TCacheSystem`].
+/// Configures and builds a [`TCacheSystem`]: one database, one or more
+/// edge caches, and the live invalidation plane between them (commit-path
+/// upcalls into per-cache bounded pipes, one reactor thread running every
+/// cache's loss / latency model — see [`crate::transport`]).
 ///
 /// ```
 /// use tcache::SystemBuilder;
@@ -49,8 +51,6 @@ pub struct SystemBuilder {
     invalidation_delay: SimDuration,
     tick: SimDuration,
     seed: u64,
-    transport: TransportMode,
-    delivery: DeliveryMode,
     delivery_models: Option<Vec<DeliveryModel>>,
     cache_policy: Option<CachePolicyConfig>,
     pipe_capacity: usize,
@@ -71,11 +71,9 @@ impl Default for SystemBuilder {
             caches: 1,
             per_cache_loss: None,
             invalidation_loss: 0.0,
-            invalidation_delay: SimDuration::from_millis(50),
+            invalidation_delay: SimDuration::ZERO,
             tick: SimDuration::from_millis(1),
             seed: 0,
-            transport: TransportMode::Threaded,
-            delivery: DeliveryMode::Clocked,
             delivery_models: None,
             cache_policy: None,
             pipe_capacity: usize::MAX,
@@ -106,8 +104,8 @@ pub fn two_tier_parents(roots: usize, leaves_per_root: usize) -> Vec<Option<Cach
 
 impl SystemBuilder {
     /// Starts a builder with the defaults: dependency bound 3, RETRY
-    /// strategy, a single shard, one cache, a reliable channel with 50 ms
-    /// delay.
+    /// strategy, a single shard, one cache behind an unbounded pipe, a
+    /// reliable channel with no modeled delay.
     pub fn new() -> Self {
         SystemBuilder::default()
     }
@@ -173,13 +171,17 @@ impl SystemBuilder {
         self
     }
 
-    /// One-way delay of invalidations, in milliseconds.
+    /// One-way delay of invalidations, in milliseconds (default 0). The
+    /// delay is wall-clock and a *service time*: each cache's delivery task
+    /// sleeps it per message, in series, so `d` ms caps a cache at
+    /// `1000 / d` applied invalidations per second.
     pub fn invalidation_delay_millis(mut self, millis: u64) -> Self {
         self.invalidation_delay = SimDuration::from_millis(millis);
         self
     }
 
-    /// How far the virtual clock advances per operation.
+    /// How far the virtual clock advances per operation (the clock only
+    /// stamps operations; it plays no part in delivery).
     pub fn tick(mut self, tick: SimDuration) -> Self {
         self.tick = tick;
         self
@@ -193,37 +195,25 @@ impl SystemBuilder {
         self
     }
 
-    /// Selects how delivered invalidations are applied to the caches:
-    /// synchronously on the driving thread ([`TransportMode::Threaded`],
-    /// the default) or through per-cache bounded pipes drained by one
-    /// shared reactor thread ([`TransportMode::Reactor`]).
-    pub fn transport(mut self, mode: TransportMode) -> Self {
-        self.transport = mode;
+    /// Inert: a system always runs the reactor transport.
+    /// **Benchmark-pinned** — `benchmark/src/spec.rs` (which PRs may not
+    /// edit) calls it; it goes with the next flagged benchmark PR.
+    pub fn transport(self, _mode: TransportMode) -> Self {
         self
     }
 
-    /// Selects where the unreliable-link model runs:
-    /// [`DeliveryMode::Clocked`] (the default) drops and delays messages in
-    /// the virtual-time discrete-event channels, while
-    /// [`DeliveryMode::Modeled`] wires the database's commit-path upcalls
-    /// straight into each cache's reactor pipe and lets the cache's
-    /// delivery task apply per-cache seeded loss / latency models in
-    /// wall-clock time — the live execution plane.
-    ///
-    /// [`SystemBuilder::build`] panics if `Modeled` is combined with
-    /// [`TransportMode::Threaded`]: the modeled plane *is* the reactor's
-    /// delivery tasks.
-    pub fn delivery(mut self, mode: DeliveryMode) -> Self {
-        self.delivery = mode;
+    /// Inert: delivery is always modeled in the reactor's per-cache tasks.
+    /// **Benchmark-pinned** exactly like [`SystemBuilder::transport`].
+    pub fn delivery(self, _mode: DeliveryMode) -> Self {
         self
     }
 
     /// Deploys one cache per entry with an explicit per-cache
     /// [`DeliveryModel`] (loss + latency, applied by the cache's reactor
-    /// delivery task under [`DeliveryMode::Modeled`]), overriding
-    /// [`SystemBuilder::caches`] / [`SystemBuilder::cache_loss_rates`].
-    /// Without this knob, modeled delivery derives each cache's model from
-    /// the configured loss rates and invalidation delay.
+    /// delivery task), overriding [`SystemBuilder::caches`] /
+    /// [`SystemBuilder::cache_loss_rates`]. Without this knob each cache's
+    /// model is derived from the configured loss rates and invalidation
+    /// delay.
     ///
     /// # Panics
     /// Panics if `models` is empty.
@@ -245,16 +235,15 @@ impl SystemBuilder {
         self
     }
 
-    /// Bounds each cache's apply pipe (reactor mode) to `capacity`
-    /// in-flight invalidations; clamped to at least 1. The default is
-    /// unbounded.
+    /// Bounds each cache's apply pipe to `capacity` in-flight
+    /// invalidations; clamped to at least 1. The default is unbounded.
     pub fn pipe_capacity(mut self, capacity: usize) -> Self {
         self.pipe_capacity = capacity.max(1);
         self
     }
 
-    /// What a full apply pipe does with an incoming invalidation (reactor
-    /// mode): block the publisher, drop the newest or drop the oldest.
+    /// What a full apply pipe does with an incoming invalidation: block
+    /// the publisher, drop the newest or drop the oldest.
     /// `Block` is hard backpressure — a wedged cache behind a full pipe
     /// blocks the publishing thread until the cache drains (see
     /// [`TCacheSystem::pause_cache`](crate::TCacheSystem::pause_cache)).
@@ -283,11 +272,10 @@ impl SystemBuilder {
     }
 
     /// How the publish path retries sends to a severed (crashed /
-    /// partitioned) cache under [`DeliveryMode::Modeled`]: up to
-    /// `budget` attempts with capped exponential backoff before the batch
-    /// is abandoned. The default budget of 0 discards immediately, which
-    /// keeps the commit path free of wall-clock sleeps (what the
-    /// deterministic simulation planes require).
+    /// partitioned) cache: up to `budget` attempts with capped exponential
+    /// backoff before the batch is abandoned. The default budget of 0
+    /// discards immediately, which keeps the commit path free of wall-clock
+    /// sleeps (what the deterministic simulation planes require).
     pub fn publish_retry(mut self, retry: RetryPolicy) -> Self {
         self.publish_retry = retry;
         self
@@ -299,9 +287,8 @@ impl SystemBuilder {
     /// committed batch only to the roots, whose delivery tasks relay what
     /// they apply into their children's pipes — shrinking the root
     /// publisher's fan-out from "every cache" to "every root" (see
-    /// [`two_tier_parents`] for the regular layout). Requires
-    /// [`DeliveryMode::Modeled`]; the tree is one level deep (a parent
-    /// must itself be a root).
+    /// [`two_tier_parents`] for the regular layout). The tree is one level
+    /// deep (a parent must itself be a root).
     pub fn cache_parents(mut self, parents: Vec<Option<CacheId>>) -> Self {
         self.cache_parents = Some(parents);
         self
@@ -317,20 +304,13 @@ impl SystemBuilder {
         self
     }
 
-    /// Builds the system.
+    /// Builds the system, spawning its `tcache-reactor` thread (joined
+    /// when the system is dropped).
     ///
     /// # Panics
-    /// Panics if [`DeliveryMode::Modeled`] is combined with
-    /// [`TransportMode::Threaded`].
+    /// Panics if [`SystemBuilder::delivery_models`] does not cover every
+    /// deployed cache or [`SystemBuilder::cache_parents`] is malformed.
     pub fn build(self) -> TCacheSystem {
-        assert!(
-            self.delivery == DeliveryMode::Clocked || self.transport == TransportMode::Reactor,
-            "modeled delivery requires TransportMode::Reactor (the model runs in the reactor's delivery tasks)"
-        );
-        assert!(
-            self.delivery_models.is_none() || self.delivery == DeliveryMode::Modeled,
-            "explicit delivery models only apply under DeliveryMode::Modeled"
-        );
         // The policy decides both the cache behaviour and the dependency
         // bound the database stores with every object.
         let policy = self.cache_policy.unwrap_or(match self.dependency_bound {
@@ -366,30 +346,20 @@ impl SystemBuilder {
                 Arc::new(cache)
             })
             .collect();
-        let fanout = InvalidationFanout::new(
-            self.seed,
-            losses.iter().enumerate().map(|(i, &loss)| {
-                CacheLink::uniform(CacheId(i as u32), loss, self.invalidation_delay)
-            }),
-        );
-        // Modeled delivery moves each cache's loss / latency into its
-        // reactor task; without explicit models the configured loss rates
-        // and delay become per-cache uniform/constant models.
-        let models = self.delivery_models.unwrap_or_else(|| match self.delivery {
-            DeliveryMode::Clocked => vec![DeliveryModel::reliable(); losses.len()],
-            DeliveryMode::Modeled => losses
+        // Each cache's loss / latency runs in its reactor task; without
+        // explicit models the configured loss rates and delay become
+        // per-cache uniform/constant models.
+        let models = self.delivery_models.unwrap_or_else(|| {
+            losses
                 .iter()
                 .map(|&loss| DeliveryModel::uniform(loss, self.invalidation_delay))
-                .collect(),
+                .collect()
         });
         TCacheSystem::new(
             db,
             caches,
-            fanout,
             SystemWiring {
                 tick: self.tick,
-                mode: self.transport,
-                delivery: self.delivery,
                 pipe_capacity: self.pipe_capacity,
                 overflow_policy: self.overflow_policy,
                 models,

@@ -17,7 +17,11 @@
 //! [`TCacheSystem`], a batteries-included single-process deployment (one
 //! backend database, one or more edge caches, an unreliable asynchronous
 //! invalidation channel per cache) that a downstream user can embed directly
-//! or use to explore the protocol. Cache serializability is a per-cache
+//! or use to explore the protocol. There is one live invalidation plane
+//! ([`transport`]): commits publish into per-cache bounded pipes and one
+//! reactor thread delivers, applying each cache's loss / latency model in
+//! wall-clock time — a read can race an invalidation exactly as at a real
+//! edge, and [`TCacheSystem::quiesce`] waits in-flight deliveries out. Cache serializability is a per-cache
 //! property, so a multi-cache system gives every cache its own
 //! independently seeded, independently lossy channel —
 //! `SystemBuilder::cache_loss_rates(vec![0.0, 0.2, 0.4])` deploys three
@@ -58,9 +62,10 @@
 //! * [`tcache_workload`] — synthetic and graph-based workload generators.
 //!
 //! The experiment harness lives in `tcache-sim`, *on top of* this crate:
-//! its live execution plane drives a [`TCacheSystem`] in reactor transport
-//! with modeled delivery, so the harness depends on the facade rather than
-//! the other way around.
+//! its live execution plane drives a [`TCacheSystem`], and its
+//! discrete-event plane (the deterministic virtual-time twin) drives
+//! [`tcache_net::fanout`] directly, so the harness depends on the facade
+//! rather than the other way around.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

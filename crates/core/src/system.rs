@@ -1,7 +1,6 @@
 //! A single-process T-Cache deployment: database + N edge caches.
 
-use crate::transport::{modeled_delivery_sink, DeliveryMode, ReactorPlane, RetryPolicy, TransportMode};
-use parking_lot::Mutex;
+use crate::transport::{modeled_delivery_sink, ReactorPlane, RetryPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,17 +9,12 @@ use tcache_db::stats::DbStatsSnapshot;
 use tcache_db::Database;
 use tcache_net::channel::ChannelStats;
 use tcache_net::delivery::{DeliveryModel, DeliveryStatsSnapshot};
-use tcache_net::fanout::InvalidationFanout;
 use tcache_net::pipe::{OverflowPolicy, PipeStatsSnapshot};
 use tcache_net::reactor::ReactorStats;
 use tcache_types::{
     CacheId, ObjectId, ReadOnlyOutcome, SimDuration, SimTime, TCacheError, TCacheResult, TxnId,
     Value, Version, VersionedObject,
 };
-
-/// How long [`TCacheSystem::advance_time`] waits for the reactor to settle
-/// before giving up (generous: the reactor usually drains in microseconds).
-const ADVANCE_QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The outcome of a read-only transaction issued through
 /// [`TCacheSystem::read_transaction`].
@@ -31,11 +25,13 @@ pub type ReadOutcome = ReadOnlyOutcome;
 /// The system owns a backend [`Database`], one or more [`EdgeCache`]s and an
 /// asynchronous invalidation channel per cache (cache serializability is a
 /// per-cache-server property, so every cache has its own independently
-/// seeded, independently lossy pipe from the database). It drives a virtual
-/// clock: every operation advances time by a small tick and delivers the
-/// invalidations that have become due, so the asynchronous (and, if
-/// configured, lossy) nature of the channels is preserved even in a single
-/// process.
+/// seeded, independently lossy pipe from the database). Every commit's
+/// invalidations enter those pipes on the committing thread and one reactor
+/// thread delivers them — dropping and delaying per each cache's link model
+/// in wall-clock time — so a read can genuinely race an invalidation, as in
+/// a real deployment; [`TCacheSystem::quiesce`] waits the in-flight ones
+/// out. The virtual clock only stamps operations (every operation advances
+/// it by a small tick); it delivers nothing.
 ///
 /// Read-only transactions address a specific cache via
 /// [`TCacheSystem::read_transaction_on`]; the id-less methods serve the
@@ -46,28 +42,22 @@ pub struct TCacheSystem {
     db: Arc<Database>,
     /// `caches[i].id() == CacheId(i)` — indexed access is the hot path.
     caches: Vec<Arc<EdgeCache>>,
-    fanout: Mutex<InvalidationFanout>,
-    /// Virtual time in microseconds. It orders nothing but itself (the
-    /// clocked fan-out has its own mutex), so `Relaxed` suffices.
+    /// Virtual time in microseconds. It orders nothing but itself, so
+    /// `Relaxed` suffices.
     clock: AtomicU64,
     tick: SimDuration,
     next_txn: AtomicU64,
-    mode: TransportMode,
-    delivery: DeliveryMode,
-    /// Present iff `mode == TransportMode::Reactor`.
-    reactor: Option<ReactorPlane>,
+    reactor: ReactorPlane,
     /// `parents[i]` is the cache index leaf `i` subscribes through in the
     /// two-tier topology; all-`None` in the flat star.
     parents: Vec<Option<usize>>,
 }
 
-/// How the builder wires a [`TCacheSystem`] together: transport and
-/// delivery planes, pipe shape, per-cache link models and the run seed the
-/// delivery tasks derive their RNG streams from.
+/// How the builder wires a [`TCacheSystem`] together: pipe shape, per-cache
+/// link models and the run seed the delivery tasks derive their RNG streams
+/// from.
 pub(crate) struct SystemWiring {
     pub(crate) tick: SimDuration,
-    pub(crate) mode: TransportMode,
-    pub(crate) delivery: DeliveryMode,
     pub(crate) pipe_capacity: usize,
     pub(crate) overflow_policy: OverflowPolicy,
     pub(crate) models: Vec<DeliveryModel>,
@@ -85,19 +75,14 @@ pub struct CacheNodeStats {
     pub id: CacheId,
     /// This cache's statistics.
     pub cache: CacheStatsSnapshot,
-    /// This cache's invalidation-channel statistics. Under
-    /// [`DeliveryMode::Modeled`] these are synthesized from the publisher
-    /// and delivery-task counters (the discrete-event channels are idle),
-    /// so the same fields describe the link on either delivery plane.
+    /// This cache's invalidation-channel statistics, synthesized from the
+    /// publisher and delivery-task counters so the same fields describe the
+    /// link here and on `tcache-sim`'s discrete-event plane.
     pub channel: ChannelStats,
-    /// This cache's apply-pipe counters (all zero in
-    /// [`TransportMode::Threaded`], which has no pipes).
+    /// This cache's apply-pipe counters.
     pub pipe: PipeStatsSnapshot,
     /// This cache's delivery-task counters — offered / dropped / delivered
-    /// messages and total modeled delay — nonzero only under
-    /// [`TransportMode::Reactor`] (and only the delivered/offered columns
-    /// move under [`DeliveryMode::Clocked`], where the task is a reliable
-    /// pass-through).
+    /// messages and total modeled delay.
     pub delivery: DeliveryStatsSnapshot,
 }
 
@@ -118,11 +103,9 @@ impl TCacheSystem {
     pub(crate) fn new(
         db: Arc<Database>,
         caches: Vec<Arc<EdgeCache>>,
-        fanout: InvalidationFanout,
         wiring: SystemWiring,
     ) -> Self {
         assert!(!caches.is_empty(), "a system needs at least one cache");
-        debug_assert_eq!(caches.len(), fanout.cache_count());
         debug_assert_eq!(caches.len(), wiring.models.len());
         let parents = if wiring.parents.is_empty() {
             vec![None; caches.len()]
@@ -130,81 +113,52 @@ impl TCacheSystem {
             wiring.parents
         };
         assert_eq!(parents.len(), caches.len(), "one parent slot per cache");
-        let two_tier = parents.iter().any(Option::is_some);
-        if two_tier {
-            assert_eq!(
-                wiring.delivery,
-                DeliveryMode::Modeled,
-                "two-tier fan-out needs the modeled reactor pipeline"
-            );
-            for (leaf, parent) in parents.iter().enumerate() {
-                if let Some(p) = *parent {
-                    assert!(p < caches.len() && p != leaf, "parent index valid");
-                    assert!(
-                        parents[p].is_none(),
-                        "a parent must itself be a root (one-level tree)"
-                    );
-                }
-            }
-        }
-        let reactor = match wiring.mode {
-            TransportMode::Threaded => None,
-            TransportMode::Reactor => Some(ReactorPlane::new(
-                &caches,
-                wiring.pipe_capacity,
-                wiring.overflow_policy,
-                &wiring.models,
-                wiring.seed,
-                &parents,
-            )),
-        };
-        if wiring.delivery == DeliveryMode::Modeled {
-            // The live plane: wire the database's commit-path upcall (§IV)
-            // straight into each *root* cache's delivery pipe. The reactor
-            // task on the other end applies the cache's loss / latency
-            // models; in the two-tier topology it also relays what it
-            // applies into its children's pipes, so leaves never appear in
-            // the publisher's fan-out list at all.
-            let plane = reactor
-                .as_ref()
-                .expect("builder enforces Reactor transport for modeled delivery");
-            for (index, cache) in caches.iter().enumerate() {
-                if parents[index].is_some() {
-                    continue;
-                }
-                db.register_reporting_invalidation_upcall(
-                    cache.id(),
-                    modeled_delivery_sink(
-                        cache.id(),
-                        plane.sender(index),
-                        plane.severed_flag(index),
-                        wiring.retry,
-                    ),
+        for (leaf, parent) in parents.iter().enumerate() {
+            if let Some(p) = *parent {
+                assert!(p < caches.len() && p != leaf, "parent index valid");
+                assert!(
+                    parents[p].is_none(),
+                    "a parent must itself be a root (one-level tree)"
                 );
             }
+        }
+        let reactor = ReactorPlane::new(
+            &caches,
+            wiring.pipe_capacity,
+            wiring.overflow_policy,
+            &wiring.models,
+            wiring.seed,
+            &parents,
+        );
+        // Wire the database's commit-path upcall (§IV) straight into each
+        // *root* cache's delivery pipe. The reactor task on the other end
+        // applies the cache's loss / latency models; in the two-tier
+        // topology it also relays what it applies into its children's
+        // pipes, so leaves never appear in the publisher's fan-out list at
+        // all.
+        for (index, cache) in caches.iter().enumerate() {
+            if parents[index].is_some() {
+                continue;
+            }
+            db.register_reporting_invalidation_upcall(
+                cache.id(),
+                modeled_delivery_sink(
+                    cache.id(),
+                    reactor.sender(index),
+                    reactor.severed_flag(index),
+                    wiring.retry,
+                ),
+            );
         }
         TCacheSystem {
             db,
             caches,
-            fanout: Mutex::new(fanout),
             clock: AtomicU64::new(0),
             tick: wiring.tick,
             next_txn: AtomicU64::new(1),
-            mode: wiring.mode,
-            delivery: wiring.delivery,
             reactor,
             parents,
         }
-    }
-
-    /// The transport mode this system was built with.
-    pub fn transport_mode(&self) -> TransportMode {
-        self.mode
-    }
-
-    /// The delivery mode this system was built with.
-    pub fn delivery_mode(&self) -> DeliveryMode {
-        self.delivery
     }
 
     /// Loads objects into the backend database at their initial version.
@@ -259,7 +213,7 @@ impl TCacheSystem {
     /// pipe was full; zero under the default unbounded capacity (and
     /// always zero in the flat star, which has no relay hop).
     pub fn relay_overflows(&self) -> u64 {
-        self.reactor.as_ref().map_or(0, |p| p.relay_overflows())
+        self.reactor.relay_overflows()
     }
 
     /// The current virtual time of the system.
@@ -267,86 +221,32 @@ impl TCacheSystem {
         SimTime::from_micros(self.clock.load(Ordering::Relaxed))
     }
 
-    /// Advances the virtual clock by `duration`, delivering every
-    /// invalidation that becomes due on every cache's channel. Use this to
-    /// model elapsed wall-clock time between transactions.
-    ///
-    /// Under [`TransportMode::Threaded`] the deliveries are applied
-    /// synchronously on the calling thread. Under
-    /// [`TransportMode::Reactor`] they are pushed down each cache's bounded
-    /// pipe (applying its overflow policy — a full `Block` pipe blocks
-    /// *here*, which is the backpressure landing on the committing client)
-    /// and the call then waits for the reactor to settle, so unpaused
-    /// caches observe the same state as in threaded mode. A paused cache's
-    /// backlog is intentionally left in its pipe.
+    /// Advances the virtual clock by `duration`. The clock only stamps
+    /// operations (cache insert times, lifecycle transitions); it delivers
+    /// nothing — invalidations travel in wall-clock time on the reactor
+    /// plane, and [`TCacheSystem::quiesce`] is how a caller waits for them.
     pub fn advance_time(&self, duration: SimDuration) {
-        let elapsed = duration.as_micros();
-        let now = SimTime::from_micros(self.clock.fetch_add(elapsed, Ordering::Relaxed) + elapsed);
-        // Modeled delivery never routes through the discrete-event fanout
-        // (the commit path feeds the pipes directly and the delivery tasks
-        // run the clock-free link models), so there is nothing to deliver
-        // — skip the fanout lock on this per-operation path entirely.
-        if self.delivery == DeliveryMode::Modeled {
-            return;
-        }
-        let due = self.fanout.lock().due(now);
-        match &self.reactor {
-            None => {
-                for (cache, invalidation) in due {
-                    self.caches[cache.0 as usize].apply_invalidation(invalidation);
-                }
-            }
-            Some(plane) => {
-                // Nothing became due: nothing new entered any pipe, and
-                // prior deliveries were quiesced by the advance that made
-                // them — skip the per-pipe settle pass on this hot path.
-                // (An unpaused cache still draining a backlog is covered by
-                // the explicit `quiesce()` the pause workflow uses.)
-                if due.is_empty() {
-                    return;
-                }
-                for (cache, invalidation) in due {
-                    plane.deliver(cache.0 as usize, invalidation);
-                }
-                if !plane.quiesce(ADVANCE_QUIESCE_TIMEOUT) {
-                    // The reactor did not settle: reads may briefly observe
-                    // state a threaded transport would have invalidated.
-                    // Counted so operators and tests can detect it — see
-                    // [`TCacheSystem::quiesce_timeouts`].
-                    plane.record_quiesce_timeout();
-                }
-            }
-        }
+        self.clock.fetch_add(duration.as_micros(), Ordering::Relaxed);
     }
 
-    /// Number of [`TCacheSystem::advance_time`] calls whose quiesce wait
-    /// timed out before the reactor settled (always 0 in threaded mode).
-    /// Nonzero means the threaded-equivalence guarantee was briefly
-    /// violated: a read may have seen an entry the reactor had not yet
-    /// invalidated.
+    /// Number of [`TCacheSystem::quiesce`] waits that timed out before the
+    /// reactor settled.
     #[must_use]
     pub fn quiesce_timeouts(&self) -> u64 {
-        self.reactor.as_ref().map_or(0, |p| p.quiesce_timeouts())
+        self.reactor.quiesce_timeouts()
     }
 
     /// Waits until every unpaused cache's apply pipe is drained and its
     /// reactor task is idle (in-flight modeled delays included), returning
-    /// whether the reactor settled before `timeout`.
+    /// whether the reactor settled before `timeout`; a `false` return is
+    /// counted in [`TCacheSystem::quiesce_timeouts`].
     ///
-    /// # Errors
-    /// Returns [`TCacheError::UnsupportedTransport`] in
-    /// [`TransportMode::Threaded`], which has no reactor to quiesce —
-    /// distinguishing "nothing to wait for because deliveries are
-    /// synchronous" from "the reactor settled" used to hide wiring bugs
-    /// behind a silent `true`.
+    /// Always `Ok`: the `TCacheResult` wrapper is **benchmark-pinned**
+    /// (`benchmark/src/engine.rs` calls `.expect(..)` on it) and goes with
+    /// the next flagged benchmark PR.
     #[must_use = "a fault-plane failure (unknown cache, wedged reactor) must be handled"]
     pub fn quiesce(&self, timeout: Duration) -> TCacheResult<bool> {
-        match &self.reactor {
-            None => Err(TCacheError::UnsupportedTransport {
-                operation: "quiesce (no reactor under TransportMode::Threaded)",
-            }),
-            Some(plane) => Ok(plane.quiesce(timeout)),
-        }
+        Ok(self.reactor.quiesce(timeout))
     }
 
     /// Looks up the index of a deployed cache.
@@ -358,32 +258,26 @@ impl TCacheSystem {
         Ok(index)
     }
 
-    /// The reactor plane, or the error naming the operation that needs it.
-    fn fault_plane(&self, operation: &'static str) -> TCacheResult<&ReactorPlane> {
-        self.reactor
-            .as_ref()
-            .ok_or(TCacheError::UnsupportedTransport { operation })
-    }
-
     /// Pauses one cache's reactor apply task, modelling a slow or wedged
     /// edge cache: its pipe backs up and the overflow policy takes over.
     ///
+    /// The task stops applying at once, but it may already hold up to one
+    /// drained batch (`DEFAULT_BATCH_BUDGET` = 64 messages) outside the
+    /// pipe; only the backlog past that batch stays in the pipe.
+    ///
     /// **Caution:** with a bounded pipe under [`OverflowPolicy::Block`],
     /// backpressure is *hard* — once the paused cache's pipe fills, the
-    /// next delivery blocks the driving thread inside
-    /// [`TCacheSystem::advance_time`] until the cache is resumed. Resume
-    /// from another thread, or use a drop policy when wedging a cache on
-    /// the thread that also publishes.
+    /// next commit blocks the committing thread inside
+    /// [`TCacheSystem::update`] until the cache is resumed. Resume from
+    /// another thread, or use a drop policy when wedging a cache on the
+    /// thread that also publishes.
     ///
     /// # Errors
-    /// Returns [`TCacheError::UnsupportedTransport`] in
-    /// [`TransportMode::Threaded`] (there is no apply task to pause),
-    /// [`TCacheError::UnknownCache`] if `cache` is not deployed, and
+    /// Returns [`TCacheError::UnknownCache`] if `cache` is not deployed, and
     /// [`TCacheError::InvalidCacheState`] if the cache is already paused
     /// or currently crashed (a crashed cache has no apply loop to wedge).
     #[must_use = "a fault-plane failure (unknown cache, wedged reactor) must be handled"]
     pub fn pause_cache(&self, cache: CacheId) -> TCacheResult<()> {
-        let plane = self.fault_plane("pause_cache (no reactor under TransportMode::Threaded)")?;
         let index = self.cache_index(cache)?;
         if self.caches[index].is_crashed() {
             return Err(TCacheError::InvalidCacheState {
@@ -392,14 +286,14 @@ impl TCacheSystem {
                 state: "crashed",
             });
         }
-        if plane.is_paused(index) {
+        if self.reactor.is_paused(index) {
             return Err(TCacheError::InvalidCacheState {
                 cache,
                 operation: "pause",
                 state: "paused",
             });
         }
-        plane.set_paused(index, true);
+        self.reactor.set_paused(index, true);
         Ok(())
     }
 
@@ -407,22 +301,19 @@ impl TCacheSystem {
     /// task drains whatever backlog accumulated.
     ///
     /// # Errors
-    /// Returns [`TCacheError::UnsupportedTransport`] in
-    /// [`TransportMode::Threaded`], [`TCacheError::UnknownCache`] if
-    /// `cache` is not deployed, and [`TCacheError::InvalidCacheState`] if
-    /// the cache was never paused.
+    /// Returns [`TCacheError::UnknownCache`] if `cache` is not deployed,
+    /// and [`TCacheError::InvalidCacheState`] if the cache was never paused.
     #[must_use = "a fault-plane failure (unknown cache, wedged reactor) must be handled"]
     pub fn resume_cache(&self, cache: CacheId) -> TCacheResult<()> {
-        let plane = self.fault_plane("resume_cache (no reactor under TransportMode::Threaded)")?;
         let index = self.cache_index(cache)?;
-        if !plane.is_paused(index) {
+        if !self.reactor.is_paused(index) {
             return Err(TCacheError::InvalidCacheState {
                 cache,
                 operation: "resume",
                 state: "running",
             });
         }
-        plane.set_paused(index, false);
+        self.reactor.set_paused(index, false);
         Ok(())
     }
 
@@ -434,14 +325,11 @@ impl TCacheSystem {
     /// [`restart_cache`](TCacheSystem::restart_cache).
     ///
     /// # Errors
-    /// Returns [`TCacheError::UnsupportedTransport`] in
-    /// [`TransportMode::Threaded`] (the fault plane lives on the reactor's
-    /// pipes) and [`TCacheError::UnknownCache`] if `cache` is not deployed.
+    /// Returns [`TCacheError::UnknownCache`] if `cache` is not deployed.
     #[must_use = "a fault-plane failure (unknown cache, wedged reactor) must be handled"]
     pub fn crash_cache(&self, cache: CacheId, now: SimTime) -> TCacheResult<()> {
-        let plane = self.fault_plane("crash_cache (no reactor under TransportMode::Threaded)")?;
         let index = self.cache_index(cache)?;
-        plane.set_severed(index, true);
+        self.reactor.set_severed(index, true);
         self.caches[index].crash(now);
         Ok(())
     }
@@ -454,10 +342,9 @@ impl TCacheSystem {
     /// Same conditions as [`TCacheSystem::crash_cache`].
     #[must_use = "a fault-plane failure (unknown cache, wedged reactor) must be handled"]
     pub fn restart_cache(&self, cache: CacheId) -> TCacheResult<()> {
-        let plane = self.fault_plane("restart_cache (no reactor under TransportMode::Threaded)")?;
         let index = self.cache_index(cache)?;
         self.caches[index].restart();
-        plane.set_severed(index, false);
+        self.reactor.set_severed(index, false);
         Ok(())
     }
 
@@ -470,9 +357,8 @@ impl TCacheSystem {
     /// Same conditions as [`TCacheSystem::crash_cache`].
     #[must_use = "a fault-plane failure (unknown cache, wedged reactor) must be handled"]
     pub fn partition_cache(&self, cache: CacheId, now: SimTime) -> TCacheResult<()> {
-        let plane = self.fault_plane("partition_cache (no reactor under TransportMode::Threaded)")?;
         let index = self.cache_index(cache)?;
-        plane.set_severed(index, true);
+        self.reactor.set_severed(index, true);
         self.caches[index].disconnect(now);
         Ok(())
     }
@@ -486,78 +372,59 @@ impl TCacheSystem {
     /// Same conditions as [`TCacheSystem::crash_cache`].
     #[must_use = "a fault-plane failure (unknown cache, wedged reactor) must be handled"]
     pub fn heal_cache(&self, cache: CacheId) -> TCacheResult<()> {
-        let plane = self.fault_plane("heal_cache (no reactor under TransportMode::Threaded)")?;
         let index = self.cache_index(cache)?;
-        plane.set_severed(index, false);
+        self.reactor.set_severed(index, false);
         self.caches[index].reconnect();
         Ok(())
     }
 
     /// Whether a cache's invalidation link is currently severed by a
-    /// crash or partition (always `false` in threaded mode).
+    /// crash or partition.
     pub fn is_cache_severed(&self, cache: CacheId) -> bool {
-        self.reactor.as_ref().is_some_and(|p| {
-            (cache.0 as usize) < self.caches.len() && p.is_severed(cache.0 as usize)
-        })
+        self.cache_index(cache)
+            .is_ok_and(|index| self.reactor.is_severed(index))
     }
 
     /// Sets the delay surcharge added to every invalidation delivered to
     /// `cache` on top of its modeled latency (a fault-plan delay spike;
-    /// [`SimDuration::ZERO`] clears it). Under [`DeliveryMode::Clocked`]
-    /// the surcharge applies in the discrete-event channel's virtual time;
-    /// under [`DeliveryMode::Modeled`] the cache's delivery task sleeps it
-    /// out in wall-clock time.
+    /// [`SimDuration::ZERO`] clears it); the cache's delivery task sleeps
+    /// it out in wall-clock time.
     ///
     /// # Errors
     /// Returns [`TCacheError::UnknownCache`] if `cache` is not deployed.
     #[must_use = "a fault-plane failure (unknown cache, wedged reactor) must be handled"]
     pub fn set_cache_extra_delay(&self, cache: CacheId, extra: SimDuration) -> TCacheResult<()> {
         let index = self.cache_index(cache)?;
-        match self.delivery {
-            DeliveryMode::Modeled => {
-                let plane = self
-                    .fault_plane("set_cache_extra_delay (modeled delivery without a reactor)")?;
-                plane.set_extra_delay(index, extra);
-            }
-            DeliveryMode::Clocked => {
-                self.fanout
-                    .lock()
-                    .channel_mut(cache)
-                    .expect("index validated against the cache list")
-                    .set_extra_delay(extra);
-            }
-        }
+        self.reactor.set_extra_delay(index, extra);
         Ok(())
     }
 
-    /// Whether a cache's reactor apply task is paused (always `false` in
-    /// threaded mode).
+    /// Whether a cache's reactor apply task is paused.
     pub fn is_cache_paused(&self, cache: CacheId) -> bool {
-        self.reactor
-            .as_ref()
-            .is_some_and(|p| (cache.0 as usize) < self.caches.len() && p.is_paused(cache.0 as usize))
+        self.cache_index(cache)
+            .is_ok_and(|index| self.reactor.is_paused(index))
     }
 
-    /// The reactor's counters, if the system runs in
-    /// [`TransportMode::Reactor`].
+    /// The reactor's counters. Always `Some`: the `Option` is
+    /// **benchmark-pinned** (`benchmark/src/engine.rs` calls `.expect(..)`
+    /// on it) and goes with the next flagged benchmark PR.
     #[must_use]
     pub fn reactor_stats(&self) -> Option<ReactorStats> {
-        self.reactor.as_ref().map(|p| p.reactor_stats())
+        Some(self.reactor.reactor_stats())
     }
 
-    /// Invalidations applied by one cache's reactor task so far (`None` in
-    /// threaded mode or for an unknown cache).
+    /// Invalidations applied by one cache's reactor task so far (`None` for
+    /// an unknown cache).
     pub fn reactor_applied(&self, cache: CacheId) -> Option<u64> {
-        self.reactor
-            .as_ref()
-            .filter(|_| (cache.0 as usize) < self.caches.len())
-            .map(|p| p.applied(cache.0 as usize))
+        self.cache_index(cache)
+            .ok()
+            .map(|index| self.reactor.applied(index))
     }
 
     /// Executes an update transaction that reads and rewrites every object
     /// in `objects` (bumping its numeric payload), returning the version the
-    /// transaction installed. Invalidations are published asynchronously on
-    /// every cache's channel.
+    /// transaction installed. The commit itself publishes the invalidations
+    /// into every cache's pipe; they are delivered asynchronously.
     ///
     /// # Errors
     /// Returns an error if any object is unknown or the database aborts the
@@ -566,7 +433,7 @@ impl TCacheSystem {
         let txn = self.next_txn();
         let access: tcache_types::AccessSet = objects.iter().copied().collect();
         let commit = self.db.execute_update(txn, &access)?;
-        self.broadcast(&commit);
+        self.advance_time(self.tick);
         Ok(commit.version)
     }
 
@@ -583,32 +450,8 @@ impl TCacheSystem {
             .collect();
         let reads: Vec<ObjectId> = writes.iter().map(|(o, _)| *o).collect();
         let commit = self.db.execute_update_writes(txn, &reads, records)?;
-        self.broadcast(&commit);
-        Ok(commit.version)
-    }
-
-    /// Publishes a committed update's invalidations on every cache's
-    /// channel. [`TCacheSystem::update`] does this automatically; call it
-    /// directly for update transactions executed against
-    /// [`TCacheSystem::database`] by hand.
-    ///
-    /// Under [`DeliveryMode::Modeled`] this is a no-op: the database's
-    /// registered upcalls already pushed the batch into every cache's
-    /// delivery pipe at commit time, so publishing it again here would
-    /// deliver everything twice.
-    pub fn publish_invalidations(&self, commit: &tcache_db::UpdateCommit) {
-        if self.delivery == DeliveryMode::Modeled {
-            return;
-        }
-        let now = self.now();
-        self.fanout
-            .lock()
-            .broadcast(now, commit.invalidations.invalidations());
-    }
-
-    fn broadcast(&self, commit: &tcache_db::UpdateCommit) {
-        self.publish_invalidations(commit);
         self.advance_time(self.tick);
+        Ok(commit.version)
     }
 
     /// Executes a read-only transaction through the given edge cache. The
@@ -685,77 +528,52 @@ impl TCacheSystem {
     /// A combined statistics snapshot: aggregates over every cache plus the
     /// per-cache breakdown.
     ///
-    /// Under [`DeliveryMode::Modeled`] the per-cache [`ChannelStats`] view
-    /// is synthesized from the publisher's and the delivery task's
-    /// counters (`sent` = invalidations the commit path offered, `dropped`
-    /// = loss-model drops in the reactor task, `delivered` = applications,
-    /// overflow/stalls from the pipe's policy), so experiment plumbing
-    /// reads the same link statistics on either delivery plane.
+    /// The per-cache [`ChannelStats`] view is synthesized from the
+    /// publisher's and the delivery task's counters (`sent` = invalidations
+    /// the commit path offered, `dropped` = loss-model drops in the reactor
+    /// task, `delivered` = applications, overflow/stalls from the pipe's
+    /// policy), so experiment plumbing reads the same link statistics here
+    /// and on `tcache-sim`'s discrete-event plane.
     #[must_use]
     pub fn stats(&self) -> SystemStats {
-        // The idle discrete-event fanout is not even consulted in Modeled
-        // mode; its channel view is synthesized below instead.
-        let channel_stats = match self.delivery {
-            DeliveryMode::Clocked => Some(self.fanout.lock().stats()),
-            DeliveryMode::Modeled => None,
-        };
-        let publish_stats = (self.delivery == DeliveryMode::Modeled)
-            .then(|| self.db.publish_stats());
+        let publishes = self.db.publish_stats();
         let per_cache: Vec<CacheNodeStats> = self
             .caches
             .iter()
             .enumerate()
             .map(|(index, cache)| {
-                let delivery = self
-                    .reactor
-                    .as_ref()
-                    .map(|p| p.delivery_stats(index))
-                    .unwrap_or_default();
-                let channel = match (&channel_stats, &publish_stats) {
-                    (Some(channels), _) => {
-                        let (channel_id, channel) = channels[index];
-                        debug_assert_eq!(cache.id(), channel_id);
-                        channel
+                let delivery = self.reactor.delivery_stats(index);
+                let channel = if self.parents[index].is_some() {
+                    // A two-tier leaf has no publisher upcall: its link is
+                    // fed by the parent's relay, so `sent` is what the relay
+                    // put into its pipe.
+                    ChannelStats {
+                        sent: delivery.offered,
+                        dropped: delivery.dropped,
+                        delivered: delivery.delivered,
+                        overflowed: 0,
+                        stalled: 0,
                     }
-                    (None, Some(publishes)) => {
-                        if self.parents[index].is_some() {
-                            // A two-tier leaf has no publisher upcall: its
-                            // link is fed by the parent's relay, so `sent`
-                            // is what the relay put into its pipe.
-                            ChannelStats {
-                                sent: delivery.offered,
-                                dropped: delivery.dropped,
-                                delivered: delivery.delivered,
-                                overflowed: 0,
-                                stalled: 0,
-                            }
-                        } else {
-                            let publish = publishes
-                                .iter()
-                                .find(|(id, _)| *id == cache.id())
-                                .map(|&(_, stats)| stats)
-                                .unwrap_or_default();
-                            ChannelStats {
-                                // Severed publishes never reached the link.
-                                sent: publish.invalidations.saturating_sub(publish.severed),
-                                dropped: delivery.dropped,
-                                delivered: delivery.delivered,
-                                overflowed: publish.overflowed,
-                                stalled: publish.stalled_publishes,
-                            }
-                        }
+                } else {
+                    let publish = publishes
+                        .iter()
+                        .find(|(id, _)| *id == cache.id())
+                        .map(|&(_, stats)| stats)
+                        .unwrap_or_default();
+                    ChannelStats {
+                        // Severed publishes never reached the link.
+                        sent: publish.invalidations.saturating_sub(publish.severed),
+                        dropped: delivery.dropped,
+                        delivered: delivery.delivered,
+                        overflowed: publish.overflowed,
+                        stalled: publish.stalled_publishes,
                     }
-                    (None, None) => unreachable!("one channel source per delivery mode"),
                 };
                 CacheNodeStats {
                     id: cache.id(),
                     cache: cache.stats(),
                     channel,
-                    pipe: self
-                        .reactor
-                        .as_ref()
-                        .map(|p| p.pipe_stats(index))
-                        .unwrap_or_default(),
+                    pipe: self.reactor.pipe_stats(index),
                     delivery,
                 }
             })
@@ -782,9 +600,12 @@ impl TCacheSystem {
 #[cfg(test)]
 mod tests {
     use crate::builder::SystemBuilder;
-    use crate::transport::TransportMode;
     use std::sync::atomic::Ordering;
-    use tcache_types::{CacheId, ObjectId, Strategy, TCacheError, TxnId, Value};
+    use std::time::Duration;
+    use tcache_types::{CacheId, ObjectId, SimDuration, Strategy, TCacheError, TxnId, Value};
+
+    /// Generous: the reactor usually settles in microseconds.
+    const SETTLE: Duration = Duration::from_secs(10);
 
     fn small_system(loss: f64) -> super::TCacheSystem {
         let system = SystemBuilder::new()
@@ -872,16 +693,34 @@ mod tests {
     }
 
     #[test]
-    fn advance_time_delivers_invalidations() {
+    fn advance_time_only_stamps_and_quiesce_waits_for_delivery() {
         let system = small_system(0.0);
         system.read_transaction(&[ObjectId(5)]).unwrap();
         system.update(&[ObjectId(5)]).unwrap();
-        system.advance_time(tcache_types::SimDuration::from_secs(1));
+        let before = system.now();
+        system.advance_time(SimDuration::from_secs(1));
+        assert_eq!(system.now(), before + SimDuration::from_secs(1));
+        assert!(system.quiesce(SETTLE).unwrap());
         // The cached copy was invalidated, so the next read misses and sees
         // the new version.
         let v = system.read(ObjectId(5)).unwrap();
         assert!(v.version > tcache_types::Version::INITIAL);
         assert!(system.stats().channel.sent >= 1);
+    }
+
+    #[test]
+    fn a_quiesce_that_times_out_is_counted_and_a_settled_one_is_not() {
+        let system = SystemBuilder::new()
+            .invalidation_delay_millis(200)
+            .seed(7)
+            .build();
+        system.populate((0..20).map(|i| (ObjectId(i), Value::new(0))));
+        system.update(&[ObjectId(1)]).unwrap();
+        // The invalidation is asleep on its 200 ms modeled delay.
+        assert_eq!(system.quiesce(Duration::from_millis(1)), Ok(false));
+        assert_eq!(system.quiesce_timeouts(), 1);
+        assert_eq!(system.quiesce(SETTLE), Ok(true));
+        assert_eq!(system.quiesce_timeouts(), 1);
     }
 
     #[test]
@@ -897,6 +736,7 @@ mod tests {
             let got = system.read_on(CacheId(id), ObjectId(1)).unwrap();
             assert_eq!(got.version, v);
         }
+        assert!(system.quiesce(SETTLE).unwrap());
         let stats = system.stats();
         assert_eq!(stats.per_cache.len(), 4);
         // Every channel carried the invalidation.
@@ -920,16 +760,14 @@ mod tests {
             .dependency_bound(3)
             .strategy(Strategy::Abort)
             .caches(4)
-            .transport(TransportMode::Reactor)
             .seed(7)
             .build();
-        assert_eq!(system.transport_mode(), TransportMode::Reactor);
         system.populate((0..20).map(|i| (ObjectId(i), Value::new(0))));
         for id in 0..4u32 {
             system.read_on(CacheId(id), ObjectId(1)).unwrap();
         }
         let v = system.update(&[ObjectId(1), ObjectId(2)]).unwrap();
-        system.advance_time(tcache_types::SimDuration::from_secs(1));
+        assert!(system.quiesce(SETTLE).unwrap());
         // The reactor applied the invalidations: every cache misses and
         // re-reads the new version.
         for id in 0..4u32 {
@@ -941,25 +779,20 @@ mod tests {
             assert!(node.pipe.enqueued >= 1, "{}: {:?}", node.id, node.pipe);
             assert_eq!(node.pipe.overflow_dropped(), 0);
         }
-        let reactor = system.reactor_stats().expect("reactor mode");
+        let reactor = system.reactor_stats().expect("always Some");
         assert_eq!(reactor.spawned, 4);
         assert!(reactor.wakes > 0);
-        assert!(system.quiesce(std::time::Duration::from_secs(1)).unwrap());
         assert_eq!(system.quiesce_timeouts(), 0);
     }
 
     #[test]
     fn two_tier_fanout_reaches_each_leaf_exactly_once_through_its_parent() {
         use crate::builder::two_tier_parents;
-        use crate::transport::DeliveryMode;
         // Caches 0 and 1 are roots; leaves 2/4 subscribe through 0 and
         // leaves 3/5 through 1.
         let system = SystemBuilder::new()
             .caches(6)
             .cache_parents(two_tier_parents(2, 2))
-            .transport(TransportMode::Reactor)
-            .delivery(DeliveryMode::Modeled)
-            .invalidation_delay_millis(0)
             .seed(7)
             .build();
         assert_eq!(system.publisher_fanout(), 2, "DB publishes to roots only");
@@ -969,7 +802,7 @@ mod tests {
         system.populate((0..20).map(|i| (ObjectId(i), Value::new(0))));
 
         system.update(&[ObjectId(1)]).unwrap();
-        assert!(system.quiesce(std::time::Duration::from_secs(5)).unwrap());
+        assert!(system.quiesce(SETTLE).unwrap());
         let stats = system.stats();
         for node in &stats.per_cache {
             assert_eq!(
@@ -986,7 +819,7 @@ mod tests {
         // root 1's subtree keeps receiving.
         system.crash_cache(CacheId(0), system.now()).unwrap();
         system.update(&[ObjectId(2)]).unwrap();
-        assert!(system.quiesce(std::time::Duration::from_secs(5)).unwrap());
+        assert!(system.quiesce(SETTLE).unwrap());
         let stats = system.stats();
         for node in &stats.per_cache {
             let expected = match node.id.0 {
@@ -1016,7 +849,7 @@ mod tests {
         // Restarting the parent heals the whole subtree.
         system.restart_cache(CacheId(0)).unwrap();
         system.update(&[ObjectId(3)]).unwrap();
-        assert!(system.quiesce(std::time::Duration::from_secs(5)).unwrap());
+        assert!(system.quiesce(SETTLE).unwrap());
         let stats = system.stats();
         for node in &stats.per_cache {
             let expected = match node.id.0 {
@@ -1027,67 +860,14 @@ mod tests {
         }
 
         // The flat star at equal leaf count publishes to every cache.
-        let star = SystemBuilder::new()
-            .caches(6)
-            .transport(TransportMode::Reactor)
-            .delivery(DeliveryMode::Modeled)
-            .invalidation_delay_millis(0)
-            .seed(7)
-            .build();
+        let star = SystemBuilder::new().caches(6).seed(7).build();
         assert_eq!(star.publisher_fanout(), 6);
         assert!(system.publisher_fanout() < star.publisher_fanout());
     }
 
     #[test]
-    #[should_panic(expected = "two-tier fan-out needs the modeled reactor pipeline")]
-    fn two_tier_requires_modeled_delivery() {
-        let _ = SystemBuilder::new()
-            .caches(3)
-            .cache_parents(vec![None, Some(CacheId(0)), Some(CacheId(0))])
-            .transport(TransportMode::Reactor)
-            .build();
-    }
-
-    #[test]
-    fn threaded_mode_has_no_reactor_surface() {
-        let system = small_system(0.0);
-        assert_eq!(system.transport_mode(), TransportMode::Threaded);
-        assert_eq!(
-            system.delivery_mode(),
-            crate::transport::DeliveryMode::Clocked
-        );
-        assert!(system.reactor_stats().is_none());
-        assert!(system.reactor_applied(CacheId(0)).is_none());
-        // Threaded mode has neither apply tasks to pause nor a reactor to
-        // quiesce, and says so instead of silently answering `false`/`true`.
-        assert!(matches!(
-            system.pause_cache(CacheId(0)),
-            Err(TCacheError::UnsupportedTransport { .. })
-        ));
-        assert!(matches!(
-            system.resume_cache(CacheId(0)),
-            Err(TCacheError::UnsupportedTransport { .. })
-        ));
-        assert!(matches!(
-            system.crash_cache(CacheId(0), system.now()),
-            Err(TCacheError::UnsupportedTransport { .. })
-        ));
-        assert!(matches!(
-            system.quiesce(std::time::Duration::from_millis(1)),
-            Err(TCacheError::UnsupportedTransport { .. })
-        ));
-        assert!(!system.is_cache_severed(CacheId(0)));
-        assert!(!system.is_cache_paused(CacheId(0)));
-        assert_eq!(system.stats().per_cache[0].pipe, Default::default());
-        assert_eq!(system.stats().per_cache[0].delivery, Default::default());
-    }
-
-    #[test]
     fn pause_cache_distinguishes_unknown_cache_from_missing_reactor() {
-        let system = SystemBuilder::new()
-            .caches(2)
-            .transport(TransportMode::Reactor)
-            .build();
+        let system = SystemBuilder::new().caches(2).build();
         assert!(system.pause_cache(CacheId(1)).is_ok());
         assert!(system.is_cache_paused(CacheId(1)));
         assert!(system.resume_cache(CacheId(1)).is_ok());
@@ -1104,10 +884,7 @@ mod tests {
 
     #[test]
     fn pause_and_resume_report_state_errors() {
-        let system = SystemBuilder::new()
-            .caches(2)
-            .transport(TransportMode::Reactor)
-            .build();
+        let system = SystemBuilder::new().caches(2).build();
         // Resuming a never-paused cache is a state error, not a no-op.
         assert_eq!(
             system.resume_cache(CacheId(0)),
@@ -1145,11 +922,7 @@ mod tests {
 
     #[test]
     fn crash_severs_the_link_and_restart_restores_it() {
-        let system = SystemBuilder::new()
-            .caches(2)
-            .transport(TransportMode::Reactor)
-            .seed(7)
-            .build();
+        let system = SystemBuilder::new().caches(2).seed(7).build();
         system.populate((0..20).map(|i| (ObjectId(i), Value::new(0))));
         system.read_on(CacheId(0), ObjectId(1)).unwrap();
 
@@ -1161,7 +934,7 @@ mod tests {
         // Updates while down are discarded at cache 0's link but delivered
         // to cache 1.
         let v = system.update(&[ObjectId(1)]).unwrap();
-        system.advance_time(tcache_types::SimDuration::from_secs(1));
+        assert!(system.quiesce(SETTLE).unwrap());
         assert_eq!(system.read_on(CacheId(1), ObjectId(1)).unwrap().version, v);
 
         system.restart_cache(CacheId(0)).unwrap();
@@ -1179,9 +952,8 @@ mod tests {
     fn partition_and_heal_resync_under_gap_resync_policy() {
         let system = SystemBuilder::new()
             .caches(1)
-            .transport(TransportMode::Reactor)
             .recovery_policy(tcache_types::RecoveryPolicy::GapResync {
-                staleness_budget: tcache_types::SimDuration::from_secs(3600),
+                staleness_budget: SimDuration::from_secs(3600),
             })
             .seed(7)
             .build();
@@ -1190,7 +962,7 @@ mod tests {
 
         system.partition_cache(CacheId(0), system.now()).unwrap();
         let v = system.update(&[ObjectId(1)]).unwrap();
-        system.advance_time(tcache_types::SimDuration::from_secs(1));
+        system.advance_time(SimDuration::from_secs(1));
         // Partitioned within budget: the stale local copy is still served.
         assert_eq!(
             system.read(ObjectId(1)).unwrap().version,
@@ -1208,24 +980,29 @@ mod tests {
     }
 
     #[test]
-    fn extra_delay_spikes_apply_on_the_clocked_channel() {
+    fn extra_delay_spikes_hold_back_delivery_until_they_are_slept_out() {
         let system = small_system(0.0);
         system.read_transaction(&[ObjectId(5)]).unwrap();
-        // Spike cache 0's delay far beyond the default tick cadence.
-        system
-            .set_cache_extra_delay(CacheId(0), tcache_types::SimDuration::from_secs(30))
-            .unwrap();
+        // Spike cache 0's zero-delay link.
+        let spike = SimDuration::from_millis(150);
+        system.set_cache_extra_delay(CacheId(0), spike).unwrap();
         system.update(&[ObjectId(5)]).unwrap();
-        system.advance_time(tcache_types::SimDuration::from_secs(1));
-        // Still in flight: the spiked invalidation has not arrived.
-        assert_eq!(
-            system.read(ObjectId(5)).unwrap().version,
-            tcache_types::Version::INITIAL
-        );
-        system.advance_time(tcache_types::SimDuration::from_secs(60));
+        // Still in flight: the task is sleeping the surcharge out, so the
+        // reactor cannot settle yet.
+        assert_eq!(system.quiesce(Duration::from_millis(1)), Ok(false));
+        assert!(system.quiesce(SETTLE).unwrap());
         assert!(system.read(ObjectId(5)).unwrap().version > tcache_types::Version::INITIAL);
+        let delivery = system.stats().per_cache[0].delivery;
+        assert_eq!(delivery.delay_micros, spike.as_micros());
+
+        // Clearing the spike restores the zero-delay link.
+        system.set_cache_extra_delay(CacheId(0), SimDuration::ZERO).unwrap();
+        system.update(&[ObjectId(5)]).unwrap();
+        assert!(system.quiesce(SETTLE).unwrap());
+        let delivery = system.stats().per_cache[0].delivery;
+        assert_eq!((delivery.delivered, delivery.delay_micros), (2, spike.as_micros()));
         assert_eq!(
-            system.set_cache_extra_delay(CacheId(9), tcache_types::SimDuration::ZERO),
+            system.set_cache_extra_delay(CacheId(9), SimDuration::ZERO),
             Err(TCacheError::UnknownCache(CacheId(9)))
         );
     }
@@ -1239,7 +1016,7 @@ mod tests {
         system.read_on(CacheId(0), ObjectId(1)).unwrap();
         system.read_on(CacheId(1), ObjectId(1)).unwrap();
         let v = system.update(&[ObjectId(1)]).unwrap();
-        system.advance_time(tcache_types::SimDuration::from_secs(1));
+        assert!(system.quiesce(SETTLE).unwrap());
         assert_eq!(system.read_on(CacheId(0), ObjectId(1)).unwrap().version, v);
         assert_eq!(
             system.read_on(CacheId(1), ObjectId(1)).unwrap().version,

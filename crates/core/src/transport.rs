@@ -1,34 +1,23 @@
-//! The invalidation transport planes of a [`TCacheSystem`].
+//! The live invalidation plane of a [`TCacheSystem`].
 //!
 //! [`TCacheSystem`]: crate::system::TCacheSystem
 //!
-//! Two modes deliver due invalidations to the edge caches:
+//! A system moves invalidations exactly one way, the paper's (§II, §IV):
+//! the database's commit-path upcalls (`modeled_delivery_sink`) push each
+//! committed batch into every root cache's bounded
+//! [`pipe`](tcache_net::pipe), and a *single* reactor thread
+//! ([`tcache_net::reactor`]) multiplexes all N per-cache delivery tasks
+//! ([`tcache_net::delivery`]), each applying its cache's seeded loss /
+//! latency models in wall-clock time before the invalidation reaches the
+//! cache. The pipe capacity bounds how far a slow cache can back up, and
+//! the overflow policy decides what that backlog costs: blocked commits
+//! ([`OverflowPolicy::Block`]) or bounded staleness
+//! ([`OverflowPolicy::DropOldest`] / [`OverflowPolicy::DropNewest`]).
 //!
-//! * [`TransportMode::Threaded`] (the default, and the historical
-//!   behaviour): invalidations are applied synchronously on the driving
-//!   thread — in a live deployment this is the thread-per-cache layout
-//!   where each cache's upcall thread applies its own deliveries.
-//! * [`TransportMode::Reactor`]: every cache gets a bounded
-//!   [`pipe`](tcache_net::pipe) with a configurable overflow policy, and a
-//!   *single* reactor thread ([`tcache_net::reactor`]) multiplexes all N
-//!   apply loops. The pipe capacity bounds how far a slow cache can back
-//!   up, and the overflow policy decides what that backlog costs: blocked
-//!   commits ([`OverflowPolicy::Block`]) or bounded staleness
-//!   ([`OverflowPolicy::DropOldest`] / [`OverflowPolicy::DropNewest`]).
-//!
-//! Orthogonally, [`DeliveryMode`] selects *where* the unreliable-link
-//! model runs:
-//!
-//! * [`DeliveryMode::Clocked`] (the default): the per-cache discrete-event
-//!   channels ([`tcache_net::fanout`]) drop and delay messages in virtual
-//!   time; [`advance_time`](crate::system::TCacheSystem::advance_time)
-//!   pushes the deliveries that became due into the caches (directly in
-//!   threaded mode, through the pipes in reactor mode).
-//! * [`DeliveryMode::Modeled`] (requires [`TransportMode::Reactor`]): the
-//!   database's invalidation upcalls feed each cache's pipe directly at
-//!   commit time, and the cache's reactor task applies the loss / latency
-//!   models itself in wall-clock time ([`tcache_net::delivery`]). This is
-//!   the live execution plane: no virtual clock is involved in delivery.
+//! No virtual clock is involved in delivery. The deterministic
+//! virtual-time plane lives in `tcache-sim` (`plane::discrete`), which
+//! drives [`tcache_net::fanout`] directly and is pinned against this plane
+//! by the `cross_plane` tests.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,47 +33,43 @@ use tcache_net::reactor::{Reactor, ReactorHandle, ReactorStats};
 use tcache_types::seeding::{cache_channel_seed, cache_delay_seed};
 use tcache_types::CacheId;
 
-/// How a [`TCacheSystem`](crate::system::TCacheSystem) applies delivered
-/// invalidations to its caches.
+/// The transport a [`TCacheSystem`](crate::system::TCacheSystem) runs on.
+/// There is one; the enum survives only because `benchmark/src/spec.rs`
+/// (which PRs may not edit) names it — **benchmark-pinned**, to go with
+/// [`SystemBuilder::transport`](crate::SystemBuilder::transport) in the
+/// next flagged benchmark PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportMode {
-    /// Apply invalidations synchronously on the driving thread(s) —
-    /// thread-per-cache in live deployments. The historical behaviour.
+    /// Per-cache bounded pipes drained by one shared reactor thread hosting
+    /// every cache's delivery task.
     #[default]
-    Threaded,
-    /// Push invalidations through per-cache bounded pipes drained by one
-    /// shared reactor thread hosting every cache's apply task.
     Reactor,
 }
 
-/// Where the unreliable-link model (loss and latency) of the invalidation
-/// channels runs.
+/// Where the unreliable-link model of the invalidation channels runs.
+/// There is one place; **benchmark-pinned** exactly like [`TransportMode`]
+/// (with [`SystemBuilder::delivery`](crate::SystemBuilder::delivery)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeliveryMode {
-    /// The discrete-event channels drop/delay messages in virtual time and
-    /// `advance_time` delivers what became due. The historical behaviour.
-    #[default]
-    Clocked,
     /// The database's commit-path upcalls enqueue invalidations directly
     /// onto each cache's pipe, and the cache's reactor task applies its
-    /// own seeded loss / latency models in wall-clock time. Requires
-    /// [`TransportMode::Reactor`].
+    /// own seeded loss / latency models in wall-clock time.
+    #[default]
     Modeled,
 }
 
-/// One reactor thread hosting every cache's invalidation-apply task, fed by
-/// per-cache bounded pipes. Under [`DeliveryMode::Modeled`] each task also
-/// runs its cache's loss / latency models ([`tcache_net::delivery`]);
-/// under [`DeliveryMode::Clocked`] the tasks apply reliably and the
-/// discrete-event channels upstream decide what arrives.
+/// One reactor thread hosting every cache's invalidation-delivery task, fed
+/// by per-cache bounded pipes. Each task runs its cache's loss / latency
+/// models ([`tcache_net::delivery`]) and applies what survives.
 pub(crate) struct ReactorPlane {
     pipes: Vec<PipeSender<Invalidation>>,
     /// Per-cache delivery counters (offered / dropped / delivered / delay).
     counters: Vec<Arc<DeliveryCounters>>,
-    /// Per-cache pause flags: a paused task applies nothing further — at
-    /// most one already-dequeued message is held in limbo while the rest
-    /// of the backlog stays in the pipe — modelling a slow or wedged edge
-    /// cache.
+    /// Per-cache pause flags: a paused task applies nothing further — up
+    /// to one already-drained batch ([`DEFAULT_BATCH_BUDGET`] messages; the
+    /// task checks the flag per message *after* the batch drain) is held
+    /// in limbo while the rest of the backlog stays in the pipe —
+    /// modelling a slow or wedged edge cache.
     paused: Vec<Arc<AtomicBool>>,
     /// Per-cache severed flags (crash / partition): a severed cache's link
     /// discards publishes instead of enqueuing them, so a crashed cache
@@ -96,9 +81,7 @@ pub(crate) struct ReactorPlane {
     extra_delays: Vec<Arc<AtomicU64>>,
     handle: ReactorHandle,
     thread: Option<std::thread::JoinHandle<()>>,
-    /// Times an `advance_time` quiesce wait gave up before the reactor
-    /// settled — nonzero means reads may have observed state a threaded
-    /// transport would already have invalidated.
+    /// Quiesce waits that timed out before the reactor settled.
     quiesce_timeouts: AtomicU64,
     /// Relay sends dropped because a child's bounded pipe was full. The
     /// relay hop cannot block (parent and child tasks share the reactor
@@ -118,10 +101,8 @@ impl std::fmt::Debug for ReactorPlane {
 impl ReactorPlane {
     /// Builds the plane: one pipe + one delivery task per cache, all tasks
     /// multiplexed on a single spawned reactor thread. `models[i]` is the
-    /// link model cache `i`'s task applies (pass
-    /// [`DeliveryModel::reliable`] for every cache to reproduce the
-    /// clocked plane's pass-through behaviour); the task's loss and delay
-    /// RNG streams are derived from `(run_seed, CacheId)`.
+    /// link model cache `i`'s task applies; the task's loss and delay RNG
+    /// streams are derived from `(run_seed, CacheId)`.
     ///
     /// `parents[i]` turns the fan-out into a tree: when it names another
     /// cache index, cache `i` is a *leaf* subscribing through that regional
@@ -225,23 +206,8 @@ impl ReactorPlane {
         }
     }
 
-    /// Sends one invalidation down `cache_index`'s pipe, applying its
-    /// overflow policy (a `Block` pipe at capacity blocks the caller — the
-    /// backpressure lands on the publishing/committing thread). A severed
-    /// (crashed / partitioned) cache discards the message instead: nothing
-    /// enters the pipe and — crucially — nothing can block on it.
-    pub(crate) fn deliver(&self, cache_index: usize, invalidation: Invalidation) {
-        if self.severed[cache_index].load(Ordering::Acquire) {
-            return;
-        }
-        // Failure means the task is gone (shutdown); the channel is
-        // best-effort, so dropping is correct.
-        let _ = self.pipes[cache_index].send(invalidation);
-    }
-
     /// A clone of `cache_index`'s pipe sender, for wiring the database's
-    /// invalidation upcall straight into the cache's delivery task
-    /// ([`DeliveryMode::Modeled`]).
+    /// invalidation upcall straight into the cache's delivery task.
     pub(crate) fn sender(&self, cache_index: usize) -> PipeSender<Invalidation> {
         self.pipes[cache_index].clone()
     }
@@ -250,7 +216,7 @@ impl ReactorPlane {
     /// finished processing (paused caches keep their backlog by design).
     /// A message the task popped but is still sleeping a modeled delay on
     /// counts as unprocessed, so modeled in-flight delays are waited out.
-    /// Returns `false` on timeout.
+    /// Returns `false` — and counts a quiesce timeout — on timeout.
     pub(crate) fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut spins = 0u32;
@@ -265,6 +231,7 @@ impl ReactorPlane {
                 return true;
             }
             if Instant::now() >= deadline {
+                self.quiesce_timeouts.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
             // Spin briefly (the reactor usually drains a batch in
@@ -330,12 +297,7 @@ impl ReactorPlane {
         self.counters[cache_index].snapshot().delivered
     }
 
-    /// Records that an `advance_time` quiesce wait timed out.
-    pub(crate) fn record_quiesce_timeout(&self) {
-        self.quiesce_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of `advance_time` quiesce waits that timed out so far.
+    /// Number of quiesce waits that timed out so far.
     pub(crate) fn quiesce_timeouts(&self) -> u64 {
         self.quiesce_timeouts.load(Ordering::Relaxed)
     }
@@ -403,8 +365,7 @@ impl RetryPolicy {
 }
 
 /// Builds the per-cache invalidation upcall sink that feeds `sender`'s
-/// pipe from the database's commit path ([`DeliveryMode::Modeled`]): a
-/// published batch enters the pipe in one
+/// pipe from the database's commit path: a published batch enters the pipe in one
 /// [`send_batch`](PipeSender::send_batch) — one pipe-lock acquisition and
 /// at most one wake-up per (commit, cache) while the pipe has room — with
 /// the pipe's overflow policy applied per invalidation exactly as single

@@ -153,6 +153,8 @@ fn multi_shard_database_preserves_behaviour() {
     for round in 0..30u64 {
         let objects: Vec<ObjectId> = (0..5).map(|i| ObjectId((round * 3 + i * 7) % 40)).collect();
         system.update(&objects).unwrap();
+        // Delivery is asynchronous: let the invalidations land first.
+        assert!(system.quiesce(std::time::Duration::from_secs(10)).unwrap());
         let outcome = system.read_transaction(&objects).unwrap();
         assert!(outcome.is_committed(), "reliable channel keeps reads consistent");
     }

@@ -1,19 +1,14 @@
-//! Reactor-transport integration tests: per-cache isolation under one
-//! reactor thread, backpressure semantics of the bounded apply pipes, and
-//! verdict-equivalence between the threaded and reactor planes.
+//! Live-plane integration tests: per-cache isolation under one reactor
+//! thread, backpressure semantics of the bounded apply pipes, and the
+//! per-cache loss / latency models running in the delivery tasks.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tcache::{DeliveryMode, SystemBuilder, TCacheSystem, TransportMode};
-use tcache_monitor::{ConsistencyMonitor, TransactionClass};
+use tcache::{SystemBuilder, TCacheSystem};
+use tcache_net::delivery::DEFAULT_BATCH_BUDGET;
 use tcache_net::pipe::OverflowPolicy;
-use tcache_types::{
-    CacheId, ObjectId, SimDuration, Strategy, TCacheError, TransactionRecord, TxnId, Value,
-    Version,
-};
+use tcache_types::{CacheId, ObjectId, SimDuration, Strategy, TxnId, Value, Version};
 
 const OBJECTS: u64 = 50;
 
@@ -22,8 +17,6 @@ fn reactor_system(losses: &[f64], capacity: usize, policy: OverflowPolicy) -> TC
         .dependency_bound(3)
         .strategy(Strategy::Abort)
         .cache_loss_rates(losses.to_vec())
-        .invalidation_delay_millis(0)
-        .transport(TransportMode::Reactor)
         .pipe_capacity(capacity)
         .overflow_policy(policy)
         .seed(9)
@@ -32,20 +25,18 @@ fn reactor_system(losses: &[f64], capacity: usize, policy: OverflowPolicy) -> TC
     system
 }
 
-/// The per-cache isolation stress currently run against the threaded
-/// transport, re-run through one reactor thread hosting four caches: an
-/// invalidation addressed to cache 0 must never mutate caches 1..3, even
-/// while reader threads hammer them concurrently.
+/// One reactor thread hosting four caches: an invalidation that only
+/// cache 0's link delivers must never mutate caches 1..3, even while
+/// reader threads hammer them concurrently.
 #[test]
 fn reactor_hosts_four_caches_with_per_cache_isolation() {
-    // Cache 0 has a perfect link; caches 1..3 lose every invalidation, so
-    // the only deliveries flowing through the reactor target cache 0.
+    // Cache 0 has a perfect link; caches 1..3 lose every invalidation in
+    // their delivery tasks, so the only applications target cache 0.
     let system = Arc::new(reactor_system(
         &[0.0, 1.0, 1.0, 1.0],
         tcache_net::pipe::UNBOUNDED,
         OverflowPolicy::Block,
     ));
-    assert_eq!(system.transport_mode(), TransportMode::Reactor);
     assert_eq!(system.cache_count(), 4);
 
     // Warm every cache with every object at the initial version.
@@ -77,7 +68,6 @@ fn reactor_hosts_four_caches_with_per_cache_isolation() {
         let base = (round * 2) % (OBJECTS - 1);
         system.update(&[ObjectId(base), ObjectId(base + 1)]).unwrap();
     }
-    system.advance_time(SimDuration::from_secs(1));
     stop.store(true, Ordering::Relaxed);
     for reader in readers {
         reader.join().unwrap();
@@ -92,7 +82,11 @@ fn reactor_hosts_four_caches_with_per_cache_isolation() {
     for id in 1..4u32 {
         let node = &stats.per_cache[id as usize];
         assert_eq!(node.cache.invalidations_applied, 0, "cache {id}");
-        assert_eq!(node.pipe.enqueued, 0, "cache {id}'s pipe must stay idle");
+        // The loss model runs *after* the pipe: everything the commit path
+        // enqueued was offered to the task, and the task dropped all of it.
+        assert_eq!(node.pipe.enqueued, 40, "cache {id}");
+        assert_eq!(node.delivery.offered, 40, "cache {id}");
+        assert_eq!(node.delivery.dropped, node.delivery.offered, "cache {id}");
         assert_eq!(system.reactor_applied(CacheId(id)).unwrap(), 0);
         for o in 0..OBJECTS {
             let v = system.read_on(CacheId(id), ObjectId(o)).unwrap();
@@ -148,10 +142,14 @@ fn stalled_reactor_task_never_blocks_commits_under_drop_oldest() {
     assert!(pipe.enqueued - pipe.evicted - pipe.received <= capacity as u64);
     // Quiescence skips the paused cache, so the system still settles.
     assert!(system.quiesce(Duration::from_secs(5)).unwrap());
-    // Cache 1 (unpaused) applied everything that survived its channel.
-    assert!(system.reactor_applied(CacheId(1)).unwrap() >= 200);
+    // Cache 1 (unpaused) applied everything its own pipe did not shed.
+    let unpaused = system.stats().per_cache[1];
+    assert_eq!(unpaused.pipe.enqueued, 200);
+    assert_eq!(unpaused.delivery.delivered + unpaused.pipe.evicted, 200);
 
-    // Resuming drains the bounded backlog.
+    // Resuming drains the bounded backlog: what survived the pause is at
+    // most a full pipe plus the one batch the task had already drained out
+    // of it when the pause took hold.
     system.resume_cache(CacheId(0)).unwrap();
     assert!(system.quiesce(Duration::from_secs(5)).unwrap());
     let applied_after = system.reactor_applied(CacheId(0)).unwrap();
@@ -159,19 +157,20 @@ fn stalled_reactor_task_never_blocks_commits_under_drop_oldest() {
         applied_after > applied_before,
         "the resumed task must apply its remaining backlog"
     );
+    assert!(applied_after - applied_before <= (capacity + DEFAULT_BATCH_BUDGET) as u64);
     let pipe = system.stats().per_cache[0].pipe;
     assert_eq!(pipe.enqueued - pipe.evicted, pipe.received);
 }
 
 /// The publish-side attribution path end to end: a cache registers a
-/// *reporting* invalidation upcall backed by a bounded live pipe, commits
+/// *reporting* invalidation upcall backed by a bounded pipe, commits
 /// publish through it on the committing thread, and
 /// `Database::publish_stats` attributes the pipe's overflow and the time
 /// commits spent publishing — per cache.
 #[test]
 fn commit_path_publish_stats_attribute_slow_pipes_per_cache() {
     use tcache_db::{Database, DatabaseConfig, SinkReport};
-    use tcache_net::{live_channel_with, UNBOUNDED};
+    use tcache_net::{bounded_pipe, UNBOUNDED};
 
     let db = Arc::new(Database::new(DatabaseConfig::with_bound(3)));
     db.populate((0..OBJECTS).map(|i| (ObjectId(i), Value::new(0))));
@@ -181,15 +180,15 @@ fn commit_path_publish_stats_attribute_slow_pipes_per_cache() {
     // up in the publisher's books.
     let mut receivers = Vec::new();
     for (i, capacity) in [(0u32, UNBOUNDED), (1u32, 2)] {
-        let (tx, rx) = live_channel_with(capacity, OverflowPolicy::DropOldest);
+        let (tx, rx) = bounded_pipe(capacity, OverflowPolicy::DropOldest);
         receivers.push(rx);
         db.register_reporting_invalidation_upcall(
             CacheId(i),
             Box::new(move |batch| {
-                let report = tx.send_report(batch.iter().copied());
+                let sent = tx.send_batch(batch.iter().copied());
                 SinkReport {
-                    enqueued: report.enqueued as u64,
-                    overflowed: report.overflowed as u64,
+                    enqueued: sent.enqueued,
+                    overflowed: sent.overflowed,
                     ..SinkReport::default()
                 }
             }),
@@ -219,7 +218,7 @@ fn commit_path_publish_stats_attribute_slow_pipes_per_cache() {
     assert_eq!(receivers[0].drain().len(), 30);
 }
 
-/// Modeled delivery end to end through the system facade: commits publish
+/// Delivery end to end through the system facade: commits publish
 /// through the database's upcalls straight into the reactor pipes, the
 /// delivery tasks apply per-cache seeded loss, and `SystemStats`
 /// synthesizes the channel view from the publisher + delivery counters.
@@ -229,11 +228,8 @@ fn modeled_delivery_applies_per_cache_loss_in_the_reactor() {
         .dependency_bound(3)
         .strategy(Strategy::Abort)
         .cache_loss_rates(vec![0.0, 1.0])
-        .transport(TransportMode::Reactor)
-        .delivery(DeliveryMode::Modeled)
         .seed(9)
         .build();
-    assert_eq!(system.delivery_mode(), DeliveryMode::Modeled);
     system.populate((0..OBJECTS).map(|i| (ObjectId(i), Value::new(0))));
 
     // Warm both caches, then update: cache 0's entry must be invalidated,
@@ -276,8 +272,6 @@ fn modeled_delivery_sleeps_the_configured_latency() {
     use tcache_net::delivery::DeliveryModel;
     let system = SystemBuilder::new()
         .dependency_bound(3)
-        .transport(TransportMode::Reactor)
-        .delivery(DeliveryMode::Modeled)
         .delivery_models(vec![DeliveryModel::uniform(
             0.0,
             SimDuration::from_millis(30),
@@ -296,107 +290,4 @@ fn modeled_delivery_sleeps_the_configured_latency() {
     let delivery = system.stats().per_cache[0].delivery;
     assert_eq!(delivery.delivered, 1);
     assert_eq!(delivery.delay_micros, 30_000);
-}
-
-#[test]
-#[should_panic(expected = "modeled delivery requires TransportMode::Reactor")]
-fn modeled_delivery_without_a_reactor_is_rejected() {
-    let _ = SystemBuilder::new()
-        .delivery(DeliveryMode::Modeled)
-        .transport(TransportMode::Threaded)
-        .build();
-}
-
-/// Driving the same seeded script through a threaded and a reactor system
-/// must produce identical per-read observations and identical
-/// `ConsistencyMonitor` verdicts: the reactor changes *where* invalidations
-/// are applied, never *what* the caches serve.
-#[test]
-fn threaded_and_reactor_produce_identical_monitor_verdicts() {
-    type Trace = (
-        Vec<TransactionClass>,
-        Vec<(CacheId, Vec<(ObjectId, Version)>, bool)>,
-        Vec<tcache_monitor::MonitorReport>,
-    );
-
-    let run = |mode: TransportMode| -> Trace {
-        let system = SystemBuilder::new()
-            .dependency_bound(3)
-            .strategy(Strategy::Abort)
-            .cache_loss_rates(vec![0.0, 0.3, 0.6, 1.0])
-            .invalidation_delay_millis(5)
-            .transport(mode)
-            .seed(42)
-            .build();
-        system.populate((0..OBJECTS).map(|i| (ObjectId(i), Value::new(0))));
-        let cache_ids: Vec<CacheId> = system.cache_ids().collect();
-
-        let mut monitor = ConsistencyMonitor::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut next_txn = 1u64;
-        let mut classes = Vec::new();
-        let mut observations = Vec::new();
-
-        for _ in 0..300 {
-            let base = rng.gen_range(0..OBJECTS - 1);
-            let txn = TxnId(1_000_000 + next_txn);
-            next_txn += 1;
-            let commit = system
-                .database()
-                .execute_update(txn, &vec![base, base + 1].into())
-                .unwrap();
-            monitor.record_update_commit(&TransactionRecord::update_committed(
-                txn,
-                commit.reads.clone(),
-                commit.written.clone(),
-                system.now(),
-            ));
-            system.publish_invalidations(&commit);
-
-            for &cache_id in &cache_ids {
-                let read_base = rng.gen_range(0..OBJECTS - 1);
-                let keys = [ObjectId(read_base), ObjectId(read_base + 1)];
-                let txn = TxnId(1_000_000 + next_txn);
-                next_txn += 1;
-                let cache = system.cache(cache_id).unwrap();
-                let now = system.now();
-                let mut observed = Vec::with_capacity(keys.len());
-                let mut committed = true;
-                for (i, &key) in keys.iter().enumerate() {
-                    match cache.read(now, txn, key, i + 1 == keys.len()) {
-                        Ok(v) => observed.push((v.id, v.version)),
-                        Err(TCacheError::InconsistencyAbort { .. }) => {
-                            committed = false;
-                            break;
-                        }
-                        Err(e) => panic!("unexpected error: {e}"),
-                    }
-                }
-                classes.push(monitor.record_read_only_from(cache_id, &observed, committed));
-                observations.push((cache_id, observed, committed));
-            }
-            system.advance_time(SimDuration::from_millis(10));
-        }
-        let reports = cache_ids
-            .iter()
-            .map(|&id| monitor.cache_report(id))
-            .collect();
-        (classes, observations, reports)
-    };
-
-    let threaded = run(TransportMode::Threaded);
-    let reactor = run(TransportMode::Reactor);
-    assert_eq!(
-        threaded.1, reactor.1,
-        "both transports must serve identical observations"
-    );
-    assert_eq!(
-        threaded.0, reactor.0,
-        "both transports must yield identical verdict sequences"
-    );
-    assert_eq!(threaded.2, reactor.2, "per-cache reports must match");
-    // The script must actually exercise the predicates, otherwise the
-    // equivalence is vacuous.
-    let lossiest = threaded.2.last().unwrap();
-    assert!(lossiest.committed_inconsistent + lossiest.aborted_total() > 0);
 }

@@ -5,9 +5,10 @@
 //! channel is.
 
 use proptest::prelude::*;
+use std::time::Duration;
 use tcache_sim::experiment::{CacheKind, ExperimentConfig, WorkloadKind};
 use tcache::types::Strategy as CacheStrategy;
-use tcache::types::{ObjectId, SimDuration, SimTime, TransactionRecord, TxnId, Value};
+use tcache::types::{CacheId, ObjectId, SimDuration, SimTime, TransactionRecord, TxnId, Value};
 use tcache::{ReadOutcome, SystemBuilder};
 use tcache_monitor::SerializationGraph;
 
@@ -18,7 +19,8 @@ enum Step {
     Update(Vec<u64>),
     /// Run a read-only transaction over the given objects through the cache.
     Read(Vec<u64>),
-    /// Let time pass so in-flight invalidations are delivered.
+    /// Let time pass (the payload, in virtual milliseconds) and deliver
+    /// every in-flight invalidation the link does not lose.
     Advance(u64),
 }
 
@@ -36,6 +38,11 @@ proptest! {
     /// Every committed read-only transaction of an unbounded T-Cache is
     /// serializable with the update history (checked with the exact
     /// serialization-graph oracle), even under 100% invalidation loss.
+    ///
+    /// The live plane delivers in wall-clock time, so the script keeps the
+    /// cache's delivery task paused and opens it only at `Advance` steps
+    /// (resume → quiesce → pause): invalidations land exactly there, the
+    /// run is a pure function of `(steps, loss, seed)`, and shrinking works.
     #[test]
     fn unbounded_tcache_is_cache_serializable(
         steps in prop::collection::vec(arb_step(12), 1..60),
@@ -47,13 +54,16 @@ proptest! {
             .unbounded_dependencies()
             .strategy(CacheStrategy::Abort)
             .invalidation_loss(loss)
-            .invalidation_delay_millis(20)
             .seed(seed)
             .build();
         system.populate((0..objects).map(|i| (ObjectId(i), Value::new(0))));
+        system.pause_cache(CacheId(0)).unwrap();
 
         let mut sgt = SerializationGraph::new();
         let mut next_ro = 1_000_000u64;
+        // Invalidations the link had been offered as of the last `Advance`.
+        let mut landed = 0u64;
+        let offered = || system.stats().per_cache[0].delivery.offered;
         for step in steps {
             match step {
                 Step::Update(ids) => {
@@ -78,6 +88,7 @@ proptest! {
                 }
                 Step::Read(ids) => {
                     let ids: Vec<ObjectId> = ids.into_iter().map(ObjectId).collect();
+                    prop_assert_eq!(offered(), landed, "invalidations land only at Advance steps");
                     match system.read_transaction(&ids).unwrap() {
                         ReadOutcome::Committed(values) => {
                             next_ro += 1;
@@ -96,6 +107,10 @@ proptest! {
                 }
                 Step::Advance(ms) => {
                     system.advance_time(SimDuration::from_millis(ms));
+                    system.resume_cache(CacheId(0)).unwrap();
+                    prop_assert!(system.quiesce(Duration::from_secs(10)).unwrap());
+                    system.pause_cache(CacheId(0)).unwrap();
+                    landed = offered();
                 }
             }
         }

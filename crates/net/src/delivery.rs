@@ -8,8 +8,7 @@
 //! and the cache's reactor task draws the drop decision and sleeps the
 //! sampled delay ([`TimerHandle::sleep_model`]) before applying — the link
 //! is modeled at the *receiving* end, where a real deployment's network
-//! and kernel queues live. This replaces the old `LiveSender` design that
-//! drew loss decisions inline on the publishing thread.
+//! and kernel queues live, never inline on the publishing thread.
 //!
 //! Reproducibility follows the repo-wide convention: the loss RNG is
 //! seeded from `(run_seed, CacheId)` with

@@ -14,9 +14,10 @@
 //! * [`latency`] — delay models (constant, uniform, exponential);
 //! * [`channel`] — a discrete-event delivery queue combining a loss model,
 //!   a latency model and an optional pipe capacity with overflow policy,
-//!   used by the simulation harness;
-//! * [`fanout`] — one channel per edge cache, independently seeded from
-//!   `(run_seed, CacheId)`, for multi-cache deployments;
+//!   used only by `tcache-sim`'s discrete-event plane;
+//! * [`fanout`] — one such channel per edge cache, independently seeded
+//!   from `(run_seed, CacheId)` (likewise `tcache-sim` only: a
+//!   `TCacheSystem` never routes through it);
 //! * [`pipe`] — bounded MPSC pipes with explicit overflow policies
 //!   (`Block` / `DropNewest` / `DropOldest`) and per-pipe counters, the
 //!   building block of the live invalidation plane;
@@ -25,9 +26,11 @@
 //!   in one event loop;
 //! * [`delivery`] — the live plane's link model: per-cache reactor tasks
 //!   applying the same loss / latency models in wall-clock time, with
-//!   seeds derived from `(run_seed, CacheId)`;
-//! * [`transport`] — a reliable live queue over [`pipe`] for the prototype
-//!   mode (the link's unreliability lives in [`delivery`]).
+//!   seeds derived from `(run_seed, CacheId)`.
+//!
+//! [`pipe`] + [`reactor`] + [`delivery`] are the one live plane (wired up by
+//! the `tcache` facade's `transport` module); the publisher's
+//! `PipeSender::send_batch` is the only send path into it.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -40,7 +43,6 @@ pub mod fault;
 pub mod latency;
 pub mod pipe;
 pub mod reactor;
-pub mod transport;
 
 pub use channel::{InvalidationChannel, PendingDelivery};
 pub use delivery::{run_delivery, DeliveryCounters, DeliveryModel, DeliveryStatsSnapshot, DeliveryTask};
@@ -52,4 +54,3 @@ pub use pipe::{
     SendOutcome, UNBOUNDED,
 };
 pub use reactor::{Reactor, ReactorHandle, ReactorStats, TaskId, TimerHandle};
-pub use transport::{live_channel, live_channel_with, LiveReceiver, LiveSender};

@@ -881,7 +881,16 @@ mod tests {
     #[test]
     fn send_batch_crosses_capacity_windows_under_block() {
         let (tx, rx) = bounded_pipe::<u64>(4, OverflowPolicy::Block);
-        let handle = std::thread::spawn(move || tx.send_batch(0..64));
+        let handle = std::thread::spawn({
+            let tx = tx.clone();
+            move || tx.send_batch(0..64)
+        });
+        // Start draining only once the batch has filled the pipe and parked,
+        // so `stalled` does not depend on who wins the race.
+        while tx.stats().stalled_sends == 0 {
+            std::thread::yield_now();
+        }
+        drop(tx);
         let mut got = Vec::new();
         while got.len() < 64 {
             got.push(rx.recv().expect("sender alive until batch done"));

@@ -1,8 +1,7 @@
 //! The live execution plane: the same experiment on the real stack.
 //!
 //! Instead of simulating components in virtual time, this plane builds a
-//! real `TCacheSystem` — reactor transport, modeled delivery — and drives
-//! it with real threads:
+//! real `TCacheSystem` and drives it with real threads:
 //!
 //! * the **driver thread** walks the schedule, committing every update
 //!   transaction against the backend database; the database's §IV upcalls
@@ -36,7 +35,7 @@ use crate::timeseries::TimeSeries;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tcache::{DeliveryMode, SystemBuilder, TCacheSystem, TransportMode};
+use tcache::{SystemBuilder, TCacheSystem};
 use tcache_cache::{CacheStatsSnapshot, ObservedVec, ReadMode};
 use tcache_monitor::{BatchedIngest, ConsistencyMonitor, ReadPhase};
 use tcache_net::delivery::DeliveryModel;
@@ -88,8 +87,6 @@ pub(crate) fn run(config: ExperimentConfig, options: LiveOptions) -> ExperimentR
         .collect();
     let mut builder = SystemBuilder::new()
         .cache_policy(policy)
-        .transport(TransportMode::Reactor)
-        .delivery(DeliveryMode::Modeled)
         .delivery_models(models)
         .overflow_policy(config.overflow_policy)
         .recovery_policy(config.recovery)
@@ -225,7 +222,7 @@ pub(crate) fn run(config: ExperimentConfig, options: LiveOptions) -> ExperimentR
                     // lockstep plane exists to provide, so it is fatal.
                     let settled = system
                         .quiesce(LOCKSTEP_QUIESCE_TIMEOUT)
-                        .expect("reactor transport supports quiesce");
+                        .expect("quiesce never errs");
                     assert!(
                         settled,
                         "lockstep quiesce timed out after an update commit; \
@@ -271,7 +268,7 @@ pub(crate) fn run(config: ExperimentConfig, options: LiveOptions) -> ExperimentR
     // determinism); a free-running run just reports what settled.
     let settled = system
         .quiesce(LOCKSTEP_QUIESCE_TIMEOUT)
-        .expect("reactor transport supports quiesce");
+        .expect("quiesce never errs");
     assert!(
         !lockstep || settled,
         "lockstep final quiesce timed out; statistics would be incomplete"
@@ -430,7 +427,7 @@ fn apply_fault(system: &TCacheSystem, event: &FaultEvent) {
         FaultKind::PartitionEnd => system.heal_cache(cache),
         FaultKind::DelaySpike(extra) => system.set_cache_extra_delay(cache, extra),
     }
-    .expect("fault plan names a deployed cache on a reactor transport");
+    .expect("fault plan names a deployed cache");
 }
 
 /// Applies one pause/resume churn event through the system's pausable
@@ -455,7 +452,7 @@ fn apply_pause(system: &TCacheSystem, event: &ChurnEvent, lockstep: bool) {
             if lockstep {
                 let settled = system
                     .quiesce(LOCKSTEP_QUIESCE_TIMEOUT)
-                    .expect("reactor transport supports quiesce");
+                    .expect("quiesce never errs");
                 assert!(
                     settled,
                     "lockstep quiesce timed out draining a resumed cache's backlog"

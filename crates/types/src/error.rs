@@ -39,17 +39,9 @@ pub enum TCacheError {
     /// The cache is configured without a backing database connection and a
     /// miss cannot be served.
     NoBackend,
-    /// The operation needs a transport capability the system was not built
-    /// with (e.g. pausing a reactor apply task on a threaded-transport
-    /// system). Distinct from [`TCacheError::UnknownCache`]: the cache may
-    /// well be deployed — the *transport* cannot perform the operation.
-    UnsupportedTransport {
-        /// The operation that was requested.
-        operation: &'static str,
-    },
-    /// The cache is deployed and the transport supports the operation, but
-    /// the cache's lifecycle state forbids it (e.g. resuming a cache that
-    /// was never paused, or pausing one that has crashed).
+    /// The cache is deployed, but its lifecycle state forbids the operation
+    /// (e.g. resuming a cache that was never paused, or pausing one that
+    /// has crashed).
     InvalidCacheState {
         /// The cache the operation addressed.
         cache: CacheId,
@@ -101,9 +93,6 @@ impl fmt::Display for TCacheError {
             TCacheError::UnknownCache(c) => write!(f, "unknown cache server {c}"),
             TCacheError::InvalidOperation(msg) => write!(f, "invalid operation: {msg}"),
             TCacheError::NoBackend => write!(f, "cache has no backend database configured"),
-            TCacheError::UnsupportedTransport { operation } => {
-                write!(f, "transport does not support {operation}")
-            }
             TCacheError::InvalidCacheState {
                 cache,
                 operation,
@@ -140,10 +129,6 @@ mod tests {
         assert!(TCacheError::UnknownTransaction(TxnId(5)).to_string().contains("t5"));
         assert!(TCacheError::UnknownCache(CacheId(3)).to_string().contains("cache3"));
         assert!(TCacheError::InvalidOperation("x").to_string().contains("x"));
-        let e = TCacheError::UnsupportedTransport {
-            operation: "pause_cache",
-        };
-        assert!(e.to_string().contains("pause_cache"));
         let e = TCacheError::InvalidCacheState {
             cache: CacheId(2),
             operation: "resume",

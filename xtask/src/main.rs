@@ -4,8 +4,8 @@
 //! rules sharing one line scanner:
 //!
 //! * **lock-across-send** — a lock guard held across
-//!   `send`/`try_send`/publish/upcall calls, the deadlock class the
-//!   `LiveSender` rework (PR 2) removed from the delivery plane: a thread
+//!   `send`/`try_send`/publish/upcall calls, the deadlock class PR 2
+//!   removed from the delivery plane's publish path: a thread
 //!   blocking on a bounded channel while holding a lock that the draining
 //!   thread needs is a classic distributed-cache stall, and clippy has no
 //!   lint for it.
