@@ -18,10 +18,12 @@
 //! backend database, one or more edge caches, an unreliable asynchronous
 //! invalidation channel per cache) that a downstream user can embed directly
 //! or use to explore the protocol. There is one live invalidation plane
-//! ([`transport`]): commits publish into per-cache bounded pipes and one
-//! reactor thread delivers, applying each cache's loss / latency model in
-//! wall-clock time — a read can race an invalidation exactly as at a real
-//! edge, and [`TCacheSystem::quiesce`] waits in-flight deliveries out. Cache serializability is a per-cache
+//! ([`transport`]): commits offer their invalidations to per-cache links,
+//! each applying its cache's loss / latency model in wall-clock time — on
+//! the committing thread when the link has nothing to wait for, otherwise
+//! through a bounded pipe to one reactor thread, so a read can race an
+//! invalidation exactly as at a real edge — and [`TCacheSystem::quiesce`]
+//! waits in-flight deliveries out. Cache serializability is a per-cache
 //! property, so a multi-cache system gives every cache its own
 //! independently seeded, independently lossy channel —
 //! `SystemBuilder::cache_loss_rates(vec![0.0, 0.2, 0.4])` deploys three

@@ -25,13 +25,15 @@ pub type ReadOutcome = ReadOnlyOutcome;
 /// The system owns a backend [`Database`], one or more [`EdgeCache`]s and an
 /// asynchronous invalidation channel per cache (cache serializability is a
 /// per-cache-server property, so every cache has its own independently
-/// seeded, independently lossy pipe from the database). Every commit's
-/// invalidations enter those pipes on the committing thread and one reactor
-/// thread delivers them — dropping and delaying per each cache's link model
-/// in wall-clock time — so a read can genuinely race an invalidation, as in
-/// a real deployment; [`TCacheSystem::quiesce`] waits the in-flight ones
-/// out. The virtual clock only stamps operations (every operation advances
-/// it by a small tick); it delivers nothing.
+/// seeded, independently lossy link from the database). Every commit's
+/// invalidations are offered to those links on the committing thread. A
+/// link drops and delays per its cache's model in wall-clock time: one
+/// reactor thread delivers whatever has a delay, a pause or a backlog to
+/// wait behind — so a read can genuinely race an invalidation, as in a real
+/// deployment — and a link with nothing to wait for applies the batch
+/// before the commit returns; [`TCacheSystem::quiesce`] waits the in-flight
+/// ones out. The virtual clock only stamps operations (every operation
+/// advances it by a small tick); it delivers nothing.
 ///
 /// Read-only transactions address a specific cache via
 /// [`TCacheSystem::read_transaction_on`]; the id-less methods serve the
@@ -131,11 +133,10 @@ impl TCacheSystem {
             &parents,
         );
         // Wire the database's commit-path upcall (§IV) straight into each
-        // *root* cache's delivery pipe. The reactor task on the other end
-        // applies the cache's loss / latency models; in the two-tier
-        // topology it also relays what it applies into its children's
-        // pipes, so leaves never appear in the publisher's fan-out list at
-        // all.
+        // *root* cache's link, which applies the cache's loss / latency
+        // models; in the two-tier topology it also relays what it applies
+        // to its children's links, so leaves never appear in the
+        // publisher's fan-out list at all.
         for (index, cache) in caches.iter().enumerate() {
             if parents[index].is_some() {
                 continue;
@@ -143,8 +144,7 @@ impl TCacheSystem {
             db.register_reporting_invalidation_upcall(
                 cache.id(),
                 modeled_delivery_sink(
-                    cache.id(),
-                    reactor.sender(index),
+                    reactor.link(index),
                     reactor.severed_flag(index),
                     wiring.retry,
                 ),
@@ -413,18 +413,20 @@ impl TCacheSystem {
         Some(self.reactor.reactor_stats())
     }
 
-    /// Invalidations applied by one cache's reactor task so far (`None` for
-    /// an unknown cache).
+    /// Invalidations the live plane has applied to one cache so far, on the
+    /// reactor thread or a committing one (`None` for an unknown cache).
     pub fn reactor_applied(&self, cache: CacheId) -> Option<u64> {
         self.cache_index(cache)
             .ok()
-            .map(|index| self.reactor.applied(index))
+            .map(|index| self.reactor.delivery_stats(index).delivered)
     }
 
     /// Executes an update transaction that reads and rewrites every object
     /// in `objects` (bumping its numeric payload), returning the version the
-    /// transaction installed. The commit itself publishes the invalidations
-    /// into every cache's pipe; they are delivered asynchronously.
+    /// transaction installed. The commit itself offers the invalidations to
+    /// every cache's link; they are delivered asynchronously, or before
+    /// `update` returns when the link has nothing to wait for; only
+    /// [`TCacheSystem::quiesce`] tells a caller they have all landed.
     ///
     /// # Errors
     /// Returns an error if any object is unknown or the database aborts the
@@ -597,6 +599,18 @@ impl TCacheSystem {
     }
 }
 
+impl Drop for TCacheSystem {
+    /// Unregisters every cache's upcall. Each sink owns its cache's link,
+    /// whose apply owns the cache, whose backend is the database that owns
+    /// the sink — a reference cycle that would otherwise keep the database,
+    /// the caches and everything they hold alive for good.
+    fn drop(&mut self) {
+        for cache in &self.caches {
+            self.db.unregister_invalidation_upcall(cache.id());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use crate::builder::SystemBuilder;
@@ -643,6 +657,18 @@ mod tests {
         assert!(system.stats().db.updates_committed >= 1);
         assert!(system.now() > tcache_types::SimTime::ZERO);
         assert_eq!(system.cache_count(), 1);
+    }
+
+    #[test]
+    fn dropping_the_system_frees_the_database_and_the_caches() {
+        // Sink → link → apply closure → cache → database → sinks is a
+        // reference cycle; the system's `Drop` must break it.
+        let system = multi_system(&[0.0, 0.2]);
+        let db = std::sync::Arc::downgrade(system.database());
+        system.update(&[ObjectId(1)]).unwrap();
+        assert!(system.quiesce(SETTLE).unwrap());
+        drop(system);
+        assert!(db.upgrade().is_none(), "the dropped system leaked its database");
     }
 
     #[test]

@@ -3,16 +3,18 @@
 //! [`TCacheSystem`]: crate::system::TCacheSystem
 //!
 //! A system moves invalidations exactly one way, the paper's (§II, §IV):
-//! the database's commit-path upcalls (`modeled_delivery_sink`) push each
-//! committed batch into every root cache's bounded
-//! [`pipe`](tcache_net::pipe), and a *single* reactor thread
-//! ([`tcache_net::reactor`]) multiplexes all N per-cache delivery tasks
-//! ([`tcache_net::delivery`]), each applying its cache's seeded loss /
-//! latency models in wall-clock time before the invalidation reaches the
-//! cache. The pipe capacity bounds how far a slow cache can back up, and
-//! the overflow policy decides what that backlog costs: blocked commits
-//! ([`OverflowPolicy::Block`]) or bounded staleness
-//! ([`OverflowPolicy::DropOldest`] / [`OverflowPolicy::DropNewest`]).
+//! the database's commit-path upcalls (`modeled_delivery_sink`) offer each
+//! committed batch to every root cache's [`Link`], which applies the
+//! cache's seeded loss / latency models in wall-clock time before the
+//! invalidation reaches the cache. A link with nothing to wait for serves
+//! the batch on the committing thread ([`Link::offer`]); everything else
+//! goes through the cache's bounded [`pipe`](tcache_net::pipe) to a
+//! *single* reactor thread ([`tcache_net::reactor`]) multiplexing all N
+//! per-cache delivery tasks ([`tcache_net::delivery`]). The pipe capacity
+//! bounds how far a slow cache can back up, and the overflow policy decides
+//! what that backlog costs: blocked commits ([`OverflowPolicy::Block`]) or
+//! bounded staleness ([`OverflowPolicy::DropOldest`] /
+//! [`OverflowPolicy::DropNewest`]).
 //!
 //! No virtual clock is involved in delivery. The deterministic
 //! virtual-time plane lives in `tcache-sim` (`plane::discrete`), which
@@ -25,13 +27,12 @@ use std::time::{Duration, Instant};
 use tcache_cache::EdgeCache;
 use tcache_db::Invalidation;
 use tcache_net::delivery::{
-    run_delivery, DeliveryCounters, DeliveryModel, DeliveryStatsSnapshot, DeliveryTask,
+    DeliveryCounters, DeliveryModel, DeliveryStatsSnapshot, DeliveryTask, Link,
     DEFAULT_BATCH_BUDGET,
 };
-use tcache_net::pipe::{bounded_pipe, OverflowPolicy, PipeSender, PipeStatsSnapshot};
+use tcache_net::pipe::{bounded_pipe, OverflowPolicy, PipeStatsSnapshot};
 use tcache_net::reactor::{Reactor, ReactorHandle, ReactorStats};
 use tcache_types::seeding::{cache_channel_seed, cache_delay_seed};
-use tcache_types::CacheId;
 
 /// The transport a [`TCacheSystem`](crate::system::TCacheSystem) runs on.
 /// There is one; the enum survives only because `benchmark/src/spec.rs`
@@ -59,26 +60,24 @@ pub enum DeliveryMode {
 }
 
 /// One reactor thread hosting every cache's invalidation-delivery task, fed
-/// by per-cache bounded pipes. Each task runs its cache's loss / latency
-/// models ([`tcache_net::delivery`]) and applies what survives.
+/// by per-cache bounded pipes. Each cache's [`Link`] runs its loss / latency
+/// models ([`tcache_net::delivery`]) and applies what survives — on that
+/// thread, or on the thread that offered the batch.
 pub(crate) struct ReactorPlane {
-    pipes: Vec<PipeSender<Invalidation>>,
-    /// Per-cache delivery counters (offered / dropped / delivered / delay).
-    counters: Vec<Arc<DeliveryCounters>>,
-    /// Per-cache pause flags: a paused task applies nothing further — up
-    /// to one already-drained batch ([`DEFAULT_BATCH_BUDGET`] messages; the
-    /// task checks the flag per message *after* the batch drain) is held
-    /// in limbo while the rest of the backlog stays in the pipe —
-    /// modelling a slow or wedged edge cache.
-    paused: Vec<Arc<AtomicBool>>,
+    /// Per-cache links: each owns its cache's pipe, delivery counters,
+    /// pause flag and delay-spike surcharge (the live half of
+    /// `FaultKind::DelaySpike`). A paused link is never handed off to and
+    /// its task applies nothing further — up to one already-drained batch
+    /// ([`DEFAULT_BATCH_BUDGET`] messages; the task checks the flag per
+    /// message *after* the batch drain) is held in limbo while the rest of
+    /// the backlog stays in the pipe — modelling a slow or wedged edge
+    /// cache.
+    links: Vec<Arc<Link<Invalidation>>>,
     /// Per-cache severed flags (crash / partition): a severed cache's link
-    /// discards publishes instead of enqueuing them, so a crashed cache
+    /// discards publishes instead of being offered them, so a crashed cache
     /// behind a full `Block` pipe can never wedge the publishing thread —
     /// the fault plane's invariant that lets `quiesce` always settle.
     severed: Vec<Arc<AtomicBool>>,
-    /// Per-cache delay surcharge (microseconds) added on top of each
-    /// task's modeled latency — the live half of `FaultKind::DelaySpike`.
-    extra_delays: Vec<Arc<AtomicU64>>,
     handle: ReactorHandle,
     thread: Option<std::thread::JoinHandle<()>>,
     /// Quiesce waits that timed out before the reactor settled.
@@ -93,28 +92,32 @@ pub(crate) struct ReactorPlane {
 impl std::fmt::Debug for ReactorPlane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReactorPlane")
-            .field("caches", &self.pipes.len())
+            .field("caches", &self.links.len())
             .finish_non_exhaustive()
     }
 }
 
 impl ReactorPlane {
-    /// Builds the plane: one pipe + one delivery task per cache, all tasks
-    /// multiplexed on a single spawned reactor thread. `models[i]` is the
-    /// link model cache `i`'s task applies; the task's loss and delay RNG
-    /// streams are derived from `(run_seed, CacheId)`.
+    /// Builds the plane: one link (pipe + delivery task) per cache, all
+    /// tasks multiplexed on a single spawned reactor thread. `models[i]` is
+    /// the link model of cache `i`; the link's loss and delay RNG streams
+    /// are derived from `(run_seed, CacheId)`.
     ///
     /// `parents[i]` turns the fan-out into a tree: when it names another
     /// cache index, cache `i` is a *leaf* subscribing through that regional
     /// parent — the database publishes only to root caches, and a parent's
-    /// delivery task relays every invalidation it applies into each
-    /// unsevered child's pipe, where the child's own seeded loss / latency
-    /// model takes over. Construction is two-pass (all pipes first, then
-    /// all tasks) precisely so a parent's closure can capture its
-    /// children's senders. Relays happen *before* the parent's task counts
-    /// the message as delivered, so [`ReactorPlane::quiesce`] can never
-    /// settle with a relay still in flight. A severed parent silences its
-    /// whole subtree; a severed leaf only itself.
+    /// apply relays every invalidation it applies to each unsevered child's
+    /// link, where the child's own seeded loss / latency model takes over.
+    /// Links are built leaves first precisely so a parent's apply closure
+    /// can capture its children's. Relays happen *before* the parent's link
+    /// counts the message as delivered, so [`ReactorPlane::quiesce`] can
+    /// never settle with a relay still in flight. A severed parent silences
+    /// its whole subtree; a severed leaf only itself.
+    ///
+    /// A relay is a nested [`Link::offer`]: a root served on the committing
+    /// thread relays under its own pipe lock, so locks nest parent pipe →
+    /// child pipe, never the reverse (the tree is one level deep and a leaf
+    /// relays nowhere).
     pub(crate) fn new(
         caches: &[Arc<EdgeCache>],
         capacity: usize,
@@ -128,50 +131,42 @@ impl ReactorPlane {
         let mut reactor = Reactor::new();
         let timer = reactor.timer();
         let relay_overflows = Arc::new(AtomicU64::new(0));
-        // Pass 1: create every pipe and flag so parent tasks can capture
-        // their children's senders and severed flags in pass 2.
-        let mut pipes = Vec::with_capacity(caches.len());
-        let mut receivers = Vec::with_capacity(caches.len());
-        let mut counters = Vec::with_capacity(caches.len());
-        let mut paused = Vec::with_capacity(caches.len());
-        let mut severed = Vec::with_capacity(caches.len());
-        let mut extra_delays = Vec::with_capacity(caches.len());
-        for _ in caches {
-            let (tx, rx) = bounded_pipe::<Invalidation>(capacity, policy);
-            pipes.push(tx);
-            receivers.push(rx);
-            counters.push(Arc::new(DeliveryCounters::default()));
-            paused.push(Arc::new(AtomicBool::new(false)));
-            severed.push(Arc::new(AtomicBool::new(false)));
-            extra_delays.push(Arc::new(AtomicU64::new(0)));
-        }
-        // Pass 2: spawn one delivery task per cache; a parent's apply
-        // callback also relays into its children's pipes.
-        for (index, (cache, rx)) in caches.iter().zip(receivers).enumerate() {
-            let children: Vec<(PipeSender<Invalidation>, Arc<AtomicBool>)> = parents
+        let severed: Vec<Arc<AtomicBool>> = caches
+            .iter()
+            .map(|_| Arc::new(AtomicBool::new(false)))
+            .collect();
+        let mut links: Vec<Option<Arc<Link<Invalidation>>>> = vec![None; caches.len()];
+        let leaves_then_roots = (0..caches.len())
+            .filter(|&i| parents[i].is_some())
+            .chain((0..caches.len()).filter(|&i| parents[i].is_none()));
+        for index in leaves_then_roots {
+            let children: Vec<(Arc<Link<Invalidation>>, Arc<AtomicBool>)> = parents
                 .iter()
                 .enumerate()
                 .filter(|(_, parent)| **parent == Some(index))
-                .map(|(child, _)| (pipes[child].clone(), Arc::clone(&severed[child])))
+                .map(|(child, _)| {
+                    let link = links[child].clone().expect("leaves are built first");
+                    (link, Arc::clone(&severed[child]))
+                })
                 .collect();
+            let cache = Arc::clone(&caches[index]);
             let id = cache.id();
-            let task_cache = Arc::clone(cache);
-            let task_overflows = Arc::clone(&relay_overflows);
-            reactor.spawn(run_delivery(
-                rx,
-                timer.clone(),
+            let overflows = Arc::clone(&relay_overflows);
+            let (tx, rx) = bounded_pipe::<Invalidation>(capacity, policy);
+            let link = Link::new(
+                tx,
                 DeliveryTask {
                     model: models[index],
                     loss_seed: cache_channel_seed(run_seed, id),
                     delay_seed: cache_delay_seed(run_seed, id),
-                    counters: Arc::clone(&counters[index]),
-                    paused: Arc::clone(&paused[index]),
-                    extra_delay_micros: Arc::clone(&extra_delays[index]),
+                    counters: Arc::new(DeliveryCounters::default()),
+                    paused: Arc::new(AtomicBool::new(false)),
+                    extra_delay_micros: Arc::new(AtomicU64::new(0)),
                     batch_budget: DEFAULT_BATCH_BUDGET,
                 },
                 move |inv| {
-                    task_cache.apply_invalidation(inv);
-                    for (child_tx, child_severed) in &children {
+                    cache.apply_invalidation(inv);
+                    for (child, child_severed) in &children {
                         if child_severed.load(Ordering::Acquire) {
                             continue;
                         }
@@ -179,14 +174,15 @@ impl ReactorPlane {
                         // share the reactor thread, so waiting on a full
                         // Block pipe here would deadlock it. With the
                         // default unbounded capacity this never drops.
-                        if let Err(tcache_net::pipe::PipeSendError::Full(_)) =
-                            child_tx.try_send(inv)
-                        {
-                            task_overflows.fetch_add(1, Ordering::Relaxed);
+                        let relayed = child.offer([inv], false);
+                        if relayed.refused > 0 {
+                            overflows.fetch_add(relayed.refused, Ordering::Relaxed);
                         }
                     }
                 },
-            ));
+            );
+            reactor.spawn(link.deliver(rx, timer.clone()));
+            links[index] = Some(Arc::new(link));
         }
         let handle = reactor.handle();
         let thread = std::thread::Builder::new()
@@ -194,11 +190,11 @@ impl ReactorPlane {
             .spawn(move || reactor.run())
             .expect("spawn reactor thread");
         ReactorPlane {
-            pipes,
-            counters,
-            paused,
+            links: links
+                .into_iter()
+                .map(|link| link.expect("every cache is a leaf or a root"))
+                .collect(),
             severed,
-            extra_delays,
             handle,
             thread: Some(thread),
             quiesce_timeouts: AtomicU64::new(0),
@@ -206,14 +202,14 @@ impl ReactorPlane {
         }
     }
 
-    /// A clone of `cache_index`'s pipe sender, for wiring the database's
-    /// invalidation upcall straight into the cache's delivery task.
-    pub(crate) fn sender(&self, cache_index: usize) -> PipeSender<Invalidation> {
-        self.pipes[cache_index].clone()
+    /// `cache_index`'s link, for wiring the database's invalidation upcall
+    /// straight into it ([`modeled_delivery_sink`]).
+    pub(crate) fn link(&self, cache_index: usize) -> Arc<Link<Invalidation>> {
+        Arc::clone(&self.links[cache_index])
     }
 
-    /// Waits until every *unpaused* cache's pipe is drained and its task has
-    /// finished processing (paused caches keep their backlog by design).
+    /// Waits until every *unpaused* cache's pipe is drained and its link
+    /// has finished processing (paused caches keep their backlog by design).
     /// A message the task popped but is still sleeping a modeled delay on
     /// counts as unprocessed, so modeled in-flight delays are waited out.
     /// Returns `false` — and counts a quiesce timeout — on timeout.
@@ -221,13 +217,7 @@ impl ReactorPlane {
         let deadline = Instant::now() + timeout;
         let mut spins = 0u32;
         loop {
-            let settled = (0..self.pipes.len()).all(|i| {
-                self.paused[i].load(Ordering::Acquire) || {
-                    let pipe = &self.pipes[i];
-                    pipe.is_empty() && self.counters[i].processed() == pipe.stats().received
-                }
-            });
-            if settled {
+            if self.links.iter().all(|link| link.is_paused() || link.is_idle()) {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -249,14 +239,14 @@ impl ReactorPlane {
         }
     }
 
-    /// Pauses or resumes one cache's apply task.
+    /// Pauses or resumes one cache's link.
     pub(crate) fn set_paused(&self, cache_index: usize, paused: bool) {
-        self.paused[cache_index].store(paused, Ordering::Release);
+        self.links[cache_index].set_paused(paused);
     }
 
-    /// Whether a cache's apply task is currently paused.
+    /// Whether a cache's link is currently paused.
     pub(crate) fn is_paused(&self, cache_index: usize) -> bool {
-        self.paused[cache_index].load(Ordering::Acquire)
+        self.links[cache_index].is_paused()
     }
 
     /// Severs or restores one cache's invalidation link (crash/partition).
@@ -275,26 +265,21 @@ impl ReactorPlane {
         Arc::clone(&self.severed[cache_index])
     }
 
-    /// Sets the delay surcharge one cache's delivery task adds on top of
-    /// its modeled latency (a fault-plan delay spike; zero clears it).
+    /// Sets the delay surcharge one cache's link adds on top of its
+    /// modeled latency (a fault-plan delay spike; zero clears it).
     pub(crate) fn set_extra_delay(&self, cache_index: usize, extra: tcache_types::SimDuration) {
-        self.extra_delays[cache_index].store(extra.as_micros(), Ordering::Release);
+        self.links[cache_index].set_extra_delay(extra);
     }
 
     /// One cache's pipe counters.
     pub(crate) fn pipe_stats(&self, cache_index: usize) -> PipeStatsSnapshot {
-        self.pipes[cache_index].stats()
+        self.links[cache_index].pipe_stats()
     }
 
-    /// One cache's delivery-task counters (offered / dropped / delivered /
+    /// One cache's link-step counters (offered / dropped / delivered /
     /// modeled delay).
     pub(crate) fn delivery_stats(&self, cache_index: usize) -> DeliveryStatsSnapshot {
-        self.counters[cache_index].snapshot()
-    }
-
-    /// Invalidations applied by one cache's reactor task so far.
-    pub(crate) fn applied(&self, cache_index: usize) -> u64 {
-        self.counters[cache_index].snapshot().delivered
+        self.links[cache_index].delivery_stats()
     }
 
     /// Number of quiesce waits that timed out so far.
@@ -319,8 +304,8 @@ impl Drop for ReactorPlane {
     fn drop(&mut self) {
         // Unpause everything so no task sits in a pause-sleep loop, ask the
         // loop to exit, and reclaim the thread.
-        for flag in &self.paused {
-            flag.store(false, Ordering::Release);
+        for link in &self.links {
+            link.set_paused(false);
         }
         self.handle.shutdown();
         if let Some(thread) = self.thread.take() {
@@ -364,20 +349,24 @@ impl RetryPolicy {
     }
 }
 
-/// Builds the per-cache invalidation upcall sink that feeds `sender`'s
-/// pipe from the database's commit path: a published batch enters the pipe in one
-/// [`send_batch`](PipeSender::send_batch) — one pipe-lock acquisition and
-/// at most one wake-up per (commit, cache) while the pipe has room — with
-/// the pipe's overflow policy applied per invalidation exactly as single
-/// sends would, and the overflow / stall behaviour is reported back so the
-/// publisher can attribute what the commit paid. A batch published while `severed` is
-/// set (the cache crashed or partitioned) is retried per `retry` — the
-/// publisher waits out short disconnects — and discarded once the budget
-/// runs out, so a downed cache can never block the commit path. Used by
-/// the builder; `cache` only documents the wiring.
+/// Builds the per-cache invalidation upcall sink that offers every batch
+/// the database publishes to `link` ([`Link::offer`]): served on the
+/// committing thread when the link has nothing to wait for, otherwise
+/// entering the pipe in one [`send_batch`](tcache_net::pipe::PipeSender::send_batch)
+/// — one pipe-lock acquisition and at most one wake-up per (commit, cache)
+/// while the pipe has room — with the pipe's overflow policy applied per
+/// invalidation exactly as single sends would, and the overflow / stall
+/// behaviour is reported back so the publisher can attribute what the
+/// commit paid. A batch published while `severed` is set (the cache
+/// crashed or partitioned) is retried per `retry` — the publisher waits out
+/// short disconnects — and discarded once the budget runs out, so a downed
+/// cache can never block the commit path.
+///
+/// The sink owns the link, whose apply owns the cache, whose backend is the
+/// database that owns the sink: whoever registers it must unregister it
+/// (`TCacheSystem`'s `Drop` does) or all of them leak.
 pub(crate) fn modeled_delivery_sink(
-    _cache: CacheId,
-    sender: PipeSender<Invalidation>,
+    link: Arc<Link<Invalidation>>,
     severed: Arc<AtomicBool>,
     retry: RetryPolicy,
 ) -> tcache_db::ReportingSink {
@@ -406,7 +395,7 @@ pub(crate) fn modeled_delivery_sink(
         }
         // A disconnected pipe means the task is gone (shutdown); the
         // channel is best-effort, so dropping the rest is correct.
-        let sent = sender.send_batch(batch.iter().copied());
+        let sent = link.offer(batch.invalidations().iter().copied(), true);
         report.enqueued = sent.enqueued;
         report.overflowed = sent.overflowed;
         report.stalled = sent.stalled;
@@ -419,8 +408,28 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use tcache_db::{InvalidationBatch, ReportingSink, SinkReport};
-    use tcache_net::pipe::{PipeSendError, PipeStatsSnapshot};
+    use tcache_net::pipe::{PipeSendError, PipeSender, PipeStatsSnapshot};
     use tcache_types::{ObjectId, TxnId, Version};
+
+    /// A reliable zero-delay link over `tx` whose delivery task is never
+    /// spawned: the test keeps the receiving half and drains it by hand, so
+    /// the link is never handed off to and the sink's queue behaviour is
+    /// all there is to see.
+    fn untasked_link(tx: PipeSender<Invalidation>) -> Arc<Link<Invalidation>> {
+        Arc::new(Link::new(
+            tx,
+            DeliveryTask {
+                model: DeliveryModel::reliable(),
+                loss_seed: 0,
+                delay_seed: 0,
+                counters: Arc::new(DeliveryCounters::default()),
+                paused: Arc::new(AtomicBool::new(false)),
+                extra_delay_micros: Arc::new(AtomicU64::new(0)),
+                batch_budget: DEFAULT_BATCH_BUDGET,
+            },
+            |_| {},
+        ))
+    }
 
     /// The sink as it was before batching — one `try_send` per
     /// invalidation, falling back to a blocking `send` (and reporting the
@@ -513,8 +522,7 @@ mod tests {
             let (contents, stats, report) = publish_through(
                 |tx| {
                     modeled_delivery_sink(
-                        CacheId(0),
-                        tx,
+                        untasked_link(tx),
                         Arc::new(AtomicBool::new(false)),
                         RetryPolicy::default(),
                     )
@@ -564,8 +572,7 @@ mod tests {
         let (tx, rx) = bounded_pipe::<Invalidation>(8, OverflowPolicy::Block);
         let severed = Arc::new(AtomicBool::new(true));
         let sink = modeled_delivery_sink(
-            CacheId(0),
-            tx,
+            untasked_link(tx),
             Arc::clone(&severed),
             RetryPolicy::default(),
         );
@@ -591,7 +598,7 @@ mod tests {
             base: Duration::from_micros(200),
             cap: Duration::from_millis(1),
         };
-        let sink = modeled_delivery_sink(CacheId(0), tx, Arc::clone(&severed), retry);
+        let sink = modeled_delivery_sink(untasked_link(tx), Arc::clone(&severed), retry);
         // Heal the link from another thread while the publisher backs off.
         let healer = {
             let severed = Arc::clone(&severed);
@@ -625,7 +632,7 @@ mod tests {
             base: Duration::from_micros(10),
             cap: Duration::from_micros(20),
         };
-        let sink = modeled_delivery_sink(CacheId(0), tx, severed, retry);
+        let sink = modeled_delivery_sink(untasked_link(tx), severed, retry);
         let batch = tcache_db::InvalidationBatch::new(vec![
             Invalidation::new(
                 tcache_types::ObjectId(1),

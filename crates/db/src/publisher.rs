@@ -231,9 +231,10 @@ impl InvalidationPublisher {
     ///
     /// The clock is read once before the first sink and once after each
     /// (N + 1 reads for N caches): a cache's `publish_nanos` runs from the
-    /// previous cache's reading to its own, taken after its sink has
-    /// enqueued the batch and fired the wake-up, so a cache's bookkeeping
-    /// never sits in front of its own invalidations.
+    /// previous cache's reading to its own, taken after its sink is done
+    /// with the batch — applied it on this thread, or enqueued it and fired
+    /// the wake-up — so a cache's bookkeeping never sits in front of its own
+    /// invalidations.
     pub fn publish(&self, batch: &InvalidationBatch) {
         if batch.is_empty() {
             return;

@@ -18,7 +18,7 @@
 //!    mismatch).
 
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tcache_db::{ReadPath, VersionedStore};
 use tcache_types::{seeding, DependencyList, ObjectId, TxnId, Value, Version};
@@ -263,13 +263,17 @@ fn reader_racing_writer_never_observes_torn_entry() {
     store.insert_initial(ObjectId(0), Value::new(0));
 
     let done = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..3)
-        .map(|_| {
+    // One snapshot count per reader, visible to the writer: whether the
+    // readers raced it must not depend on how the threads were scheduled.
+    let snapshots: Vec<Arc<AtomicU64>> = (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect();
+    let readers: Vec<_> = snapshots
+        .iter()
+        .map(|snapshots| {
             let store = Arc::clone(&store);
             let done = Arc::clone(&done);
+            let snapshots = Arc::clone(snapshots);
             std::thread::spawn(move || {
                 let mut floor = Version::INITIAL;
-                let mut snapshots = 0u64;
                 while !done.load(Ordering::Relaxed) {
                     let entry = store.get(ObjectId(0)).expect("populated");
                     // Value and dependency list must match the version: a
@@ -277,23 +281,42 @@ fn reader_racing_writer_never_observes_torn_entry() {
                     assert_untorn(&entry, 0);
                     assert!(entry.version >= floor, "version went backwards");
                     floor = entry.version;
-                    snapshots += 1;
+                    snapshots.fetch_add(1, Ordering::Relaxed);
                 }
-                snapshots
+                snapshots.load(Ordering::Relaxed)
             })
         })
         .collect();
 
-    for v in 1..=INSTALLS {
-        let (value, deps) = install_payload(0, v);
+    // The writer starts once every reader has taken its first snapshot and
+    // keeps installing until each has taken a few more under it.
+    const RACED: u64 = 4;
+    while snapshots.iter().any(|s| s.load(Ordering::Relaxed) == 0) {
+        std::thread::yield_now();
+    }
+    let at_start: Vec<u64> = snapshots.iter().map(|s| s.load(Ordering::Relaxed)).collect();
+    let all_raced = || {
+        snapshots
+            .iter()
+            .zip(&at_start)
+            .all(|(s, &start)| s.load(Ordering::Relaxed) >= start + RACED)
+    };
+    let mut installed = 0u64;
+    while installed < INSTALLS || !all_raced() {
+        installed += 1;
+        let (value, deps) = install_payload(0, installed);
         store
-            .install(ObjectId(0), value, Version(v), deps, TxnId(v))
+            .install(ObjectId(0), value, Version(installed), deps, TxnId(installed))
             .unwrap();
+        if installed > INSTALLS {
+            // Only a starved reader is missing: give it the core.
+            std::thread::yield_now();
+        }
     }
     done.store(true, Ordering::Relaxed);
     let total: u64 = readers.into_iter().map(|h| h.join().expect("no torn read")).sum();
-    assert!(total > 0, "readers actually raced the writer");
-    assert_eq!(store.get(ObjectId(0)).unwrap().version, Version(INSTALLS));
+    assert!(total >= 3 * (1 + RACED), "readers actually raced the writer");
+    assert_eq!(store.get(ObjectId(0)).unwrap().version, Version(installed));
 
     let stats = store.read_path_stats();
     assert_eq!(

@@ -1,21 +1,34 @@
-//! In-reactor modeled delivery: the channel's loss and latency applied
-//! *inside* each cache's reactor apply task.
+//! Modeled delivery: the channel's loss and latency applied at the
+//! *receiving* end of each cache's link.
 //!
 //! The discrete-event plane models the unreliable invalidation link with
 //! [`crate::channel`], driven by a virtual clock. The live plane runs the
-//! same models in wall-clock time instead: the publisher enqueues every
-//! invalidation onto the cache's bounded [`pipe`](crate::pipe) unmodified,
-//! and the cache's reactor task draws the drop decision and sleeps the
-//! sampled delay ([`TimerHandle::sleep_model`]) before applying — the link
-//! is modeled at the *receiving* end, where a real deployment's network
-//! and kernel queues live, never inline on the publishing thread.
+//! same models in wall-clock time instead: the publisher offers every
+//! committed batch to the cache's [`Link`] unmodified, and the link — not
+//! the publisher — draws each message's drop decision, waits out its
+//! sampled delay and applies what survives, at the receiving end, where a
+//! real deployment's network and kernel queues live.
+//!
+//! A link serves its messages one of two ways, and [`Link::offer`] is the
+//! one place that chooses. A message that has something to wait for — a
+//! modeled delay, a delay spike, a paused cache, or simply earlier messages
+//! still queued or in the task's hands — goes through the cache's bounded
+//! [`pipe`](crate::pipe) to the cache's reactor task, which sleeps the
+//! delay on the reactor's timer ([`TimerHandle::sleep_sim`]). A batch
+//! with nothing to wait for is served on the offering thread itself, inside
+//! [`PipeSender::hand_off`]: a link modeled as zero-delay then delivers
+//! with zero lag rather than with a thread hand-over's. Both run the same
+//! link step over the same state, so which thread served a message shows
+//! in [`PipeStatsSnapshot::direct`] and nowhere else.
 //!
 //! Reproducibility follows the repo-wide convention: the loss RNG is
 //! seeded from `(run_seed, CacheId)` with
 //! [`tcache_types::seeding::cache_channel_seed`] — the same stream the
 //! discrete-event channel uses — and the latency RNG gets its own disjoint
 //! stream ([`tcache_types::seeding::cache_delay_seed`]), so delay sampling
-//! never perturbs the drop pattern. With a latency model that draws no
+//! never perturbs the drop pattern. The loss stream lives in the link, not
+//! in the task: the k-th message offered to a cache consumes the k-th draw
+//! whichever thread serves it. With a latency model that draws no
 //! randomness (the constant model), the messages a cache loses are
 //! bit-identical across both execution planes and invariant to how many
 //! caches are deployed.
@@ -29,17 +42,18 @@
 
 use crate::fault::{LossModel, LossState};
 use crate::latency::LatencyModel;
-use crate::pipe::PipeReceiver;
+use crate::pipe::{BatchOutcome, PipeReceiver, PipeSender, PipeStatsSnapshot};
 use crate::reactor::TimerHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::future::Future;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use tcache_types::SimDuration;
 
-/// The unreliable-link model one live delivery task applies: every message
-/// popped from the pipe is independently dropped per `loss`, and survivors
-/// are applied only after a delay sampled from `latency`.
+/// The unreliable-link model one live link applies: every message offered
+/// to it is independently dropped per `loss`, and survivors are applied
+/// only after a delay sampled from `latency`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeliveryModel {
     /// Drop process of the link.
@@ -81,7 +95,8 @@ pub struct DeliveryCounters {
 /// A point-in-time copy of [`DeliveryCounters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeliveryStatsSnapshot {
-    /// Messages the task popped off its pipe.
+    /// Messages that reached the link step: popped off the pipe by the
+    /// task, or handed off to the offering thread.
     pub offered: u64,
     /// Messages the loss model dropped before application.
     pub dropped: u64,
@@ -187,39 +202,107 @@ pub const DEFAULT_BATCH_BUDGET: usize = 64;
 /// a [`Reactor`](crate::reactor::Reactor) — one task per cache, every task
 /// multiplexed on the same reactor thread.
 ///
+/// This is the delivery task of a bare pipe: every message reaches it
+/// through the queue. A [`Link`] runs the same loop ([`Link::deliver`]) and
+/// can also serve a batch on the offering thread.
+///
 /// Accounting counts every drained message individually: `offered` /
 /// `dropped` / `delivered` advance per message inside the batch, so the
 /// live plane's quiesce condition (`processed() == pipe received`) holds
 /// regardless of how the backlog was chunked into batches.
-pub async fn run_delivery<T, F>(rx: PipeReceiver<T>, timer: TimerHandle, task: DeliveryTask, mut apply: F)
+pub async fn run_delivery<T, F>(rx: PipeReceiver<T>, timer: TimerHandle, task: DeliveryTask, apply: F)
+where
+    F: FnMut(T),
+{
+    deliver(rx, timer, Arc::new(LinkStep::new(task)), apply).await;
+}
+
+/// The state one link's messages pass through, shared by the delivery task
+/// and — for a [`Link`] — the threads it hands batches off to.
+#[derive(Debug)]
+struct LinkStep {
+    task: DeliveryTask,
+    /// The loss process: model state plus the seeded RNG stream, advanced
+    /// once per message in the order the pipe carried them. Never
+    /// contended: a hand-off takes it under the pipe lock, which it only
+    /// gets while the task is waiting on its waker; the task takes it only
+    /// while holding a drained batch, when every hand-off is refused.
+    loss: Mutex<(LossState, StdRng)>,
+    /// Constant-zero latency: the link samples nothing and sleeps nothing.
+    /// Gating on the mean would also swallow random models whose
+    /// integer-microsecond mean rounds to zero (e.g. Uniform { 0, 1 µs })
+    /// even though they are configured to delay.
+    zero_delay: bool,
+}
+
+impl LinkStep {
+    fn new(task: DeliveryTask) -> Self {
+        LinkStep {
+            loss: Mutex::new((
+                LossState::new(task.model.loss),
+                StdRng::seed_from_u64(task.loss_seed),
+            )),
+            zero_delay: task.model.latency == LatencyModel::Constant(SimDuration::ZERO),
+            task,
+        }
+    }
+
+    /// Whether a message offered now has nothing to wait for on this link:
+    /// no modeled delay, no delay spike, not paused.
+    fn is_instant(&self) -> bool {
+        self.zero_delay
+            && self.task.extra_delay_micros.load(Ordering::Acquire) == 0
+            && !self.task.paused.load(Ordering::Acquire)
+    }
+
+    /// The whole link step of an instant link, run on the calling thread
+    /// for a batch the pipe handed off: draw, count, apply.
+    fn serve_now<T>(&self, batch: impl Iterator<Item = T>, apply: impl Fn(T)) {
+        let counters = &self.task.counters;
+        let mut guard = self.loss.lock().expect("link loss state lock");
+        let (loss, rng) = &mut *guard;
+        for message in batch {
+            counters.offered.fetch_add(1, Ordering::Release);
+            if loss.should_drop(rng) {
+                counters.dropped.fetch_add(1, Ordering::Release);
+                continue;
+            }
+            apply(message);
+            counters.delivered.fetch_add(1, Ordering::Release);
+        }
+    }
+}
+
+/// The delivery loop behind [`run_delivery`] and [`Link::deliver`].
+async fn deliver<T, F>(rx: PipeReceiver<T>, timer: TimerHandle, step: Arc<LinkStep>, mut apply: F)
 where
     F: FnMut(T),
 {
     let DeliveryTask {
         model,
-        loss_seed,
         delay_seed,
         counters,
         paused,
         extra_delay_micros,
         batch_budget,
-    } = task;
-    let mut loss = LossState::new(model.loss);
-    let mut loss_rng = StdRng::seed_from_u64(loss_seed);
-    let mut delay_rng = StdRng::seed_from_u64(delay_seed);
-    // Only the constant-zero model skips sampling entirely: it draws no
-    // randomness and sleeps nothing. Gating on the mean would also swallow
-    // random models whose integer-microsecond mean rounds to zero (e.g.
-    // Uniform { 0, 1 µs }) even though they are configured to delay.
-    let zero_delay = model.latency == LatencyModel::Constant(SimDuration::ZERO);
-    let budget = batch_budget.max(1);
+        ..
+    } = &step.task;
+    let mut delay_rng = StdRng::seed_from_u64(*delay_seed);
+    let budget = (*batch_budget).max(1);
     let mut batch: Vec<T> = Vec::with_capacity(budget.min(1024));
+    let mut drops: Vec<bool> = Vec::with_capacity(budget.min(1024));
     loop {
         let drain = rx.recv_batch_async(&mut batch, budget).await;
         if drain.drained == 0 {
             return; // Every sender dropped and the pipe is drained.
         }
-        for message in batch.drain(..) {
+        // The whole batch's drop decisions in one hold, in pipe order.
+        {
+            let mut guard = step.loss.lock().expect("link loss state lock");
+            let (loss, rng) = &mut *guard;
+            drops.extend(batch.iter().map(|_| loss.should_drop(rng)));
+        }
+        for (message, dropped) in batch.drain(..).zip(drops.drain(..)) {
             // A paused cache applies nothing: drained messages are held
             // here (the rest of the backlog stays in the pipe, where the
             // overflow policy governs it) until resume. Polling keeps the
@@ -229,7 +312,7 @@ where
                 timer.sleep(std::time::Duration::from_millis(1)).await;
             }
             counters.offered.fetch_add(1, Ordering::Release);
-            if loss.should_drop(&mut loss_rng) {
+            if dropped {
                 counters.dropped.fetch_add(1, Ordering::Release);
                 continue;
             }
@@ -237,8 +320,8 @@ where
             // never perturbs the delay RNG stream (and the zero-delay fast
             // path draws nothing, exactly as without a spike).
             let extra = SimDuration::from_micros(extra_delay_micros.load(Ordering::Acquire));
-            if !zero_delay || extra > SimDuration::ZERO {
-                let delay = if zero_delay {
+            if !step.zero_delay || extra > SimDuration::ZERO {
+                let delay = if step.zero_delay {
                     extra
                 } else {
                     model.latency.sample(&mut delay_rng) + extra
@@ -259,6 +342,138 @@ where
             rx.note_budget_yield();
             crate::reactor::yield_now().await;
         }
+    }
+}
+
+/// One cache's modeled link: the sending half of its pipe, the link step
+/// and the `apply` at the far end — everything needed to serve a message
+/// on whichever thread [`Link::offer`] picks.
+pub struct Link<T> {
+    sender: PipeSender<T>,
+    step: Arc<LinkStep>,
+    apply: Arc<dyn Fn(T) + Send + Sync>,
+}
+
+impl<T> std::fmt::Debug for Link<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Link")
+            .field("sender", &self.sender)
+            .field("model", &self.step.task.model)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<T: Send + 'static> Link<T> {
+    /// A link sending through `sender`, modeled per `task` (see
+    /// [`DeliveryTask`]; the link owns the loss stream the task would),
+    /// applying what survives with `apply` — from the delivery task or from
+    /// an offering thread, hence `Fn + Sync`.
+    pub fn new(
+        sender: PipeSender<T>,
+        task: DeliveryTask,
+        apply: impl Fn(T) + Send + Sync + 'static,
+    ) -> Self {
+        Link {
+            sender,
+            step: Arc::new(LinkStep::new(task)),
+            apply: Arc::new(apply),
+        }
+    }
+
+    /// The link's delivery task, to spawn on the reactor `timer` belongs
+    /// to: [`run_delivery`]'s loop over this link's state. `rx` must be
+    /// the receiving half of the pipe the link sends through. The task runs
+    /// until every sender of that pipe — this link's included — is gone.
+    pub fn deliver(&self, rx: PipeReceiver<T>, timer: TimerHandle) -> impl Future<Output = ()> + Send + 'static {
+        let apply = Arc::clone(&self.apply);
+        deliver(rx, timer, Arc::clone(&self.step), move |message| apply(message))
+    }
+
+    /// Offers a committed batch to the link — the live plane's one entry
+    /// point for it.
+    ///
+    /// The batch is served on the calling thread (seeded loss draw,
+    /// counters, `apply`) when the link has nothing to wait for — constant
+    /// zero latency, no delay spike, not paused — *and* the pipe accepts
+    /// the hand-off ([`PipeSender::hand_off`]: receiver alive, queue empty,
+    /// delivery task waiting on its waker). Only the second condition
+    /// carries correctness — it is what keeps the link FIFO; the first
+    /// keeps messages that must wait on the reactor's timer. Otherwise the
+    /// batch is enqueued for the delivery task: with
+    /// [`PipeSender::send_batch`] if the caller may `wait` for a slot on a
+    /// full `Block` pipe, with [`PipeSender::try_send_batch`] if it may
+    /// not. A served batch reports as wholly `enqueued`.
+    ///
+    /// No clock is read and no reactor state consulted: the rule is the
+    /// same for the first commit after a lull and the millionth in a row.
+    pub fn offer<I>(&self, batch: I, wait: bool) -> BatchOutcome
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut batch = batch.into_iter();
+        if self.step.is_instant() {
+            let enqueued = batch.len() as u64;
+            match self
+                .sender
+                .hand_off(batch, |batch| self.step.serve_now(batch, &*self.apply))
+            {
+                Ok(()) => {
+                    return BatchOutcome {
+                        enqueued,
+                        ..BatchOutcome::default()
+                    }
+                }
+                Err(refused) => batch = refused,
+            }
+        }
+        if wait {
+            self.sender.send_batch(batch)
+        } else {
+            self.sender.try_send_batch(batch)
+        }
+    }
+
+    /// Holds (or releases) deliveries: a paused link is never handed off
+    /// to, and its task applies nothing until resumed.
+    pub fn set_paused(&self, paused: bool) {
+        self.step.task.paused.store(paused, Ordering::Release);
+    }
+
+    /// Whether the link is paused.
+    pub fn is_paused(&self) -> bool {
+        self.step.task.paused.load(Ordering::Acquire)
+    }
+
+    /// Sets the delay surcharge added on top of every sampled latency (a
+    /// fault plan's delay spike; zero clears it).
+    pub fn set_extra_delay(&self, extra: SimDuration) {
+        self.step
+            .task
+            .extra_delay_micros
+            .store(extra.as_micros(), Ordering::Release);
+    }
+
+    /// Whether nothing is in flight: the pipe is empty and every message it
+    /// handed out (or handed off) has been dropped or applied. A message
+    /// whose modeled delay is still being slept counts as in flight.
+    pub fn is_idle(&self) -> bool {
+        // `processed` is read before `received`: both only grow and
+        // processed <= received always (a message is counted received
+        // before it is served), so equality here means they were equal at
+        // the second read. The other order proves nothing.
+        self.sender.is_empty()
+            && self.step.task.counters.processed() == self.sender.stats().received
+    }
+
+    /// The pipe's counters.
+    pub fn pipe_stats(&self) -> PipeStatsSnapshot {
+        self.sender.stats()
+    }
+
+    /// The link step's counters (offered / dropped / delivered / delay).
+    pub fn delivery_stats(&self) -> DeliveryStatsSnapshot {
+        self.step.task.counters.snapshot()
     }
 }
 

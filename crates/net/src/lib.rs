@@ -24,13 +24,14 @@
 //! * [`reactor`] — a hand-rolled single-threaded reactor (ready queue,
 //!   parked-task table, timer wheel) that multiplexes many caches' pipes
 //!   in one event loop;
-//! * [`delivery`] — the live plane's link model: per-cache reactor tasks
-//!   applying the same loss / latency models in wall-clock time, with
-//!   seeds derived from `(run_seed, CacheId)`.
+//! * [`delivery`] — the live plane's link model: per-cache [`Link`]s
+//!   applying the same loss / latency models in wall-clock time — on the
+//!   cache's reactor task, or on the committing thread when the link has
+//!   nothing to wait for — with seeds derived from `(run_seed, CacheId)`.
 //!
 //! [`pipe`] + [`reactor`] + [`delivery`] are the one live plane (wired up by
-//! the `tcache` facade's `transport` module); the publisher's
-//! `PipeSender::send_batch` is the only send path into it.
+//! the `tcache` facade's `transport` module); [`Link::offer`] is the only
+//! way a committed batch enters it.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -45,7 +46,9 @@ pub mod pipe;
 pub mod reactor;
 
 pub use channel::{InvalidationChannel, PendingDelivery};
-pub use delivery::{run_delivery, DeliveryCounters, DeliveryModel, DeliveryStatsSnapshot, DeliveryTask};
+pub use delivery::{
+    run_delivery, DeliveryCounters, DeliveryModel, DeliveryStatsSnapshot, DeliveryTask, Link,
+};
 pub use fanout::{CacheLink, InvalidationFanout};
 pub use fault::{FaultCursor, FaultEvent, FaultKind, FaultPlan, LossModel, LossState};
 pub use latency::LatencyModel;

@@ -29,6 +29,12 @@
 //! blocked on a full [`OverflowPolicy::Block`] pipe. The two disconnect
 //! paths (last sender dropped, receiver dropped) are rare and notify
 //! unconditionally.
+//!
+//! A sender can also skip the queue altogether: [`PipeSender::hand_off`]
+//! serves a batch on the sending thread when, under the pipe lock, the
+//! queue is empty and the receiver is waiting on its registered waker —
+//! the one state in which that is indistinguishable from enqueueing the
+//! batch and the receiver draining it at once.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -75,6 +81,7 @@ pub struct PipeStats {
     max_drain: AtomicU64,
     coalesced_wakeups: AtomicU64,
     budget_yields: AtomicU64,
+    direct: AtomicU64,
 }
 
 /// A point-in-time copy of [`PipeStats`].
@@ -87,7 +94,8 @@ pub struct PipeStatsSnapshot {
     pub rejected: u64,
     /// Pending messages evicted at capacity ([`OverflowPolicy::DropOldest`]).
     pub evicted: u64,
-    /// Messages handed to the receiver.
+    /// Messages handed to the receiver, including the
+    /// [`direct`](PipeStatsSnapshot::direct) ones served on its behalf.
     pub received: u64,
     /// Sends that had to wait for a slot ([`OverflowPolicy::Block`]).
     pub stalled_sends: u64,
@@ -110,6 +118,10 @@ pub struct PipeStatsSnapshot {
     /// backlog remaining and cooperatively re-yielded to the reactor
     /// (reported via [`PipeReceiver::note_budget_yield`]).
     pub budget_yields: u64,
+    /// Messages served on the sending thread by [`PipeSender::hand_off`]
+    /// without ever entering the queue. Each is also counted in `enqueued`
+    /// and `received`, so every identity over those two holds unchanged.
+    pub direct: u64,
 }
 
 impl PipeStatsSnapshot {
@@ -119,12 +131,13 @@ impl PipeStatsSnapshot {
     }
 
     /// Mean messages drained per successful batch poll (0 when no batch
-    /// poll has completed).
+    /// poll has completed). Handed-off messages were never drained and do
+    /// not count.
     pub fn mean_drain(&self) -> f64 {
         if self.batched_polls == 0 {
             0.0
         } else {
-            self.received as f64 / self.batched_polls as f64
+            self.received.saturating_sub(self.direct) as f64 / self.batched_polls as f64
         }
     }
 
@@ -142,6 +155,7 @@ impl PipeStatsSnapshot {
         self.max_drain = self.max_drain.max(other.max_drain);
         self.coalesced_wakeups = self.coalesced_wakeups.saturating_add(other.coalesced_wakeups);
         self.budget_yields = self.budget_yields.saturating_add(other.budget_yields);
+        self.direct = self.direct.saturating_add(other.direct);
     }
 }
 
@@ -159,6 +173,7 @@ impl PipeStats {
             max_drain: self.max_drain.load(Ordering::Relaxed),
             coalesced_wakeups: self.coalesced_wakeups.load(Ordering::Relaxed),
             budget_yields: self.budget_yields.load(Ordering::Relaxed),
+            direct: self.direct.load(Ordering::Relaxed),
         }
     }
 }
@@ -387,6 +402,12 @@ pub struct BatchOutcome {
     /// The receiver was gone (on entry, or while the sender waited for a
     /// slot); the messages not yet enqueued were dropped.
     pub disconnected: bool,
+    /// Messages [`PipeSender::try_send_batch`] turned away from a full
+    /// [`OverflowPolicy::Block`] pipe instead of waiting for a slot (what
+    /// [`PipeSender::try_send`] reports as [`PipeSendError::Full`]); the
+    /// pipe counts nothing for them. Always 0 from
+    /// [`PipeSender::send_batch`].
+    pub refused: u64,
 }
 
 /// The sending half of a bounded pipe. Cloneable.
@@ -574,6 +595,29 @@ impl<T> PipeSender<T> {
     where
         I: IntoIterator<Item = T>,
     {
+        self.push_batch(batch, true)
+    }
+
+    /// [`PipeSender::send_batch`] without ever waiting: where that would
+    /// park on a full `Block` pipe, the rest of the batch is turned away
+    /// and counted in [`BatchOutcome::refused`] — one
+    /// [`PipeSender::try_send`] per message, in one lock hold. The drop
+    /// policies behave exactly as in `send_batch`. This is the send for a
+    /// thread that must not block, such as a reactor task relaying to a
+    /// sibling task's pipe.
+    pub fn try_send_batch<I>(&self, batch: I) -> BatchOutcome
+    where
+        I: IntoIterator<Item = T>,
+    {
+        self.push_batch(batch, false)
+    }
+
+    /// The window loop behind [`PipeSender::send_batch`] (`wait`) and
+    /// [`PipeSender::try_send_batch`] (`!wait`).
+    fn push_batch<I>(&self, batch: I, wait: bool) -> BatchOutcome
+    where
+        I: IntoIterator<Item = T>,
+    {
         let shared = &self.shared;
         let mut iter = batch.into_iter();
         let mut pending: Option<T> = iter.next();
@@ -584,6 +628,10 @@ impl<T> PipeSender<T> {
                 && inner.receiver_alive
                 && inner.queue.len() >= shared.capacity
             {
+                if !wait {
+                    outcome.refused = 1 + iter.count() as u64;
+                    return outcome;
+                }
                 outcome.stalled = true;
                 inner = shared.wait_for_slot(inner);
             }
@@ -596,7 +644,8 @@ impl<T> PipeSender<T> {
                 if inner.queue.len() >= shared.capacity {
                     if shared.policy == OverflowPolicy::Block {
                         // Window closed: signal what we have, then park
-                        // for a slot on the next pass round the loop.
+                        // for a slot (or give up) on the next pass round
+                        // the loop.
                         pending = Some(value);
                         break;
                     }
@@ -623,6 +672,52 @@ impl<T> PipeSender<T> {
             }
         }
         outcome
+    }
+
+    /// Hands `batch` to `serve` on the calling thread instead of enqueueing
+    /// it, if — checked and acted on under the pipe lock — the receiver is
+    /// alive, the queue is empty and the receiver's waker is registered:
+    /// its last poll found nothing and it has not been woken since, so it
+    /// is waiting, not holding messages it drained earlier. In that state
+    /// an enqueue would wake the receiver to drain exactly this batch and
+    /// nothing else, so serving it here, with every other sender and the
+    /// receiver's next poll held off by the lock, keeps the pipe FIFO: what
+    /// was sent before has been received, what is sent after is served or
+    /// queued after. (That orders *processing* only for a receiver that
+    /// finishes what it drained before it polls again, as the delivery task
+    /// does.) Otherwise the batch comes back as `Err`, untouched, for the
+    /// caller to enqueue. (Every push takes the waker, so today a registered
+    /// waker already implies an empty queue; the queue is checked anyway
+    /// because it, not the waker protocol, is the FIFO condition.)
+    ///
+    /// A served batch is counted `enqueued`, `received` and
+    /// [`direct`](PipeStatsSnapshot::direct) *before* `serve` runs, so an
+    /// observer never sees a message being processed that the pipe has not
+    /// yet accounted for. Capacity does not apply (nothing is queued), no
+    /// waker fires and the receiver stays parked.
+    ///
+    /// `serve` runs with the pipe lock held: of this pipe it may read
+    /// `stats()` and nothing else (every other call takes the lock), and
+    /// whatever it locks is ordered after this pipe's lock.
+    ///
+    /// # Errors
+    /// Returns the batch when it was not served.
+    pub fn hand_off<I>(&self, batch: I, serve: impl FnOnce(I)) -> Result<(), I>
+    where
+        I: ExactSizeIterator<Item = T>,
+    {
+        let shared = &self.shared;
+        let inner = shared.inner.lock().expect("pipe lock");
+        if !(inner.receiver_alive && inner.queue.is_empty() && inner.recv_waker.is_some()) {
+            return Err(batch);
+        }
+        let served = batch.len() as u64;
+        shared.stats.enqueued.fetch_add(served, Ordering::Relaxed);
+        shared.stats.received.fetch_add(served, Ordering::Relaxed);
+        shared.stats.direct.fetch_add(served, Ordering::Relaxed);
+        serve(batch);
+        drop(inner);
+        Ok(())
     }
 
     /// Number of messages currently queued.
@@ -1076,8 +1171,10 @@ mod tests {
             max_drain: 7,
             coalesced_wakeups: 8,
             budget_yields: 9,
+            direct: 3,
         };
         a.merge(a);
+        assert_eq!(a.direct, 6);
         assert_eq!(a.enqueued, 2);
         assert_eq!(a.stall_micros, 12);
         assert_eq!(a.overflow_dropped(), 10);
@@ -1102,6 +1199,7 @@ mod tests {
             max_drain: 5,
             coalesced_wakeups: u64::MAX,
             budget_yields: u64::MAX,
+            direct: u64::MAX,
         };
         a.merge(a);
         assert_eq!(a.enqueued, u64::MAX);
@@ -1119,5 +1217,248 @@ mod tests {
         assert_eq!(OverflowPolicy::DropNewest.to_string(), "drop-newest");
         assert_eq!(OverflowPolicy::DropOldest.to_string(), "drop-oldest");
         assert_eq!(OverflowPolicy::default(), OverflowPolicy::Block);
+    }
+    /// A waker that counts its fires, and the receiver-side poll the
+    /// delivery task makes, done by hand.
+    struct CountingWaker(AtomicU64);
+
+    impl std::task::Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn poll_batch(
+        rx: &PipeReceiver<u32>,
+        fires: &Arc<CountingWaker>,
+        buf: &mut Vec<u32>,
+        max: usize,
+    ) -> Poll<BatchDrain> {
+        let waker = Waker::from(Arc::clone(fires));
+        let mut cx = Context::from_waker(&waker);
+        std::pin::pin!(rx.recv_batch_async(buf, max)).poll(&mut cx)
+    }
+
+    #[test]
+    fn try_send_batch_refuses_instead_of_waiting() {
+        let (tx, rx) = bounded_pipe::<u32>(2, OverflowPolicy::Block);
+        let sent = tx.try_send_batch(0..5);
+        assert_eq!(
+            sent,
+            BatchOutcome {
+                enqueued: 2,
+                refused: 3,
+                ..BatchOutcome::default()
+            }
+        );
+        assert_eq!(tx.try_send_batch(5..6).refused, 1, "still full");
+        assert_eq!(rx.drain(), vec![0, 1]);
+        assert_eq!(rx.stats().enqueued, 2, "a refused message is counted nowhere");
+        // The drop policies never wait, so there is nothing to refuse.
+        let (tx, rx) = bounded_pipe::<u32>(2, OverflowPolicy::DropOldest);
+        let sent = tx.try_send_batch(0..5);
+        assert_eq!((sent.enqueued, sent.overflowed, sent.refused), (5, 3, 0));
+        assert_eq!(rx.drain(), vec![3, 4]);
+    }
+
+    #[test]
+    fn hand_off_serves_only_a_receiver_waiting_on_an_empty_queue() {
+        let (tx, rx) = bounded_pipe::<u32>(2, OverflowPolicy::Block);
+        let fires = Arc::new(CountingWaker(AtomicU64::new(0)));
+        let mut buf = Vec::new();
+        let served = Mutex::new(Vec::new());
+        let serve = |batch: std::ops::Range<u32>| {
+            // Counted before served: whoever watches the counters never
+            // sees a message in service the pipe has not accounted for.
+            let stats = tx.stats();
+            assert_eq!(stats.enqueued, stats.received);
+            assert!(stats.received >= u64::from(batch.end - batch.start));
+            served.lock().unwrap().extend(batch);
+        };
+
+        // Never polled: no waker says the receiver is waiting.
+        assert_eq!(tx.hand_off(0..3, serve), Err(0..3));
+        assert_eq!(tx.stats(), PipeStatsSnapshot::default());
+
+        // Waiting on an empty queue: served in order, past the capacity,
+        // and the receiver is left parked — again and again.
+        assert_eq!(poll_batch(&rx, &fires, &mut buf, 16), Poll::Pending);
+        assert_eq!(tx.hand_off(0..3, serve), Ok(()));
+        assert_eq!(tx.hand_off(3..4, serve), Ok(()));
+        assert_eq!(*served.lock().unwrap(), vec![0, 1, 2, 3]);
+        let stats = tx.stats();
+        assert_eq!((stats.enqueued, stats.received, stats.direct), (4, 4, 4));
+        assert_eq!(fires.0.load(Ordering::Relaxed), 0, "no waker fired");
+        assert!(tx.is_empty());
+        assert_eq!(stats.mean_drain(), 0.0, "nothing was drained");
+
+        // Something queued ahead (which also took the waker): refused.
+        tx.send(4).unwrap();
+        assert_eq!(fires.0.load(Ordering::Relaxed), 1);
+        assert_eq!(tx.hand_off(5..6, serve), Err(5..6));
+
+        // The receiver drained it and has not polled since — it may still
+        // be working on what it holds: refused, although the queue is empty.
+        assert_eq!(
+            poll_batch(&rx, &fires, &mut buf, 16),
+            Poll::Ready(BatchDrain {
+                drained: 1,
+                backlog: 0
+            })
+        );
+        assert!(tx.is_empty());
+        assert_eq!(tx.hand_off(5..6, serve), Err(5..6));
+
+        // Done with it and waiting again: served.
+        assert_eq!(poll_batch(&rx, &fires, &mut buf, 16), Poll::Pending);
+        assert_eq!(tx.hand_off(5..6, serve), Ok(()));
+        assert_eq!(*served.lock().unwrap(), vec![0, 1, 2, 3, 5]);
+        assert_eq!(tx.stats().direct, 5);
+        assert_eq!((tx.stats().received, tx.stats().batched_polls), (6, 1));
+        assert!((tx.stats().mean_drain() - 1.0).abs() < 1e-9, "direct is not drained");
+
+        // Receiver gone (its waker is still registered): refused.
+        drop(rx);
+        assert_eq!(tx.hand_off(6..7, serve), Err(6..7));
+        assert_eq!(fires.0.load(Ordering::Relaxed), 1);
+    }
+
+    /// What the sequential model below predicts the pipe to be.
+    #[derive(Default)]
+    struct ModelPipe {
+        queue: VecDeque<u32>,
+        /// The receiver's waker is registered.
+        waiting: bool,
+        wake_pending: bool,
+        fires: u64,
+        stats: PipeStatsSnapshot,
+        /// Everything the receiving side got, drained or handed off.
+        out: Vec<u32>,
+    }
+
+    impl ModelPipe {
+        fn try_send_batch(&mut self, batch: std::ops::Range<u32>, capacity: usize, policy: OverflowPolicy) {
+            let mut pushed = 0;
+            for message in batch {
+                if self.queue.len() >= capacity {
+                    match policy {
+                        OverflowPolicy::Block => break,
+                        OverflowPolicy::DropNewest => {
+                            self.stats.rejected += 1;
+                            continue;
+                        }
+                        OverflowPolicy::DropOldest => {
+                            self.queue.pop_front();
+                            self.stats.evicted += 1;
+                        }
+                    }
+                }
+                self.queue.push_back(message);
+                pushed += 1;
+            }
+            self.stats.enqueued += pushed;
+            if pushed > 0 && !self.wake_pending && self.waiting {
+                self.waiting = false;
+                self.wake_pending = true;
+                self.fires += 1;
+            }
+        }
+
+        fn poll(&mut self, max: usize) {
+            self.wake_pending = false;
+            let drained = self.queue.len().min(max);
+            self.out.extend(self.queue.drain(..drained));
+            self.stats.received += drained as u64;
+            if drained == 0 {
+                self.waiting = true;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random `try_send_batch` / `hand_off` / receiver-poll steps on one
+        /// thread against a `VecDeque` reference, under every overflow
+        /// policy. After every step: **FifoPerPipe** (what the receiving
+        /// side got, drained or handed off, is exactly the reference's, in
+        /// order), **EnqueuedEqualsDroppedPlusDelivered** (plus what is
+        /// still queued) and **HandoffOnlyWhenReceiverWaiting** (a hand-off
+        /// is served if and only if the reference says the waker is
+        /// registered over an empty queue — and no step ever fires a waker
+        /// the reference did not).
+        #[test]
+        fn hand_off_model_keeps_the_pipe_invariants(
+            policy_choice in 0u32..3,
+            capacity in 1usize..6,
+            steps in proptest::collection::vec((0u32..3, 1u32..5), 1..60),
+        ) {
+            use proptest::prop_assert_eq;
+            let policy = match policy_choice {
+                0 => OverflowPolicy::Block,
+                1 => OverflowPolicy::DropNewest,
+                _ => OverflowPolicy::DropOldest,
+            };
+            let (tx, rx) = bounded_pipe::<u32>(capacity, policy);
+            let fires = Arc::new(CountingWaker(AtomicU64::new(0)));
+            let mut model = ModelPipe::default();
+            let mut out: Vec<u32> = Vec::new();
+            let mut next = 0u32;
+            for (kind, size) in steps {
+                let batch = next..next + size;
+                match kind {
+                    0 => {
+                        let _ = tx.try_send_batch(batch.clone());
+                        model.try_send_batch(batch, capacity, policy);
+                        next += size;
+                    }
+                    1 => {
+                        let expect_served = model.waiting && model.queue.is_empty();
+                        let served = tx.hand_off(batch.clone(), |batch| out.extend(batch));
+                        prop_assert_eq!(served.is_ok(), expect_served, "HandoffOnlyWhenReceiverWaiting");
+                        match served {
+                            Ok(()) => {
+                                model.out.extend(batch);
+                                model.stats.enqueued += u64::from(size);
+                                model.stats.received += u64::from(size);
+                                model.stats.direct += u64::from(size);
+                            }
+                            // What `Link::offer` does with a refusal.
+                            Err(refused) => {
+                                prop_assert_eq!(refused.clone(), batch.clone(), "handed back untouched");
+                                let _ = tx.try_send_batch(refused);
+                                model.try_send_batch(batch, capacity, policy);
+                            }
+                        }
+                        next += size;
+                    }
+                    _ => {
+                        let _ = poll_batch(&rx, &fires, &mut out, size as usize);
+                        model.poll(size as usize);
+                    }
+                }
+                let stats = tx.stats();
+                prop_assert_eq!(&out, &model.out, "FifoPerPipe");
+                prop_assert_eq!(
+                    (stats.enqueued, stats.rejected, stats.evicted, stats.received, stats.direct),
+                    (
+                        model.stats.enqueued,
+                        model.stats.rejected,
+                        model.stats.evicted,
+                        model.stats.received,
+                        model.stats.direct
+                    )
+                );
+                prop_assert_eq!(
+                    stats.enqueued,
+                    stats.evicted + stats.received + tx.len() as u64,
+                    "EnqueuedEqualsDroppedPlusDelivered"
+                );
+                prop_assert_eq!(fires.0.load(Ordering::Relaxed), model.fires);
+                // Why the waker alone nearly decides a hand-off: every push
+                // takes it, so it is never registered over a backlog.
+                proptest::prop_assert!(!model.waiting || model.queue.is_empty());
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! rules sharing one line scanner:
 //!
 //! * **lock-across-send** — a lock guard held across
-//!   `send`/`try_send`/publish/upcall calls, the deadlock class PR 2
+//!   `send`/`try_send`/`offer`/publish/upcall calls, the deadlock class PR 2
 //!   removed from the delivery plane's publish path: a thread
 //!   blocking on a bounded channel while holding a lock that the draining
 //!   thread needs is a classic distributed-cache stall, and clippy has no
@@ -44,7 +44,7 @@ const LOCK_PATTERNS: &[&str] = &[".lock()", ".read()", ".write()"];
 
 /// Patterns that hand control to a channel or an upcall — the calls a
 /// guard must not be held across.
-const SEND_PATTERNS: &[&str] = &[".send(", ".try_send(", ".publish(", "upcall("];
+const SEND_PATTERNS: &[&str] = &[".send(", ".try_send(", ".offer(", ".publish(", "upcall("];
 
 /// Marker comment that arms the hot-path allocation rule for the next
 /// `fn` declaration.
@@ -123,7 +123,7 @@ fn lint() -> ExitCode {
         }
         eprintln!(
             "xtask lint: {} finding(s) in {scanned} files — hold no lock across \
-             send/try_send/publish/upcall, allocate nothing in `// {HOT_PATH_MARKER}` \
+             send/try_send/offer/publish/upcall, allocate nothing in `// {HOT_PATH_MARKER}` \
              functions and key no default-hasher map by an id, or audit the site and \
              annotate it with `// {ALLOW_MARKER} — <reason>` (locks) / \
              `// {HOT_ALLOW_MARKER} — <reason>` (hot-path allocations) / \
