@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use tcache_cache::consistency::check_read;
 use tcache_cache::EdgeCache;
-use tcache_db::dependency_update::{AccessedObject, AggregatedDependencies};
+use tcache_db::dependency_update::AggregatedDependencies;
 use tcache_db::{Database, DatabaseConfig};
 use tcache_types::{
     AccessSet, CacheId, DependencyList, ObjectId, ReadRecord, ReadSet, SimTime, Strategy, TxnId,
@@ -32,17 +32,19 @@ fn dependency_list(bound: usize, entries: usize) -> DependencyList {
 fn bench_dependency_aggregation(c: &mut Criterion) {
     let mut group = c.benchmark_group("dependency_aggregation");
     for &bound in &[1usize, 3, 5, 16] {
-        let accessed: Vec<AccessedObject> = (0..5)
-            .map(|i| AccessedObject {
-                key: ObjectId(i),
-                observed_version: Version(i),
-                dependencies: dependency_list(bound, bound).into(),
-                written: true,
-            })
+        // Five written objects (entering at the transaction's version 100),
+        // each inheriting a full list.
+        let accessed: Vec<(ObjectId, DependencyList)> = (0..5)
+            .map(|i| (ObjectId(i), dependency_list(bound, bound)))
             .collect();
         group.bench_with_input(BenchmarkId::from_parameter(bound), &bound, |b, &bound| {
             b.iter(|| {
-                let agg = AggregatedDependencies::aggregate(&accessed, Version(100), bound);
+                let agg = AggregatedDependencies::aggregate(
+                    accessed
+                        .iter()
+                        .map(|(key, list)| (*key, Version(100), list)),
+                    bound,
+                );
                 std::hint::black_box(agg.list_for(ObjectId(0)))
             })
         });

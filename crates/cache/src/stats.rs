@@ -125,14 +125,17 @@ impl CacheStats {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records an invalidation that evicted an entry.
-    pub fn record_invalidation_applied(&self) {
-        self.invalidations_applied.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an invalidation that had no effect.
-    pub fn record_invalidation_ignored(&self) {
-        self.invalidations_ignored.fetch_add(1, Ordering::Relaxed);
+    /// Records `applied` invalidations that evicted an entry and `ignored`
+    /// ones that had no effect (a delivered batch adds its counts once).
+    pub fn record_invalidations(&self, applied: u64, ignored: u64) {
+        if applied != 0 {
+            self.invalidations_applied
+                .fetch_add(applied, Ordering::Relaxed);
+        }
+        if ignored != 0 {
+            self.invalidations_ignored
+                .fetch_add(ignored, Ordering::Relaxed);
+        }
     }
 
     /// Records a strategy-driven eviction.
@@ -192,8 +195,8 @@ mod tests {
         s.record_hits(3);
         s.record_miss();
         s.record_retry();
-        s.record_invalidation_applied();
-        s.record_invalidation_ignored();
+        s.record_invalidations(1, 0);
+        s.record_invalidations(0, 1);
         s.record_eviction();
         s.record_commit();
         s.record_commit();

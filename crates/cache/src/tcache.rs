@@ -120,9 +120,10 @@ pub struct EdgeCache {
     lifecycle: Mutex<Lifecycle>,
     state_tag: AtomicU8,
     /// Highest invalidation sequence number applied (0 = none yet).
-    /// Invalidations for one cache are applied by a single delivery loop on
-    /// both planes; lifecycle transitions on other threads only ever adopt
-    /// a newer position, and the delivery loop advances it with `fetch_max`.
+    /// Invalidations for one cache are applied one delivery at a time on
+    /// both planes (the live link serializes its task and its hand-offs);
+    /// lifecycle transitions on other threads only ever adopt a newer
+    /// position, and deliveries advance it with `fetch_max`.
     last_seq: AtomicU64,
     lifecycle_stats: LifecycleStats,
 }
@@ -458,19 +459,57 @@ impl EdgeCache {
     /// (`seq == 0`, e.g. hand-built in tests) are exempt.
     ///
     /// Only the affected object's stripe is locked; reads of other objects
-    /// proceed concurrently.
+    /// proceed concurrently. This is the one-message case of
+    /// [`EdgeCache::apply_invalidations`].
     pub fn apply_invalidation(&self, invalidation: Invalidation) {
+        self.apply_invalidations(std::slice::from_ref(&invalidation));
+    }
+
+    /// Applies a batch of invalidations, in order, exactly as
+    /// [`EdgeCache::apply_invalidation`] applied one at a time would.
+    ///
+    /// A batch that *continues the stream* — its first sequence number is
+    /// the one after the last applied, and the rest follow contiguously, as
+    /// every batch a loss-free link delivers does — cannot reveal a gap, so
+    /// its storage invalidations run back to back, the stream position
+    /// advances once, after them, and the applied / ignored counters are
+    /// added once. Anything else (a gap, a duplicate, an unsequenced
+    /// message) is applied message by message.
+    pub fn apply_invalidations(&self, batch: &[Invalidation]) {
+        let Some(first) = batch.first() else {
+            return;
+        };
+        let continues = first.seq != 0
+            && first.seq == self.last_seq.load(Ordering::Relaxed) + 1
+            && batch.windows(2).all(|pair| pair[1].seq == pair[0].seq + 1);
+        if !continues {
+            for &invalidation in batch {
+                self.apply_one(invalidation);
+            }
+            return;
+        }
+        let applied = batch
+            .iter()
+            .filter(|inv| self.storage.invalidate(inv.object, inv.new_version))
+            .count() as u64;
+        // `fetch_max`, as in `observe_stream_position`: a restart on another
+        // thread may have adopted a newer position meanwhile.
+        self.last_seq
+            .fetch_max(first.seq + batch.len() as u64 - 1, Ordering::Relaxed);
+        self.stats
+            .record_invalidations(applied, batch.len() as u64 - applied);
+    }
+
+    /// One invalidation with full gap handling.
+    fn apply_one(&self, invalidation: Invalidation) {
         if invalidation.seq != 0 {
             self.observe_stream_position(invalidation.seq);
         }
-        if self
+        let applied = self
             .storage
-            .invalidate(invalidation.object, invalidation.new_version)
-        {
-            self.stats.record_invalidation_applied();
-        } else {
-            self.stats.record_invalidation_ignored();
-        }
+            .invalidate(invalidation.object, invalidation.new_version);
+        self.stats
+            .record_invalidations(u64::from(applied), u64::from(!applied));
     }
 
     /// Advances the stream position to `seq`, detecting gaps on the way.

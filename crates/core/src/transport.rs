@@ -26,10 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tcache_cache::EdgeCache;
 use tcache_db::Invalidation;
-use tcache_net::delivery::{
-    DeliveryCounters, DeliveryModel, DeliveryStatsSnapshot, DeliveryTask, Link,
-    DEFAULT_BATCH_BUDGET,
-};
+use tcache_net::delivery::{DeliveryModel, DeliveryStatsSnapshot, DeliveryTask, Link};
 use tcache_net::pipe::{bounded_pipe, OverflowPolicy, PipeStatsSnapshot};
 use tcache_net::reactor::{Reactor, ReactorHandle, ReactorStats};
 use tcache_types::seeding::{cache_channel_seed, cache_delay_seed};
@@ -68,7 +65,8 @@ pub(crate) struct ReactorPlane {
     /// pause flag and delay-spike surcharge (the live half of
     /// `FaultKind::DelaySpike`). A paused link is never handed off to and
     /// its task applies nothing further — up to one already-drained batch
-    /// ([`DEFAULT_BATCH_BUDGET`] messages; the task checks the flag per
+    /// ([`DEFAULT_BATCH_BUDGET`](tcache_net::delivery::DEFAULT_BATCH_BUDGET)
+    /// messages; the task checks the flag per
     /// message *after* the batch drain) is held in limbo while the rest of
     /// the backlog stays in the pipe — modelling a slow or wedged edge
     /// cache.
@@ -106,8 +104,10 @@ impl ReactorPlane {
     /// `parents[i]` turns the fan-out into a tree: when it names another
     /// cache index, cache `i` is a *leaf* subscribing through that regional
     /// parent — the database publishes only to root caches, and a parent's
-    /// apply relays every invalidation it applies to each unsevered child's
-    /// link, where the child's own seeded loss / latency model takes over.
+    /// apply relays what it applies, as one batch, to each unsevered
+    /// child's link, where the child's own seeded loss / latency model
+    /// takes over (a handed-off root relays its batch's survivors in one
+    /// offer; the root's delivery task relays message by message).
     /// Links are built leaves first precisely so a parent's apply closure
     /// can capture its children's. Relays happen *before* the parent's link
     /// counts the message as delivered, so [`ReactorPlane::quiesce`] can
@@ -153,34 +153,27 @@ impl ReactorPlane {
             let id = cache.id();
             let overflows = Arc::clone(&relay_overflows);
             let (tx, rx) = bounded_pipe::<Invalidation>(capacity, policy);
-            let link = Link::new(
-                tx,
-                DeliveryTask {
-                    model: models[index],
-                    loss_seed: cache_channel_seed(run_seed, id),
-                    delay_seed: cache_delay_seed(run_seed, id),
-                    counters: Arc::new(DeliveryCounters::default()),
-                    paused: Arc::new(AtomicBool::new(false)),
-                    extra_delay_micros: Arc::new(AtomicU64::new(0)),
-                    batch_budget: DEFAULT_BATCH_BUDGET,
-                },
-                move |inv| {
-                    cache.apply_invalidation(inv);
-                    for (child, child_severed) in &children {
-                        if child_severed.load(Ordering::Acquire) {
-                            continue;
-                        }
-                        // The relay must not block: parent and child tasks
-                        // share the reactor thread, so waiting on a full
-                        // Block pipe here would deadlock it. With the
-                        // default unbounded capacity this never drops.
-                        let relayed = child.offer([inv], false);
-                        if relayed.refused > 0 {
-                            overflows.fetch_add(relayed.refused, Ordering::Relaxed);
-                        }
-                    }
-                },
+            let task = DeliveryTask::new(
+                models[index],
+                cache_channel_seed(run_seed, id),
+                cache_delay_seed(run_seed, id),
             );
+            let link = Link::new(tx, task, move |batch: &[Invalidation]| {
+                cache.apply_invalidations(batch);
+                for (child, child_severed) in &children {
+                    if child_severed.load(Ordering::Acquire) {
+                        continue;
+                    }
+                    // The relay must not block: parent and child tasks
+                    // share the reactor thread, so waiting on a full Block
+                    // pipe here would deadlock it. With the default
+                    // unbounded capacity this never drops.
+                    let relayed = child.offer(batch, false);
+                    if relayed.refused > 0 {
+                        overflows.fetch_add(relayed.refused, Ordering::Relaxed);
+                    }
+                }
+            });
             reactor.spawn(link.deliver(rx, timer.clone()));
             links[index] = Some(Arc::new(link));
         }
@@ -395,7 +388,7 @@ pub(crate) fn modeled_delivery_sink(
         }
         // A disconnected pipe means the task is gone (shutdown); the
         // channel is best-effort, so dropping the rest is correct.
-        let sent = link.offer(batch.invalidations().iter().copied(), true);
+        let sent = link.offer(batch.invalidations(), true);
         report.enqueued = sent.enqueued;
         report.overflowed = sent.overflowed;
         report.stalled = sent.stalled;
@@ -418,16 +411,8 @@ mod tests {
     fn untasked_link(tx: PipeSender<Invalidation>) -> Arc<Link<Invalidation>> {
         Arc::new(Link::new(
             tx,
-            DeliveryTask {
-                model: DeliveryModel::reliable(),
-                loss_seed: 0,
-                delay_seed: 0,
-                counters: Arc::new(DeliveryCounters::default()),
-                paused: Arc::new(AtomicBool::new(false)),
-                extra_delay_micros: Arc::new(AtomicU64::new(0)),
-                batch_budget: DEFAULT_BATCH_BUDGET,
-            },
-            |_| {},
+            DeliveryTask::new(DeliveryModel::reliable(), 0, 0),
+            |_: &[Invalidation]| {},
         ))
     }
 

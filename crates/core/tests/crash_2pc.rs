@@ -42,20 +42,26 @@ fn crash_between_prepare_and_commit_resolves_and_leaks_no_locks() {
     }
 
     let stop = Arc::new(AtomicBool::new(false));
+    let flips = Arc::new(AtomicU64::new(0));
     let churn = {
         let system = Arc::clone(&system);
         let stop = Arc::clone(&stop);
+        let flips = Arc::clone(&flips);
         std::thread::spawn(move || {
-            let mut flips = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 system.crash_cache(CacheId(0), SimTime::ZERO).unwrap();
                 std::thread::yield_now();
                 system.restart_cache(CacheId(0)).unwrap();
-                flips += 1;
+                flips.fetch_add(1, Ordering::Relaxed);
             }
-            flips
         })
     };
+    // The 400 commits take about a millisecond: without this wait they can
+    // all land before the churn thread is first scheduled (one run in five
+    // or so when the test binary runs alone), racing nothing.
+    while flips.load(Ordering::Relaxed) == 0 {
+        std::thread::yield_now();
+    }
 
     let mut committed = 0u64;
     for round in 0..400u64 {
@@ -68,7 +74,8 @@ fn crash_between_prepare_and_commit_resolves_and_leaks_no_locks() {
         committed += 1;
     }
     stop.store(true, Ordering::Relaxed);
-    let flips = churn.join().unwrap();
+    churn.join().unwrap();
+    let flips = flips.load(Ordering::Relaxed);
 
     assert_eq!(committed, 400, "every update transaction resolved");
     assert_eq!(system.stats().db.updates_committed, 400);
@@ -169,6 +176,15 @@ fn eight_thread_crash_stress_keeps_the_database_consistent() {
     assert_eq!(total_commits.load(Ordering::Relaxed), 600);
     assert_eq!(system.stats().db.updates_committed, 600);
     assert_eq!(system.database().locked_objects(), 0, "no leaked locks");
+    // Consistent means no committed write was lost: each of the 600
+    // updates bumped two objects, and the updaters' objects overlap, so a
+    // bump computed from a read another updater had already overwritten
+    // would show here as a missing unit.
+    let db = system.database();
+    let bumps: u64 = (0..OBJECTS)
+        .map(|o| db.peek_entry(ObjectId(o)).unwrap().value.numeric())
+        .sum();
+    assert_eq!(bumps, 2 * 600, "every committed bump survived");
     // Restart anything still down so teardown sees a healthy system.
     for id in [CacheId(0), CacheId(1)] {
         if system.cache(id).unwrap().is_crashed() {

@@ -132,24 +132,16 @@ fn live_transport_fans_out_via_database_upcalls() {
                     let _ = tx.send_batch(batch.iter().copied());
                 }),
             );
-            let task_counters = Arc::new(DeliveryCounters::default());
-            reactor.spawn(run_delivery(
-                rx,
-                timer.clone(),
-                DeliveryTask {
-                    model: DeliveryModel {
-                        loss,
-                        latency: tcache_net::LatencyModel::Constant(SimDuration::ZERO),
-                    },
-                    loss_seed: cache_channel_seed(9, cache),
-                    delay_seed: cache_delay_seed(9, cache),
-                    counters: Arc::clone(&task_counters),
-                    paused: Arc::new(std::sync::atomic::AtomicBool::new(false)),
-                    extra_delay_micros: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-                    batch_budget: tcache_net::delivery::DEFAULT_BATCH_BUDGET,
+            let task = DeliveryTask::new(
+                DeliveryModel {
+                    loss,
+                    latency: tcache_net::LatencyModel::Constant(SimDuration::ZERO),
                 },
-                |_| {},
-            ));
+                cache_channel_seed(9, cache),
+                cache_delay_seed(9, cache),
+            );
+            let task_counters = Arc::clone(&task.counters);
+            reactor.spawn(run_delivery(rx, timer.clone(), task, |_| {}));
             task_counters
         })
         .collect();

@@ -6,15 +6,23 @@
 //! with [`Database::execute_update`] (the evaluation's read-modify-write
 //! shape) or [`Database::execute_update_writes`] (explicit read and write
 //! sets); caches serve misses with [`Database::read_entry`].
+//!
+//! A commit is one pass under strict two-phase locking: dedupe the access
+//! set, lock every object at every participating shard (no-wait), read
+//! each once under its lock, assign the version, aggregate only the head
+//! of the dependency lists ([`AggregatedDependencies`]), install and
+//! release — and then sequence, log and publish the invalidations. A 5-key
+//! update allocates its five dependency lists and the three vectors of its
+//! [`UpdateCommit`], nothing else (`tests/commit_allocs.rs` pins it).
 
-use crate::dependency_update::{AccessedObject, AggregatedDependencies};
+use crate::dependency_update::AggregatedDependencies;
 use crate::invalidation::{Invalidation, InvalidationBatch};
 use crate::log::{InvalidationLog, InvalidationReplay};
 use crate::publisher::{InvalidationPublisher, InvalidationSink};
-use crate::shard::{PreparedWrite, Shard};
+use crate::shard::Shard;
 use crate::stats::{DbStats, DbStatsSnapshot};
 use crate::store::ReadPath;
-use crate::twopc::Coordinator;
+use crate::twopc::{Access, Coordinator, TxnObjects};
 use crate::version_clock::VersionClock;
 use std::sync::Arc;
 use tcache_types::{
@@ -221,24 +229,27 @@ impl Database {
     /// set: every distinct object in the set is read and then written back
     /// with its value bumped ("update transactions first read all objects
     /// from the database, and then update all objects", §V-B1). Each object
-    /// is read once: the bumped value, the observed version and the
-    /// inherited dependency list all come from that one snapshot.
+    /// is read once, under the transaction's exclusive lock: the bumped
+    /// value, the observed version and the inherited dependency list all
+    /// come from that one read.
     ///
     /// # Errors
     /// Propagates concurrency-control aborts and unknown-object errors.
     pub fn execute_update(&self, txn: TxnId, access: &AccessSet) -> TCacheResult<UpdateCommit> {
-        let entries = self.read_for_update(access.distinct())?;
-        let writes = entries
-            .iter()
-            .map(|(id, entry)| WriteRecord::new(*id, entry.value.bump()))
-            .collect();
-        self.commit_update(txn, entries, writes)
+        let mut objects = TxnObjects::new();
+        for &id in access.objects() {
+            if objects.iter().all(|o| o.id() != id) {
+                objects.push(self.coordinator.object(id, Access::Bump));
+            }
+        }
+        self.commit_update(txn, objects)
     }
 
     /// Executes an update transaction with an explicit read set and write
     /// set. Objects in `writes` that are missing from `reads` are read
     /// implicitly (their old dependency lists still flow into the
-    /// aggregation).
+    /// aggregation); objects only in `reads` are locked shared and not
+    /// written. An object written twice installs its last value.
     ///
     /// # Errors
     /// Returns an error if any object is unknown or the two-phase commit is
@@ -249,110 +260,79 @@ impl Database {
         reads: &[ObjectId],
         writes: Vec<WriteRecord>,
     ) -> TCacheResult<UpdateCommit> {
-        // Assemble the full accessed-object list: all reads plus all writes.
-        let mut access_order: Vec<ObjectId> = Vec::new();
-        for &r in reads {
-            if !access_order.contains(&r) {
-                access_order.push(r);
+        // The accessed objects in access order: all reads, then all writes.
+        let mut objects = TxnObjects::new();
+        for &id in reads {
+            if objects.iter().all(|o| o.id() != id) {
+                objects.push(self.coordinator.object(id, Access::Read));
             }
         }
-        for w in &writes {
-            if !access_order.contains(&w.object) {
-                access_order.push(w.object);
+        for w in writes {
+            match objects.iter_mut().find(|o| o.id() == w.object) {
+                Some(object) => object.set_access(Access::Write(w.value)),
+                None => objects.push(self.coordinator.object(w.object, Access::Write(w.value))),
             }
         }
-        let entries = self.read_for_update(access_order)?;
-        self.commit_update(txn, entries, writes)
+        self.commit_update(txn, objects)
     }
 
-    /// Reads the current entry of every object an update transaction
-    /// accesses (already distinct, in access order), recording the abort if
-    /// one is unknown.
-    fn read_for_update(
-        &self,
-        access_order: Vec<ObjectId>,
-    ) -> TCacheResult<Vec<(ObjectId, ObjectEntry)>> {
-        let mut entries = Vec::with_capacity(access_order.len());
-        for id in access_order {
-            match self.coordinator.shard_for(id).read_entry(id) {
-                Ok(entry) => entries.push((id, entry)),
-                Err(e) => {
-                    self.stats.record_update_abort();
-                    return Err(e);
-                }
-            }
+    /// The commit shared by both update shapes, one pass under strict
+    /// two-phase locking (see [`crate::twopc`]): lock and read every object
+    /// (phase one), assign the version, aggregate the dependency lists'
+    /// head, install and release (phase two), then sequence, log and
+    /// publish the invalidations.
+    fn commit_update(&self, txn: TxnId, mut objects: TxnObjects) -> TCacheResult<UpdateCommit> {
+        if let Err(e) = self.coordinator.prepare(txn, &mut objects) {
+            self.stats.record_update_abort();
+            return Err(e);
         }
-        self.stats.record_update_reads(entries.len() as u64);
-        Ok(entries)
-    }
-
-    /// Commit assembly shared by both update shapes: assigns the version,
-    /// aggregates dependency lists over the entries the transaction read,
-    /// runs two-phase commit on `writes`, and sequences, logs and publishes
-    /// the invalidations.
-    fn commit_update(
-        &self,
-        txn: TxnId,
-        entries: Vec<(ObjectId, ObjectEntry)>,
-        writes: Vec<WriteRecord>,
-    ) -> TCacheResult<UpdateCommit> {
-        let observed_reads: Vec<(ObjectId, Version)> =
-            entries.iter().map(|(id, e)| (*id, e.version)).collect();
-        let accessed: Vec<AccessedObject> = entries
-            .into_iter()
-            .map(|(id, entry)| AccessedObject {
-                key: id,
-                observed_version: entry.version,
-                dependencies: entry.dependencies,
-                written: writes.iter().any(|w| w.object == id),
-            })
+        self.stats.record_update_reads(objects.len() as u64);
+        let reads: Vec<(ObjectId, Version)> = objects
+            .iter()
+            .map(|o| (o.id(), o.observed().version))
             .collect();
 
-        // Assign the transaction version: larger than every observed version.
-        let version = self.clock.assign(observed_reads.iter().map(|&(_, v)| v));
+        // The transaction version: larger than every observed version.
+        let version = self.clock.assign(reads.iter().map(|&(_, v)| v));
 
-        // Aggregate dependency lists per §III-A.
-        let bound = self.config.dependency_bound.limit();
-        let agg = AggregatedDependencies::aggregate(&accessed, version, bound);
+        // Aggregate dependency lists per §III-A: written objects enter at
+        // the transaction's version, read-only ones at the version read.
+        let agg = AggregatedDependencies::aggregate(
+            objects.iter().map(|o| {
+                let entry = o.observed();
+                let entered = if o.access().writes() { version } else { entry.version };
+                (o.id(), entered, &*entry.dependencies)
+            }),
+            self.config.dependency_bound.limit(),
+        );
 
-        // Stage the physical writes and run two-phase commit.
-        let prepared: Vec<PreparedWrite> = writes
-            .into_iter()
-            .map(|w| PreparedWrite {
-                dependencies: agg.list_for(w.object),
-                object: w.object,
-                value: w.value,
-                version,
-            })
+        let writes = objects.iter().filter(|o| o.access().writes()).count();
+        let mut written = Vec::with_capacity(writes);
+        self.coordinator.commit(
+            txn,
+            &objects,
+            version,
+            |id| agg.list_for(id),
+            |id| written.push((id, version)),
+        );
+        self.stats.record_update_commit(written.len() as u64);
+        let mut invalidations: InvalidationBatch = written
+            .iter()
+            .map(|&(o, v)| Invalidation::new(o, v, txn))
             .collect();
-
-        match self.coordinator.commit(txn, prepared) {
-            Ok(outcome) => {
-                self.stats.record_update_commit(outcome.installed.len() as u64);
-                let mut invalidations: InvalidationBatch = outcome
-                    .installed
-                    .iter()
-                    .map(|&(o, v)| Invalidation::new(o, v, txn))
-                    .collect();
-                // Stamp stream positions and retain the batch for replay
-                // before fanning it out, so every published invalidation is
-                // already sequenced and recoverable.
-                self.log.record(&mut invalidations);
-                self.stats.record_invalidations(invalidations.len() as u64);
-                self.publisher.publish(&invalidations);
-                Ok(UpdateCommit {
-                    txn,
-                    version,
-                    reads: observed_reads,
-                    written: outcome.installed,
-                    invalidations,
-                })
-            }
-            Err(e) => {
-                self.stats.record_update_abort();
-                Err(e)
-            }
-        }
+        // Stamp stream positions and retain the batch for replay before
+        // fanning it out, so every published invalidation is already
+        // sequenced and recoverable.
+        self.log.record(&mut invalidations);
+        self.stats.record_invalidations(invalidations.len() as u64);
+        self.publisher.publish(&invalidations);
+        Ok(UpdateCommit {
+            txn,
+            version,
+            reads,
+            written,
+            invalidations,
+        })
     }
 
     /// A snapshot of the database load counters, including the read-path
@@ -667,9 +647,11 @@ mod tests {
         db.execute_update(TxnId(1), &vec![2u64, 3].into()).unwrap();
         let snap = db.stats();
         // Every store snapshot was optimistic and uncontended in this
-        // single-threaded test: the miss read (1), the update's one read
-        // per object (2) and the prepare-phase existence checks (2).
-        assert_eq!(snap.read_path.optimistic_hits, 5);
+        // single-threaded test: the miss read (1) and the update's one read
+        // per object (2). The update reads under its locks, so that read is
+        // the existence check: there is no second, prepare-time probe per
+        // object (there were two more here before the one-pass commit).
+        assert_eq!(snap.read_path.optimistic_hits, 3);
         assert_eq!(snap.read_path.optimistic_retries, 0);
         assert_eq!(snap.read_path.lock_fallbacks, 0);
         assert_eq!(snap.read_path.locked_reads, 0);

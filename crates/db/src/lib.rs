@@ -13,11 +13,14 @@
 //! * [`locks`] — a per-object lock table with two-phase locking and no-wait
 //!   deadlock avoidance;
 //! * [`shard`] / [`twopc`] — hash-sharded participants and the two-phase
-//!   commit coordinator that spans them;
+//!   commit coordinator that spans them, under strict two-phase locking:
+//!   lock everything, read each object once under its lock, install,
+//!   release;
 //! * [`version_clock`] — transaction version assignment (a transaction's
 //!   version is larger than the version of every object it accessed);
 //! * [`dependency_update`] — the commit-time dependency-list aggregation and
-//!   LRU pruning of §III-A;
+//!   LRU pruning of §III-A, computing only the head the stored lists are
+//!   cut from;
 //! * [`invalidation`] — invalidation records published after every update
 //!   transaction, to be delivered (unreliably) to caches;
 //! * [`publisher`] — the per-cache upcall registry fanning each committed

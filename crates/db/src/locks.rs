@@ -6,15 +6,20 @@
 //! transaction that cannot acquire a lock immediately is aborted
 //! (deadlock avoidance without a waits-for graph).
 //!
-//! Since the store grew its optimistic read path (see [`crate::store`]),
-//! the shared mode is only exercised by [`ReadPath::Locked`] deployments:
-//! optimistic readers validate their snapshots against the store's bucket
-//! sequences instead of registering here, so the table's normal population
-//! is exclusively write locks held between prepare and commit/abort.
+//! An update transaction locks everything it accesses *before* it reads
+//! anything (see [`crate::twopc`]): its written objects exclusively and, for
+//! [`Database::execute_update_writes`], its read-only objects shared. It
+//! holds them until its writes are installed and then releases exactly the
+//! objects it locked — one lookup each, never a scan of the table. Cache
+//! misses take no lock at all: optimistic readers validate their snapshots
+//! against the store's bucket sequences instead of registering here
+//! (a [`ReadPath::Locked`] shard read takes a short shared lock).
 //!
+//! [`Database::execute_update_writes`]: crate::database::Database::execute_update_writes
 //! [`ReadPath::Locked`]: crate::store::ReadPath::Locked
 
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use tcache_types::{ConflictReason, IdMap, IdSet, ObjectId, TCacheError, TCacheResult, TxnId};
 
 /// The mode in which a lock is requested.
@@ -88,7 +93,7 @@ impl LockTable {
         LockTable::default()
     }
 
-    /// Attempts to acquire `mode` locks on every object in `objects` for
+    /// Attempts to acquire every `(object, mode)` lock in `requests` for
     /// `txn`, atomically. Either all locks are granted or none are
     /// (no partial acquisition), and on failure the transaction is expected
     /// to abort (no-wait policy).
@@ -99,15 +104,15 @@ impl LockTable {
     /// # Errors
     /// Returns [`TCacheError::UpdateAborted`] with
     /// [`ConflictReason::LockConflict`] if any lock is unavailable.
-    pub fn try_lock_all(
-        &self,
-        txn: TxnId,
-        objects: &[ObjectId],
-        mode: LockMode,
-    ) -> TCacheResult<()> {
+    pub fn try_lock<I>(&self, txn: TxnId, requests: I) -> TCacheResult<()>
+    where
+        I: IntoIterator<Item = (ObjectId, LockMode)>,
+        I::IntoIter: Clone,
+    {
+        let requests = requests.into_iter();
         let mut table = self.locks.lock();
         // First pass: check every lock can be granted.
-        for &o in objects {
+        for (o, mode) in requests.clone() {
             if let Some(lock) = table.get(&o) {
                 if !lock.can_grant(txn, mode) {
                     return Err(TCacheError::UpdateAborted {
@@ -118,19 +123,24 @@ impl LockTable {
             }
         }
         // Second pass: grant them all.
-        for &o in objects {
+        for (o, mode) in requests {
             table.entry(o).or_default().grant(txn, mode);
         }
         Ok(())
     }
 
-    /// Releases every lock held by `txn`.
-    pub fn release_all(&self, txn: TxnId) {
+    /// Releases `txn`'s locks on `objects` (objects it does not hold are
+    /// skipped); an object nobody holds any more leaves the table.
+    pub fn release(&self, txn: TxnId, objects: impl IntoIterator<Item = ObjectId>) {
         let mut table = self.locks.lock();
-        table.retain(|_, lock| {
-            lock.release(txn);
-            !lock.is_free()
-        });
+        for o in objects {
+            if let Entry::Occupied(mut lock) = table.entry(o) {
+                lock.get_mut().release(txn);
+                if lock.get().is_free() {
+                    lock.remove();
+                }
+            }
+        }
     }
 
     /// Returns `true` if `txn` currently holds a lock on `object` in a mode
@@ -158,87 +168,134 @@ impl LockTable {
 mod tests {
     use super::*;
 
-    fn objs(ids: &[u64]) -> Vec<ObjectId> {
-        ids.iter().map(|&i| ObjectId(i)).collect()
+    fn all(ids: &[u64], mode: LockMode) -> Vec<(ObjectId, LockMode)> {
+        ids.iter().map(|&i| (ObjectId(i), mode)).collect()
     }
 
     #[test]
     fn exclusive_locks_conflict() {
         let t = LockTable::new();
-        t.try_lock_all(TxnId(1), &objs(&[1, 2]), LockMode::Exclusive)
+        t.try_lock(TxnId(1), all(&[1, 2], LockMode::Exclusive))
             .unwrap();
         let err = t
-            .try_lock_all(TxnId(2), &objs(&[2, 3]), LockMode::Exclusive)
+            .try_lock(TxnId(2), all(&[2, 3], LockMode::Exclusive))
             .unwrap_err();
-        assert!(matches!(err, TCacheError::UpdateAborted { txn: TxnId(2), .. }));
+        assert!(matches!(
+            err,
+            TCacheError::UpdateAborted { txn: TxnId(2), .. }
+        ));
         // Non-overlapping set is fine.
-        t.try_lock_all(TxnId(2), &objs(&[3, 4]), LockMode::Exclusive)
+        t.try_lock(TxnId(2), all(&[3, 4], LockMode::Exclusive))
             .unwrap();
     }
 
     #[test]
     fn shared_locks_are_compatible() {
         let t = LockTable::new();
-        t.try_lock_all(TxnId(1), &objs(&[1]), LockMode::Shared).unwrap();
-        t.try_lock_all(TxnId(2), &objs(&[1]), LockMode::Shared).unwrap();
+        t.try_lock(TxnId(1), all(&[1], LockMode::Shared)).unwrap();
+        t.try_lock(TxnId(2), all(&[1], LockMode::Shared)).unwrap();
         assert!(t.holds(TxnId(1), ObjectId(1), LockMode::Shared));
         assert!(t.holds(TxnId(2), ObjectId(1), LockMode::Shared));
         // Exclusive now conflicts with the two shared holders.
         assert!(t
-            .try_lock_all(TxnId(3), &objs(&[1]), LockMode::Exclusive)
+            .try_lock(TxnId(3), all(&[1], LockMode::Exclusive))
             .is_err());
     }
 
     #[test]
     fn failed_acquisition_grants_nothing() {
         let t = LockTable::new();
-        t.try_lock_all(TxnId(1), &objs(&[2]), LockMode::Exclusive).unwrap();
+        t.try_lock(TxnId(1), all(&[2], LockMode::Exclusive))
+            .unwrap();
         // Txn 2 wants objects 1 and 2; 2 is taken, so 1 must not be locked either.
         assert!(t
-            .try_lock_all(TxnId(2), &objs(&[1, 2]), LockMode::Exclusive)
+            .try_lock(TxnId(2), all(&[1, 2], LockMode::Exclusive))
             .is_err());
         assert!(!t.holds(TxnId(2), ObjectId(1), LockMode::Shared));
-        assert!(t
-            .try_lock_all(TxnId(3), &objs(&[1]), LockMode::Exclusive)
-            .is_ok());
+        assert!(t.try_lock(TxnId(3), all(&[1], LockMode::Exclusive)).is_ok());
     }
 
     #[test]
     fn lock_upgrade_by_same_transaction() {
         let t = LockTable::new();
-        t.try_lock_all(TxnId(1), &objs(&[1]), LockMode::Shared).unwrap();
-        t.try_lock_all(TxnId(1), &objs(&[1]), LockMode::Exclusive).unwrap();
+        t.try_lock(TxnId(1), all(&[1], LockMode::Shared)).unwrap();
+        t.try_lock(TxnId(1), all(&[1], LockMode::Exclusive))
+            .unwrap();
         assert!(t.holds(TxnId(1), ObjectId(1), LockMode::Exclusive));
         // Another transaction's shared lock blocks the upgrade.
-        t.try_lock_all(TxnId(2), &objs(&[2]), LockMode::Shared).unwrap();
-        t.try_lock_all(TxnId(3), &objs(&[2]), LockMode::Shared).unwrap();
+        t.try_lock(TxnId(2), all(&[2], LockMode::Shared)).unwrap();
+        t.try_lock(TxnId(3), all(&[2], LockMode::Shared)).unwrap();
         assert!(t
-            .try_lock_all(TxnId(2), &objs(&[2]), LockMode::Exclusive)
+            .try_lock(TxnId(2), all(&[2], LockMode::Exclusive))
             .is_err());
     }
 
     #[test]
     fn release_frees_locks() {
         let t = LockTable::new();
-        t.try_lock_all(TxnId(1), &objs(&[1, 2, 3]), LockMode::Exclusive)
+        t.try_lock(TxnId(1), all(&[1, 2, 3], LockMode::Exclusive))
             .unwrap();
         assert_eq!(t.locked_objects(), 3);
-        t.release_all(TxnId(1));
+        t.release(TxnId(1), [1, 2, 3].map(ObjectId));
         assert_eq!(t.locked_objects(), 0);
-        t.try_lock_all(TxnId(2), &objs(&[1, 2, 3]), LockMode::Exclusive)
+        t.try_lock(TxnId(2), all(&[1, 2, 3], LockMode::Exclusive))
             .unwrap();
     }
 
     #[test]
     fn exclusive_holder_can_reacquire_shared() {
         let t = LockTable::new();
-        t.try_lock_all(TxnId(1), &objs(&[1]), LockMode::Exclusive).unwrap();
-        t.try_lock_all(TxnId(1), &objs(&[1]), LockMode::Shared).unwrap();
+        t.try_lock(TxnId(1), all(&[1], LockMode::Exclusive))
+            .unwrap();
+        t.try_lock(TxnId(1), all(&[1], LockMode::Shared)).unwrap();
         assert!(t.holds(TxnId(1), ObjectId(1), LockMode::Exclusive));
         // Other readers still conflict.
+        assert!(t.try_lock(TxnId(2), all(&[1], LockMode::Shared)).is_err());
+    }
+
+    #[test]
+    fn mixed_modes_are_granted_together_or_not_at_all() {
+        let t = LockTable::new();
+        let writes_1_reads_2 = [
+            (ObjectId(1), LockMode::Exclusive),
+            (ObjectId(2), LockMode::Shared),
+        ];
+        t.try_lock(TxnId(1), writes_1_reads_2).unwrap();
+        assert!(t.holds(TxnId(1), ObjectId(1), LockMode::Exclusive));
+        assert!(t.holds(TxnId(1), ObjectId(2), LockMode::Shared));
+        // Another reader of 2 coexists; a writer of 2 or a reader of 1 not.
+        t.try_lock(TxnId(2), all(&[2], LockMode::Shared)).unwrap();
+        assert!(t.try_lock(TxnId(3), writes_1_reads_2).is_err());
         assert!(t
-            .try_lock_all(TxnId(2), &objs(&[1]), LockMode::Shared)
+            .try_lock(TxnId(3), all(&[3, 2], LockMode::Exclusive))
             .is_err());
+        assert!(
+            !t.holds(TxnId(3), ObjectId(3), LockMode::Shared),
+            "nothing granted"
+        );
+    }
+
+    #[test]
+    fn release_frees_exactly_the_named_objects() {
+        let t = LockTable::new();
+        t.try_lock(TxnId(1), all(&[1, 2], LockMode::Exclusive))
+            .unwrap();
+        t.try_lock(TxnId(2), all(&[3], LockMode::Shared)).unwrap();
+        t.try_lock(TxnId(1), all(&[3], LockMode::Shared)).unwrap();
+        t.release(TxnId(1), [ObjectId(1), ObjectId(3), ObjectId(9)]);
+        assert!(!t.holds(TxnId(1), ObjectId(1), LockMode::Shared));
+        assert!(
+            t.holds(TxnId(1), ObjectId(2), LockMode::Exclusive),
+            "not named: kept"
+        );
+        assert!(
+            t.holds(TxnId(2), ObjectId(3), LockMode::Shared),
+            "another holder's lock"
+        );
+        assert_eq!(t.locked_objects(), 2);
+        // Releasing what a transaction does not hold changes nothing.
+        t.release(TxnId(7), [ObjectId(2), ObjectId(3)]);
+        assert_eq!(t.locked_objects(), 2);
     }
 
     #[test]

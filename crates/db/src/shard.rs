@@ -1,46 +1,26 @@
 //! A database shard: owns a partition of the object space and participates
 //! in two-phase commit.
 //!
-//! Each shard has its own [`VersionedStore`] and lock table. The coordinator
-//! (in [`crate::twopc`]) drives the `prepare` / `commit` / `abort` protocol;
-//! a shard votes *yes* on prepare only if it can lock every touched object
-//! it owns.
+//! Each shard has its own [`VersionedStore`] and lock table, and no other
+//! per-transaction state: the coordinator (in [`crate::twopc`]) runs phase
+//! one by locking a transaction's objects at every participating shard
+//! ([`Shard::lock`] — no-wait, all or nothing per shard) and then reading
+//! each object once under its lock; phase two installs the writes in the
+//! store and releases exactly the objects it locked ([`Shard::release`]).
+//! A shard whose lock request is refused, or whose object turns out not to
+//! exist, is the "no" vote; the lock table is the only record that a
+//! transaction is in flight here.
 //!
-//! Read-only accesses take the store's read path: on the default
-//! [`ReadPath::Optimistic`] a read is a seqlock-validated snapshot that
-//! never touches the lock table at all (validation replaces the shared
-//! lock), while [`ReadPath::Locked`] reproduces the historical behaviour of
-//! a short-lived shared lock per read. Write locking is identical in both
+//! Reads outside update transactions take the store's read path: on the
+//! default [`ReadPath::Optimistic`] a read is a seqlock-validated snapshot
+//! that never touches the lock table at all, while [`ReadPath::Locked`]
+//! reproduces the historical behaviour of a short-lived shared lock per
+//! read ([`Shard::read`]). Update transactions lock identically in both
 //! modes.
 
 use crate::locks::{LockMode, LockTable};
 use crate::store::{HistoricalVersion, ReadPath, VersionedStore};
-use parking_lot::Mutex;
-use tcache_types::{
-    DependencyList, IdMap, ObjectEntry, ObjectId, TCacheError, TCacheResult, TxnId, Value, Version,
-};
-
-/// A single write staged during the prepare phase.
-#[derive(Debug, Clone)]
-pub struct PreparedWrite {
-    /// The object to overwrite.
-    pub object: ObjectId,
-    /// The new value.
-    pub value: Value,
-    /// The version to install (the transaction's version).
-    pub version: Version,
-    /// The dependency list to install alongside.
-    pub dependencies: DependencyList,
-}
-
-/// The vote a shard casts during the prepare phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Vote {
-    /// The shard locked everything and staged the writes.
-    Yes,
-    /// The shard could not lock an object; the transaction must abort.
-    No,
-}
+use tcache_types::{ObjectEntry, ObjectId, TCacheResult, TxnId, Value, Version};
 
 /// A shard of the backend database.
 #[derive(Debug)]
@@ -48,7 +28,6 @@ pub struct Shard {
     index: usize,
     store: VersionedStore,
     locks: LockTable,
-    prepared: Mutex<IdMap<TxnId, Vec<PreparedWrite>>>,
 }
 
 impl Shard {
@@ -65,7 +44,6 @@ impl Shard {
             index,
             store: VersionedStore::with_read_path(history_depth, read_path),
             locks: LockTable::new(),
-            prepared: Mutex::new(IdMap::default()),
         }
     }
 
@@ -75,12 +53,12 @@ impl Shard {
     }
 
     /// Number of objects currently locked on this shard. Zero whenever no
-    /// transaction is between prepare and commit/abort here.
+    /// transaction is between its lock and its release here.
     pub fn locked_objects(&self) -> usize {
         self.locks.locked_objects()
     }
 
-    /// Direct access to the underlying store (reads, populate).
+    /// Direct access to the underlying store (reads, installs, populate).
     pub fn store(&self) -> &VersionedStore {
         &self.store
     }
@@ -93,14 +71,15 @@ impl Shard {
 
     /// Reads the current entry for an object owned by this shard on the
     /// store's configured read path, without registering in the lock
-    /// table. This is the surface behind every cache miss
-    /// ([`Database::read_entry`]) and every update transaction's
-    /// pre-prepare reads: on [`ReadPath::Optimistic`] it is a non-blocking
-    /// bucket snapshot; on [`ReadPath::Locked`] it blocks on the store's
-    /// single lock (but still never touches the 2PL table — the observed
-    /// versions are what update transactions later re-validate under their
-    /// exclusive locks, and read-only traffic needs no table entry at
-    /// all).
+    /// table: on [`ReadPath::Optimistic`] a non-blocking bucket snapshot,
+    /// on [`ReadPath::Locked`] a read under the store's single lock.
+    ///
+    /// This is the surface behind every cache miss
+    /// ([`Database::read_entry`]) and behind every update transaction's
+    /// read — which the coordinator issues only once the transaction holds
+    /// its lock on the object, so the entry an update reads is the entry
+    /// it overwrites and nothing needs re-validating later. Read-only
+    /// traffic needs no table entry at all.
     ///
     /// [`Database::read_entry`]: crate::database::Database::read_entry
     pub fn read_entry(&self, id: ObjectId) -> TCacheResult<ObjectEntry> {
@@ -116,18 +95,14 @@ impl Shard {
     /// shared lock, so the read is invisible to the lock table. On
     /// [`ReadPath::Locked`] the historical behaviour is kept: a short
     /// shared lock held for the duration of the copy (failing no-wait if a
-    /// writer holds the object exclusively). Either way, update
-    /// transactions re-acquire exclusive locks at prepare time, which is
-    /// where write-write conflicts are decided.
+    /// writer holds the object exclusively).
     pub fn read(&self, txn: TxnId, id: ObjectId) -> TCacheResult<ObjectEntry> {
         if self.store.read_path() == ReadPath::Optimistic {
             return self.read_entry(id);
         }
-        self.locks.try_lock_all(txn, &[id], LockMode::Shared)?;
+        self.locks.try_lock(txn, [(id, LockMode::Shared)])?;
         let result = self.store.get(id);
-        // Reads release immediately; update transactions re-acquire
-        // exclusive locks at prepare time.
-        self.locks.release_all(txn);
+        self.locks.release(txn, [id]);
         result
     }
 
@@ -145,78 +120,31 @@ impl Shard {
         self.store.read_version(id, version)
     }
 
-    /// Phase one of two-phase commit: lock the written objects exclusively
-    /// and stage the writes. Returns the shard's vote.
-    ///
-    /// Locks are acquired *before* the existence check so the check cannot
-    /// race with concurrent writers, and every acquired lock is released on
-    /// the `Vote::No` path — a shard that votes no never leaves partial
-    /// locks behind.
-    pub fn prepare(&self, txn: TxnId, writes: Vec<PreparedWrite>) -> Vote {
-        let objects: Vec<ObjectId> = writes.iter().map(|w| w.object).collect();
-        if self
-            .locks
-            .try_lock_all(txn, &objects, LockMode::Exclusive)
-            .is_err()
-        {
-            // try_lock_all is all-or-nothing: a conflict grants nothing.
-            return Vote::No;
-        }
-        if objects.iter().any(|&o| !self.store.contains(o)) {
-            self.locks.release_all(txn);
-            return Vote::No;
-        }
-        self.prepared.lock().insert(txn, writes);
-        Vote::Yes
-    }
-
-    /// Phase two (success): install every staged write and release locks.
+    /// Phase one at this shard: locks every `(object, mode)` it is asked
+    /// for on behalf of `txn`, no-wait and all or nothing — a refusal
+    /// grants nothing, so a shard that votes no holds nothing.
     ///
     /// # Errors
-    /// Returns [`TCacheError::UnknownTransaction`] if the transaction never
-    /// prepared at this shard.
-    pub fn commit(&self, txn: TxnId) -> TCacheResult<Vec<(ObjectId, Version)>> {
-        let writes = self
-            .prepared
-            .lock()
-            .remove(&txn)
-            .ok_or(TCacheError::UnknownTransaction(txn))?;
-        let mut installed = Vec::with_capacity(writes.len());
-        for w in writes {
-            self.store
-                .install(w.object, w.value, w.version, w.dependencies, txn)?;
-            installed.push((w.object, w.version));
-        }
-        self.locks.release_all(txn);
-        Ok(installed)
+    /// Returns [`TCacheError::UpdateAborted`](tcache_types::TCacheError::UpdateAborted)
+    /// if any lock is held in a conflicting mode by another transaction.
+    pub fn lock<I>(&self, txn: TxnId, requests: I) -> TCacheResult<()>
+    where
+        I: IntoIterator<Item = (ObjectId, LockMode)>,
+        I::IntoIter: Clone,
+    {
+        self.locks.try_lock(txn, requests)
     }
 
-    /// Phase two (failure): discard staged writes and release locks.
-    /// Aborting a transaction that never prepared here is a no-op.
-    pub fn abort(&self, txn: TxnId) {
-        self.prepared.lock().remove(&txn);
-        self.locks.release_all(txn);
-    }
-
-    /// Number of transactions currently in the prepared state
-    /// (diagnostics / tests).
-    pub fn prepared_count(&self) -> usize {
-        self.prepared.lock().len()
+    /// Releases `txn`'s locks on exactly `objects` (the end of phase two,
+    /// or an abort after phase one).
+    pub fn release(&self, txn: TxnId, objects: impl IntoIterator<Item = ObjectId>) {
+        self.locks.release(txn, objects);
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn write(o: u64, val: u64, ver: u64) -> PreparedWrite {
-        PreparedWrite {
-            object: ObjectId(o),
-            value: Value::new(val),
-            version: Version(ver),
-            dependencies: DependencyList::bounded(3),
-        }
-    }
+    use tcache_types::{DependencyList, TCacheError};
 
     fn shard_with(n: u64) -> Shard {
         let s = Shard::new(0, 0);
@@ -226,80 +154,106 @@ mod tests {
         s
     }
 
+    /// Phase one for a transaction writing `objects`: exclusive locks.
+    fn lock_writes(s: &Shard, txn: u64, objects: &[u64]) -> TCacheResult<()> {
+        s.lock(
+            TxnId(txn),
+            objects
+                .iter()
+                .map(|&o| (ObjectId(o), LockMode::Exclusive))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// Phase two: install `(object, value)` writes at `version`, release.
+    fn install_and_release(s: &Shard, txn: u64, writes: &[(u64, u64)], version: u64) {
+        for &(o, value) in writes {
+            s.store()
+                .install(
+                    ObjectId(o),
+                    Value::new(value),
+                    Version(version),
+                    DependencyList::bounded(3),
+                    TxnId(txn),
+                )
+                .unwrap();
+        }
+        s.release(TxnId(txn), writes.iter().map(|&(o, _)| ObjectId(o)));
+    }
+
     #[test]
     fn prepare_commit_installs_writes() {
         let s = shard_with(3);
         assert_eq!(s.index(), 0);
-        let vote = s.prepare(TxnId(1), vec![write(0, 7, 1), write(1, 8, 1)]);
-        assert_eq!(vote, Vote::Yes);
-        assert_eq!(s.prepared_count(), 1);
-        let installed = s.commit(TxnId(1)).unwrap();
-        assert_eq!(installed.len(), 2);
+        lock_writes(&s, 1, &[0, 1]).unwrap();
+        assert_eq!(s.locked_objects(), 2);
+        // The read under the lock is the existence check.
+        assert_eq!(s.read_entry(ObjectId(0)).unwrap().version, Version::INITIAL);
+        install_and_release(&s, 1, &[(0, 7), (1, 8)], 1);
         assert_eq!(s.store().get(ObjectId(0)).unwrap().value.numeric(), 7);
         assert_eq!(s.store().get(ObjectId(0)).unwrap().version, Version(1));
-        assert_eq!(s.prepared_count(), 0);
+        assert_eq!(s.locked_objects(), 0);
     }
 
     #[test]
     fn prepare_conflicting_transactions_vote_no() {
         let s = shard_with(3);
-        assert_eq!(s.prepare(TxnId(1), vec![write(0, 1, 1)]), Vote::Yes);
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 2, 2)]), Vote::No);
+        lock_writes(&s, 1, &[0]).unwrap();
+        assert!(matches!(
+            lock_writes(&s, 2, &[0]),
+            Err(TCacheError::UpdateAborted { txn: TxnId(2), .. })
+        ));
         // After commit the object is free again.
-        s.commit(TxnId(1)).unwrap();
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 2, 2)]), Vote::Yes);
+        install_and_release(&s, 1, &[(0, 1)], 1);
+        lock_writes(&s, 2, &[0]).unwrap();
     }
 
     #[test]
     fn abort_discards_staged_writes_and_releases_locks() {
         let s = shard_with(2);
-        assert_eq!(s.prepare(TxnId(1), vec![write(0, 9, 5)]), Vote::Yes);
-        s.abort(TxnId(1));
-        assert_eq!(s.prepared_count(), 0);
+        lock_writes(&s, 1, &[0]).unwrap();
+        // Aborting after phase one is releasing without installing.
+        s.release(TxnId(1), [ObjectId(0)]);
+        assert_eq!(s.locked_objects(), 0);
         assert_eq!(s.store().get(ObjectId(0)).unwrap().value.numeric(), 0);
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 2, 2)]), Vote::Yes);
-        // Aborting an unknown transaction is a no-op.
-        s.abort(TxnId(42));
-    }
-
-    #[test]
-    fn commit_without_prepare_errors() {
-        let s = shard_with(1);
-        assert_eq!(
-            s.commit(TxnId(5)).unwrap_err(),
-            TCacheError::UnknownTransaction(TxnId(5))
-        );
+        lock_writes(&s, 2, &[0]).unwrap();
+        // Releasing for a transaction that holds nothing is a no-op.
+        s.release(TxnId(42), [ObjectId(0)]);
+        assert_eq!(s.locked_objects(), 1);
     }
 
     #[test]
     fn prepare_unknown_object_votes_no() {
         let s = shard_with(1);
-        assert_eq!(s.prepare(TxnId(1), vec![write(99, 1, 1)]), Vote::No);
+        // The lock table knows nothing of existence; the read under the
+        // lock does, and the transaction then releases what it took.
+        lock_writes(&s, 1, &[0, 99]).unwrap();
+        assert_eq!(
+            s.read_entry(ObjectId(99)).unwrap_err(),
+            TCacheError::UnknownObject(ObjectId(99))
+        );
+        s.release(TxnId(1), [ObjectId(0), ObjectId(99)]);
+        assert_eq!(s.locked_objects(), 0);
     }
 
     #[test]
     fn rejected_prepare_leaks_no_partial_locks() {
-        // A prepare touching an existing and a missing object votes no; the
-        // lock it already acquired on the existing object must be released,
-        // so a subsequent transaction can lock and commit it.
+        // A lock request touching a free and a held object is refused; the
+        // free one must not stay locked, so a later transaction can lock
+        // and commit it.
         let s = shard_with(2);
-        assert_eq!(
-            s.prepare(TxnId(1), vec![write(0, 5, 1), write(99, 5, 1)]),
-            Vote::No
-        );
-        assert_eq!(s.prepared_count(), 0, "nothing may be staged after a no vote");
-        assert_eq!(
-            s.prepare(TxnId(2), vec![write(0, 7, 2), write(1, 7, 2)]),
-            Vote::Yes,
-            "the rejected prepare must not leave object 0 locked"
-        );
-        s.commit(TxnId(2)).unwrap();
+        lock_writes(&s, 9, &[1]).unwrap();
+        assert!(lock_writes(&s, 1, &[0, 1]).is_err());
+        assert_eq!(s.locked_objects(), 1, "only transaction 9's lock");
+        lock_writes(&s, 2, &[0]).unwrap();
+        install_and_release(&s, 2, &[(0, 7)], 2);
         assert_eq!(s.store().get(ObjectId(0)).unwrap().value.numeric(), 7);
-        // The original transaction holds nothing either: aborting it is a
-        // no-op and it can start over cleanly.
-        s.abort(TxnId(1));
-        assert_eq!(s.prepare(TxnId(1), vec![write(1, 9, 3)]), Vote::Yes);
-        s.abort(TxnId(1));
+        // The refused transaction holds nothing either: it can start over
+        // cleanly once object 1 is free.
+        s.release(TxnId(9), [ObjectId(1)]);
+        lock_writes(&s, 1, &[1]).unwrap();
+        s.release(TxnId(1), [ObjectId(1)]);
+        assert_eq!(s.locked_objects(), 0);
     }
 
     #[test]
@@ -307,8 +261,8 @@ mod tests {
         let s = shard_with(1);
         let e = s.read(TxnId(1), ObjectId(0)).unwrap();
         assert_eq!(e.version, Version::INITIAL);
-        // The read leaves no lock behind, so an exclusive prepare succeeds.
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 1, 1)]), Vote::Yes);
+        // The read leaves no lock behind, so an exclusive lock succeeds.
+        lock_writes(&s, 2, &[0]).unwrap();
         assert!(s.read(TxnId(3), ObjectId(55)).is_err());
     }
 
@@ -323,10 +277,10 @@ mod tests {
         );
         // Even while another transaction holds the exclusive lock, an
         // optimistic read is served (it reads the last committed state).
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 1, 1)]), Vote::Yes);
+        lock_writes(&s, 2, &[0]).unwrap();
         let e = s.read(TxnId(3), ObjectId(0)).unwrap();
-        assert_eq!(e.version, Version::INITIAL, "staged write not yet visible");
-        s.commit(TxnId(2)).unwrap();
+        assert_eq!(e.version, Version::INITIAL, "nothing installed yet");
+        install_and_release(&s, 2, &[(0, 1)], 1);
         assert_eq!(s.read(TxnId(3), ObjectId(0)).unwrap().version, Version(1));
     }
 
@@ -338,20 +292,20 @@ mod tests {
         assert_eq!(s.locks.locked_objects(), 0, "released after the copy");
         assert_eq!(s.store().read_path(), ReadPath::Locked);
         // A reader that cannot get the shared lock aborts (no-wait): hold
-        // the exclusive lock through a dangling prepare.
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 1, 1)]), Vote::Yes);
+        // the exclusive lock through a dangling phase one.
+        lock_writes(&s, 2, &[0]).unwrap();
         assert!(s.read(TxnId(3), ObjectId(0)).is_err());
-        s.abort(TxnId(2));
+        s.release(TxnId(2), [ObjectId(0)]);
     }
 
     #[test]
     fn read_version_serves_history_without_locks() {
         let s = Shard::new(0, 4);
         s.populate(ObjectId(0), Value::new(0));
-        assert_eq!(s.prepare(TxnId(1), vec![write(0, 7, 1)]), Vote::Yes);
-        s.commit(TxnId(1)).unwrap();
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 8, 2)]), Vote::Yes);
-        s.commit(TxnId(2)).unwrap();
+        lock_writes(&s, 1, &[0]).unwrap();
+        install_and_release(&s, 1, &[(0, 7)], 1);
+        lock_writes(&s, 2, &[0]).unwrap();
+        install_and_release(&s, 2, &[(0, 8)], 2);
         let old = s.read_version(ObjectId(0), Version(1)).unwrap();
         assert_eq!(old.value.numeric(), 7);
         assert_eq!(old.installed_by, Some(TxnId(1)));

@@ -365,8 +365,11 @@ impl VersionedStore {
     ///
     /// Concurrent installs of the *same* object must be externally
     /// serialized (the two-phase-commit path holds the object's exclusive
-    /// lock from [`crate::locks`] across the install); the store itself
-    /// only guarantees that each install is atomic with respect to readers.
+    /// lock from [`crate::locks`] from before it reads the object until
+    /// after the install); the store itself only guarantees that each
+    /// install is atomic with respect to readers. One bucket lookup; the
+    /// replaced dependency list is dropped after the bucket lock is
+    /// released.
     ///
     /// # Errors
     /// Returns [`TCacheError::UnknownObject`] if the object was never
@@ -384,11 +387,13 @@ impl VersionedStore {
         let dependencies = dependencies.into();
         let bucket = self.bucket(id);
         let mut guard = bucket.data.write();
-        // Reject unknown objects before entering the seqlock critical
-        // section, so failed installs never force readers to retry.
-        if !guard.objects.contains_key(&id) {
+        let data = &mut *guard;
+        // One lookup: an unknown object is rejected before the seqlock
+        // critical section is entered, so failed installs never force
+        // readers to retry.
+        let Some(entry) = data.objects.get_mut(&id) else {
             return Err(TCacheError::UnknownObject(id));
-        }
+        };
         let entered = bucket.seq.fetch_add(1, Ordering::AcqRel);
         debug_assert_eq!(
             entered & 1,
@@ -396,12 +401,11 @@ impl VersionedStore {
             "seqlock entered odd: another writer inside the critical section \
              despite the exclusive lock"
         );
-        let entry = guard.objects.get_mut(&id).expect("checked above");
-        entry.value = value.clone();
         entry.version = version;
-        entry.dependencies = Arc::clone(&dependencies);
-        if self.history_depth > 0 {
-            let versions = guard.history.entry(id).or_default();
+        let replaced = if self.history_depth > 0 {
+            let replaced = std::mem::replace(&mut entry.dependencies, Arc::clone(&dependencies));
+            entry.value = value.clone();
+            let versions = data.history.entry(id).or_default();
             versions.push(HistoricalVersion {
                 version,
                 value,
@@ -412,13 +416,21 @@ impl VersionedStore {
                 let excess = versions.len() - self.history_depth;
                 versions.drain(0..excess);
             }
-        }
+            replaced
+        } else {
+            entry.value = value;
+            std::mem::replace(&mut entry.dependencies, dependencies)
+        };
         let exited = bucket.seq.fetch_add(1, Ordering::Release);
         debug_assert_eq!(
             exited,
             entered + 1,
             "seqlock sequence moved inside the critical section"
         );
+        drop(guard);
+        // The replaced list is freed (if this was its last holder) outside
+        // the bucket lock, so readers never wait on a deallocation.
+        drop(replaced);
         Ok(())
     }
 

@@ -1,27 +1,42 @@
-//! Two-phase commit across shards.
+//! Two-phase commit across shards, under strict two-phase locking.
 //!
-//! The coordinator partitions a transaction's writes by owning shard, runs
-//! the prepare phase on every participant, and commits only if every
-//! participant voted yes; otherwise every participant aborts. With a single
-//! shard this degenerates to ordinary atomic commit, matching the paper's
-//! single-column experimental setup, but the protocol is fully general.
+//! An update transaction is a handful of distinct objects (`TxnObject`,
+//! in access order), each read and possibly written (`Access`). The
+//! coordinator runs the two phases over the shards those objects live on —
+//! the *participants* — always in shard order:
 //!
-//! Only *writes* interact with the lock tables: the reads an update
-//! transaction performs before preparing (and every read-only access) go
-//! through the stores' optimistic seqlock path (see [`crate::store`]), so
-//! they are snapshots of committed state validated against the bucket
-//! sequence rather than lock acquisitions. The exclusive write locks taken
-//! at prepare time are unchanged — they are what serializes installs of
-//! the same object, which is the precondition the store's `install`
-//! documents. A shard's existence check during prepare rides the same
-//! optimistic surface ([`VersionedStore::contains`]) and is safe because
-//! the objects it guards are already exclusively locked by that point.
+//! 1. `Coordinator::prepare`: at every participant, lock the
+//!    transaction's objects there — written ones exclusively, read-only
+//!    ones shared — no-wait and all or nothing. A refusal anywhere
+//!    releases what the earlier participants granted and aborts the
+//!    transaction. Once every participant holds its locks, each object is
+//!    read once, under its lock; that read is also the existence check,
+//!    and an unknown object releases everything and aborts.
+//! 2. `Coordinator::commit`: at every participant, install the writes
+//!    (in access order) and release exactly the objects locked there.
 //!
-//! [`VersionedStore::contains`]: crate::store::VersionedStore::contains
+//! Locking *before* reading is what makes the reads worth building on: the
+//! entry a transaction reads is the entry it overwrites, so the version it
+//! derives from it (§III-A) is larger than the version it replaces, and
+//! two updaters of one object can never both read the same old version —
+//! the second cannot lock until the first has installed and released. No
+//! re-validation is needed afterwards and no existence probe at prepare
+//! time. With a single shard this degenerates to ordinary atomic commit,
+//! matching the paper's single-column experimental setup, but the protocol
+//! is fully general.
+//!
+//! Read-only traffic (cache misses) never touches the lock tables: it goes
+//! through the stores' optimistic seqlock path (see [`crate::store`]), a
+//! snapshot of committed state that an install in progress never tears.
 
-use crate::shard::{PreparedWrite, Shard, Vote};
+use crate::locks::LockMode;
+use crate::shard::Shard;
+use smallvec::SmallVec;
 use std::sync::Arc;
-use tcache_types::{ConflictReason, ObjectId, TCacheError, TCacheResult, TxnId, Version};
+use tcache_types::{
+    ConflictReason, DependencyList, ObjectEntry, ObjectId, TCacheError, TCacheResult, TxnId, Value,
+    Version,
+};
 
 /// Routes objects to shards by hashing the object id.
 #[derive(Debug, Clone, Copy)]
@@ -53,13 +68,103 @@ impl ShardRouter {
     }
 }
 
-/// The outcome of a coordinated commit.
+/// What an update transaction does with one object it accesses. Every
+/// access reads the object; all but [`Access::Read`] also write it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Access {
+    /// Read only: the object is locked shared.
+    Read,
+    /// Read, then write back the value read with its payload bumped (the
+    /// evaluation's read-modify-write).
+    Bump,
+    /// Read, then write this value.
+    Write(Value),
+}
+
+impl Access {
+    /// Whether the access writes the object.
+    pub(crate) fn writes(&self) -> bool {
+        !matches!(self, Access::Read)
+    }
+
+    fn lock_mode(&self) -> LockMode {
+        if self.writes() {
+            LockMode::Exclusive
+        } else {
+            LockMode::Shared
+        }
+    }
+}
+
+/// One distinct object an update transaction accesses.
 #[derive(Debug, Clone)]
-pub struct CommitOutcome {
-    /// Which objects were installed, with the versions installed.
-    pub installed: Vec<(ObjectId, Version)>,
-    /// How many shards participated.
-    pub participants: usize,
+pub(crate) struct TxnObject {
+    id: ObjectId,
+    shard: usize,
+    access: Access,
+    /// The entry read under the transaction's lock, once prepared.
+    read: Option<ObjectEntry>,
+}
+
+impl TxnObject {
+    /// The object.
+    pub(crate) fn id(&self) -> ObjectId {
+        self.id
+    }
+
+    /// What the transaction does with it.
+    pub(crate) fn access(&self) -> &Access {
+        &self.access
+    }
+
+    /// Replaces what the transaction does with it (before prepare).
+    pub(crate) fn set_access(&mut self, access: Access) {
+        self.access = access;
+    }
+
+    /// The entry the transaction read under its lock.
+    ///
+    /// # Panics
+    /// Panics before [`Coordinator::prepare`] succeeded.
+    pub(crate) fn observed(&self) -> &ObjectEntry {
+        self.read
+            .as_ref()
+            .expect("a transaction's objects are read in phase one")
+    }
+
+    /// The value phase two installs.
+    fn new_value(&self) -> Value {
+        match &self.access {
+            Access::Bump => self.observed().value.bump(),
+            Access::Write(value) => value.clone(),
+            Access::Read => unreachable!("read-only objects are not installed"),
+        }
+    }
+}
+
+/// A transaction's objects; inline up to eight, the evaluation's update
+/// transactions touch five.
+pub(crate) type TxnObjects = SmallVec<[TxnObject; 8]>;
+
+/// The shards `objects` live on, ascending, each once. Computed on the fly
+/// — a transaction touches a handful of objects — so a commit allocates no
+/// participant list.
+fn participants(objects: &[TxnObject]) -> impl Iterator<Item = usize> + '_ {
+    let mut after = None;
+    std::iter::from_fn(move || {
+        let next = objects
+            .iter()
+            .map(|o| o.shard)
+            .filter(|&s| after.is_none_or(|a| s > a))
+            .min()?;
+        after = Some(next);
+        Some(next)
+    })
+}
+
+/// The objects of `objects` on `shard`, in access order.
+fn on_shard(objects: &[TxnObject], shard: usize) -> impl Iterator<Item = &TxnObject> + Clone {
+    objects.iter().filter(move |o| o.shard == shard)
 }
 
 /// The two-phase-commit coordinator.
@@ -97,69 +202,102 @@ impl Coordinator {
         &self.shards[self.router.shard_of(object)]
     }
 
-    /// Runs two-phase commit for `txn` over the given writes.
+    /// A transaction object for `id`, routed to its shard, not yet read.
+    pub(crate) fn object(&self, id: ObjectId, access: Access) -> TxnObject {
+        TxnObject {
+            id,
+            shard: self.router.shard_of(id),
+            access,
+            read: None,
+        }
+    }
+
+    /// Phase one: locks `objects` at every participant, in shard order,
+    /// then reads each under its lock (see the module docs). `objects`
+    /// must be distinct.
     ///
     /// # Errors
-    /// Returns [`TCacheError::UpdateAborted`] with
-    /// [`ConflictReason::PrepareRejected`] if any participant votes no; all
-    /// participants are then told to abort and no write is installed.
-    pub fn commit(
+    /// * [`TCacheError::UpdateAborted`] with
+    ///   [`ConflictReason::PrepareRejected`] if a participant refuses a
+    ///   lock (no-wait);
+    /// * [`TCacheError::UnknownObject`] if an object does not exist.
+    ///
+    /// Either way the transaction holds no lock afterwards.
+    pub(crate) fn prepare(&self, txn: TxnId, objects: &mut [TxnObject]) -> TCacheResult<()> {
+        for shard in participants(objects) {
+            let requests = on_shard(objects, shard).map(|o| (o.id, o.access.lock_mode()));
+            if self.shards[shard].lock(txn, requests).is_err() {
+                for granted in participants(objects).take_while(|&s| s < shard) {
+                    self.release_at(txn, objects, granted);
+                }
+                return Err(TCacheError::UpdateAborted {
+                    txn,
+                    reason: ConflictReason::PrepareRejected,
+                });
+            }
+        }
+        let mut unknown = None;
+        for object in objects.iter_mut() {
+            match self.shards[object.shard].read_entry(object.id) {
+                Ok(entry) => object.read = Some(entry),
+                Err(e) => {
+                    unknown = Some(e);
+                    break;
+                }
+            }
+        }
+        match unknown {
+            None => Ok(()),
+            Some(e) => {
+                for shard in participants(objects) {
+                    self.release_at(txn, objects, shard);
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// Phase two: at every participant, in shard order, installs each
+    /// written object — in access order, at `version`, with the dependency
+    /// list `list_for` gives it, reporting it to `installed` — and then
+    /// releases exactly the objects locked there.
+    ///
+    /// # Panics
+    /// Panics if `objects` were not prepared by `txn`.
+    pub(crate) fn commit(
         &self,
         txn: TxnId,
-        writes: Vec<PreparedWrite>,
-    ) -> TCacheResult<CommitOutcome> {
-        // Partition the writes by shard.
-        let mut per_shard: Vec<Vec<PreparedWrite>> = vec![Vec::new(); self.shards.len()];
-        for w in writes {
-            per_shard[self.router.shard_of(w.object)].push(w);
-        }
-        let participants: Vec<usize> = per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, ws)| !ws.is_empty())
-            .map(|(i, _)| i)
-            .collect();
-
-        // Phase 1: prepare.
-        let mut prepared = Vec::new();
-        let mut all_yes = true;
-        for &i in &participants {
-            let vote = self.shards[i].prepare(txn, std::mem::take(&mut per_shard[i]));
-            if vote == Vote::Yes {
-                prepared.push(i);
-            } else {
-                all_yes = false;
-                break;
+        objects: &[TxnObject],
+        version: Version,
+        list_for: impl Fn(ObjectId) -> DependencyList,
+        mut installed: impl FnMut(ObjectId),
+    ) {
+        for shard in participants(objects) {
+            let store = self.shards[shard].store();
+            for object in on_shard(objects, shard).filter(|o| o.access.writes()) {
+                store
+                    .install(
+                        object.id,
+                        object.new_value(),
+                        version,
+                        list_for(object.id),
+                        txn,
+                    )
+                    .expect("an object read under its lock still exists");
+                installed(object.id);
             }
+            self.release_at(txn, objects, shard);
         }
+    }
 
-        if !all_yes {
-            // Phase 2 (abort): roll back every participant that prepared.
-            for &i in &prepared {
-                self.shards[i].abort(txn);
-            }
-            return Err(TCacheError::UpdateAborted {
-                txn,
-                reason: ConflictReason::PrepareRejected,
-            });
-        }
-
-        // Phase 2 (commit).
-        let mut installed = Vec::new();
-        for &i in &participants {
-            installed.extend(self.shards[i].commit(txn)?);
-        }
-        Ok(CommitOutcome {
-            installed,
-            participants: participants.len(),
-        })
+    fn release_at(&self, txn: TxnId, objects: &[TxnObject], shard: usize) {
+        self.shards[shard].release(txn, on_shard(objects, shard).map(|o| o.id));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tcache_types::{DependencyList, Value};
 
     fn coordinator(shards: usize, objects: u64) -> Coordinator {
         let shards: Vec<Arc<Shard>> = (0..shards).map(|i| Arc::new(Shard::new(i, 0))).collect();
@@ -172,13 +310,33 @@ mod tests {
         coord
     }
 
-    fn write(o: u64, ver: u64) -> PreparedWrite {
-        PreparedWrite {
-            object: ObjectId(o),
-            value: Value::new(ver),
-            version: Version(ver),
-            dependencies: DependencyList::bounded(3),
-        }
+    fn bumps(coord: &Coordinator, ids: &[u64]) -> TxnObjects {
+        ids.iter()
+            .map(|&i| coord.object(ObjectId(i), Access::Bump))
+            .collect()
+    }
+
+    /// Both phases at `version`; returns the objects installed, in order.
+    fn run(
+        coord: &Coordinator,
+        txn: u64,
+        objects: &mut [TxnObject],
+        version: u64,
+    ) -> TCacheResult<Vec<u64>> {
+        coord.prepare(TxnId(txn), objects)?;
+        let mut installed = Vec::new();
+        coord.commit(
+            TxnId(txn),
+            objects,
+            Version(version),
+            |_| DependencyList::bounded(3),
+            |id| installed.push(id.as_u64()),
+        );
+        Ok(installed)
+    }
+
+    fn locked(coord: &Coordinator) -> usize {
+        coord.shards.iter().map(|s| s.locked_objects()).sum()
     }
 
     #[test]
@@ -189,8 +347,7 @@ mod tests {
             assert_eq!(r.shard_of(ObjectId(i)), r.shard_of(ObjectId(i)));
             assert!(r.shard_of(ObjectId(i)) < 4);
         }
-        let hit: std::collections::HashSet<_> =
-            (0..100).map(|i| r.shard_of(ObjectId(i))).collect();
+        let hit: std::collections::HashSet<_> = (0..100).map(|i| r.shard_of(ObjectId(i))).collect();
         assert_eq!(hit.len(), 4);
     }
 
@@ -203,64 +360,160 @@ mod tests {
     #[test]
     fn multi_shard_commit_installs_everywhere() {
         let coord = coordinator(3, 9);
-        let outcome = coord
-            .commit(TxnId(1), vec![write(0, 1), write(1, 1), write(2, 1)])
-            .unwrap();
-        assert_eq!(outcome.installed.len(), 3);
-        assert_eq!(outcome.participants, 3);
+        let mut objects = bumps(&coord, &[0, 1, 2]);
+        assert_eq!(run(&coord, 1, &mut objects, 1).unwrap(), vec![0, 1, 2]);
         for i in 0..3u64 {
-            let e = coord.shard_for(ObjectId(i)).store().get(ObjectId(i)).unwrap();
+            let e = coord
+                .shard_for(ObjectId(i))
+                .store()
+                .get(ObjectId(i))
+                .unwrap();
             assert_eq!(e.version, Version(1));
+            assert_eq!(e.value.numeric(), 1, "bumped from the value read");
         }
+        assert_eq!(locked(&coord), 0);
     }
 
     #[test]
     fn single_shard_transactions_have_one_participant() {
         let coord = coordinator(3, 9);
         // Objects 0, 3, 6 all map to shard 0 with modulo routing.
-        let outcome = coord
-            .commit(TxnId(1), vec![write(0, 1), write(3, 1), write(6, 1)])
+        let objects = bumps(&coord, &[0, 3, 6]);
+        assert_eq!(participants(&objects).collect::<Vec<_>>(), vec![0]);
+        let objects = bumps(&coord, &[5, 3, 1, 0]);
+        assert_eq!(participants(&objects).collect::<Vec<_>>(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn installs_run_in_shard_order_then_access_order() {
+        let coord = coordinator(2, 8);
+        let mut objects = bumps(&coord, &[3, 0, 1, 2]);
+        objects.push(coord.object(ObjectId(4), Access::Read));
+        objects.push(coord.object(ObjectId(5), Access::Write(Value::new(50))));
+        assert_eq!(
+            run(&coord, 1, &mut objects, 1).unwrap(),
+            vec![0, 2, 3, 1, 5]
+        );
+        let read_only = coord
+            .shard_for(ObjectId(4))
+            .store()
+            .get(ObjectId(4))
             .unwrap();
-        assert_eq!(outcome.participants, 1);
+        assert_eq!(read_only.version, Version::INITIAL, "read, not written");
+        let written = coord
+            .shard_for(ObjectId(5))
+            .store()
+            .get(ObjectId(5))
+            .unwrap();
+        assert_eq!(written.value.numeric(), 50);
+        assert_eq!(locked(&coord), 0);
+    }
+
+    #[test]
+    fn read_only_objects_are_locked_shared() {
+        let coord = coordinator(1, 4);
+        let mut reader = TxnObjects::new();
+        reader.push(coord.object(ObjectId(0), Access::Read));
+        reader.push(coord.object(ObjectId(1), Access::Bump));
+        coord.prepare(TxnId(1), &mut reader).unwrap();
+        // Another reader of object 0 is admitted; a writer is refused.
+        let mut other_reader = TxnObjects::new();
+        other_reader.push(coord.object(ObjectId(0), Access::Read));
+        coord.prepare(TxnId(2), &mut other_reader).unwrap();
+        let mut writer = bumps(&coord, &[0]);
+        assert!(coord.prepare(TxnId(3), &mut writer).is_err());
+        coord.commit(
+            TxnId(1),
+            &reader,
+            Version(1),
+            |_| DependencyList::bounded(3),
+            |_| {},
+        );
+        coord.commit(
+            TxnId(2),
+            &other_reader,
+            Version(2),
+            |_| DependencyList::bounded(3),
+            |_| {},
+        );
+        assert_eq!(locked(&coord), 0);
+        assert_eq!(run(&coord, 3, &mut writer, 3).unwrap(), vec![0]);
     }
 
     #[test]
     fn prepare_rejection_aborts_everywhere() {
         let coord = coordinator(2, 4);
-        // Hold a lock on object 1 (shard 1) through a dangling prepare.
-        assert_eq!(
-            coord.shard_for(ObjectId(1)).prepare(TxnId(9), vec![write(1, 5)]),
-            Vote::Yes
-        );
+        // Hold a lock on object 1 (shard 1) through a dangling phase one.
+        coord
+            .shard_for(ObjectId(1))
+            .lock(TxnId(9), [(ObjectId(1), LockMode::Exclusive)])
+            .unwrap();
         // A transaction touching objects 0 (shard 0) and 1 (shard 1) must
         // fail and leave shard 0 untouched and unlocked.
-        let err = coord
-            .commit(TxnId(2), vec![write(0, 2), write(1, 2)])
-            .unwrap_err();
-        assert!(matches!(err, TCacheError::UpdateAborted { .. }));
+        let err = run(&coord, 2, &mut bumps(&coord, &[0, 1]), 2).unwrap_err();
+        assert!(matches!(
+            err,
+            TCacheError::UpdateAborted {
+                reason: ConflictReason::PrepareRejected,
+                ..
+            }
+        ));
         assert_eq!(
-            coord.shard_for(ObjectId(0)).store().get(ObjectId(0)).unwrap().version,
+            coord
+                .shard_for(ObjectId(0))
+                .store()
+                .get(ObjectId(0))
+                .unwrap()
+                .version,
             Version::INITIAL
         );
+        assert_eq!(coord.shard(0).locked_objects(), 0);
         // Shard 0 must not be left locked: a fresh transaction succeeds.
-        coord.commit(TxnId(3), vec![write(0, 3)]).unwrap();
-        // Clean up the dangling prepare and verify object 1 commits too.
-        coord.shard_for(ObjectId(1)).abort(TxnId(9));
-        coord.commit(TxnId(4), vec![write(1, 4)]).unwrap();
+        run(&coord, 3, &mut bumps(&coord, &[0]), 3).unwrap();
+        // Release the dangling lock and verify object 1 commits too.
+        coord
+            .shard_for(ObjectId(1))
+            .release(TxnId(9), [ObjectId(1)]);
+        run(&coord, 4, &mut bumps(&coord, &[1]), 4).unwrap();
+        assert_eq!(locked(&coord), 0);
     }
 
     #[test]
     fn unknown_object_rejects_commit() {
         let coord = coordinator(2, 2);
-        let err = coord.commit(TxnId(1), vec![write(77, 1)]).unwrap_err();
-        assert!(matches!(err, TCacheError::UpdateAborted { .. }));
+        let err = run(&coord, 1, &mut bumps(&coord, &[0, 77, 1]), 1).unwrap_err();
+        assert_eq!(err, TCacheError::UnknownObject(ObjectId(77)));
+        assert_eq!(locked(&coord), 0, "every lock released");
+        assert_eq!(
+            coord
+                .shard_for(ObjectId(0))
+                .store()
+                .get(ObjectId(0))
+                .unwrap()
+                .version,
+            Version::INITIAL
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "read in phase one")]
+    fn commit_before_prepare_panics() {
+        let coord = coordinator(1, 2);
+        let objects = bumps(&coord, &[0]);
+        coord.commit(
+            TxnId(1),
+            &objects,
+            Version(1),
+            |_| DependencyList::bounded(3),
+            |_| {},
+        );
     }
 
     #[test]
     fn empty_write_set_commits_trivially() {
         let coord = coordinator(2, 2);
-        let outcome = coord.commit(TxnId(1), vec![]).unwrap();
-        assert!(outcome.installed.is_empty());
-        assert_eq!(outcome.participants, 0);
+        assert_eq!(participants(&[]).count(), 0);
+        assert!(run(&coord, 1, &mut [], 1).unwrap().is_empty());
+        assert_eq!(locked(&coord), 0);
     }
 }

@@ -21,6 +21,16 @@
 //! link step over the same state, so which thread served a message shows
 //! in [`PipeStatsSnapshot::direct`] and nowhere else.
 //!
+//! The two differ only in granularity. The task sleeps each message's own
+//! modeled delay, so it counts and applies message by message (a
+//! one-element slice per `apply`). A handed-off batch has no delay to
+//! honour: its drop decisions are drawn in pipe order, `offered` and
+//! `dropped` are counted once for the batch, its survivors are applied in
+//! one call, and `delivered` is counted after that call — the pipe has
+//! already counted the batch `received`, so `processed()` catches up with
+//! `received` only once the batch is applied, as it does per message on
+//! the task.
+//!
 //! Reproducibility follows the repo-wide convention: the loss RNG is
 //! seeded from `(run_seed, CacheId)` with
 //! [`tcache_types::seeding::cache_channel_seed`] — the same stream the
@@ -193,6 +203,23 @@ pub struct DeliveryTask {
 /// cache cannot monopolise the shared reactor thread.
 pub const DEFAULT_BATCH_BUDGET: usize = 64;
 
+impl DeliveryTask {
+    /// A task applying `model` with the given loss / delay stream seeds,
+    /// fresh counters, unpaused, no delay spike and the
+    /// [`DEFAULT_BATCH_BUDGET`].
+    pub fn new(model: DeliveryModel, loss_seed: u64, delay_seed: u64) -> Self {
+        DeliveryTask {
+            model,
+            loss_seed,
+            delay_seed,
+            counters: Arc::new(DeliveryCounters::default()),
+            paused: Arc::new(AtomicBool::new(false)),
+            extra_delay_micros: Arc::new(AtomicU64::new(0)),
+            batch_budget: DEFAULT_BATCH_BUDGET,
+        }
+    }
+}
+
 /// Runs one cache's modeled delivery loop until its pipe disconnects:
 /// drain a batch → per message (hold while `task.paused`) → draw the drop
 /// decision → sleep the sampled delay on `timer` → `apply`. One wakeup
@@ -217,17 +244,28 @@ where
     deliver(rx, timer, Arc::new(LinkStep::new(task)), apply).await;
 }
 
+/// The loss process of one link: model state plus the seeded RNG stream,
+/// advanced once per message in the order the pipe carried them, and the
+/// survivors of the batch being served on an offering thread.
+#[derive(Debug)]
+struct LossDraw<T> {
+    state: LossState,
+    rng: StdRng,
+    /// Scratch for a handed-off batch that lost messages (a batch that
+    /// lost none is applied as offered); empty between batches, kept to
+    /// reuse its capacity.
+    survivors: Vec<T>,
+}
+
 /// The state one link's messages pass through, shared by the delivery task
 /// and — for a [`Link`] — the threads it hands batches off to.
 #[derive(Debug)]
-struct LinkStep {
+struct LinkStep<T> {
     task: DeliveryTask,
-    /// The loss process: model state plus the seeded RNG stream, advanced
-    /// once per message in the order the pipe carried them. Never
-    /// contended: a hand-off takes it under the pipe lock, which it only
-    /// gets while the task is waiting on its waker; the task takes it only
-    /// while holding a drained batch, when every hand-off is refused.
-    loss: Mutex<(LossState, StdRng)>,
+    /// Never contended: a hand-off takes it under the pipe lock, which it
+    /// only gets while the task is waiting on its waker; the task takes it
+    /// only while holding a drained batch, when every hand-off is refused.
+    loss: Mutex<LossDraw<T>>,
     /// Constant-zero latency: the link samples nothing and sleeps nothing.
     /// Gating on the mean would also swallow random models whose
     /// integer-microsecond mean rounds to zero (e.g. Uniform { 0, 1 µs })
@@ -235,13 +273,14 @@ struct LinkStep {
     zero_delay: bool,
 }
 
-impl LinkStep {
+impl<T> LinkStep<T> {
     fn new(task: DeliveryTask) -> Self {
         LinkStep {
-            loss: Mutex::new((
-                LossState::new(task.model.loss),
-                StdRng::seed_from_u64(task.loss_seed),
-            )),
+            loss: Mutex::new(LossDraw {
+                state: LossState::new(task.model.loss),
+                rng: StdRng::seed_from_u64(task.loss_seed),
+                survivors: Vec::new(),
+            }),
             zero_delay: task.model.latency == LatencyModel::Constant(SimDuration::ZERO),
             task,
         }
@@ -254,28 +293,57 @@ impl LinkStep {
             && self.task.extra_delay_micros.load(Ordering::Acquire) == 0
             && !self.task.paused.load(Ordering::Acquire)
     }
+}
 
+impl<T: Clone> LinkStep<T> {
     /// The whole link step of an instant link, run on the calling thread
-    /// for a batch the pipe handed off: draw, count, apply.
-    fn serve_now<T>(&self, batch: impl Iterator<Item = T>, apply: impl Fn(T)) {
+    /// for a batch the pipe handed off: the batch's drop decisions drawn in
+    /// pipe order, `offered` and `dropped` counted once, the survivors
+    /// applied in one call, then `delivered` counted — so `processed()`
+    /// reaches the pipe's `received` only once the batch is applied.
+    fn serve_now(&self, batch: &[T], apply: &Apply<T>) {
         let counters = &self.task.counters;
         let mut guard = self.loss.lock().expect("link loss state lock");
-        let (loss, rng) = &mut *guard;
-        for message in batch {
-            counters.offered.fetch_add(1, Ordering::Release);
-            if loss.should_drop(rng) {
-                counters.dropped.fetch_add(1, Ordering::Release);
-                continue;
+        let LossDraw {
+            state,
+            rng,
+            survivors,
+        } = &mut *guard;
+        let mut dropped = 0u64;
+        for (i, message) in batch.iter().enumerate() {
+            if state.should_drop(rng) {
+                if dropped == 0 {
+                    survivors.extend_from_slice(&batch[..i]);
+                }
+                dropped += 1;
+            } else if dropped > 0 {
+                survivors.push(message.clone());
             }
-            apply(message);
-            counters.delivered.fetch_add(1, Ordering::Release);
         }
+        counters
+            .offered
+            .fetch_add(batch.len() as u64, Ordering::Release);
+        if dropped > 0 {
+            counters.dropped.fetch_add(dropped, Ordering::Release);
+        }
+        let delivered = if dropped == 0 { batch } else { &survivors[..] };
+        if !delivered.is_empty() {
+            apply(delivered);
+            counters
+                .delivered
+                .fetch_add(delivered.len() as u64, Ordering::Release);
+        }
+        survivors.clear();
     }
 }
 
 /// The delivery loop behind [`run_delivery`] and [`Link::deliver`].
-async fn deliver<T, F>(rx: PipeReceiver<T>, timer: TimerHandle, step: Arc<LinkStep>, mut apply: F)
-where
+async fn deliver<T, F>(
+    rx: PipeReceiver<T>,
+    timer: TimerHandle,
+    step: Arc<LinkStep<T>>,
+    mut apply: F,
+) where
     F: FnMut(T),
 {
     let DeliveryTask {
@@ -299,8 +367,8 @@ where
         // The whole batch's drop decisions in one hold, in pipe order.
         {
             let mut guard = step.loss.lock().expect("link loss state lock");
-            let (loss, rng) = &mut *guard;
-            drops.extend(batch.iter().map(|_| loss.should_drop(rng)));
+            let LossDraw { state, rng, .. } = &mut *guard;
+            drops.extend(batch.iter().map(|_| state.should_drop(rng)));
         }
         for (message, dropped) in batch.drain(..).zip(drops.drain(..)) {
             // A paused cache applies nothing: drained messages are held
@@ -350,9 +418,12 @@ where
 /// on whichever thread [`Link::offer`] picks.
 pub struct Link<T> {
     sender: PipeSender<T>,
-    step: Arc<LinkStep>,
-    apply: Arc<dyn Fn(T) + Send + Sync>,
+    step: Arc<LinkStep<T>>,
+    apply: Arc<Apply<T>>,
 }
+
+/// What a [`Link`] does with the messages that survive its loss model.
+type Apply<T> = dyn Fn(&[T]) + Send + Sync;
 
 impl<T> std::fmt::Debug for Link<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -363,15 +434,16 @@ impl<T> std::fmt::Debug for Link<T> {
     }
 }
 
-impl<T: Send + 'static> Link<T> {
+impl<T: Clone + Send + 'static> Link<T> {
     /// A link sending through `sender`, modeled per `task` (see
     /// [`DeliveryTask`]; the link owns the loss stream the task would),
-    /// applying what survives with `apply` — from the delivery task or from
-    /// an offering thread, hence `Fn + Sync`.
+    /// applying what survives with `apply` — from the delivery task (one
+    /// message per call) or from an offering thread (a handed-off batch's
+    /// survivors in one call), hence `Fn + Sync`.
     pub fn new(
         sender: PipeSender<T>,
         task: DeliveryTask,
-        apply: impl Fn(T) + Send + Sync + 'static,
+        apply: impl Fn(&[T]) + Send + Sync + 'static,
     ) -> Self {
         Link {
             sender,
@@ -381,21 +453,26 @@ impl<T: Send + 'static> Link<T> {
     }
 
     /// The link's delivery task, to spawn on the reactor `timer` belongs
-    /// to: [`run_delivery`]'s loop over this link's state. `rx` must be
-    /// the receiving half of the pipe the link sends through. The task runs
-    /// until every sender of that pipe — this link's included — is gone.
+    /// to: [`run_delivery`]'s loop over this link's state, applying each
+    /// message after its own modeled delay as a one-element slice. `rx`
+    /// must be the receiving half of the pipe the link sends through. The
+    /// task runs until every sender of that pipe — this link's included —
+    /// is gone.
     pub fn deliver(&self, rx: PipeReceiver<T>, timer: TimerHandle) -> impl Future<Output = ()> + Send + 'static {
         let apply = Arc::clone(&self.apply);
-        deliver(rx, timer, Arc::clone(&self.step), move |message| apply(message))
+        deliver(rx, timer, Arc::clone(&self.step), move |message| {
+            apply(std::slice::from_ref(&message));
+        })
     }
 
     /// Offers a committed batch to the link — the live plane's one entry
     /// point for it.
     ///
-    /// The batch is served on the calling thread (seeded loss draw,
-    /// counters, `apply`) when the link has nothing to wait for — constant
-    /// zero latency, no delay spike, not paused — *and* the pipe accepts
-    /// the hand-off ([`PipeSender::hand_off`]: receiver alive, queue empty,
+    /// The batch is served on the calling thread (seeded loss draws in
+    /// pipe order, counters once per batch, the survivors applied in one
+    /// `apply` call) when the link has nothing to wait for — constant zero
+    /// latency, no delay spike, not paused — *and* the pipe accepts the
+    /// hand-off ([`PipeSender::hand_off`]: receiver alive, queue empty,
     /// delivery task waiting on its waker). Only the second condition
     /// carries correctness — it is what keeps the link FIFO; the first
     /// keeps messages that must wait on the reactor's timer. Otherwise the
@@ -406,31 +483,28 @@ impl<T: Send + 'static> Link<T> {
     ///
     /// No clock is read and no reactor state consulted: the rule is the
     /// same for the first commit after a lull and the millionth in a row.
-    pub fn offer<I>(&self, batch: I, wait: bool) -> BatchOutcome
-    where
-        I: IntoIterator<Item = T>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let mut batch = batch.into_iter();
-        if self.step.is_instant() {
-            let enqueued = batch.len() as u64;
-            match self
+    pub fn offer(&self, batch: &[T], wait: bool) -> BatchOutcome {
+        // The pipe counts the batch it is handed and gives it to `serve`;
+        // the link step serves the slice it was cut from instead, so a
+        // batch that loses nothing is applied without a copy.
+        let messages = batch.iter().cloned();
+        if self.step.is_instant()
+            && self
                 .sender
-                .hand_off(batch, |batch| self.step.serve_now(batch, &*self.apply))
-            {
-                Ok(()) => {
-                    return BatchOutcome {
-                        enqueued,
-                        ..BatchOutcome::default()
-                    }
-                }
-                Err(refused) => batch = refused,
-            }
+                .hand_off(messages.clone(), |_| {
+                    self.step.serve_now(batch, &*self.apply)
+                })
+                .is_ok()
+        {
+            return BatchOutcome {
+                enqueued: batch.len() as u64,
+                ..BatchOutcome::default()
+            };
         }
         if wait {
-            self.sender.send_batch(batch)
+            self.sender.send_batch(messages)
         } else {
-            self.sender.try_send_batch(batch)
+            self.sender.try_send_batch(messages)
         }
     }
 
@@ -489,23 +563,13 @@ mod tests {
         let mut reactor = Reactor::new();
         let timer = reactor.timer();
         let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
-        let counters = Arc::new(DeliveryCounters::default());
+        let task = DeliveryTask::new(model, seed, seed ^ 0xdead_beef);
+        let counters = Arc::clone(&task.counters);
         let applied = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&applied);
-        reactor.spawn(run_delivery(
-            rx,
-            timer,
-            DeliveryTask {
-                model,
-                loss_seed: seed,
-                delay_seed: seed ^ 0xdead_beef,
-                counters: Arc::clone(&counters),
-                paused: Arc::new(AtomicBool::new(false)),
-                extra_delay_micros: Arc::new(AtomicU64::new(0)),
-                batch_budget: DEFAULT_BATCH_BUDGET,
-            },
-            move |v| sink.lock().unwrap().push(v),
-        ));
+        reactor.spawn(run_delivery(rx, timer, task, move |v| {
+            sink.lock().unwrap().push(v)
+        }));
         for v in 0..count {
             tx.send(v).unwrap();
         }
@@ -564,26 +628,14 @@ mod tests {
         let mut reactor = Reactor::new();
         let timer = reactor.timer();
         let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
-        let counters = Arc::new(DeliveryCounters::default());
-        let paused = Arc::new(AtomicBool::new(true));
+        let task = DeliveryTask::new(DeliveryModel::reliable(), 1, 2);
+        let (counters, paused) = (Arc::clone(&task.counters), Arc::clone(&task.paused));
+        paused.store(true, Ordering::Release);
         let applied = Arc::new(AtomicU64::new(0));
         let sink = Arc::clone(&applied);
-        reactor.spawn(run_delivery(
-            rx,
-            timer,
-            DeliveryTask {
-                model: DeliveryModel::reliable(),
-                loss_seed: 1,
-                delay_seed: 2,
-                counters: Arc::clone(&counters),
-                paused: Arc::clone(&paused),
-                extra_delay_micros: Arc::new(AtomicU64::new(0)),
-                batch_budget: DEFAULT_BATCH_BUDGET,
-            },
-            move |_| {
-                sink.fetch_add(1, Ordering::Relaxed);
-            },
-        ));
+        reactor.spawn(run_delivery(rx, timer, task, move |_| {
+            sink.fetch_add(1, Ordering::Relaxed);
+        }));
         tx.send(7).unwrap();
         drop(tx);
         let flag = Arc::clone(&paused);

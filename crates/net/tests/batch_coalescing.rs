@@ -22,6 +22,9 @@
 //! there runs under a watchdog, so a wrong guard fails the test instead of
 //! hanging the suite.
 
+mod common;
+
+use common::{spin_until, within_watchdog, WATCHDOG};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,36 +246,6 @@ fn budget_yields_are_counted_per_full_batch_with_backlog() {
         "every full batch with backlog left re-yields"
     );
     assert_eq!(stats.coalesced_wakeups, 0, "no waker was ever parked");
-}
-
-/// How long a lost-wakeup scenario may take before it counts as hung. Far
-/// above any scheduling hiccup; a lost wakeup never completes at all.
-const WATCHDOG: Duration = Duration::from_secs(60);
-
-/// Runs `scenario` on its own thread and fails if it has not finished
-/// within [`WATCHDOG`]. A lost wakeup leaves the scenario blocked forever,
-/// so the watchdog turns a hang into a test failure (the stuck thread is
-/// abandoned to process exit).
-fn within_watchdog<R: Send + 'static>(
-    what: &str,
-    scenario: impl FnOnce() -> R + Send + 'static,
-) -> R {
-    let (done, finished) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = done.send(scenario());
-    });
-    finished
-        .recv_timeout(WATCHDOG)
-        .unwrap_or_else(|_| panic!("{what}: hung or panicked — a wakeup was lost"))
-}
-
-/// Spins (yielding) until `condition` holds; panics past the watchdog.
-fn spin_until(what: &str, mut condition: impl FnMut() -> bool) {
-    let deadline = Instant::now() + WATCHDOG;
-    while !condition() {
-        assert!(Instant::now() < deadline, "{what}: never happened");
-        std::thread::yield_now();
-    }
 }
 
 /// The three ways a producer can enqueue one message.

@@ -8,51 +8,30 @@
 //! timing, and every wait runs under a watchdog, so a broken hand-off guard
 //! fails the test instead of flaking or hanging it.
 
+mod common;
+
+use common::{spin_until, within_watchdog};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
-use tcache_net::delivery::{
-    DeliveryCounters, DeliveryModel, DeliveryTask, Link, DEFAULT_BATCH_BUDGET,
-};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use tcache_net::delivery::{DeliveryModel, DeliveryTask, Link};
 use tcache_net::pipe::{bounded_pipe, OverflowPolicy, PipeSender};
 use tcache_net::reactor::{Reactor, ReactorHandle};
 use tcache_net::{LossModel, LossState};
 use tcache_types::{cache_channel_seed, CacheId, SimDuration};
 
-/// Far above any scheduling hiccup; a lost message or wakeup never
-/// completes at all.
-const WATCHDOG: Duration = Duration::from_secs(120);
-
-fn within_watchdog<R: Send + 'static>(
-    what: &str,
-    scenario: impl FnOnce() -> R + Send + 'static,
-) -> R {
-    let (done, finished) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = done.send(scenario());
-    });
-    finished
-        .recv_timeout(WATCHDOG)
-        .unwrap_or_else(|_| panic!("{what}: hung or panicked"))
-}
-
-fn spin_until(what: &str, mut condition: impl FnMut() -> bool) {
-    let deadline = Instant::now() + WATCHDOG;
-    while !condition() {
-        assert!(Instant::now() < deadline, "{what}: never happened");
-        std::thread::yield_now();
-    }
-}
-
 /// A link over a `Block` pipe of `capacity` with its delivery task running
 /// on a reactor thread. Every apply, on either path, first checks that the
-/// pipe has counted more messages received than the link has finished with
-/// — the message being applied is one of them — and then records it.
+/// pipe has counted every message of the batch being applied as received
+/// while the link has not yet finished with any of them, and then records
+/// the batch.
 struct Harness {
     link: Arc<Link<u64>>,
     applied: Arc<Mutex<Vec<u64>>>,
+    /// `apply` calls that carried more than one message (only a hand-off
+    /// can: the task applies one message per call).
+    multi_message_applies: Arc<AtomicU64>,
     handle: ReactorHandle,
     thread: std::thread::JoinHandle<()>,
 }
@@ -60,35 +39,28 @@ struct Harness {
 impl Harness {
     fn start(model: DeliveryModel, loss_seed: u64, capacity: usize) -> Self {
         let (tx, rx) = bounded_pipe::<u64>(capacity, OverflowPolicy::Block);
-        let counters = Arc::new(DeliveryCounters::default());
+        let task = DeliveryTask::new(model, loss_seed, loss_seed ^ 0xdead_beef);
         let applied = Arc::new(Mutex::new(Vec::new()));
+        let multi_message_applies = Arc::new(AtomicU64::new(0));
         let apply = {
             let stats_of: PipeSender<u64> = tx.clone();
-            let counters = Arc::clone(&counters);
+            let counters = Arc::clone(&task.counters);
             let applied = Arc::clone(&applied);
-            move |message| {
+            let multi = Arc::clone(&multi_message_applies);
+            move |batch: &[u64]| {
                 let processed = counters.processed();
                 let received = stats_of.stats().received;
                 assert!(
-                    received > processed,
-                    "message {message} applied with pipe.received {received} <= processed {processed}"
+                    received >= processed + batch.len() as u64,
+                    "batch {batch:?} applied with pipe.received {received} < processed {processed} + its length"
                 );
-                applied.lock().unwrap().push(message);
+                if batch.len() > 1 {
+                    multi.fetch_add(1, Ordering::Relaxed);
+                }
+                applied.lock().unwrap().extend_from_slice(batch);
             }
         };
-        let link = Link::new(
-            tx,
-            DeliveryTask {
-                model,
-                loss_seed,
-                delay_seed: loss_seed ^ 0xdead_beef,
-                counters,
-                paused: Arc::new(AtomicBool::new(false)),
-                extra_delay_micros: Arc::new(AtomicU64::new(0)),
-                batch_budget: DEFAULT_BATCH_BUDGET,
-            },
-            apply,
-        );
+        let link = Link::new(tx, task, apply);
         let mut reactor = Reactor::new();
         reactor.spawn(link.deliver(rx, reactor.timer()));
         let handle = reactor.handle();
@@ -96,6 +68,7 @@ impl Harness {
         Harness {
             link: Arc::new(link),
             applied,
+            multi_message_applies,
             handle,
             thread,
         }
@@ -136,7 +109,7 @@ fn four_producers_on_both_paths_match_the_sequential_oracle() {
         // path has served something whatever happens next.
         let mut warmup = 0u64;
         spin_until("the first hand-off", || {
-            assert_eq!(link.offer([u64::MAX - warmup], true).enqueued, 1);
+            assert_eq!(link.offer(&[u64::MAX - warmup], true).enqueued, 1);
             warmup += 1;
             harness.direct() > 0
         });
@@ -152,7 +125,7 @@ fn four_producers_on_both_paths_match_the_sequential_oracle() {
                 let finished = Arc::clone(&finished);
                 std::thread::spawn(move || {
                     for i in 0..PER_PRODUCER {
-                        assert_eq!(link.offer([p << 32 | i], true).enqueued, 1);
+                        assert_eq!(link.offer(&[p << 32 | i], true).enqueued, 1);
                     }
                     finished.fetch_add(1, Ordering::Release);
                 })
@@ -214,7 +187,9 @@ fn four_producers_on_both_paths_match_the_sequential_oracle() {
 /// both paths serve: the k-th message offered consumes the k-th draw of the
 /// link's loss stream whichever thread serves it, so the survivors are
 /// bit-identical to `LossState` replayed over the seed. A paused link and a
-/// link with a spike up are never handed off to.
+/// link with a spike up are never handed off to. Offers are batches of one
+/// to four messages: a handed-off batch draws its messages' decisions in
+/// order and applies its survivors in one call.
 #[test]
 fn drop_pattern_matches_the_seeded_loss_oracle_on_both_paths() {
     let seed = cache_channel_seed(42, CacheId(1));
@@ -227,9 +202,13 @@ fn drop_pattern_matches_the_seeded_loss_oracle_on_both_paths() {
         let link = Arc::clone(&harness.link);
         let mut next = 0u64;
         let mut offer = |count: u64| {
-            for _ in 0..count {
-                assert_eq!(link.offer([next], true).enqueued, 1);
-                next += 1;
+            let end = next + count;
+            while next < end {
+                // Batches of one to four messages, as commits publish them.
+                let len = (1 + next % 4).min(end - next);
+                let batch: Vec<u64> = (next..next + len).collect();
+                assert_eq!(link.offer(&batch, true).enqueued, len);
+                next += len;
             }
         };
         for round in 0..24 {
@@ -238,7 +217,7 @@ fn drop_pattern_matches_the_seeded_loss_oracle_on_both_paths() {
             // the task's backlog).
             let target = harness.direct() + 50;
             spin_until("the link returns to hand-off", || {
-                offer(1);
+                offer(6);
                 harness.direct() >= target
             });
             // Served by the task: the link has something to wait for.
@@ -256,6 +235,8 @@ fn drop_pattern_matches_the_seeded_loss_oracle_on_both_paths() {
             }
         }
         let offered = next;
+        // A handed-off batch's survivors arrive in one apply call.
+        assert!(harness.multi_message_applies.load(Ordering::Relaxed) > 0);
         let (applied, link) = harness.finish();
         let (pipe, delivery) = (link.pipe_stats(), link.delivery_stats());
         assert_eq!(delivery.offered, offered);

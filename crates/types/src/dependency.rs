@@ -100,11 +100,13 @@ impl DependencyList {
     ) -> DependencyList {
         let entries: SmallVec<[DependencyEntry; INLINE_ENTRIES]> =
             entries.into_iter().take(bound).collect();
+        // Quadratic but allocation-free, so debug builds allocate what
+        // release builds do (the commit path's allocation pin runs in both).
         debug_assert!(
-            {
-                let mut seen = crate::ids::IdSet::default();
-                entries.iter().all(|e| seen.insert(e.object))
-            },
+            entries
+                .iter()
+                .enumerate()
+                .all(|(i, e)| entries[..i].iter().all(|seen| seen.object != e.object)),
             "from_most_recent requires distinct objects"
         );
         DependencyList { entries, bound }
