@@ -33,11 +33,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use tcache_cache::EdgeCache;
-use tcache_db::{Database, DatabaseConfig, Invalidation, ReadPath};
+use tcache_db::{Database, DatabaseConfig, Invalidation};
 use tcache_net::delivery::DEFAULT_BATCH_BUDGET;
 use tcache_net::pipe::{bounded_pipe, OverflowPolicy, UNBOUNDED};
 use tcache_net::reactor::Reactor;
@@ -117,10 +117,8 @@ fn repeat(rounds: u64, mut measure: impl FnMut() -> f64) -> Measured {
     Measured { min, max }
 }
 
-fn warmed_db_with(read_path: ReadPath) -> Arc<Database> {
-    let db = Arc::new(Database::new(
-        DatabaseConfig::with_bound(3).read_path(read_path),
-    ));
+fn warmed_db() -> Arc<Database> {
+    let db = Arc::new(Database::new(DatabaseConfig::with_bound(3)));
     db.populate((0..OBJECTS).map(|i| (ObjectId(i), Value::new(0))));
     for i in 0..200u64 {
         let base = (i * 5) % (OBJECTS - 2);
@@ -128,10 +126,6 @@ fn warmed_db_with(read_path: ReadPath) -> Arc<Database> {
         db.execute_update(TxnId(i + 1), &access).unwrap();
     }
     db
-}
-
-fn warmed_db() -> Arc<Database> {
-    warmed_db_with(ReadPath::default())
 }
 
 fn warmed_caches(db: &Arc<Database>, count: u32) -> Vec<Arc<EdgeCache>> {
@@ -195,102 +189,6 @@ fn measure_threads(caches: &[Arc<EdgeCache>], txns_per_thread: u64, seed: &Atomi
     }
     let elapsed = start.elapsed().as_secs_f64();
     (caches.len() as u64 * txns_per_thread) as f64 / elapsed
-}
-
-/// One row of the database read-path sweep: aggregate reads/s and the
-/// optimistic classification observed while measuring.
-struct DbReadPathRow {
-    miss_pct: f64,
-    threads: u64,
-    rwlock_reads_per_sec: f64,
-    seqlock_reads_per_sec: f64,
-    seqlock_hit_ratio: f64,
-}
-
-/// Measures the database read path under a controlled miss mix: each of
-/// `threads` reader threads performs `reads_per_thread` single-object
-/// reads, of which a `miss_permille`/1000 fraction are cache misses served
-/// by [`Database::read_entry`] (the store read path under test) and the
-/// rest are warmed edge-cache hits (no invalidations are delivered, so a
-/// hit never touches the store). One background writer thread commits
-/// update transactions the whole time, so miss reads race installs — the
-/// scenario where the lock-per-read baseline blocks and the seqlock path
-/// retries instead. The `miss_permille = 0` rows are therefore a *control*:
-/// readers never reach the store and the rwlock/seqlock columns bound the
-/// sweep's noise floor. Returns `(aggregate reads/s, optimistic hit
-/// ratio)`; the ratio is computed over every store snapshot taken during
-/// the window, which includes (and at miss 0 consists solely of) the
-/// writer's own reads.
-fn measure_db_read_path(
-    read_path: ReadPath,
-    threads: u64,
-    miss_permille: u64,
-    reads_per_thread: u64,
-    seed: &AtomicU64,
-) -> (f64, f64) {
-    let db = warmed_db_with(read_path);
-    let cache = warmed_caches(&db, 1).pop().expect("one cache");
-    let before_reads = db.stats().read_path;
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let writer = {
-        let db = Arc::clone(&db);
-        let stop = Arc::clone(&stop);
-        let base_txn = seed.fetch_add(1_000_000_000, Ordering::Relaxed);
-        std::thread::spawn(move || {
-            let mut i = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let base = (i * 13) % (OBJECTS - 2);
-                let access: AccessSet = vec![base, base + 1, base + 2].into();
-                let _ = db.execute_update(TxnId(base_txn + i), &access);
-                i += 1;
-            }
-        })
-    };
-
-    let start = Instant::now();
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let db = Arc::clone(&db);
-            let cache = Arc::clone(&cache);
-            let base_txn = seed.fetch_add(reads_per_thread + 1, Ordering::Relaxed);
-            std::thread::spawn(move || {
-                for i in 0..reads_per_thread {
-                    // splitmix-style mix keeps the key and the hit/miss
-                    // draw deterministic but uncorrelated.
-                    let mut z = (t << 32 | i).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    z ^= z >> 29;
-                    let key = ObjectId((z >> 24) % OBJECTS);
-                    if z % 1000 < miss_permille {
-                        std::hint::black_box(db.read_entry(key).expect("populated"));
-                    } else {
-                        let v = cache
-                            .read(SimTime::ZERO, TxnId(base_txn + i), key, true)
-                            .expect("warmed");
-                        std::hint::black_box(v);
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    stop.store(true, Ordering::Relaxed);
-    writer.join().unwrap();
-
-    let mut rp = db.stats().read_path;
-    rp.optimistic_hits -= before_reads.optimistic_hits;
-    rp.lock_fallbacks -= before_reads.lock_fallbacks;
-    rp.locked_reads -= before_reads.locked_reads;
-    let snapshots = rp.optimistic_hits + rp.lock_fallbacks + rp.locked_reads;
-    let hit_ratio = if snapshots == 0 {
-        1.0
-    } else {
-        rp.optimistic_hits as f64 / snapshots as f64
-    };
-    ((threads * reads_per_thread) as f64 / elapsed, hit_ratio)
 }
 
 /// Monotone version source shared by every invalidation-plane measurement,
@@ -494,66 +392,6 @@ fn main() {
         );
     }
 
-    // Database read-path sweep (ROADMAP: "does seqlock pay off at high
-    // miss rates?"): reads with a controlled miss ratio race one
-    // background writer; the lock-per-read baseline (ReadPath::Locked) is
-    // measured against the seqlock path (ReadPath::Optimistic).
-    let db_reads_per_thread: u64 = if quick { 20_000 } else { 200_000 };
-    println!(
-        "\ndb read path: {db_reads_per_thread} reads/thread vs one writer \
-         (rwlock = locked baseline, seqlock = optimistic)"
-    );
-    println!(
-        "{:>9} {:>8} {:>16} {:>16} {:>9} {:>9} {:>9}",
-        "miss", "threads", "rwlock r/s", "seqlock r/s", "speedup", "opt-hit%", "spread"
-    );
-    let mut db_rows: Vec<DbReadPathRow> = Vec::new();
-    for &miss_permille in &[0u64, 500, 1000] {
-        for &threads in &[1u64, 4, 8] {
-            let rwlock = repeat(rounds, || {
-                measure_db_read_path(
-                    ReadPath::Locked,
-                    threads,
-                    miss_permille,
-                    db_reads_per_thread,
-                    &seed,
-                )
-                .0
-            })
-            .min;
-            let (mut seqlock, mut seqlock_max, mut hit_ratio) =
-                (f64::INFINITY, 0.0f64, 1.0f64);
-            for _ in 0..rounds {
-                let (rps, hits) = measure_db_read_path(
-                    ReadPath::Optimistic,
-                    threads,
-                    miss_permille,
-                    db_reads_per_thread,
-                    &seed,
-                );
-                seqlock_max = seqlock_max.max(rps);
-                if rps < seqlock {
-                    (seqlock, hit_ratio) = (rps, hits);
-                }
-            }
-            let spread = Measured { min: seqlock, max: seqlock_max }.spread_pct();
-            println!(
-                "{:>8.0}% {threads:>8} {rwlock:>16.0} {seqlock:>16.0} {:>8.2}x {:>8.2}% {:>8.1}%",
-                miss_permille as f64 / 10.0,
-                seqlock / rwlock,
-                hit_ratio * 100.0,
-                spread
-            );
-            db_rows.push(DbReadPathRow {
-                miss_pct: miss_permille as f64 / 10.0,
-                threads,
-                rwlock_reads_per_sec: rwlock,
-                seqlock_reads_per_sec: seqlock,
-                seqlock_hit_ratio: hit_ratio,
-            });
-        }
-    }
-
     // Invalidation-plane comparison: 4 caches fed msgs_per_cache
     // invalidations each, applied by 4 dedicated threads (threaded plane)
     // versus 4 async tasks multiplexed on one reactor thread.
@@ -752,22 +590,6 @@ fn main() {
         .map(|(c, tps)| format!("    \"caches_{c}_txn_per_sec\": {tps:.1}"))
         .collect();
     let single_cache = cache_scaling[0].1;
-    let db_read_path_rows: Vec<String> = db_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "      {{ \"miss_pct\": {:.1}, \"threads\": {}, \
-                 \"rwlock_reads_per_sec\": {:.1}, \"seqlock_reads_per_sec\": {:.1}, \
-                 \"seqlock_speedup\": {:.3}, \"seqlock_hit_ratio\": {:.4} }}",
-                r.miss_pct,
-                r.threads,
-                r.rwlock_reads_per_sec,
-                r.seqlock_reads_per_sec,
-                r.seqlock_reads_per_sec / r.rwlock_reads_per_sec,
-                r.seqlock_hit_ratio
-            )
-        })
-        .collect();
     let backpressure_fields: Vec<String> = bp_rows
         .iter()
         .map(|row| {
@@ -810,8 +632,6 @@ fn main() {
          \"reads_per_txn\": {READS_PER_TXN},\n  \"txns_per_thread\": {txns_per_thread},\n  \
          \"host_threads\": {},\n  \"results\": {{\n{}\n  }},\n  \
          \"cache_scaling\": {{\n{}\n  }},\n  \
-         \"db_read_path\": {{\n    \"reads_per_thread\": {db_reads_per_thread},\n    \
-         \"writer_threads\": 1,\n    \"rows\": [\n{}\n    ]\n  }},\n  \
          \"invalidation_plane\": {{\n    \"caches\": 4,\n    \
          \"msgs_per_cache\": {msgs_per_cache},\n    \
          \"batch_budget\": {DEFAULT_BATCH_BUDGET},\n    \
@@ -837,7 +657,6 @@ fn main() {
         std::thread::available_parallelism().map_or(0, |n| n.get()),
         fields.join(",\n"),
         cache_fields.join(",\n"),
-        db_read_path_rows.join(",\n"),
         threaded_plane.min,
         reactor_plane.min,
         reactor_batch_fields.join(",\n"),

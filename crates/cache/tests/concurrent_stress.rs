@@ -196,13 +196,13 @@ fn concurrent_retry_repairs_current_read_violations() {
     assert_eq!(cache.open_transactions(), 0);
 }
 
-/// Miss-storm against the seqlock-backed database read path: every commit's
+/// Miss-storm against the database read path: every commit's
 /// invalidations are applied synchronously from the writer threads (an
 /// aggressive upcall wiring), so readers keep missing and re-fetching
 /// through [`Database::read_entry`] while installs race them. Every
 /// re-fetched entry must be a committed snapshot — its version can never
-/// go backwards for the same reader — and the database must classify the
-/// read traffic on the optimistic path without blocking.
+/// go backwards for the same reader — and the database must count the
+/// re-fetches as single reads, apart from the updates' own reads.
 #[test]
 fn miss_storm_under_concurrent_updates_reads_coherent_snapshots() {
     const UPDATES: u64 = 2_000;
@@ -274,9 +274,14 @@ fn miss_storm_under_concurrent_updates_reads_coherent_snapshots() {
     let stats = cache.stats();
     assert!(stats.misses > 0, "invalidations must have forced re-fetches");
     let db_stats = db.stats();
-    assert!(db_stats.read_path.optimistic_hits > 0);
     assert_eq!(
-        db_stats.read_path.locked_reads, 0,
-        "the miss path must ride the optimistic read surface"
+        db_stats.single_reads,
+        stats.db_reads(),
+        "every miss and read-through is one database read"
+    );
+    assert_eq!(
+        db_stats.update_reads,
+        2 * UPDATES,
+        "each update reads its two objects once, under its locks"
     );
 }

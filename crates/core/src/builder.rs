@@ -4,7 +4,7 @@ use crate::system::{SystemWiring, TCacheSystem};
 use crate::transport::{DeliveryMode, RetryPolicy, TransportMode};
 use std::sync::Arc;
 use tcache_cache::EdgeCache;
-use tcache_db::{Database, DatabaseConfig, ReadPath};
+use tcache_db::{Database, DatabaseConfig};
 use tcache_net::delivery::DeliveryModel;
 use tcache_net::pipe::OverflowPolicy;
 use tcache_types::{
@@ -55,7 +55,6 @@ pub struct SystemBuilder {
     cache_policy: Option<CachePolicyConfig>,
     pipe_capacity: usize,
     overflow_policy: OverflowPolicy,
-    db_read_path: ReadPath,
     invalidation_log_capacity: usize,
     recovery_policy: RecoveryPolicy,
     publish_retry: RetryPolicy,
@@ -78,7 +77,6 @@ impl Default for SystemBuilder {
             cache_policy: None,
             pipe_capacity: usize::MAX,
             overflow_policy: OverflowPolicy::Block,
-            db_read_path: ReadPath::default(),
             invalidation_log_capacity: DatabaseConfig::default().invalidation_log_capacity,
             recovery_policy: RecoveryPolicy::None,
             publish_retry: RetryPolicy::default(),
@@ -294,16 +292,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Selects the backend store's read path: the seqlock-validated
-    /// optimistic path ([`ReadPath::Optimistic`], the default — cache
-    /// misses never block behind installing writers) or the historical
-    /// lock-per-read baseline ([`ReadPath::Locked`], kept for comparison
-    /// experiments such as `bench_hotpath`'s `db_read_path` sweep).
-    pub fn db_read_path(mut self, read_path: ReadPath) -> Self {
-        self.db_read_path = read_path;
-        self
-    }
-
     /// Builds the system, spawning its `tcache-reactor` thread (joined
     /// when the system is dropped).
     ///
@@ -321,7 +309,6 @@ impl SystemBuilder {
             shards: self.shards,
             dependency_bound: policy.dependency_bound,
             history_depth: 0,
-            read_path: self.db_read_path,
             invalidation_log_capacity: self.invalidation_log_capacity,
         }));
         let losses = self
@@ -401,25 +388,6 @@ mod tests {
         system.populate((0..30).map(|i| (ObjectId(i), Value::new(0))));
         assert_eq!(system.database().object_count(), 30);
         system.update(&[ObjectId(0), ObjectId(7), ObjectId(14)]).unwrap();
-    }
-
-    #[test]
-    fn db_read_path_knob_reaches_the_store() {
-        let system = SystemBuilder::new().db_read_path(ReadPath::Locked).build();
-        assert_eq!(system.database().config().read_path, ReadPath::Locked);
-        system.populate([(ObjectId(0), Value::new(0))]);
-        system.read(ObjectId(0)).unwrap();
-        let stats = system.database().stats();
-        assert!(stats.read_path.locked_reads > 0);
-        assert_eq!(stats.read_path.optimistic_hits, 0);
-
-        // The default is the optimistic seqlock path; a cache miss shows up
-        // as an optimistic store snapshot.
-        let system = SystemBuilder::new().build();
-        assert_eq!(system.database().config().read_path, ReadPath::Optimistic);
-        system.populate([(ObjectId(0), Value::new(0))]);
-        system.read(ObjectId(0)).unwrap();
-        assert!(system.database().stats().read_path.optimistic_hits > 0);
     }
 
     #[test]

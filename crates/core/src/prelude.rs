@@ -13,7 +13,7 @@ pub use crate::system::{ReadOutcome, SystemStats, TCacheSystem};
 pub use crate::transport::{DeliveryMode, TransportMode};
 pub use tcache_cache::{EdgeCache, Strategy};
 pub use tcache_net::pipe::OverflowPolicy;
-pub use tcache_db::{Database, DatabaseConfig, ReadPath};
+pub use tcache_db::{Database, DatabaseConfig};
 pub use tcache_types::{
     CachePolicyConfig, DependencyBound, DependencyList, ObjectId, SimDuration, SimTime, TxnId,
     Value, Version,

@@ -18,8 +18,11 @@
 //!   `cache(id)…last_applied_seq()`;
 //! * `benchmark/src/layers.rs`: `edge_cache()`,
 //!   `EdgeCache::with_read_path(id, db, edge.config(), edge.read_path())`;
+//! * `benchmark/src/engine.rs` `Counters::read`: `stats().db` as a
+//!   `tcache::db::stats::DbStatsSnapshot`;
 //! * `benchmark/src/run.rs`: `cache(id).expect(..).last_applied_seq()`
-//!   against `database().invalidation_latest_seq()`.
+//!   against `database().invalidation_latest_seq()`, and
+//!   `db.read_path.{optimistic_hits, lock_fallbacks, locked_reads}`.
 //!
 //! Changing any of these needs a flagged PR that edits `benchmark/` first.
 //!
@@ -31,6 +34,8 @@
 //! * `TransportMode { Reactor }` + `DeliveryMode { Modeled }` and the inert
 //!   `SystemBuilder::{transport, delivery}` shims (PR 22);
 //! * the `TCacheResult` around `TCacheSystem::quiesce` (always `Ok`; PR 22);
+//! * `ReadPathStatsSnapshot` and `DbStatsSnapshot::read_path` (always zero:
+//!   every store read runs under its bucket lock, nothing classifies it);
 //! * the `Option` around `TCacheSystem::reactor_stats` (always `Some`;
 //!   PR 22).
 
@@ -75,6 +80,17 @@ fn the_facade_calls_tbench_makes_compile_and_behave() {
         .expect("deployed")
         .last_applied_seq();
     assert_eq!(applied, system.database().invalidation_latest_seq());
+
+    // The database counters the run reads, read-path leftovers included.
+    system.read(ObjectId(2)).expect("object exists");
+    let db: tcache::db::stats::DbStatsSnapshot = system.stats().db;
+    assert!(db.single_reads > 0);
+    let read_path: [u64; 3] = [
+        db.read_path.optimistic_hits,
+        db.read_path.lock_fallbacks,
+        db.read_path.locked_reads,
+    ];
+    assert_eq!(read_path, [0, 0, 0], "benchmark-pinned, never counted");
 
     // The per-layer replay builds a second cache shaped like the first.
     let edge: &EdgeCache = system.edge_cache();

@@ -21,7 +21,6 @@ use crate::log::{InvalidationLog, InvalidationReplay};
 use crate::publisher::{InvalidationPublisher, InvalidationSink};
 use crate::shard::Shard;
 use crate::stats::{DbStats, DbStatsSnapshot};
-use crate::store::ReadPath;
 use crate::twopc::{Access, Coordinator, TxnObjects};
 use crate::version_clock::VersionClock;
 use std::sync::Arc;
@@ -39,10 +38,6 @@ pub struct DatabaseConfig {
     pub dependency_bound: DependencyBound,
     /// Historical versions retained per object for auditing (0 disables).
     pub history_depth: usize,
-    /// Which read path the shards' stores serve snapshots on: the
-    /// seqlock-validated optimistic path (default) or the historical
-    /// lock-per-read baseline (see [`crate::store`]).
-    pub read_path: ReadPath,
     /// Invalidations retained by the in-memory log for replay after a cache
     /// detects a sequence gap. A recovering cache whose gap is older than
     /// the retained suffix falls back to a snapshot resync.
@@ -55,7 +50,6 @@ impl Default for DatabaseConfig {
             shards: 1,
             dependency_bound: DependencyBound::default(),
             history_depth: 0,
-            read_path: ReadPath::default(),
             invalidation_log_capacity: 1024,
         }
     }
@@ -77,14 +71,6 @@ impl DatabaseConfig {
             dependency_bound: DependencyBound::Unbounded,
             ..DatabaseConfig::default()
         }
-    }
-
-    /// Returns the configuration with the read path replaced (builder
-    /// style): `DatabaseConfig::with_bound(3).read_path(ReadPath::Locked)`.
-    #[must_use]
-    pub fn read_path(mut self, read_path: ReadPath) -> Self {
-        self.read_path = read_path;
-        self
     }
 }
 
@@ -121,7 +107,7 @@ impl Database {
     /// Panics if `config.shards` is zero.
     pub fn new(config: DatabaseConfig) -> Self {
         let shards: Vec<Arc<Shard>> = (0..config.shards)
-            .map(|i| Arc::new(Shard::with_read_path(i, config.history_depth, config.read_path)))
+            .map(|i| Arc::new(Shard::new(i, config.history_depth)))
             .collect();
         Database {
             coordinator: Coordinator::new(shards),
@@ -335,17 +321,10 @@ impl Database {
         })
     }
 
-    /// A snapshot of the database load counters, including the read-path
-    /// classification (optimistic hits / retries / lock fallbacks)
-    /// aggregated over every shard's store.
+    /// A snapshot of the database load counters.
     #[must_use]
     pub fn stats(&self) -> DbStatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        for i in 0..self.config.shards {
-            snap.read_path
-                .merge(self.coordinator.shard(i).store().read_path_stats());
-        }
-        snap
+        self.stats.snapshot()
     }
 
     /// The newest invalidation sequence number the database has published
@@ -644,27 +623,18 @@ mod tests {
     fn stats_classify_reads_by_path() {
         let db = db_with(10, 3);
         db.read_entry(ObjectId(1)).unwrap();
+        db.peek_entry(ObjectId(1)).unwrap();
         db.execute_update(TxnId(1), &vec![2u64, 3].into()).unwrap();
         let snap = db.stats();
-        // Every store snapshot was optimistic and uncontended in this
-        // single-threaded test: the miss read (1) and the update's one read
-        // per object (2). The update reads under its locks, so that read is
-        // the existence check: there is no second, prepare-time probe per
-        // object (there were two more here before the one-pass commit).
-        assert_eq!(snap.read_path.optimistic_hits, 3);
-        assert_eq!(snap.read_path.optimistic_retries, 0);
-        assert_eq!(snap.read_path.lock_fallbacks, 0);
-        assert_eq!(snap.read_path.locked_reads, 0);
-        assert_eq!(snap.optimistic_hit_ratio(), 1.0);
-
-        let locked = Database::new(DatabaseConfig::with_bound(3).read_path(ReadPath::Locked));
-        locked.populate((0..4).map(|i| (ObjectId(i), Value::new(0))));
-        locked.read_entry(ObjectId(0)).unwrap();
-        let snap = locked.stats();
-        assert_eq!(snap.read_path.locked_reads, 1);
-        assert_eq!(snap.read_path.optimistic_hits, 0);
-        assert_eq!(snap.optimistic_hit_ratio(), 0.0);
-        assert_eq!(locked.config().read_path, ReadPath::Locked);
+        // The miss read counts as a single read, the peek as nothing, and
+        // the update's one read per object under its locks as update
+        // reads: that read is the existence check, so there is no second,
+        // prepare-time probe per object.
+        assert_eq!(snap.single_reads, 1);
+        assert_eq!(snap.update_reads, 2);
+        assert_eq!(snap.total_reads(), 3);
+        // Benchmark-pinned and never counted.
+        assert_eq!(snap.read_path, crate::stats::ReadPathStatsSnapshot::default());
     }
 
     #[test]
@@ -679,7 +649,10 @@ mod tests {
         for i in 0..16 {
             db.read_entry(ObjectId(i)).unwrap();
         }
-        assert_eq!(db.stats().read_path.optimistic_hits, 16);
+        db.execute_update(TxnId(1), &vec![0u64, 1, 2, 3].into()).unwrap();
+        let snap = db.stats();
+        assert_eq!(snap.single_reads, 16);
+        assert_eq!(snap.update_reads, 4);
     }
 
     #[test]

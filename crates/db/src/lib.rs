@@ -6,10 +6,7 @@
 //!
 //! * [`store`] — the versioned object store (latest version + dependency
 //!   list per object) with an optional multi-version history for auditing;
-//!   readers snapshot entries on a seqlock-validated optimistic path
-//!   ([`ReadPath::Optimistic`], the default) that never blocks behind
-//!   writers, with the historical lock-per-read layout retained as
-//!   [`ReadPath::Locked`] for comparison;
+//!   every read copies its entry under the lock of the object's bucket;
 //! * [`locks`] — a per-object lock table with two-phase locking and no-wait
 //!   deadlock avoidance;
 //! * [`shard`] / [`twopc`] — hash-sharded participants and the two-phase
@@ -70,7 +67,4 @@ pub use publisher::{
     InvalidationPublisher, InvalidationSink, PublishStats, ReportingSink, SinkReport,
 };
 pub use stats::DbStats;
-pub use store::{
-    HistoricalVersion, ReadPath, ReadPathStatsSnapshot, VersionedStore, BUCKETS,
-    MAX_OPTIMISTIC_ATTEMPTS,
-};
+pub use store::{HistoricalVersion, VersionedStore, BUCKETS};

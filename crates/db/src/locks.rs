@@ -11,12 +11,10 @@
 //! [`Database::execute_update_writes`], its read-only objects shared. It
 //! holds them until its writes are installed and then releases exactly the
 //! objects it locked — one lookup each, never a scan of the table. Cache
-//! misses take no lock at all: optimistic readers validate their snapshots
-//! against the store's bucket sequences instead of registering here
-//! (a [`ReadPath::Locked`] shard read takes a short shared lock).
+//! misses never register here: they copy the committed entry under the
+//! store's bucket lock (see [`crate::store`]).
 //!
 //! [`Database::execute_update_writes`]: crate::database::Database::execute_update_writes
-//! [`ReadPath::Locked`]: crate::store::ReadPath::Locked
 
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;

@@ -11,15 +11,12 @@
 //! exist, is the "no" vote; the lock table is the only record that a
 //! transaction is in flight here.
 //!
-//! Reads outside update transactions take the store's read path: on the
-//! default [`ReadPath::Optimistic`] a read is a seqlock-validated snapshot
-//! that never touches the lock table at all, while [`ReadPath::Locked`]
-//! reproduces the historical behaviour of a short-lived shared lock per
-//! read ([`Shard::read`]). Update transactions lock identically in both
-//! modes.
+//! Reads outside update transactions ([`Shard::read_entry`]) never touch
+//! the lock table: they copy the committed entry under the store's bucket
+//! lock.
 
 use crate::locks::{LockMode, LockTable};
-use crate::store::{HistoricalVersion, ReadPath, VersionedStore};
+use crate::store::{HistoricalVersion, VersionedStore};
 use tcache_types::{ObjectEntry, ObjectId, TCacheResult, TxnId, Value, Version};
 
 /// A shard of the backend database.
@@ -31,18 +28,11 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Creates an empty shard on the default optimistic read path.
-    /// `history_depth` is forwarded to the store.
+    /// Creates an empty shard. `history_depth` is forwarded to the store.
     pub fn new(index: usize, history_depth: usize) -> Self {
-        Shard::with_read_path(index, history_depth, ReadPath::default())
-    }
-
-    /// Creates an empty shard whose store serves reads on an explicit
-    /// [`ReadPath`] (see [`VersionedStore::with_read_path`]).
-    pub fn with_read_path(index: usize, history_depth: usize, read_path: ReadPath) -> Self {
         Shard {
             index,
-            store: VersionedStore::with_read_path(history_depth, read_path),
+            store: VersionedStore::new(history_depth),
             locks: LockTable::new(),
         }
     }
@@ -69,10 +59,9 @@ impl Shard {
         self.store.insert_initial(id, value);
     }
 
-    /// Reads the current entry for an object owned by this shard on the
-    /// store's configured read path, without registering in the lock
-    /// table: on [`ReadPath::Optimistic`] a non-blocking bucket snapshot,
-    /// on [`ReadPath::Locked`] a read under the store's single lock.
+    /// Reads the current entry for an object owned by this shard, under
+    /// its store bucket's shared lock and without registering in the lock
+    /// table.
     ///
     /// This is the surface behind every cache miss
     /// ([`Database::read_entry`]) and behind every update transaction's
@@ -84,26 +73,6 @@ impl Shard {
     /// [`Database::read_entry`]: crate::database::Database::read_entry
     pub fn read_entry(&self, id: ObjectId) -> TCacheResult<ObjectEntry> {
         self.store.get(id)
-    }
-
-    /// Reads the current entry for an object on behalf of transaction
-    /// `txn`, honouring the lock table when the store is in
-    /// [`ReadPath::Locked`] mode.
-    ///
-    /// On [`ReadPath::Optimistic`] this is [`Shard::read_entry`] — the
-    /// snapshot is validated against the bucket sequence instead of a
-    /// shared lock, so the read is invisible to the lock table. On
-    /// [`ReadPath::Locked`] the historical behaviour is kept: a short
-    /// shared lock held for the duration of the copy (failing no-wait if a
-    /// writer holds the object exclusively).
-    pub fn read(&self, txn: TxnId, id: ObjectId) -> TCacheResult<ObjectEntry> {
-        if self.store.read_path() == ReadPath::Optimistic {
-            return self.read_entry(id);
-        }
-        self.locks.try_lock(txn, [(id, LockMode::Shared)])?;
-        let result = self.store.get(id);
-        self.locks.release(txn, [id]);
-        result
     }
 
     /// Reads one specific version of an object from the store's retained
@@ -259,43 +228,29 @@ mod tests {
     #[test]
     fn read_returns_entry_and_releases_lock() {
         let s = shard_with(1);
-        let e = s.read(TxnId(1), ObjectId(0)).unwrap();
+        let e = s.read_entry(ObjectId(0)).unwrap();
         assert_eq!(e.version, Version::INITIAL);
         // The read leaves no lock behind, so an exclusive lock succeeds.
         lock_writes(&s, 2, &[0]).unwrap();
-        assert!(s.read(TxnId(3), ObjectId(55)).is_err());
+        assert!(s.read_entry(ObjectId(55)).is_err());
     }
 
     #[test]
-    fn optimistic_read_never_registers_in_lock_table() {
+    fn read_entry_never_registers_in_lock_table() {
         let s = shard_with(1);
-        s.read(TxnId(1), ObjectId(0)).unwrap();
+        s.read_entry(ObjectId(0)).unwrap();
         assert_eq!(
             s.locks.locked_objects(),
             0,
-            "optimistic reads are invisible to the lock table"
+            "reads are invisible to the lock table"
         );
-        // Even while another transaction holds the exclusive lock, an
-        // optimistic read is served (it reads the last committed state).
+        // Even while another transaction holds the exclusive lock, a read
+        // is served (it reads the last committed state).
         lock_writes(&s, 2, &[0]).unwrap();
-        let e = s.read(TxnId(3), ObjectId(0)).unwrap();
+        let e = s.read_entry(ObjectId(0)).unwrap();
         assert_eq!(e.version, Version::INITIAL, "nothing installed yet");
         install_and_release(&s, 2, &[(0, 1)], 1);
-        assert_eq!(s.read(TxnId(3), ObjectId(0)).unwrap().version, Version(1));
-    }
-
-    #[test]
-    fn locked_read_path_takes_and_releases_shared_lock() {
-        let s = Shard::with_read_path(0, 0, ReadPath::Locked);
-        s.populate(ObjectId(0), Value::new(0));
-        s.read(TxnId(1), ObjectId(0)).unwrap();
-        assert_eq!(s.locks.locked_objects(), 0, "released after the copy");
-        assert_eq!(s.store().read_path(), ReadPath::Locked);
-        // A reader that cannot get the shared lock aborts (no-wait): hold
-        // the exclusive lock through a dangling phase one.
-        lock_writes(&s, 2, &[0]).unwrap();
-        assert!(s.read(TxnId(3), ObjectId(0)).is_err());
-        s.release(TxnId(2), [ObjectId(0)]);
+        assert_eq!(s.read_entry(ObjectId(0)).unwrap().version, Version(1));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! matching the paper's single-column experimental setup, but the protocol
 //! is fully general.
 //!
-//! Read-only traffic (cache misses) never touches the lock tables: it goes
-//! through the stores' optimistic seqlock path (see [`crate::store`]), a
+//! Read-only traffic (cache misses) never touches the lock tables: it
+//! copies the entry under the store's bucket lock (see [`crate::store`]), a
 //! snapshot of committed state that an install in progress never tears.
 
 use crate::locks::LockMode;

@@ -28,13 +28,11 @@
 
 pub mod graph;
 pub mod history;
-pub mod ingest;
 pub mod monitor;
 pub mod report;
 pub mod sgt;
 
 pub use history::VersionHistory;
-pub use ingest::BatchedIngest;
 pub use monitor::ConsistencyMonitor;
 pub use report::{MonitorReport, ReadPhase, TransactionClass};
 pub use sgt::SerializationGraph;

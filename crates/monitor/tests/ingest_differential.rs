@@ -1,22 +1,27 @@
-//! Differential property test pinning [`BatchedIngest`] against immediate
-//! ingest: on any randomized schedule of update and read-only transactions
-//! (spread over caches, healthy and degraded phases, arbitrary shard
-//! assignment and epoch bound), deferring read classification to epoch
-//! flushes must produce the same per-transaction verdict and the same
-//! global, per-cache and per-phase `MonitorReport`s as classifying each
-//! read the moment it completes.
+//! Differential property test pinning the updates-first replay against
+//! classification in schedule order.
 //!
-//! Generated reads observe only versions installed at submission time
-//! (clamped in the driver loop) — the reachable state space: a cache can
-//! never serve a version the database has not committed, and verdict
-//! stability under deferral holds exactly on that domain. (An earlier,
-//! unclamped version of this generator produced reads of future versions
-//! and correctly detected that deferral changes their verdicts.)
+//! The live plane's free-running (`LivePacing::Concurrent`) replay records
+//! every update first and only then classifies the reads, because a client
+//! thread can observe a version the driver committed "later" in schedule
+//! order. That is sound only if a read's verdict does not depend on how
+//! many updates were recorded before it: on any randomized schedule of
+//! update and read-only transactions (spread over caches, healthy and
+//! degraded phases), classifying every read after all updates must give the
+//! same per-read verdict and the same global, per-cache and per-phase
+//! `MonitorReport`s as classifying each read where the schedule puts it.
+//!
+//! Generated reads observe only versions installed at their point in the
+//! schedule (clamped in the driver loop) — the reachable state space: a
+//! cache can never serve a version the database has not committed, and
+//! verdict stability under later updates holds exactly on that domain. (An
+//! earlier, unclamped version of this generator produced reads of future
+//! versions and correctly detected that deferral changes their verdicts.)
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use tcache_monitor::{BatchedIngest, ConsistencyMonitor, ReadPhase, TransactionClass};
+use tcache_monitor::{ConsistencyMonitor, ReadPhase, TransactionClass};
 use tcache_types::{CacheId, ObjectId, SimTime, TransactionRecord, TxnId, Version};
 
 #[derive(Debug, Clone)]
@@ -31,7 +36,6 @@ enum Op {
         degraded: bool,
         reads: Vec<(u64, u64)>,
         committed: bool,
-        shard: usize,
     },
 }
 
@@ -45,49 +49,40 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::UpdateAbort),
         (
             (0u64..3, 0u64..2),
-            (
-                prop::collection::vec((0u64..6, 0u64..30), 1..5),
-                0u64..2,
-                0usize..8,
-            ),
+            (prop::collection::vec((0u64..6, 0u64..30), 1..5), 0u64..2),
         )
-            .prop_map(|((cache, degraded), (reads, committed, shard))| Op::Read {
+            .prop_map(|((cache, degraded), (reads, committed))| Op::Read {
                 cache,
                 degraded: degraded == 1,
                 reads,
                 committed: committed == 1,
-                shard,
             }),
         // A second read arm so the schedule mix leans toward reads.
-        (0u64..3, prop::collection::vec((0u64..6, 0u64..30), 1..5), 0usize..8).prop_map(
-            |(cache, reads, shard)| Op::Read {
+        (0u64..3, prop::collection::vec((0u64..6, 0u64..30), 1..5)).prop_map(|(cache, reads)| {
+            Op::Read {
                 cache,
                 degraded: false,
                 reads,
                 committed: true,
-                shard,
             }
-        ),
+        }),
     ]
 }
+
+/// A read as the replay logs it: who served it, in which phase, what it
+/// observed and whether it committed.
+type LoggedRead = (CacheId, ReadPhase, Vec<(ObjectId, Version)>, bool);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn batched_ingest_matches_immediate(
+    fn updates_first_replay_matches_schedule_order(
         ops in prop::collection::vec(op_strategy(), 1..60),
-        shards in 1usize..5,
-        bound in 1usize..20,
     ) {
-        let mut immediate = ConsistencyMonitor::new();
-        let mut batched = BatchedIngest::new(shards, bound);
-        let mut deferred: BTreeMap<u64, TransactionClass> = BTreeMap::new();
-        let mut sink = |token: u64, class: TransactionClass| {
-            deferred.insert(token, class);
-        };
-
-        let mut expected: Vec<(u64, TransactionClass)> = Vec::new();
+        let mut in_order = ConsistencyMonitor::new();
+        let mut updates_first = ConsistencyMonitor::new();
+        let mut reads: Vec<(LoggedRead, TransactionClass)> = Vec::new();
         let mut caches: BTreeSet<CacheId> = BTreeSet::new();
         // The database assigns each update transaction ONE version, larger
         // than every version previously installed, and installs it for all
@@ -114,14 +109,14 @@ proptest! {
                         writes,
                         SimTime::from_micros(i as u64 + 1),
                     );
-                    immediate.record_update_commit(&record);
-                    batched.record_update_commit(&record);
+                    in_order.record_update_commit(&record);
+                    updates_first.record_update_commit(&record);
                 }
                 Op::UpdateAbort => {
-                    immediate.record_update_abort();
-                    batched.record_update_abort();
+                    in_order.record_update_abort();
+                    updates_first.record_update_abort();
                 }
-                Op::Read { cache, degraded, reads, committed, shard } => {
+                Op::Read { cache, degraded, reads: raw, committed } => {
                     let cache = CacheId(*cache as u32);
                     caches.insert(cache);
                     let phase = if *degraded {
@@ -132,7 +127,7 @@ proptest! {
                     // Map each raw read onto a version actually installed
                     // for its object (or the initial version) — the only
                     // versions a cache could have served at this point.
-                    let observed: Vec<(ObjectId, Version)> = reads
+                    let observed: Vec<(ObjectId, Version)> = raw
                         .iter()
                         .map(|&(o, raw)| {
                             let versions = installed.get(&o).map(Vec::as_slice).unwrap_or(&[]);
@@ -141,42 +136,29 @@ proptest! {
                             (ObjectId(o), Version(v))
                         })
                         .collect();
-                    let class = immediate.record_read_only_in_phase(
-                        cache,
-                        phase,
-                        &observed,
-                        *committed,
-                    );
-                    let token = batched.submit_read(
-                        *shard,
-                        Some(cache),
-                        Some(phase),
-                        observed,
-                        *committed,
-                        &mut sink,
-                    );
-                    expected.push((token, class));
+                    let class =
+                        in_order.record_read_only_in_phase(cache, phase, &observed, *committed);
+                    reads.push(((cache, phase, observed, *committed), class));
                 }
             }
         }
 
-        let monitor = batched.finish(&mut sink);
-
-        // Per-transaction verdicts are identical even though the batched
-        // side classified each read with (possibly) more update history.
-        for (token, class) in &expected {
-            prop_assert_eq!(deferred.get(token).copied(), Some(*class));
+        // The updates-first replay: every read classified after every
+        // update, still in schedule order among the reads.
+        for ((cache, phase, observed, committed), class) in &reads {
+            let replayed =
+                updates_first.record_read_only_in_phase(*cache, *phase, observed, *committed);
+            prop_assert_eq!(replayed, *class);
         }
-        prop_assert_eq!(deferred.len(), expected.len());
 
         // Global and partitioned reports agree exactly.
-        prop_assert_eq!(monitor.report(), immediate.report());
+        prop_assert_eq!(updates_first.report(), in_order.report());
         for cache in caches {
-            prop_assert_eq!(monitor.cache_report(cache), immediate.cache_report(cache));
+            prop_assert_eq!(updates_first.cache_report(cache), in_order.cache_report(cache));
             for phase in [ReadPhase::Healthy, ReadPhase::Degraded] {
                 prop_assert_eq!(
-                    monitor.phase_report(cache, phase),
-                    immediate.phase_report(cache, phase)
+                    updates_first.phase_report(cache, phase),
+                    in_order.phase_report(cache, phase)
                 );
             }
         }

@@ -15,17 +15,15 @@
 //!   like the discrete-event channels.
 //!
 //! Classification is deferred: threads log what each transaction observed,
-//! and after the run the log is replayed through a fresh monitor behind a
-//! [`BatchedIngest`] front end — updates ingest immediately, reads land in
-//! per-cache shard buffers flushed in bounded epochs. Monitor verdicts are
-//! stable under later updates (a read's verdict depends only on its
-//! observed versions and the update history), so replay order only needs
-//! every observed version recorded before the read that saw it — schedule
-//! order under lockstep, updates-then-reads under concurrent pacing, where
-//! a read can race ahead of the driver and observe a version the schedule
-//! says is "later" — and batching the reads defers each verdict without
-//! changing it (pinned by the `ingest_differential` proptest in the
-//! monitor crate).
+//! and after the run the log is replayed through a fresh monitor, each
+//! transaction classified in place. Monitor verdicts are stable under later
+//! updates (a read's verdict depends only on its observed versions and the
+//! update history), so replay order only needs every observed version
+//! recorded before the read that saw it — schedule order under lockstep,
+//! updates-then-reads under concurrent pacing, where a read can race ahead
+//! of the driver and observe a version the schedule says is "later" (the
+//! `ingest_differential` proptest in the monitor crate pins that the two
+//! orders give the same verdicts and reports).
 
 use super::{LiveOptions, LivePacing, ScenarioLatency};
 use crate::experiment::{CacheKind, ExperimentConfig};
@@ -37,7 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tcache::{SystemBuilder, TCacheSystem};
 use tcache_cache::{CacheStatsSnapshot, ObservedVec, ReadMode};
-use tcache_monitor::{BatchedIngest, ConsistencyMonitor, ReadPhase};
+use tcache_monitor::{ConsistencyMonitor, ReadPhase};
 use tcache_net::delivery::DeliveryModel;
 use tcache_net::fault::{FaultCursor, FaultEvent, FaultKind};
 use tcache_types::{
@@ -49,10 +47,6 @@ use tcache_workload::{ChurnAction, ChurnEvent, LatencyHistogram};
 /// up determinism for that step (generous; the reactor usually settles in
 /// microseconds at zero delay).
 const LOCKSTEP_QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// How many buffered read verdicts a replay epoch holds before flushing
-/// into the monitor.
-const INGEST_EPOCH_BOUND: usize = 64;
 
 /// What one read-only transaction observed, logged for deferred replay.
 struct ReadLog {
@@ -323,15 +317,12 @@ pub(crate) fn run(config: ExperimentConfig, options: LiveOptions) -> ExperimentR
     }
 }
 
-/// Replays the execution log through a fresh monitor behind a
-/// [`BatchedIngest`]: updates ingest immediately, reads are appended to
-/// per-cache shard buffers and classified when an epoch
-/// ([`INGEST_EPOCH_BOUND`] reads) flushes. Under lockstep the log replays
-/// in schedule order (bit-identical to the discrete plane's interleaving —
-/// deferring a read's verdict past later updates does not change it, and
-/// the time series bins by each read's scheduled time, not by flush
-/// order); under concurrent pacing updates replay first so every version a
-/// racing read observed is already in the history.
+/// Replays the execution log through a fresh monitor, classifying each
+/// transaction as it is replayed and recording each read into the time
+/// series at its scheduled time. Under lockstep the log replays in schedule
+/// order (the discrete plane's interleaving); under concurrent pacing
+/// updates replay first so every version a racing read observed is already
+/// in the history.
 fn replay(
     schedule: &Schedule,
     config: &ExperimentConfig,
@@ -352,25 +343,11 @@ fn replay(
         slots[read.index] = Some(Entry::Read(read.observed, read.committed, read.mode));
     }
 
-    let shard_count = schedule
-        .ops
-        .iter()
-        .filter_map(|op| op.target)
-        .map(|cache| cache.0 as usize + 1)
-        .max()
-        .unwrap_or(1);
-    let mut ingest = BatchedIngest::new(shard_count, INGEST_EPOCH_BOUND);
+    let mut monitor = ConsistencyMonitor::new();
     let mut timeseries = TimeSeries::new(config.timeseries_bin);
-    // Tokens are handed out in submission order, so this maps each buffered
-    // read's token back to its scheduled completion time at flush.
-    let mut read_times: Vec<SimTime> = Vec::new();
-    let record = |ingest: &mut BatchedIngest,
-                      timeseries: &mut TimeSeries,
-                      read_times: &mut Vec<SimTime>,
-                      index: usize,
-                      entry: &Entry| match entry {
-        Entry::Update(Some(record)) => ingest.record_update_commit(record),
-        Entry::Update(None) => ingest.record_update_abort(),
+    let mut record = |index: usize, entry: &Entry| match entry {
+        Entry::Update(Some(record)) => monitor.record_update_commit(record),
+        Entry::Update(None) => monitor.record_update_abort(),
         Entry::Read(observed, committed, mode) => {
             let op = &schedule.ops[index];
             let cache = op.target.expect("read entries carry a target cache");
@@ -378,38 +355,26 @@ fn replay(
                 ReadMode::Cached => ReadPhase::Healthy,
                 ReadMode::PassThrough => ReadPhase::Degraded,
             };
-            read_times.push(op.at);
-            ingest.submit_read(
-                cache.0 as usize,
-                Some(cache),
-                Some(phase),
-                observed.to_vec(),
-                *committed,
-                &mut |token, class| timeseries.record(read_times[token as usize], class),
-            );
+            let class = monitor.record_read_only_in_phase(cache, phase, observed, *committed);
+            timeseries.record(op.at, class);
         }
     };
+    let entries = || {
+        slots
+            .iter()
+            .enumerate()
+            .map(|(index, slot)| (index, slot.as_ref().expect("every scheduled txn executed")))
+    };
     match pacing {
-        LivePacing::Lockstep => {
-            for (index, slot) in slots.iter().enumerate() {
-                let entry = slot.as_ref().expect("every scheduled txn executed");
-                record(&mut ingest, &mut timeseries, &mut read_times, index, entry);
-            }
-        }
+        LivePacing::Lockstep => entries().for_each(|(index, entry)| record(index, entry)),
         LivePacing::Concurrent => {
             for pass_reads in [false, true] {
-                for (index, slot) in slots.iter().enumerate() {
-                    let entry = slot.as_ref().expect("every scheduled txn executed");
-                    if matches!(entry, Entry::Read(..)) == pass_reads {
-                        record(&mut ingest, &mut timeseries, &mut read_times, index, entry);
-                    }
-                }
+                entries()
+                    .filter(|(_, entry)| matches!(entry, Entry::Read(..)) == pass_reads)
+                    .for_each(|(index, entry)| record(index, entry));
             }
         }
     }
-    let monitor =
-        ingest.finish(&mut |token, class| timeseries.record(read_times[token as usize], class));
-
     (monitor, timeseries)
 }
 

@@ -116,8 +116,7 @@ impl<T: ?Sized> RwLock<T> {
 
     /// Attempts to acquire a shared read lock without blocking; returns
     /// `None` if a writer holds (or `std` believes a writer is waiting for)
-    /// the lock. This is the primitive behind the seqlock read path in
-    /// `tcache-db`: readers never sleep behind a writer, they retry.
+    /// the lock.
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
         match self.inner.try_read() {
             Ok(guard) => Some(guard),
