@@ -1,25 +1,16 @@
-//! Criterion micro-benchmarks of the protocol hot paths.
+//! Criterion micro-benchmarks of the dependency-list cost.
 //!
 //! The paper argues (§V-B2) that dependency-list maintenance is cheap:
 //! updates and checks are O(1) in the number of objects and O(k²) in the
-//! dependency-list bound. These benchmarks measure exactly those paths:
-//! commit-time aggregation, the per-read violation check, the cache read
-//! hot path and the database commit path.
+//! dependency-list bound. These benchmarks measure exactly those two paths
+//! over k = 1/3/5/16: commit-time aggregation and the per-read violation
+//! check. The cache hit, the database commit and workload generation are
+//! timed end to end by the repository benchmark (`benchmark/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::Arc;
 use tcache_cache::consistency::check_read;
-use tcache_cache::EdgeCache;
 use tcache_db::dependency_update::AggregatedDependencies;
-use tcache_db::{Database, DatabaseConfig};
-use tcache_types::{
-    AccessSet, CacheId, DependencyList, ObjectId, ReadRecord, ReadSet, SimTime, Strategy, TxnId,
-    Value, Version,
-};
-use tcache_workload::{ParetoClusters, RandomWalkWorkload, WorkloadGenerator};
-use tcache_workload::graph::GraphKind;
+use tcache_types::{DependencyList, ObjectId, ReadRecord, ReadSet, Version};
 
 fn dependency_list(bound: usize, entries: usize) -> DependencyList {
     let mut list = DependencyList::bounded(bound);
@@ -78,58 +69,6 @@ fn bench_violation_check(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cache_read_hot_path(c: &mut Criterion) {
-    let db = Arc::new(Database::new(DatabaseConfig::with_bound(3)));
-    db.populate((0..1000u64).map(|i| (ObjectId(i), Value::new(0))));
-    let cache = EdgeCache::tcache(CacheId(0), Arc::clone(&db), 3, Strategy::Abort);
-    // Warm the cache and create some dependency structure.
-    for i in 0..200u64 {
-        let access: AccessSet = vec![i * 5 % 1000, (i * 5 + 1) % 1000, (i * 5 + 2) % 1000].into();
-        db.execute_update(TxnId(i + 1), &access).unwrap();
-    }
-    let mut txn = 10_000u64;
-    c.bench_function("cache_read_hit_transaction", |b| {
-        b.iter(|| {
-            txn += 1;
-            let base = (txn * 5) % 995;
-            let keys = [ObjectId(base), ObjectId(base + 1), ObjectId(base + 2)];
-            std::hint::black_box(
-                cache
-                    .execute_transaction(SimTime::ZERO, TxnId(txn), &keys)
-                    .unwrap(),
-            )
-        })
-    });
-}
-
-fn bench_db_commit(c: &mut Criterion) {
-    let db = Database::new(DatabaseConfig::with_bound(3));
-    db.populate((0..1000u64).map(|i| (ObjectId(i), Value::new(0))));
-    let mut txn = 0u64;
-    c.bench_function("db_update_commit_5_objects", |b| {
-        b.iter(|| {
-            txn += 1;
-            let base = (txn * 7) % 995;
-            let access: AccessSet = (base..base + 5).collect::<Vec<_>>().into();
-            std::hint::black_box(db.execute_update(TxnId(txn), &access).unwrap())
-        })
-    });
-}
-
-fn bench_workload_generation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("workload_generation");
-    let mut rng = StdRng::seed_from_u64(1);
-    let mut pareto = ParetoClusters::new(2000, 5, 5, 1.0);
-    group.bench_function("pareto_clusters", |b| {
-        b.iter(|| std::hint::black_box(pareto.generate(SimTime::ZERO, &mut rng)))
-    });
-    let mut walk = RandomWalkWorkload::paper_workload(GraphKind::RetailAffinity, 2000, 500, 3);
-    group.bench_function("graph_random_walk", |b| {
-        b.iter(|| std::hint::black_box(walk.generate(SimTime::ZERO, &mut rng)))
-    });
-    group.finish();
-}
-
 fn configure() -> Criterion {
     Criterion::default()
         .sample_size(30)
@@ -142,9 +81,6 @@ criterion_group! {
     config = configure();
     targets =
         bench_dependency_aggregation,
-        bench_violation_check,
-        bench_cache_read_hot_path,
-        bench_db_commit,
-        bench_workload_generation
+        bench_violation_check
 }
 criterion_main!(benches);

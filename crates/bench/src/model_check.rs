@@ -17,9 +17,11 @@
 //!   (demonstrating the `GapResync` guarantee is load-bearing), with the
 //!   stale cache entry reproduced on a live `EdgeCache`.
 //!
-//! Flags: `--quick` (exhaustive on the core scenario only; the CI gate).
-//! Exit status is non-zero on any unexpected result.
+//! `--quick` explores the core scenario only (the CI gate); the seed is
+//! not used, the exploration is exhaustive. The process exits with status
+//! 1 on any unexpected result.
 
+use crate::RunOptions;
 use tcache_model::{
     explore, explore_floor, minimize, CacheStatus, Exploration, ExploreOptions, FloorModelConfig,
     IntervalOnlyOracle, InvariantKind, ModelConfig, TwoTierOracle,
@@ -27,8 +29,8 @@ use tcache_model::{
 use tcache_sim::DifferentialBridge;
 use tcache_types::{format_trace, ObjectId, SimTime, Version};
 
-fn main() {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+pub(crate) fn run(options: &RunOptions) {
+    let quick = options.quick;
     let scenarios = if quick {
         ModelConfig::quick_suite()
     } else {
@@ -268,7 +270,12 @@ fn no_recovery_demo(failed: &mut bool) {
             let stale = entry.version;
             let served = bridge
                 .cache(c)
-                .read(SimTime::from_secs(model.clock), tcache_model::read_txn_id(99), ObjectId(object), true)
+                .read(
+                    SimTime::from_secs(model.clock),
+                    tcache_model::read_txn_id(99),
+                    ObjectId(object),
+                    true,
+                )
                 .expect("probe read");
             let backend = bridge
                 .database()

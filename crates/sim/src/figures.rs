@@ -1,8 +1,8 @@
 //! Per-figure experiment drivers.
 //!
 //! Each function reproduces one figure of the paper's evaluation and returns
-//! the rows / series the figure plots. The binaries in the `tcache-bench`
-//! crate call these with paper-scale durations and print the tables; the
+//! the rows / series the figure plots. The experiments of the `tcache-bench`
+//! binary call these with paper-scale durations and print the tables; the
 //! unit tests here call them with short durations and assert the qualitative
 //! shape (who wins, what trends up or down).
 
