@@ -23,7 +23,7 @@
 
 use crate::RunOptions;
 use tcache_model::{
-    explore, explore_floor, minimize, CacheStatus, Exploration, ExploreOptions, FloorModelConfig,
+    explore, explore_epoch, minimize, CacheStatus, EpochModelConfig, Exploration, ExploreOptions,
     IntervalOnlyOracle, InvariantKind, ModelConfig, TwoTierOracle,
 };
 use tcache_sim::DifferentialBridge;
@@ -53,7 +53,7 @@ pub(crate) fn run(options: &RunOptions) {
         report_scenario(config, &result, &mut failed);
     }
 
-    floor_section(&mut failed);
+    epoch_section(&mut failed);
 
     broken_oracle_demo(&mut failed);
     if !quick {
@@ -94,14 +94,15 @@ fn report_scenario(config: &ModelConfig, result: &Exploration, failed: &mut bool
     }
 }
 
-/// Exhaustively checks the install-vs-invalidate race on one cache slot
-/// at sub-operation granularity: with the stripe mutex held per logical
-/// operation no invalidation is ever lost, while the deliberately broken
-/// variant — the lock removed — must produce a depth-minimal
-/// counterexample, proving the model can see the race the mutex guards.
-fn floor_section(failed: &mut bool) {
-    println!("\nfloor model: install vs invalidate on one cache slot");
-    let locked = explore_floor(&FloorModelConfig::locked());
+/// Exhaustively checks the fetch-vs-invalidate race on one cache stripe
+/// at sub-operation granularity: with the admission epoch checked and
+/// bumped under the stripe mutex no invalidation is ever lost, while the
+/// deliberately broken variant — the lock removed — must produce a
+/// depth-minimal counterexample, proving the model can see the race the
+/// mutex guards.
+fn epoch_section(failed: &mut bool) {
+    println!("\nepoch model: fetch vs invalidate on one cache stripe");
+    let locked = explore_epoch(&EpochModelConfig::locked());
     let status = match &locked.violation {
         Some(violation) => {
             *failed = true;
@@ -111,7 +112,7 @@ fn floor_section(failed: &mut bool) {
     };
     println!(
         "{:>20} {:>10} {:>12} {:>7}  {}",
-        "floor_locked", locked.stats.states, locked.stats.transitions, locked.stats.depth, status
+        "epoch_locked", locked.stats.states, locked.stats.transitions, locked.stats.depth, status
     );
     if let Some(violation) = &locked.violation {
         println!("  counterexample:");
@@ -120,25 +121,25 @@ fn floor_section(failed: &mut bool) {
         }
     }
 
-    let unlocked = explore_floor(&FloorModelConfig::unlocked());
+    let unlocked = explore_epoch(&EpochModelConfig::unlocked());
     match &unlocked.violation {
         None => {
             println!(
                 "{:>20}  FAILED: the broken variant was not caught",
-                "floor_unlocked"
+                "epoch_unlocked"
             );
             *failed = true;
         }
         Some(violation) if !violation.description.contains("lost") => {
             println!(
                 "{:>20}  FAILED: unexpected violation ({violation})",
-                "floor_unlocked"
+                "epoch_unlocked"
             );
             *failed = true;
         }
         Some(violation) => println!(
             "{:>20}  caught after {} states, {}-step counterexample: {}",
-            "floor_unlocked",
+            "epoch_unlocked",
             unlocked.stats.states,
             violation.trace.len(),
             violation

@@ -50,6 +50,6 @@ pub use lifecycle::{
     LifecycleState, LifecycleStats, LifecycleStatsSnapshot, ObservedVec, ReadMode, ReadTxnLog,
 };
 pub use stats::{CacheStats, CacheStatsSnapshot};
-pub use storage::{CacheStorage, ShardedCacheStorage};
+pub use storage::{Admission, AdmitToken, CacheStorage, ShardedCacheStorage};
 pub use tcache::{CacheReadPath, EdgeCache};
 pub use tcache_types::{CachePolicyConfig, Strategy};

@@ -11,6 +11,7 @@ pub struct CacheStats {
     invalidations_applied: AtomicU64,
     invalidations_ignored: AtomicU64,
     evictions: AtomicU64,
+    admissions_vetoed: AtomicU64,
     txns_committed: AtomicU64,
     txns_aborted: AtomicU64,
     fastpath_txns: AtomicU64,
@@ -34,6 +35,10 @@ pub struct CacheStatsSnapshot {
     pub invalidations_ignored: u64,
     /// Entries evicted by the EVICT / RETRY strategies.
     pub evictions: u64,
+    /// Fetched entries storage refused because an invalidation or a clear
+    /// reached their stripe during the fetch (the entry may have been
+    /// stale; the object's next read misses again).
+    pub admissions_vetoed: u64,
     /// Read-only transactions that completed all their reads.
     pub txns_committed: u64,
     /// Read-only transactions aborted after an inconsistency was detected.
@@ -85,6 +90,7 @@ impl CacheStatsSnapshot {
         self.invalidations_applied += other.invalidations_applied;
         self.invalidations_ignored += other.invalidations_ignored;
         self.evictions += other.evictions;
+        self.admissions_vetoed += other.admissions_vetoed;
         self.txns_committed += other.txns_committed;
         self.txns_aborted += other.txns_aborted;
         self.fastpath_txns += other.fastpath_txns;
@@ -143,6 +149,11 @@ impl CacheStats {
         self.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records a fetched entry refused by its stripe's admission epoch.
+    pub fn record_vetoed_admission(&self) {
+        self.admissions_vetoed.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records a committed read-only transaction.
     pub fn record_commit(&self) {
         self.txns_committed.fetch_add(1, Ordering::Relaxed);
@@ -177,6 +188,7 @@ impl CacheStats {
             invalidations_applied: self.invalidations_applied.load(Ordering::Relaxed),
             invalidations_ignored: self.invalidations_ignored.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            admissions_vetoed: self.admissions_vetoed.load(Ordering::Relaxed),
             txns_committed: self.txns_committed.load(Ordering::Relaxed),
             txns_aborted: self.txns_aborted.load(Ordering::Relaxed),
             fastpath_txns: self.fastpath_txns.load(Ordering::Relaxed),
@@ -198,6 +210,7 @@ mod tests {
         s.record_invalidations(1, 0);
         s.record_invalidations(0, 1);
         s.record_eviction();
+        s.record_vetoed_admission();
         s.record_commit();
         s.record_commit();
         s.record_abort();
@@ -211,6 +224,7 @@ mod tests {
         assert_eq!(snap.invalidations_applied, 1);
         assert_eq!(snap.invalidations_ignored, 1);
         assert_eq!(snap.evictions, 1);
+        assert_eq!(snap.admissions_vetoed, 1);
     }
 
     #[test]
@@ -223,6 +237,7 @@ mod tests {
             invalidations_applied: 3,
             invalidations_ignored: 1,
             evictions: 2,
+            admissions_vetoed: 5,
             txns_committed: 4,
             txns_aborted: 1,
             fastpath_txns: 3,
@@ -233,6 +248,7 @@ mod tests {
         assert_eq!(total.reads, 20);
         assert_eq!(total.hits, 16);
         assert_eq!(total.db_reads(), 6);
+        assert_eq!(total.admissions_vetoed, 10);
         assert_eq!(total.txns_committed, 8);
         assert_eq!(total.txns_aborted, 2);
         assert_eq!(total.fastpath_txns, 6);

@@ -50,7 +50,7 @@ use crate::lifecycle::{
     LifecycleState, LifecycleStats, LifecycleStatsSnapshot, ObservedVec, ReadMode, ReadTxnLog,
 };
 use crate::stats::{CacheStats, CacheStatsSnapshot};
-use crate::storage::ShardedCacheStorage;
+use crate::storage::{Admission, AdmitToken, ShardedCacheStorage};
 use crate::txn_record::{ShardedTransactionTable, TxnRecord};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -370,16 +370,16 @@ impl EdgeCache {
             .storage
             .with_entry(key, now, |entry| self.check_and_record(rec, entry, sink));
         let verdict = match hit {
-            Some(verdict) => {
+            Ok(verdict) => {
                 *hits += 1;
                 verdict
             }
-            None => {
-                // The fresh entry is moved into storage on both verdicts.
+            Err(token) => {
+                // The fresh entry is offered to storage on both verdicts.
                 let fresh = self.fetch_from_backend(key)?;
                 self.stats.record_miss();
                 let verdict = self.check_and_record(rec, &fresh, sink);
-                self.storage.insert(fresh, now);
+                self.admit(fresh, now, token);
                 verdict
             }
         };
@@ -397,10 +397,11 @@ impl EdgeCache {
                     if self.storage.remove(key) {
                         self.stats.record_eviction();
                     }
+                    let token = self.storage.token(key);
                     let fresh = self.fetch_from_backend(key)?;
                     self.stats.record_retry();
                     let second = self.check_and_record(rec, &fresh, sink);
-                    self.storage.insert(fresh, now);
+                    self.admit(fresh, now, token);
                     match second {
                         None => return Ok(()),
                         // The fresh copy exposes a violation that cannot be
@@ -423,6 +424,14 @@ impl EdgeCache {
             txn,
             violating_object,
         })
+    }
+
+    /// Offers a fetched entry to storage under the token taken before the
+    /// fetch, counting a refusal by the stripe's admission epoch.
+    fn admit(&self, fresh: ObjectEntry, now: SimTime, token: AdmitToken) {
+        if self.storage.insert(fresh, now, token) == Admission::Vetoed {
+            self.stats.record_vetoed_admission();
+        }
     }
 
     /// Checks `entry` against the transaction's previous reads and, when

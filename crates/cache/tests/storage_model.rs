@@ -1,26 +1,34 @@
 //! A randomized oracle for the cache's one storage.
 //!
-//! [`ShardedCacheStorage`] (slab LRU, incremental footprint, striped
-//! mutexes) is held to a deliberately naive reference — per stripe a
-//! recency `Vec`, an entry map and a floor map — by two tests (a third
-//! pins that an unbounded storage, whose hits skip the recency list, is
-//! indistinguishable from one whose capacity never binds):
+//! [`ShardedCacheStorage`] (slab LRU on bounded stripes only, incremental
+//! footprint, per-stripe admission epochs, striped mutexes) is held to a
+//! deliberately naive reference — per stripe a recency `Vec`, an entry map
+//! and an epoch counter — by two tests (a third pins that an unbounded
+//! storage, which keeps no recency list at all, is indistinguishable from
+//! one whose capacity never binds):
 //!
 //! 1. a property test driving random op sequences through both in
 //!    lockstep and comparing every return value and every aggregate;
 //! 2. an 8-thread stress test over one shared storage whose per-thread
 //!    (disjoint-key) op logs are replayed against the sequential
 //!    reference.
+//!
+//! A `Get` that misses keeps the admission token it was handed; a later
+//! `Admit` of the same object inserts under that token, the way a miss's
+//! fetch does, so invalidations and clears in between must veto it.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tcache_cache::storage::ShardedCacheStorage;
+use tcache_cache::storage::{Admission, AdmitToken, ShardedCacheStorage};
 use tcache_types::{
     DependencyList, ObjectEntry, ObjectId, SimDuration, SimTime, TtlConfig, Value, Version,
 };
 
 const STRIPES: usize = 4;
+
+/// Op selectors `decode` understands.
+const SELECTORS: u64 = 9;
 
 fn obj(id: u64, version: u64) -> ObjectEntry {
     ObjectEntry::new(
@@ -32,12 +40,13 @@ fn obj(id: u64, version: u64) -> ObjectEntry {
 }
 
 /// One stripe of the reference: `recency` runs from least to most
-/// recently used.
+/// recently used; `pending` holds the epoch each outstanding miss saw.
 #[derive(Default)]
 struct RefStripe {
     recency: Vec<ObjectId>,
     entries: HashMap<ObjectId, (ObjectEntry, SimTime)>,
-    floors: HashMap<ObjectId, Version>,
+    epoch: u64,
+    pending: HashMap<ObjectId, u64>,
 }
 
 impl RefStripe {
@@ -52,44 +61,72 @@ impl RefStripe {
     }
 
     fn get(&mut self, id: ObjectId, now: SimTime, ttl: TtlConfig) -> Option<ObjectEntry> {
-        let (entry, inserted_at) = self.entries.get(&id)?.clone();
-        if ttl
-            .lifetime()
-            .is_some_and(|life| now.since(inserted_at) > life)
-        {
-            self.remove(id);
-            return None;
+        let hit = self.entries.get(&id).cloned().filter(|(_, inserted_at)| {
+            ttl.lifetime()
+                .is_none_or(|life| now.since(*inserted_at) <= life)
+        });
+        match hit {
+            Some((entry, _)) => {
+                self.touch(id);
+                Some(entry)
+            }
+            None => {
+                self.remove(id);
+                self.pending.insert(id, self.epoch);
+                None
+            }
         }
-        self.touch(id);
-        Some(entry)
     }
 
-    fn insert(&mut self, entry: ObjectEntry, now: SimTime, cap: Option<usize>) -> Option<ObjectId> {
+    /// Inserts under the epoch `seen`.
+    fn insert(
+        &mut self,
+        entry: ObjectEntry,
+        now: SimTime,
+        cap: Option<usize>,
+        seen: u64,
+    ) -> Admission {
         let id = entry.id;
-        let vetoed = self
-            .floors
-            .get(&id)
-            .is_some_and(|&floor| entry.version < floor);
-        let buried = self
+        if seen != self.epoch {
+            return Admission::Vetoed;
+        }
+        if self
             .entries
             .get(&id)
-            .is_some_and(|(e, _)| e.version > entry.version);
-        if vetoed || buried {
-            return None;
+            .is_some_and(|(e, _)| e.version > entry.version)
+        {
+            return Admission::Superseded;
         }
         self.entries.insert(id, (entry, now));
         self.touch(id);
-        let victim = *self.recency.first()?;
-        (cap.is_some_and(|cap| self.entries.len() > cap) && self.remove(victim)).then_some(victim)
+        let victim = self.recency[0];
+        let evicted = (cap.is_some_and(|cap| self.entries.len() > cap) && self.remove(victim))
+            .then_some(victim);
+        Admission::Installed(evicted)
+    }
+
+    /// Inserts under the token the object's last miss saw, or — when
+    /// there is none — under the current epoch (a fetch with nothing in
+    /// between).
+    fn admit(&mut self, entry: ObjectEntry, now: SimTime, cap: Option<usize>) -> Admission {
+        let seen = self.pending.remove(&entry.id).unwrap_or(self.epoch);
+        self.insert(entry, now, cap, seen)
     }
 
     fn invalidate(&mut self, id: ObjectId, newer_than: Version) -> bool {
-        let floor = self.floors.entry(id).or_insert(newer_than);
-        *floor = (*floor).max(newer_than);
+        self.epoch += 1;
         self.entries
             .get(&id)
             .is_some_and(|(e, _)| e.version < newer_than)
             && self.remove(id)
+    }
+
+    /// Drops the entries, keeps the outstanding misses (their fetches are
+    /// still in flight) and bumps the epoch so they are refused.
+    fn clear(&mut self) {
+        self.recency.clear();
+        self.entries.clear();
+        self.epoch += 1;
     }
 }
 
@@ -97,6 +134,7 @@ impl RefStripe {
 /// version)` triple.
 enum Op {
     Insert(ObjectEntry),
+    Admit(ObjectEntry),
     Get(ObjectId),
     Invalidate(ObjectId, Version),
     Remove(ObjectId),
@@ -106,7 +144,7 @@ enum Op {
 /// What an operation returned, for comparison.
 #[derive(Debug, PartialEq)]
 enum Observed {
-    Evicted(Option<ObjectId>),
+    Admission(Admission),
     Entry(Option<ObjectEntry>),
     Flag(bool),
     Peek(bool, Option<Version>),
@@ -115,22 +153,60 @@ enum Observed {
 fn decode(selector: u64, id: u64, version: u64) -> (ObjectId, Op) {
     let key = ObjectId(id);
     let op = match selector {
-        0..=2 => Op::Insert(obj(id, version)),
-        3 | 4 => Op::Get(key),
-        5 => Op::Invalidate(key, Version(version)),
-        6 => Op::Remove(key),
+        0 | 1 => Op::Insert(obj(id, version)),
+        2 | 3 => Op::Admit(obj(id, version)),
+        4 | 5 => Op::Get(key),
+        6 => Op::Invalidate(key, Version(version)),
+        7 => Op::Remove(key),
         _ => Op::Peek(key),
     };
     (key, op)
 }
 
-fn run_real(storage: &ShardedCacheStorage, op: &Op, now: SimTime) -> Observed {
-    match op {
-        Op::Insert(entry) => Observed::Evicted(storage.insert(entry.clone(), now)),
-        Op::Get(id) => Observed::Entry(storage.get(*id, now)),
-        Op::Invalidate(id, version) => Observed::Flag(storage.invalidate(*id, *version)),
-        Op::Remove(id) => Observed::Flag(storage.remove(*id)),
-        Op::Peek(id) => Observed::Peek(storage.contains(*id), storage.cached_version(*id)),
+/// The real storage (possibly shared) plus the tokens this driver's
+/// outstanding misses were handed.
+struct Real {
+    storage: Arc<ShardedCacheStorage>,
+    pending: HashMap<ObjectId, AdmitToken>,
+}
+
+impl Real {
+    fn new(storage: ShardedCacheStorage) -> Self {
+        Real::on(Arc::new(storage))
+    }
+
+    fn on(storage: Arc<ShardedCacheStorage>) -> Self {
+        Real {
+            storage,
+            pending: HashMap::new(),
+        }
+    }
+
+    fn run(&mut self, op: &Op, now: SimTime) -> Observed {
+        let storage = &self.storage;
+        match op {
+            Op::Insert(entry) => {
+                let token = storage.token(entry.id);
+                Observed::Admission(storage.insert(entry.clone(), now, token))
+            }
+            Op::Admit(entry) => {
+                let token = self
+                    .pending
+                    .remove(&entry.id)
+                    .unwrap_or_else(|| storage.token(entry.id));
+                Observed::Admission(storage.insert(entry.clone(), now, token))
+            }
+            Op::Get(id) => match storage.with_entry(*id, now, Clone::clone) {
+                Ok(entry) => Observed::Entry(Some(entry)),
+                Err(token) => {
+                    self.pending.insert(*id, token);
+                    Observed::Entry(None)
+                }
+            },
+            Op::Invalidate(id, version) => Observed::Flag(storage.invalidate(*id, *version)),
+            Op::Remove(id) => Observed::Flag(storage.remove(*id)),
+            Op::Peek(id) => Observed::Peek(storage.contains(*id), storage.cached_version(*id)),
+        }
     }
 }
 
@@ -142,7 +218,11 @@ fn run_reference(
     ttl: TtlConfig,
 ) -> Observed {
     match op {
-        Op::Insert(entry) => Observed::Evicted(stripe.insert(entry.clone(), now, cap)),
+        Op::Insert(entry) => {
+            let epoch = stripe.epoch;
+            Observed::Admission(stripe.insert(entry.clone(), now, cap, epoch))
+        }
+        Op::Admit(entry) => Observed::Admission(stripe.admit(entry.clone(), now, cap)),
         Op::Get(id) => Observed::Entry(stripe.get(*id, now, ttl)),
         Op::Invalidate(id, version) => Observed::Flag(stripe.invalidate(*id, *version)),
         Op::Remove(id) => Observed::Flag(stripe.remove(*id)),
@@ -154,15 +234,15 @@ fn run_reference(
 }
 
 proptest! {
-    /// Random op sequences (inserts, TTL-sensitive gets, invalidations,
-    /// removes, clears) produce the reference's observable behaviour op by
-    /// op: same return values, same eviction victims, same len/footprint
-    /// after every step. Sequences stay far below `REBALANCE_INTERVAL`
-    /// inserts, so the even per-stripe split of the capacity holds
-    /// throughout.
+    /// Random op sequences (inserts, admits under a miss's token,
+    /// TTL-sensitive gets, invalidations, removes, clears) produce the
+    /// reference's observable behaviour op by op: same return values, same
+    /// eviction victims, same vetoes, same len/footprint after every step.
+    /// Sequences stay far below `REBALANCE_INTERVAL` inserts, so the even
+    /// per-stripe split of the capacity holds throughout.
     #[test]
     fn random_ops_match_the_reference(
-        ops in prop::collection::vec((0u64..8, 0u64..24, 1u64..8, 0u64..100), 1..200),
+        ops in prop::collection::vec((0u64..SELECTORS, 0u64..24, 1u64..8, 0u64..100), 1..200),
         capacity_choice in 0u32..3,
     ) {
         let capacity = match capacity_choice {
@@ -172,34 +252,34 @@ proptest! {
         };
         let per_stripe = capacity.map(|c: usize| c.div_ceil(STRIPES).max(1));
         let ttl = TtlConfig::Limited(SimDuration::from_secs(30));
-        let real = ShardedCacheStorage::new(STRIPES, capacity, ttl);
+        let mut real = Real::new(ShardedCacheStorage::new(STRIPES, capacity, ttl));
         let mut reference: Vec<RefStripe> = (0..STRIPES).map(|_| RefStripe::default()).collect();
         for &(selector, id, version, now_secs) in &ops {
             let now = SimTime::from_secs(now_secs);
             let (key, op) = decode(selector, id, version);
-            let stripe = &mut reference[real.stripe_index_of(key)];
+            let stripe = &mut reference[real.storage.stripe_index_of(key)];
             prop_assert_eq!(
-                run_real(&real, &op, now),
+                real.run(&op, now),
                 run_reference(stripe, &op, now, per_stripe, ttl),
                 "selector {} on o{} v{} at {}s diverged", selector, id, version, now_secs
             );
             if matches!(op, Op::Peek(_)) && version == 1 {
-                // Rare full clear (entries + admission floors).
-                real.clear();
-                reference.iter_mut().for_each(|s| *s = RefStripe::default());
+                // Rare full clear: outstanding misses must be refused.
+                real.storage.clear();
+                reference.iter_mut().for_each(RefStripe::clear);
             }
             let entries = || reference.iter().flat_map(|s| s.entries.values());
-            prop_assert_eq!(real.len(), entries().count());
+            prop_assert_eq!(real.storage.len(), entries().count());
             prop_assert_eq!(
-                real.footprint_bytes(),
+                real.storage.footprint_bytes(),
                 entries().map(|(e, _)| e.size_bytes()).sum::<usize>()
             );
         }
         // Full final-state sweep over the key universe.
         for id in (0..24u64).map(ObjectId) {
-            let stripe = &reference[real.stripe_index_of(id)];
+            let stripe = &reference[real.storage.stripe_index_of(id)];
             prop_assert_eq!(
-                real.cached_version(id),
+                real.storage.cached_version(id),
                 stripe.entries.get(&id).map(|(e, _)| e.version)
             );
         }
@@ -208,39 +288,47 @@ proptest! {
 
 proptest! {
     /// Recency is unobservable without a capacity bound that binds: the
-    /// same op sequence against an unbounded storage (whose hits leave the
-    /// LRU list alone) and against one whose capacity exceeds the key
-    /// universe on every stripe (whose hits relink it) returns the same
-    /// values op by op. Sequences stay below `REBALANCE_INTERVAL` inserts.
+    /// same op sequence against an unbounded storage (which keeps no LRU
+    /// list — its hits, inserts and removes never touch one) and against
+    /// one whose capacity exceeds the key universe on every stripe (which
+    /// keeps and relinks it) returns the same values op by op. Sequences
+    /// stay below `REBALANCE_INTERVAL` inserts.
     #[test]
     fn unbounded_storage_matches_one_whose_capacity_never_binds(
-        ops in prop::collection::vec((0u64..8, 0u64..24, 1u64..8, 0u64..100), 1..300),
+        ops in prop::collection::vec((0u64..SELECTORS, 0u64..24, 1u64..8, 0u64..100), 1..300),
     ) {
         let ttl = TtlConfig::Limited(SimDuration::from_secs(30));
-        let unbounded = ShardedCacheStorage::new(STRIPES, None, ttl);
+        let mut unbounded = Real::new(ShardedCacheStorage::new(STRIPES, None, ttl));
         // 24 keys per stripe: room for the whole universe on any one stripe.
-        let roomy = ShardedCacheStorage::new(STRIPES, Some(24 * STRIPES), ttl);
+        let mut roomy = Real::new(ShardedCacheStorage::new(STRIPES, Some(24 * STRIPES), ttl));
         for &(selector, id, version, now_secs) in &ops {
             let now = SimTime::from_secs(now_secs);
             let (_, op) = decode(selector, id, version);
             prop_assert_eq!(
-                run_real(&unbounded, &op, now),
-                run_real(&roomy, &op, now),
+                unbounded.run(&op, now),
+                roomy.run(&op, now),
                 "selector {} on o{} v{} at {}s diverged", selector, id, version, now_secs
             );
-            prop_assert_eq!(unbounded.len(), roomy.len());
-            prop_assert_eq!(unbounded.footprint_bytes(), roomy.footprint_bytes());
+            prop_assert_eq!(unbounded.storage.len(), roomy.storage.len());
+            prop_assert_eq!(
+                unbounded.storage.footprint_bytes(),
+                roomy.storage.footprint_bytes()
+            );
         }
-        prop_assert_eq!(unbounded.rebalance_budgets(), 0);
+        prop_assert_eq!(unbounded.storage.rebalance_budgets(), 0);
     }
 }
 
 /// Eight threads hammer one shared storage with deterministic per-thread
-/// op scripts over *disjoint* key ranges (so each thread's results are
-/// sequentially determined even under full concurrency), then every
-/// thread's log is replayed against a fresh sequential reference. Any
-/// lost invalidation, resurrected entry or cross-key interference shows up
-/// as a divergence.
+/// op scripts over *disjoint* key ranges, then every thread's log is
+/// replayed against a fresh sequential reference. Keys are disjoint but
+/// stripes are shared, so another thread's invalidation may bump the epoch
+/// between a thread's miss and its admit: an observed veto the reference
+/// would not have issued is accepted (the conservative veto) and the
+/// reference drops that insert too. Everything else must match exactly —
+/// in particular the storage never admits what the reference refuses, and
+/// any lost invalidation, resurrected entry or cross-key interference shows
+/// up as a divergence.
 #[test]
 fn eight_thread_stress_matches_sequential_reference() {
     const THREADS: u64 = 8;
@@ -252,6 +340,7 @@ fn eight_thread_stress_matches_sequential_reference() {
             let shared = Arc::clone(&shared);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
+                let mut real = Real::on(shared);
                 barrier.wait();
                 let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (t + 1);
                 let mut log = Vec::with_capacity(OPS as usize);
@@ -261,8 +350,8 @@ fn eight_thread_stress_matches_sequential_reference() {
                     state ^= state >> 7;
                     state ^= state << 17;
                     let id = t * 1_000 + state % 16; // Disjoint per thread.
-                    let (_, op) = decode((state >> 16) % 8, id, 1 + (state >> 8) % 64);
-                    let observed = run_real(&shared, &op, SimTime::ZERO);
+                    let (_, op) = decode((state >> 16) % SELECTORS, id, 1 + (state >> 8) % 64);
+                    let observed = real.run(&op, SimTime::ZERO);
                     log.push((op, observed));
                 }
                 log
@@ -270,18 +359,22 @@ fn eight_thread_stress_matches_sequential_reference() {
         })
         .collect();
     for handle in handles {
-        // Disjoint keys + unbounded capacity mean the other threads cannot
-        // have influenced this thread's observations, and with no capacity
-        // stripes do not interact: one reference stripe replays the log.
-        let mut reference = RefStripe::default();
+        // Disjoint keys + unbounded capacity: only the shared epochs let
+        // the other threads influence this thread's observations.
+        let mut reference: Vec<RefStripe> = (0..STRIPES).map(|_| RefStripe::default()).collect();
         for (at, (op, observed)) in handle.join().unwrap().into_iter().enumerate() {
-            let expected = run_reference(
-                &mut reference,
-                &op,
-                SimTime::ZERO,
-                None,
-                TtlConfig::Infinite,
-            );
+            let key = match &op {
+                Op::Insert(entry) | Op::Admit(entry) => entry.id,
+                Op::Get(id) | Op::Invalidate(id, _) | Op::Remove(id) | Op::Peek(id) => *id,
+            };
+            let stripe = &mut reference[shared.stripe_index_of(key)];
+            if observed == Observed::Admission(Admission::Vetoed) {
+                if matches!(op, Op::Admit(_)) {
+                    stripe.pending.remove(&key);
+                }
+                continue;
+            }
+            let expected = run_reference(stripe, &op, SimTime::ZERO, None, TtlConfig::Infinite);
             assert_eq!(
                 expected, observed,
                 "op {at} diverged from the sequential reference"

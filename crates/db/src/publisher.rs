@@ -78,8 +78,12 @@ pub struct PublishStats {
     pub overflowed: u64,
     /// Publishes during which the pipe exerted backpressure (stalled).
     pub stalled_publishes: u64,
-    /// Total wall-clock time spent inside this cache's upcall, in
-    /// nanoseconds — commit latency attributable to this pipe.
+    /// Total wall-clock time, in nanoseconds, of the fan-outs this cache
+    /// took part in — from the first sink call of a publish to the end of
+    /// the last — i.e. the commit latency publication added while the
+    /// cache was registered. Every cache of a fan-out is charged the whole
+    /// of it; which pipe was the slow one is told by `stalled_publishes`
+    /// and `overflowed`.
     pub publish_nanos: u64,
     /// Send attempts repeated after an initial failure (retry backoff
     /// toward a disconnected cache).
@@ -92,11 +96,10 @@ pub struct PublishStats {
 }
 
 impl PublishCounters {
-    fn record(&self, batch_len: u64, report: SinkReport, nanos: u64) {
+    fn record(&self, batch_len: u64, report: SinkReport) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.invalidations.fetch_add(batch_len, Ordering::Relaxed);
         self.enqueued.fetch_add(report.enqueued, Ordering::Relaxed);
-        self.publish_nanos.fetch_add(nanos, Ordering::Relaxed);
         // The fault counters are zero on all but a vanishing share of
         // publishes; a branch is cheaper than an atomic add of zero.
         for (counter, delta) in [
@@ -225,30 +228,34 @@ impl InvalidationPublisher {
             .map(|r| r.counters.snapshot())
     }
 
-    /// Fans one batch out to every registered cache, timing each sink call
-    /// so slow pipes are attributable. Empty batches are not published (an
-    /// update that installed nothing invalidates nothing).
+    /// Fans one batch out to every registered cache. Empty batches are not
+    /// published (an update that installed nothing invalidates nothing).
     ///
-    /// The clock is read once before the first sink and once after each
-    /// (N + 1 reads for N caches): a cache's `publish_nanos` runs from the
-    /// previous cache's reading to its own, taken after its sink is done
-    /// with the batch — applied it on this thread, or enqueued it and fired
-    /// the wake-up — so a cache's bookkeeping never sits in front of its own
-    /// invalidations.
+    /// The fan-out is timed once — two clock reads per publish, whatever
+    /// the number of caches — and the time added to every cache's
+    /// `publish_nanos`. Each cache's other counters are recorded right
+    /// after its sink is done with the batch (applied it on this thread,
+    /// or enqueued it and fired the wake-up), so a cache's bookkeeping
+    /// never sits in front of its own invalidations.
     pub fn publish(&self, batch: &InvalidationBatch) {
         if batch.is_empty() {
             return;
         }
         let batch_len = batch.len() as u64;
-        let mut mark = Instant::now();
-        for registration in self.sinks.read().iter() {
+        let sinks = self.sinks.read();
+        let start = Instant::now();
+        for registration in sinks.iter() {
             let report = (registration.sink)(batch);
-            let now = Instant::now();
-            // Accumulate nanoseconds: a sub-microsecond sink must still
-            // leave a nonzero trace after many publishes.
-            let nanos = u64::try_from(now.duration_since(mark).as_nanos()).unwrap_or(u64::MAX);
-            mark = now;
-            registration.counters.record(batch_len, report, nanos);
+            registration.counters.record(batch_len, report);
+        }
+        // Accumulate nanoseconds: a sub-microsecond fan-out must still
+        // leave a nonzero trace after many publishes.
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        for registration in sinks.iter() {
+            registration
+                .counters
+                .publish_nanos
+                .fetch_add(nanos, Ordering::Relaxed);
         }
     }
 }
@@ -362,6 +369,26 @@ mod tests {
             "publish time accumulates: {}",
             stats.publish_nanos
         );
+    }
+
+    #[test]
+    fn every_cache_is_charged_the_whole_fan_out() {
+        let publisher = InvalidationPublisher::new();
+        let fast = Arc::new(AtomicU64::new(0));
+        publisher.register(CacheId(0), counting_sink(&fast));
+        publisher.register(
+            CacheId(1),
+            Box::new(|_: &InvalidationBatch| {
+                // Test-only: a slow pipe.
+                #[allow(clippy::disallowed_methods)]
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }),
+        );
+        publisher.publish(&batch(1));
+        let stats = publisher.publish_stats();
+        let (fast_nanos, slow_nanos) = (stats[0].1.publish_nanos, stats[1].1.publish_nanos);
+        assert_eq!(fast_nanos, slow_nanos, "one timing per publish");
+        assert!(fast_nanos >= 2_000_000, "the slow sink is in it: {fast_nanos}");
     }
 
     #[test]

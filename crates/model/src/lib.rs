@@ -29,9 +29,9 @@
 //! abstraction map and `docs/REPRODUCING.md` for the `model_check`
 //! scenarios and their expected state counts.
 //!
-//! [`floor`] separately explores the install-vs-invalidate race on one
-//! cache slot at sub-operation granularity (why the storage stripe mutex
-//! is load-bearing).
+//! [`epoch`] separately explores the fetch-vs-invalidate race on one
+//! cache stripe at sub-operation granularity (why the storage's admission
+//! epoch, and the stripe mutex around it, are load-bearing).
 //!
 //! No external dependencies beyond the workspace (the explorer, hashing
 //! and minimization are hand-rolled), matching the offline-shim policy of
@@ -42,15 +42,15 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod config;
+pub mod epoch;
 pub mod explore;
-pub mod floor;
 pub mod invariant;
 pub mod oracle;
 pub mod state;
 
 pub use config::{CachePolicyKind, FaultBudget, ModelConfig, ModelRecovery, ReadScript};
+pub use epoch::{explore_epoch, EpochExploration, EpochModelConfig, EpochStats, EpochViolation};
 pub use explore::{explore, minimize, replay, Exploration, ExploreOptions, ExploreStats, Replay};
-pub use floor::{explore_floor, FloorExploration, FloorModelConfig, FloorStats, FloorViolation};
 pub use invariant::{InvariantChecker, InvariantKind, InvariantViolation};
 pub use oracle::{
     ground_truth_serializable, history_of, read_txn_id, update_txn_id, IntervalOnlyOracle,

@@ -103,6 +103,18 @@ impl ExperimentResult {
         }
     }
 
+    /// Fraction of cache misses whose fetched entry storage refused to
+    /// admit because an invalidation or a clear reached its stripe during
+    /// the fetch (0.0 when nothing missed). Each refusal is one more miss
+    /// later, never a stale hit.
+    pub fn vetoed_admission_ratio(&self) -> f64 {
+        if self.cache.misses == 0 {
+            0.0
+        } else {
+            self.cache.admissions_vetoed as f64 / self.cache.misses as f64
+        }
+    }
+
     /// Read-only transaction throughput in transactions per second.
     pub fn read_txn_rate(&self) -> f64 {
         if self.duration == SimDuration::ZERO {
@@ -174,6 +186,7 @@ mod tests {
             hits: 4500,
             misses: 500,
             retries: 10,
+            admissions_vetoed: 50,
             ..CacheStatsSnapshot::default()
         };
         ExperimentResult {
@@ -203,6 +216,7 @@ mod tests {
         assert!((r.inconsistency_ratio() - 100.0 / 900.0).abs() < 1e-9);
         assert!((r.hit_ratio() - 0.9).abs() < 1e-9);
         assert!((r.db_reads_per_second() - 51.0).abs() < 1e-9);
+        assert!((r.vetoed_admission_ratio() - 0.1).abs() < 1e-9);
         assert!((r.read_txn_rate() - 100.0).abs() < 1e-9);
         assert!((r.consistent_commit_ratio() - 0.8).abs() < 1e-9);
         assert!((r.abort_ratio() - 0.1).abs() < 1e-9);
@@ -239,6 +253,8 @@ mod tests {
         let mut r = sample();
         r.duration = SimDuration::ZERO;
         assert_eq!(r.db_reads_per_second(), 0.0);
+        r.cache = CacheStatsSnapshot::default();
+        assert_eq!(r.vetoed_admission_ratio(), 0.0);
         assert_eq!(r.read_txn_rate(), 0.0);
     }
 }
