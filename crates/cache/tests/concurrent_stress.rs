@@ -225,6 +225,7 @@ fn miss_storm_under_concurrent_updates_reads_coherent_snapshots() {
                 for inv in batch.iter() {
                     cache.apply_invalidation(*inv);
                 }
+                tcache_db::SinkReport::default()
             }),
         );
     }

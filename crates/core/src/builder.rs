@@ -1,7 +1,7 @@
 //! Builder for [`TCacheSystem`].
 
 use crate::system::{SystemWiring, TCacheSystem};
-use crate::transport::{DeliveryMode, RetryPolicy, TransportMode};
+use crate::transport::{DeliveryMode, TransportMode};
 use std::sync::Arc;
 use tcache_cache::EdgeCache;
 use tcache_db::{Database, DatabaseConfig};
@@ -49,15 +49,12 @@ pub struct SystemBuilder {
     per_cache_loss: Option<Vec<f64>>,
     invalidation_loss: f64,
     invalidation_delay: SimDuration,
-    tick: SimDuration,
     seed: u64,
     delivery_models: Option<Vec<DeliveryModel>>,
     cache_policy: Option<CachePolicyConfig>,
     pipe_capacity: usize,
     overflow_policy: OverflowPolicy,
-    invalidation_log_capacity: usize,
     recovery_policy: RecoveryPolicy,
-    publish_retry: RetryPolicy,
     cache_parents: Option<Vec<Option<CacheId>>>,
 }
 
@@ -71,15 +68,12 @@ impl Default for SystemBuilder {
             per_cache_loss: None,
             invalidation_loss: 0.0,
             invalidation_delay: SimDuration::ZERO,
-            tick: SimDuration::from_millis(1),
             seed: 0,
             delivery_models: None,
             cache_policy: None,
             pipe_capacity: usize::MAX,
             overflow_policy: OverflowPolicy::Block,
-            invalidation_log_capacity: DatabaseConfig::default().invalidation_log_capacity,
             recovery_policy: RecoveryPolicy::None,
-            publish_retry: RetryPolicy::default(),
             cache_parents: None,
         }
     }
@@ -178,13 +172,6 @@ impl SystemBuilder {
         self
     }
 
-    /// How far the virtual clock advances per operation (the clock only
-    /// stamps operations; it plays no part in delivery).
-    pub fn tick(mut self, tick: SimDuration) -> Self {
-        self.tick = tick;
-        self
-    }
-
     /// Seed for the channels' loss randomness; each cache's channel seed is
     /// derived from `(seed, CacheId)`, so runs are reproducible and a
     /// cache's loss pattern does not depend on how many caches are deployed.
@@ -250,14 +237,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Bounds the database's in-memory invalidation log (the replay window
-    /// recovering caches catch up from; older entries force a snapshot
-    /// resync). Clamped to at least 1.
-    pub fn invalidation_log_capacity(mut self, capacity: usize) -> Self {
-        self.invalidation_log_capacity = capacity.max(1);
-        self
-    }
-
     /// Sets every cache's recovery policy: how it reacts to gaps in its
     /// sequence-numbered invalidation stream, how long a partitioned cache
     /// may serve stale data before degrading to pass-through reads, and
@@ -266,16 +245,6 @@ impl SystemBuilder {
     /// (stale data persists until an invalidation or eviction removes it).
     pub fn recovery_policy(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery_policy = policy;
-        self
-    }
-
-    /// How the publish path retries sends to a severed (crashed /
-    /// partitioned) cache: up to `budget` attempts with capped exponential
-    /// backoff before the batch is abandoned. The default budget of 0
-    /// discards immediately, which keeps the commit path free of wall-clock
-    /// sleeps (what the deterministic simulation planes require).
-    pub fn publish_retry(mut self, retry: RetryPolicy) -> Self {
-        self.publish_retry = retry;
         self
     }
 
@@ -308,8 +277,7 @@ impl SystemBuilder {
         let db = Arc::new(Database::new(DatabaseConfig {
             shards: self.shards,
             dependency_bound: policy.dependency_bound,
-            history_depth: 0,
-            invalidation_log_capacity: self.invalidation_log_capacity,
+            ..DatabaseConfig::default()
         }));
         let losses = self
             .per_cache_loss
@@ -346,12 +314,10 @@ impl SystemBuilder {
             db,
             caches,
             SystemWiring {
-                tick: self.tick,
                 pipe_capacity: self.pipe_capacity,
                 overflow_policy: self.overflow_policy,
                 models,
                 seed: self.seed,
-                retry: self.publish_retry,
                 parents: self
                     .cache_parents
                     .map(|parents| {
@@ -379,7 +345,6 @@ mod tests {
             .shards(3)
             .invalidation_loss(0.5)
             .invalidation_delay_millis(10)
-            .tick(SimDuration::from_millis(2))
             .seed(9)
             .build();
         assert_eq!(system.edge_cache().config().dependency_bound.limit(), 4);

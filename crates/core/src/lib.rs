@@ -80,7 +80,7 @@ pub mod transport;
 
 pub use builder::{two_tier_parents, SystemBuilder};
 pub use system::{CacheNodeStats, ReadOutcome, SystemStats, TCacheSystem};
-pub use transport::{DeliveryMode, RetryPolicy, TransportMode};
+pub use transport::{DeliveryMode, TransportMode};
 
 pub use tcache_cache as cache;
 pub use tcache_db as db;

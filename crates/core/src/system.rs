@@ -1,6 +1,6 @@
 //! A single-process T-Cache deployment: database + N edge caches.
 
-use crate::transport::{modeled_delivery_sink, ReactorPlane, RetryPolicy};
+use crate::transport::{modeled_delivery_sink, ReactorPlane};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,6 +15,9 @@ use tcache_types::{
     CacheId, ObjectId, ReadOnlyOutcome, SimDuration, SimTime, TCacheError, TCacheResult, TxnId,
     Value, Version, VersionedObject,
 };
+
+/// How far the virtual clock advances per operation, in microseconds.
+const TICK_MICROS: u64 = 1_000;
 
 /// The outcome of a read-only transaction issued through
 /// [`TCacheSystem::read_transaction`].
@@ -33,7 +36,7 @@ pub type ReadOutcome = ReadOnlyOutcome;
 /// deployment — and a link with nothing to wait for applies the batch
 /// before the commit returns; [`TCacheSystem::quiesce`] waits the in-flight
 /// ones out. The virtual clock only stamps operations (every operation
-/// advances it by a small tick); it delivers nothing.
+/// advances it by 1 ms); it delivers nothing.
 ///
 /// Read-only transactions address a specific cache via
 /// [`TCacheSystem::read_transaction_on`]; the id-less methods serve the
@@ -47,7 +50,6 @@ pub struct TCacheSystem {
     /// Virtual time in microseconds. It orders nothing but itself, so
     /// `Relaxed` suffices.
     clock: AtomicU64,
-    tick: SimDuration,
     next_txn: AtomicU64,
     reactor: ReactorPlane,
     /// `parents[i]` is the cache index leaf `i` subscribes through in the
@@ -59,12 +61,10 @@ pub struct TCacheSystem {
 /// link models and the run seed the delivery tasks derive their RNG streams
 /// from.
 pub(crate) struct SystemWiring {
-    pub(crate) tick: SimDuration,
     pub(crate) pipe_capacity: usize,
     pub(crate) overflow_policy: OverflowPolicy,
     pub(crate) models: Vec<DeliveryModel>,
     pub(crate) seed: u64,
-    pub(crate) retry: RetryPolicy,
     /// `parents[i]` names the cache index leaf `i` subscribes through
     /// (two-tier fan-out); all-`None` is the flat star topology.
     pub(crate) parents: Vec<Option<usize>>,
@@ -141,20 +141,15 @@ impl TCacheSystem {
             if parents[index].is_some() {
                 continue;
             }
-            db.register_reporting_invalidation_upcall(
+            db.register_invalidation_upcall(
                 cache.id(),
-                modeled_delivery_sink(
-                    reactor.link(index),
-                    reactor.severed_flag(index),
-                    wiring.retry,
-                ),
+                modeled_delivery_sink(reactor.link(index), reactor.severed_flag(index)),
             );
         }
         TCacheSystem {
             db,
             caches,
             clock: AtomicU64::new(0),
-            tick: wiring.tick,
             next_txn: AtomicU64::new(1),
             reactor,
             parents,
@@ -319,9 +314,8 @@ impl TCacheSystem {
 
     /// Crashes one cache at virtual time `now`: its local store is lost
     /// and its invalidation link is severed — publishes to it are
-    /// discarded (after the configured publish retries, if any) instead of
-    /// entering its pipe, so a crashed cache can never block the commit
-    /// path. The cache stays down until
+    /// discarded at once instead of entering its pipe, so a crashed cache
+    /// can never block the commit path. The cache stays down until
     /// [`restart_cache`](TCacheSystem::restart_cache).
     ///
     /// # Errors
@@ -435,7 +429,7 @@ impl TCacheSystem {
         let txn = self.next_txn();
         let access: tcache_types::AccessSet = objects.iter().copied().collect();
         let commit = self.db.execute_update(txn, &access)?;
-        self.advance_time(self.tick);
+        self.advance_time(SimDuration::from_micros(TICK_MICROS));
         Ok(commit.version)
     }
 
@@ -452,7 +446,7 @@ impl TCacheSystem {
             .collect();
         let reads: Vec<ObjectId> = writes.iter().map(|(o, _)| *o).collect();
         let commit = self.db.execute_update_writes(txn, &reads, records)?;
-        self.advance_time(self.tick);
+        self.advance_time(SimDuration::from_micros(TICK_MICROS));
         Ok(commit.version)
     }
 
@@ -487,7 +481,7 @@ impl TCacheSystem {
         let txn = self.next_txn();
         let now = self.now();
         let outcome = server.execute_transaction(now, txn, objects)?;
-        self.advance_time(self.tick);
+        self.advance_time(SimDuration::from_micros(TICK_MICROS));
         Ok((txn, outcome))
     }
 

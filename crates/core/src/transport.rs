@@ -14,7 +14,9 @@
 //! bounds how far a slow cache can back up, and the overflow policy decides
 //! what that backlog costs: blocked commits ([`OverflowPolicy::Block`]) or
 //! bounded staleness ([`OverflowPolicy::DropOldest`] /
-//! [`OverflowPolicy::DropNewest`]).
+//! [`OverflowPolicy::DropNewest`]). A crashed or partitioned cache's link
+//! is severed: its sink discards each batch at once (counted as `severed`
+//! in the publisher's stats), so no commit ever waits on a dead peer.
 //!
 //! No virtual clock is involved in delivery. The deterministic
 //! virtual-time plane lives in `tcache-sim` (`plane::discrete`), which
@@ -72,18 +74,20 @@ pub(crate) struct ReactorPlane {
     /// cache.
     links: Vec<Arc<Link<Invalidation>>>,
     /// Per-cache severed flags (crash / partition): a severed cache's link
-    /// discards publishes instead of being offered them, so a crashed cache
-    /// behind a full `Block` pipe can never wedge the publishing thread —
-    /// the fault plane's invariant that lets `quiesce` always settle.
+    /// discards publishes at once instead of being offered them, so a
+    /// crashed cache behind a full `Block` pipe can never wedge the
+    /// publishing thread — the fault plane's invariant that lets `quiesce`
+    /// always settle.
     severed: Vec<Arc<AtomicBool>>,
     handle: ReactorHandle,
     thread: Option<std::thread::JoinHandle<()>>,
     /// Quiesce waits that timed out before the reactor settled.
     quiesce_timeouts: AtomicU64,
-    /// Relay sends dropped because a child's bounded pipe was full. The
-    /// relay hop cannot block (parent and child tasks share the reactor
-    /// thread, so a blocking send would deadlock it); with the default
-    /// unbounded capacity this stays zero.
+    /// Relayed invalidations lost because a child's bounded pipe was full:
+    /// refused under `Block`, rejected or evicting a pending one under the
+    /// drop policies. The relay hop cannot block (parent and child tasks
+    /// share the reactor thread, so a blocking send would deadlock it);
+    /// with the default unbounded capacity this stays zero.
     relay_overflows: Arc<AtomicU64>,
 }
 
@@ -169,8 +173,9 @@ impl ReactorPlane {
                     // pipe here would deadlock it. With the default
                     // unbounded capacity this never drops.
                     let relayed = child.offer(batch, false);
-                    if relayed.refused > 0 {
-                        overflows.fetch_add(relayed.refused, Ordering::Relaxed);
+                    let lost = relayed.refused + relayed.overflowed;
+                    if lost > 0 {
+                        overflows.fetch_add(lost, Ordering::Relaxed);
                     }
                 }
             });
@@ -285,8 +290,8 @@ impl ReactorPlane {
         self.handle.stats()
     }
 
-    /// Relay sends dropped because a child's bounded pipe was full (see
-    /// the constructor's two-tier notes); zero under the default unbounded
+    /// Relayed invalidations lost to a child's full bounded pipe (see the
+    /// constructor's two-tier notes); zero under the default unbounded
     /// pipe capacity.
     pub(crate) fn relay_overflows(&self) -> u64 {
         self.relay_overflows.load(Ordering::Relaxed)
@@ -307,53 +312,18 @@ impl Drop for ReactorPlane {
     }
 }
 
-/// How the publish path handles a send to a cache whose link is severed
-/// (crashed or partitioned): retry up to `budget` times with capped
-/// exponential backoff (re-checking the link before each attempt), then
-/// abandon the batch. The default budget of 0 discards immediately — the
-/// deterministic behaviour the simulation planes rely on (no wall-clock
-/// sleeps on the commit path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum retry attempts per published batch (0 = never retry).
-    pub budget: u32,
-    /// Backoff before the first retry; doubles each attempt.
-    pub base: Duration,
-    /// Upper bound on a single backoff sleep.
-    pub cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            budget: 0,
-            base: Duration::from_micros(50),
-            cap: Duration::from_millis(5),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The capped exponential backoff before retry attempt `attempt`
-    /// (0-based).
-    fn backoff(&self, attempt: u32) -> Duration {
-        let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
-        self.base.saturating_mul(factor).min(self.cap)
-    }
-}
-
 /// Builds the per-cache invalidation upcall sink that offers every batch
 /// the database publishes to `link` ([`Link::offer`]): served on the
 /// committing thread when the link has nothing to wait for, otherwise
 /// entering the pipe in one [`send_batch`](tcache_net::pipe::PipeSender::send_batch)
 /// — one pipe-lock acquisition and at most one wake-up per (commit, cache)
 /// while the pipe has room — with the pipe's overflow policy applied per
-/// invalidation exactly as single sends would, and the overflow / stall
-/// behaviour is reported back so the publisher can attribute what the
-/// commit paid. A batch published while `severed` is set (the cache
-/// crashed or partitioned) is retried per `retry` — the publisher waits out
-/// short disconnects — and discarded once the budget runs out, so a downed
-/// cache can never block the commit path.
+/// invalidation, and the overflow / stall behaviour is reported back so the
+/// publisher can attribute what the commit paid. A batch published while
+/// `severed` is set (the cache crashed or partitioned) is discarded at
+/// once, so a downed cache can never block the commit path; the channel is
+/// best-effort (§II), and a recovering cache catches up from the
+/// invalidation log.
 ///
 /// The sink owns the link, whose apply owns the cache, whose backend is the
 /// database that owns the sink: whoever registers it must unregister it
@@ -361,38 +331,23 @@ impl RetryPolicy {
 pub(crate) fn modeled_delivery_sink(
     link: Arc<Link<Invalidation>>,
     severed: Arc<AtomicBool>,
-    retry: RetryPolicy,
 ) -> tcache_db::ReportingSink {
     Box::new(move |batch| {
-        let mut report = tcache_db::SinkReport::default();
         if severed.load(Ordering::Acquire) {
-            for attempt in 0..retry.budget {
-                // The severed-link backoff runs on the publisher's own
-                // thread, outside the reactor; blocking it is the point.
-                #[allow(clippy::disallowed_methods)]
-                std::thread::sleep(retry.backoff(attempt));
-                report.retries += 1;
-                if !severed.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            if severed.load(Ordering::Acquire) {
-                // Budget exhausted (or zero): the batch is lost on the
-                // floor, attributed so recovery can be audited later.
-                report.severed += batch.len() as u64;
-                if retry.budget > 0 {
-                    report.abandoned += batch.len() as u64;
-                }
-                return report;
-            }
+            return tcache_db::SinkReport {
+                severed: batch.len() as u64,
+                ..tcache_db::SinkReport::default()
+            };
         }
         // A disconnected pipe means the task is gone (shutdown); the
         // channel is best-effort, so dropping the rest is correct.
         let sent = link.offer(batch.invalidations(), true);
-        report.enqueued = sent.enqueued;
-        report.overflowed = sent.overflowed;
-        report.stalled = sent.stalled;
-        report
+        tcache_db::SinkReport {
+            enqueued: sent.enqueued,
+            overflowed: sent.overflowed,
+            stalled: sent.stalled,
+            severed: 0,
+        }
     })
 }
 
@@ -400,8 +355,10 @@ pub(crate) fn modeled_delivery_sink(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::future::Future;
+    use std::task::{Context, Waker};
     use tcache_db::{InvalidationBatch, ReportingSink, SinkReport};
-    use tcache_net::pipe::{PipeSendError, PipeSender, PipeStatsSnapshot};
+    use tcache_net::pipe::{PipeReceiver, PipeSender, PipeStatsSnapshot};
     use tcache_types::{ObjectId, TxnId, Version};
 
     /// A reliable zero-delay link over `tx` whose delivery task is never
@@ -416,29 +373,34 @@ mod tests {
         ))
     }
 
-    /// The sink as it was before batching — one `try_send` per
-    /// invalidation, falling back to a blocking `send` (and reporting the
-    /// stall) on a full `Block` pipe. Kept as the oracle the batched sink
-    /// must be indistinguishable from.
+    /// The sink as it was before batching — one send per invalidation: a
+    /// one-element `try_send_batch`, falling back to a waiting
+    /// `send_batch` (and reporting the stall) when a full `Block` pipe
+    /// refuses it. Kept as the oracle the batched sink must be
+    /// indistinguishable from.
     fn per_message_reference_sink(sender: PipeSender<Invalidation>) -> ReportingSink {
         Box::new(move |batch| {
             let mut report = SinkReport::default();
             for &inv in batch.iter() {
-                let outcome = match sender.try_send(inv) {
-                    Ok(outcome) => Some(outcome),
-                    Err(PipeSendError::Full(inv)) => {
-                        report.stalled = true;
-                        sender.send(inv).ok()
-                    }
-                    Err(PipeSendError::Disconnected(_)) => None,
-                };
-                if let Some(outcome) = outcome {
-                    report.enqueued += u64::from(outcome.was_enqueued());
-                    report.overflowed += u64::from(outcome.lost_a_message());
+                let mut sent = sender.try_send_batch([inv]);
+                if sent.refused > 0 {
+                    report.stalled = true;
+                    sent = sender.send_batch([inv]);
                 }
+                report.enqueued += sent.enqueued;
+                report.overflowed += sent.overflowed;
             }
             report
         })
+    }
+
+    /// Everything queued in `rx`, drained synchronously: one poll of the
+    /// batch receive with a waker nobody listens to.
+    fn drain(rx: &PipeReceiver<Invalidation>) -> Vec<Invalidation> {
+        let mut out = Vec::new();
+        let _ = std::pin::pin!(rx.recv_batch_async(&mut out, usize::MAX))
+            .poll(&mut Context::from_waker(Waker::noop()));
+        out
     }
 
     fn numbered(seq: u64) -> Invalidation {
@@ -468,7 +430,7 @@ mod tests {
         let will_stall = policy == OverflowPolicy::Block && prefill + batch_len > capacity;
         if !will_stall {
             let report = sink(&batch);
-            return (rx.drain(), tx.stats(), report);
+            return (drain(&rx), tx.stats(), report);
         }
         let publisher = std::thread::spawn(move || sink(&batch));
         let deadline = Instant::now() + Duration::from_secs(60);
@@ -478,7 +440,9 @@ mod tests {
         }
         let mut contents = Vec::new();
         while contents.len() < prefill + batch_len {
-            contents.push(rx.recv().expect("the sink holds a sender"));
+            assert!(Instant::now() < deadline, "the stalled sink never finished");
+            contents.extend(drain(&rx));
+            std::thread::yield_now();
         }
         let report = publisher.join().expect("sink thread");
         (contents, tx.stats(), report)
@@ -505,13 +469,7 @@ mod tests {
             };
             let prefill = prefill_choice.min(capacity);
             let (contents, stats, report) = publish_through(
-                |tx| {
-                    modeled_delivery_sink(
-                        untasked_link(tx),
-                        Arc::new(AtomicBool::new(false)),
-                        RetryPolicy::default(),
-                    )
-                },
+                |tx| modeled_delivery_sink(untasked_link(tx), Arc::new(AtomicBool::new(false))),
                 policy,
                 capacity,
                 prefill,
@@ -539,28 +497,10 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_backoff_is_capped_exponential() {
-        let retry = RetryPolicy {
-            budget: 8,
-            base: Duration::from_micros(100),
-            cap: Duration::from_micros(350),
-        };
-        assert_eq!(retry.backoff(0), Duration::from_micros(100));
-        assert_eq!(retry.backoff(1), Duration::from_micros(200));
-        assert_eq!(retry.backoff(2), Duration::from_micros(350), "capped");
-        assert_eq!(retry.backoff(31), Duration::from_micros(350));
-        assert_eq!(RetryPolicy::default().budget, 0);
-    }
-
-    #[test]
     fn severed_sink_discards_without_retry_budget() {
         let (tx, rx) = bounded_pipe::<Invalidation>(8, OverflowPolicy::Block);
         let severed = Arc::new(AtomicBool::new(true));
-        let sink = modeled_delivery_sink(
-            untasked_link(tx),
-            Arc::clone(&severed),
-            RetryPolicy::default(),
-        );
+        let sink = modeled_delivery_sink(untasked_link(tx), Arc::clone(&severed));
         let batch = tcache_db::InvalidationBatch::new(vec![Invalidation::new(
             tcache_types::ObjectId(1),
             tcache_types::Version(2),
@@ -568,68 +508,11 @@ mod tests {
         )]);
         let report = sink(&batch);
         assert_eq!(report.severed, 1);
-        assert_eq!(report.retries, 0);
-        assert_eq!(report.abandoned, 0, "budget 0 never 'abandons': no retry was attempted");
         assert_eq!(report.enqueued, 0);
-        assert!(rx.try_recv().is_none(), "nothing entered the pipe");
-    }
-
-    #[test]
-    fn severed_sink_retries_until_the_link_heals() {
-        let (tx, rx) = bounded_pipe::<Invalidation>(8, OverflowPolicy::Block);
-        let severed = Arc::new(AtomicBool::new(true));
-        let retry = RetryPolicy {
-            budget: 50,
-            base: Duration::from_micros(200),
-            cap: Duration::from_millis(1),
-        };
-        let sink = modeled_delivery_sink(untasked_link(tx), Arc::clone(&severed), retry);
-        // Heal the link from another thread while the publisher backs off.
-        let healer = {
-            let severed = Arc::clone(&severed);
-            std::thread::spawn(move || {
-                // Test-only cross-thread coordination on wall time.
-                #[allow(clippy::disallowed_methods)]
-                std::thread::sleep(Duration::from_millis(2));
-                severed.store(false, Ordering::Release);
-            })
-        };
-        let batch = tcache_db::InvalidationBatch::new(vec![Invalidation::new(
-            tcache_types::ObjectId(1),
-            tcache_types::Version(2),
-            tcache_types::TxnId(3),
-        )]);
-        let report = sink(&batch);
-        healer.join().unwrap();
-        assert!(report.retries >= 1, "the publisher retried: {report:?}");
-        assert_eq!(report.severed, 0);
-        assert_eq!(report.abandoned, 0);
-        assert_eq!(report.enqueued, 1, "the healed link carried the batch");
-        assert!(rx.try_recv().is_some());
-    }
-
-    #[test]
-    fn severed_sink_abandons_after_the_budget() {
-        let (tx, rx) = bounded_pipe::<Invalidation>(8, OverflowPolicy::Block);
-        let severed = Arc::new(AtomicBool::new(true));
-        let retry = RetryPolicy {
-            budget: 3,
-            base: Duration::from_micros(10),
-            cap: Duration::from_micros(20),
-        };
-        let sink = modeled_delivery_sink(untasked_link(tx), severed, retry);
-        let batch = tcache_db::InvalidationBatch::new(vec![
-            Invalidation::new(
-                tcache_types::ObjectId(1),
-                tcache_types::Version(2),
-                tcache_types::TxnId(3),
-            );
-            2
-        ]);
-        let report = sink(&batch);
-        assert_eq!(report.retries, 3, "the whole budget was spent");
-        assert_eq!(report.severed, 2);
-        assert_eq!(report.abandoned, 2);
-        assert!(rx.try_recv().is_none());
+        // Healed, the same sink carries the next batch — and only that one
+        // ever entered the pipe.
+        severed.store(false, Ordering::Release);
+        assert_eq!(sink(&batch).enqueued, 1);
+        assert_eq!(drain(&rx).len(), 1, "the severed batch was discarded");
     }
 }

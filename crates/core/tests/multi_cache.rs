@@ -128,8 +128,11 @@ fn live_transport_fans_out_via_database_upcalls() {
             db.register_invalidation_upcall(
                 cache,
                 Box::new(move |batch| {
-                    // Best-effort channel: the outcome has no reader here.
-                    let _ = tx.send_batch(batch.iter().copied());
+                    let sent = tx.send_batch(batch.iter().copied());
+                    tcache_db::SinkReport {
+                        enqueued: sent.enqueued,
+                        ..tcache_db::SinkReport::default()
+                    }
                 }),
             );
             let task = DeliveryTask::new(

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tcache::{SystemBuilder, TCacheSystem};
+use tcache::{two_tier_parents, SystemBuilder, TCacheSystem};
 use tcache_net::delivery::DEFAULT_BATCH_BUDGET;
 use tcache_net::pipe::OverflowPolicy;
 use tcache_types::{CacheId, ObjectId, SimDuration, Strategy, TxnId, Value, Version};
@@ -162,15 +162,64 @@ fn stalled_reactor_task_never_blocks_commits_under_drop_oldest() {
     assert_eq!(pipe.enqueued - pipe.evicted, pipe.received);
 }
 
-/// The publish-side attribution path end to end: a cache registers a
-/// *reporting* invalidation upcall backed by a bounded pipe, commits
+/// A root relays to its leaf with a send that never waits, so a full leaf
+/// pipe loses relayed invalidations under every policy: refused under
+/// `Block`, rejected under `DropNewest`, evicting a pending one under
+/// `DropOldest`. `relay_overflows` must count each of them — under the drop
+/// policies exactly the leaf pipe's own overflow count.
+#[test]
+fn relay_overflows_count_what_a_full_leaf_pipe_loses_under_every_policy() {
+    for policy in [
+        OverflowPolicy::Block,
+        OverflowPolicy::DropNewest,
+        OverflowPolicy::DropOldest,
+    ] {
+        let system = SystemBuilder::new()
+            .caches(2)
+            .cache_parents(two_tier_parents(1, 1))
+            .pipe_capacity(2)
+            .overflow_policy(policy)
+            .build();
+        system.populate((0..OBJECTS).map(|i| (ObjectId(i), Value::new(0))));
+        system.pause_cache(CacheId(1)).unwrap();
+        for round in 0..200u64 {
+            system.update(&[ObjectId(round % OBJECTS)]).unwrap();
+        }
+        assert!(system.quiesce(Duration::from_secs(5)).unwrap());
+        let leaf = system.stats().per_cache[1].pipe;
+        assert!(system.relay_overflows() > 0, "{policy}: {leaf:?}");
+        if policy == OverflowPolicy::Block {
+            assert_eq!(leaf.overflow_dropped(), 0, "{policy}: refused, not dropped");
+        } else {
+            assert_eq!(
+                system.relay_overflows(),
+                leaf.rejected + leaf.evicted,
+                "{policy}: {leaf:?}"
+            );
+        }
+    }
+}
+
+/// The publish-side attribution path end to end: a cache registers an
+/// invalidation upcall backed by a bounded pipe, commits
 /// publish through it on the committing thread, and
 /// `Database::publish_stats` attributes the pipe's overflow and the time
 /// commits spent publishing — per cache.
 #[test]
 fn commit_path_publish_stats_attribute_slow_pipes_per_cache() {
+    use std::future::Future;
+    use std::task::{Context, Waker};
     use tcache_db::{Database, DatabaseConfig, SinkReport};
-    use tcache_net::{bounded_pipe, UNBOUNDED};
+    use tcache_net::{bounded_pipe, PipeReceiver, UNBOUNDED};
+
+    // Everything queued, drained synchronously: one poll of the batch
+    // receive with a waker nobody listens to.
+    let queued = |rx: &PipeReceiver<tcache_db::Invalidation>| {
+        let mut out = Vec::new();
+        let _ = std::pin::pin!(rx.recv_batch_async(&mut out, usize::MAX))
+            .poll(&mut Context::from_waker(Waker::noop()));
+        out.len()
+    };
 
     let db = Arc::new(Database::new(DatabaseConfig::with_bound(3)));
     db.populate((0..OBJECTS).map(|i| (ObjectId(i), Value::new(0))));
@@ -182,7 +231,7 @@ fn commit_path_publish_stats_attribute_slow_pipes_per_cache() {
     for (i, capacity) in [(0u32, UNBOUNDED), (1u32, 2)] {
         let (tx, rx) = bounded_pipe(capacity, OverflowPolicy::DropOldest);
         receivers.push(rx);
-        db.register_reporting_invalidation_upcall(
+        db.register_invalidation_upcall(
             CacheId(i),
             Box::new(move |batch| {
                 let sent = tx.send_batch(batch.iter().copied());
@@ -214,8 +263,8 @@ fn commit_path_publish_stats_attribute_slow_pipes_per_cache() {
     assert_eq!(slow.enqueued, 30);
     assert_eq!(slow.overflowed, 28);
     assert!(slow.publish_nanos > 0, "publish time is accounted");
-    assert_eq!(receivers[1].drain().len(), 2);
-    assert_eq!(receivers[0].drain().len(), 30);
+    assert_eq!(queued(&receivers[1]), 2);
+    assert_eq!(queued(&receivers[0]), 30);
 }
 
 /// Delivery end to end through the system facade: commits publish

@@ -18,7 +18,7 @@
 use crate::dependency_update::AggregatedDependencies;
 use crate::invalidation::{Invalidation, InvalidationBatch};
 use crate::log::{InvalidationLog, InvalidationReplay};
-use crate::publisher::{InvalidationPublisher, InvalidationSink};
+use crate::publisher::{InvalidationPublisher, ReportingSink};
 use crate::shard::Shard;
 use crate::stats::{DbStats, DbStatsSnapshot};
 use crate::twopc::{Access, Coordinator, TxnObjects};
@@ -122,21 +122,12 @@ impl Database {
     /// Registers a cache's invalidation upcall (§IV): after every committed
     /// update, the batch of invalidations is fanned out to every registered
     /// cache. The per-cache delivery pipe (its loss and delay) sits between
-    /// this upcall and the cache — see `tcache-net`.
-    pub fn register_invalidation_upcall(&self, cache: CacheId, sink: InvalidationSink) {
+    /// this upcall and the cache — see `tcache-net`. The upcall reports what
+    /// its pipe did with each batch, so publish-side backpressure shows up
+    /// in [`Database::publish_stats`] and commit latency can be attributed
+    /// to slow pipes.
+    pub fn register_invalidation_upcall(&self, cache: CacheId, sink: ReportingSink) {
         self.publisher.register(cache, sink);
-    }
-
-    /// Registers a cache's invalidation upcall that reports pipe overflow
-    /// and stalls back to the registry, so publish-side backpressure shows
-    /// up in [`Database::publish_stats`] and commit latency can be
-    /// attributed to slow pipes.
-    pub fn register_reporting_invalidation_upcall(
-        &self,
-        cache: CacheId,
-        sink: crate::publisher::ReportingSink,
-    ) {
-        self.publisher.register_reporting(cache, sink);
     }
 
     /// Removes a cache's invalidation upcall; returns `true` if one existed.
@@ -496,6 +487,7 @@ mod tests {
                 CacheId(i as u32),
                 Box::new(move |batch| {
                     count.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                    crate::publisher::SinkReport::default()
                 }),
             );
         }

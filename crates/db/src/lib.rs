@@ -63,8 +63,6 @@ pub mod version_clock;
 pub use database::{Database, DatabaseConfig, UpdateCommit};
 pub use invalidation::{Invalidation, InvalidationBatch};
 pub use log::{InvalidationLog, InvalidationReplay};
-pub use publisher::{
-    InvalidationPublisher, InvalidationSink, PublishStats, ReportingSink, SinkReport,
-};
+pub use publisher::{InvalidationPublisher, PublishStats, ReportingSink, SinkReport};
 pub use stats::DbStats;
 pub use store::{HistoricalVersion, VersionedStore, BUCKETS};

@@ -9,10 +9,10 @@
 //! independently (that unreliability lives in `tcache-net`, not here).
 //!
 //! Because publication runs on the committing transaction's thread, a slow
-//! or full pipe behind an upcall stretches commit latency. The registry
-//! therefore measures every sink call and accumulates per-cache
-//! [`PublishStats`]: how long publication took, and — for sinks registered
-//! with [`InvalidationPublisher::register_reporting`] — how many messages a
+//! or full pipe behind an upcall stretches commit latency. Every upcall
+//! therefore reports what its pipe did with the batch ([`SinkReport`]), and
+//! the registry times every fan-out and accumulates per-cache
+//! [`PublishStats`]: how long publication took, and how many messages a
 //! bounded pipe overflowed or stalled on. That is the attribution trail for
 //! "commits are slow because cache X's invalidation pipe is backed up".
 
@@ -24,11 +24,9 @@ use std::sync::Arc;
 use std::time::Instant;
 use tcache_types::CacheId;
 
-/// An upcall receiving every published invalidation batch for one cache.
-pub type InvalidationSink = Box<dyn Fn(&InvalidationBatch) + Send + Sync>;
-
-/// An upcall that reports what its delivery pipe did with the batch, so
-/// overflow and stalls can be attributed to the publishing side.
+/// An upcall receiving every published invalidation batch for one cache
+/// and reporting what its delivery pipe did with it, so overflow and
+/// stalls can be attributed to the publishing side.
 pub type ReportingSink = Box<dyn Fn(&InvalidationBatch) -> SinkReport + Send + Sync>;
 
 /// What one sink call did with a batch.
@@ -41,13 +39,8 @@ pub struct SinkReport {
     /// Whether the send had to wait for pipe capacity (backpressure into
     /// the commit path).
     pub stalled: bool,
-    /// Send attempts repeated after an initial failure (the sink's retry
-    /// backoff re-offering a batch to a disconnected cache's pipe).
-    pub retries: u64,
-    /// Invalidations given up on after the retry budget was exhausted.
-    pub abandoned: u64,
-    /// Invalidations not delivered because the cache's link was severed
-    /// (crashed or partitioned) for the whole retry window.
+    /// Invalidations discarded because the cache's link was severed
+    /// (crashed or partitioned) when the batch was published.
     pub severed: u64,
 }
 
@@ -60,8 +53,6 @@ struct PublishCounters {
     overflowed: AtomicU64,
     stalled_publishes: AtomicU64,
     publish_nanos: AtomicU64,
-    retries: AtomicU64,
-    abandoned: AtomicU64,
     severed: AtomicU64,
 }
 
@@ -85,13 +76,8 @@ pub struct PublishStats {
     /// of it; which pipe was the slow one is told by `stalled_publishes`
     /// and `overflowed`.
     pub publish_nanos: u64,
-    /// Send attempts repeated after an initial failure (retry backoff
-    /// toward a disconnected cache).
-    pub retries: u64,
-    /// Invalidations abandoned after the retry budget ran out.
-    pub abandoned: u64,
     /// Invalidations dropped at the publisher because the cache's link was
-    /// severed (crash or partition) for the whole retry window.
+    /// severed (crash or partition).
     pub severed: u64,
 }
 
@@ -105,8 +91,6 @@ impl PublishCounters {
         for (counter, delta) in [
             (&self.overflowed, report.overflowed),
             (&self.stalled_publishes, u64::from(report.stalled)),
-            (&self.retries, report.retries),
-            (&self.abandoned, report.abandoned),
             (&self.severed, report.severed),
         ] {
             if delta != 0 {
@@ -123,8 +107,6 @@ impl PublishCounters {
             overflowed: self.overflowed.load(Ordering::Relaxed),
             stalled_publishes: self.stalled_publishes.load(Ordering::Relaxed),
             publish_nanos: self.publish_nanos.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            abandoned: self.abandoned.load(Ordering::Relaxed),
             severed: self.severed.load(Ordering::Relaxed),
         }
     }
@@ -160,31 +142,11 @@ impl InvalidationPublisher {
         InvalidationPublisher::default()
     }
 
-    /// Registers `cache`'s upcall. A second registration for the same cache
-    /// replaces the first (a cache re-registering after a restart) but
-    /// keeps its accumulated [`PublishStats`].
-    ///
-    /// A sink registered here reports nothing back; its batches are counted
-    /// as fully enqueued. Use
-    /// [`InvalidationPublisher::register_reporting`] when the sink can
-    /// report pipe overflow and stalls.
-    pub fn register(&self, cache: CacheId, sink: InvalidationSink) {
-        self.register_reporting(
-            cache,
-            Box::new(move |batch| {
-                sink(batch);
-                SinkReport {
-                    enqueued: batch.len() as u64,
-                    ..SinkReport::default()
-                }
-            }),
-        );
-    }
-
-    /// Registers an upcall that reports what its pipe did with each batch
-    /// (see [`SinkReport`]); the registry accumulates the reports into the
-    /// cache's [`PublishStats`].
-    pub fn register_reporting(&self, cache: CacheId, sink: ReportingSink) {
+    /// Registers `cache`'s upcall; the registry accumulates the
+    /// [`SinkReport`] of every call into the cache's [`PublishStats`]. A
+    /// second registration for the same cache replaces the first (a cache
+    /// re-registering after a restart) but keeps its accumulated stats.
+    pub fn register(&self, cache: CacheId, sink: ReportingSink) {
         let mut sinks = self.sinks.write();
         if let Some(slot) = sinks.iter_mut().find(|r| r.cache == cache) {
             slot.sink = sink;
@@ -274,10 +236,14 @@ mod tests {
             .collect()
     }
 
-    fn counting_sink(counter: &Arc<AtomicU64>) -> InvalidationSink {
+    fn counting_sink(counter: &Arc<AtomicU64>) -> ReportingSink {
         let counter = Arc::clone(counter);
         Box::new(move |b: &InvalidationBatch| {
             counter.fetch_add(b.len() as u64, Ordering::Relaxed);
+            SinkReport {
+                enqueued: b.len() as u64,
+                ..SinkReport::default()
+            }
         })
     }
 
@@ -315,25 +281,9 @@ mod tests {
     }
 
     #[test]
-    fn plain_sinks_count_batches_as_fully_enqueued() {
-        let publisher = InvalidationPublisher::new();
-        let a = Arc::new(AtomicU64::new(0));
-        publisher.register(CacheId(0), counting_sink(&a));
-        publisher.publish(&batch(3));
-        publisher.publish(&batch(2));
-        let stats = publisher.publish_stats_for(CacheId(0)).unwrap();
-        assert_eq!(stats.batches, 2);
-        assert_eq!(stats.invalidations, 5);
-        assert_eq!(stats.enqueued, 5);
-        assert_eq!(stats.overflowed, 0);
-        assert_eq!(stats.stalled_publishes, 0);
-        assert!(publisher.publish_stats_for(CacheId(9)).is_none());
-    }
-
-    #[test]
     fn reporting_sinks_attribute_overflow_and_stalls() {
         let publisher = InvalidationPublisher::new();
-        publisher.register_reporting(
+        publisher.register(
             CacheId(0),
             Box::new(|b: &InvalidationBatch| {
                 // Model a pipe that admits one message per batch and stalls
@@ -344,8 +294,6 @@ mod tests {
                     enqueued: 1,
                     overflowed: b.len() as u64 - 1,
                     stalled: true,
-                    retries: 2,
-                    abandoned: 1,
                     severed: 1,
                 }
             }),
@@ -361,8 +309,6 @@ mod tests {
         assert_eq!(stats.enqueued, 2);
         assert_eq!(stats.overflowed, 6);
         assert_eq!(stats.stalled_publishes, 2);
-        assert_eq!(stats.retries, 4);
-        assert_eq!(stats.abandoned, 2);
         assert_eq!(stats.severed, 2);
         assert!(
             stats.publish_nanos >= 4_000_000,
@@ -382,6 +328,7 @@ mod tests {
                 // Test-only: a slow pipe.
                 #[allow(clippy::disallowed_methods)]
                 std::thread::sleep(std::time::Duration::from_millis(2));
+                SinkReport::default()
             }),
         );
         publisher.publish(&batch(1));
@@ -402,5 +349,7 @@ mod tests {
         let stats = publisher.publish_stats_for(CacheId(3)).unwrap();
         assert_eq!(stats.batches, 2, "stats survive re-registration");
         assert_eq!(stats.invalidations, 3);
+        assert_eq!(stats.enqueued, 3, "each sink's own report is recorded");
+        assert!(publisher.publish_stats_for(CacheId(9)).is_none());
     }
 }

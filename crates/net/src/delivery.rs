@@ -124,25 +124,6 @@ impl DeliveryStatsSnapshot {
         self.dropped + self.delivered
     }
 
-    /// Observed loss ratio (0 when nothing was offered).
-    pub fn loss_ratio(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.offered as f64
-        }
-    }
-
-    /// Mean modeled delay per applied message, in microseconds (0 when
-    /// nothing was delivered).
-    pub fn mean_delay_micros(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.delay_micros as f64 / self.delivered as f64
-        }
-    }
-
     /// Accumulates another task's counters into this one. Sums saturate
     /// instead of wrapping so long sweeps cannot corrupt aggregates.
     pub fn merge(&mut self, other: DeliveryStatsSnapshot) {
@@ -588,8 +569,6 @@ mod tests {
         assert_eq!(stats.delivered, 100);
         assert_eq!(stats.processed(), 100);
         assert_eq!(stats.delay_micros, 0);
-        assert_eq!(stats.loss_ratio(), 0.0);
-        assert_eq!(stats.mean_delay_micros(), 0.0);
     }
 
     #[test]
@@ -608,7 +587,7 @@ mod tests {
             .collect();
         assert_eq!(applied, survivors);
         assert_eq!(stats.dropped, 2_000 - survivors.len() as u64);
-        assert!((stats.loss_ratio() - 0.4).abs() < 0.05);
+        assert!((stats.dropped as f64 / stats.offered as f64 - 0.4).abs() < 0.05);
     }
 
     #[test]
@@ -619,7 +598,6 @@ mod tests {
         assert_eq!(applied.len(), 5);
         assert_eq!(stats.delivered, 5);
         assert_eq!(stats.delay_micros, 5 * 2_000);
-        assert!((stats.mean_delay_micros() - 2_000.0).abs() < 1e-9);
         assert!(start.elapsed() >= std::time::Duration::from_millis(10));
     }
 

@@ -20,7 +20,9 @@
 //!   `TCacheSystem` never routes through it);
 //! * [`pipe`] — bounded MPSC pipes with explicit overflow policies
 //!   (`Block` / `DropNewest` / `DropOldest`) and per-pipe counters, the
-//!   building block of the live invalidation plane;
+//!   building block of the live invalidation plane: batches in
+//!   (`send_batch` / `try_send_batch`, or served at once by `hand_off`),
+//!   batches out (`recv_batch_async` on a reactor task);
 //! * [`reactor`] — a hand-rolled single-threaded reactor (ready queue,
 //!   parked-task table, timer wheel) that multiplexes many caches' pipes
 //!   in one event loop;
@@ -53,7 +55,6 @@ pub use fanout::{CacheLink, InvalidationFanout};
 pub use fault::{FaultCursor, FaultEvent, FaultKind, FaultPlan, LossModel, LossState};
 pub use latency::LatencyModel;
 pub use pipe::{
-    bounded_pipe, OverflowPolicy, PipeReceiver, PipeSendError, PipeSender, PipeStatsSnapshot,
-    SendOutcome, UNBOUNDED,
+    bounded_pipe, OverflowPolicy, PipeReceiver, PipeSender, PipeStatsSnapshot, UNBOUNDED,
 };
 pub use reactor::{Reactor, ReactorHandle, ReactorStats, TaskId, TimerHandle};

@@ -1,9 +1,7 @@
 //! Bounded invalidation pipes with explicit overflow policies.
 //!
-//! The live transport's original queue was unbounded: a slow cache simply
-//! grew its queue without limit and the system gave no backpressure signal.
-//! [`bounded_pipe`] replaces it with a capacity-limited MPSC queue whose
-//! behaviour at capacity is an explicit [`OverflowPolicy`]:
+//! [`bounded_pipe`] is a capacity-limited MPSC queue whose behaviour at
+//! capacity is an explicit [`OverflowPolicy`]:
 //!
 //! * [`OverflowPolicy::Block`] — the sender waits for a free slot; the
 //!   commit path absorbs the backpressure (and the stall is counted so it
@@ -14,21 +12,20 @@
 //!   to make room; the cache always sees the freshest invalidations.
 //!
 //! Every transition is counted in [`PipeStats`] so overflow and stalls are
-//! observable per cache. The receiving side supports blocking, timed and
-//! *asynchronous* receives; [`PipeReceiver::recv_async`] registers a
-//! [`std::task::Waker`], which is what lets one reactor thread multiplex
-//! many caches' pipes (see [`crate::reactor`]).
+//! observable per cache. Messages enter in batches
+//! ([`PipeSender::send_batch`], or [`PipeSender::try_send_batch`] for a
+//! thread that must not wait) and leave in batches: the receiving side is
+//! one asynchronous drain, [`PipeReceiver::recv_batch_async`], which
+//! registers a [`std::task::Waker`] — what lets one reactor thread
+//! multiplex many caches' pipes (see [`crate::reactor`]).
 //!
 //! Wake-ups are paid only by whoever is actually asleep. std's futex
 //! `Condvar` makes a system call on every notify, waiter or not, so the
-//! pipe keeps blocked-receiver and blocked-sender counts under its mutex
-//! and every notify on the message path is guarded by them: a send signals
-//! `not_empty` only while a thread sits in [`PipeReceiver::recv`] /
-//! [`PipeReceiver::recv_timeout`] (the reactor receives through wakers and
-//! never does), and a receive signals `not_full` only while a sender is
-//! blocked on a full [`OverflowPolicy::Block`] pipe. The two disconnect
-//! paths (last sender dropped, receiver dropped) are rare and notify
-//! unconditionally.
+//! pipe keeps a blocked-sender count under its mutex and a drain signals
+//! `not_full` only while a sender is blocked on a full
+//! [`OverflowPolicy::Block`] pipe; the receiver is woken through its waker,
+//! at most once per wakeup in flight. Dropping the receiver is rare and
+//! notifies unconditionally.
 //!
 //! A sender can also skip the queue altogether: [`PipeSender::hand_off`]
 //! serves a batch on the sending thread when, under the pipe lock, the
@@ -42,7 +39,7 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What a pipe does with an incoming message while it is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,17 +99,17 @@ pub struct PipeStatsSnapshot {
     /// Total wall-clock time senders spent waiting for slots, in
     /// microseconds.
     pub stall_micros: u64,
-    /// Batch-receive polls ([`PipeReceiver::recv_batch_async`] /
-    /// [`PipeReceiver::drain_into`]) that handed out at least one message.
+    /// Batch-receive polls ([`PipeReceiver::recv_batch_async`]) that
+    /// handed out at least one message.
     pub batched_polls: u64,
     /// Largest number of messages a single batch poll drained.
     pub max_drain: u64,
     /// Messages enqueued while a wakeup was already in flight, so the
     /// receiver's waker was not fired again for them (the receiver observes
-    /// them in the drain the pending wakeup triggers). A per-message count
-    /// on every send path: a [`PipeSender::send_batch`] window of `k`
-    /// messages that finds a wakeup in flight adds `k`, one that fires the
-    /// waker itself adds `k - 1` — exactly what `k` single sends would.
+    /// them in the drain the pending wakeup triggers). A per-message count:
+    /// a [`PipeSender::send_batch`] window of `k` messages that finds a
+    /// wakeup in flight adds `k`, one that fires the waker itself adds
+    /// `k - 1` — exactly what `k` one-message windows would.
     pub coalesced_wakeups: u64,
     /// Times the receiver's apply loop exhausted its per-poll budget with
     /// backlog remaining and cooperatively re-yielded to the reactor
@@ -178,57 +175,9 @@ impl PipeStats {
     }
 }
 
-/// What a successful [`PipeSender::send`] / [`PipeSender::try_send`] did
-/// with the message, so callers can attribute overflow to the policy that
-/// caused it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendOutcome {
-    /// The message was enqueued into a free slot.
-    Enqueued,
-    /// The message was enqueued, evicting the oldest pending message
-    /// ([`OverflowPolicy::DropOldest`] at capacity) — one message was lost.
-    EnqueuedEvictingOldest,
-    /// The message was rejected ([`OverflowPolicy::DropNewest`] at
-    /// capacity) — this message was lost.
-    Rejected,
-}
-
-impl SendOutcome {
-    /// Whether the sent message itself entered the queue.
-    pub fn was_enqueued(&self) -> bool {
-        !matches!(self, SendOutcome::Rejected)
-    }
-
-    /// Whether the send cost a message (the incoming one or an evicted
-    /// pending one).
-    pub fn lost_a_message(&self) -> bool {
-        !matches!(self, SendOutcome::Enqueued)
-    }
-}
-
-/// Error returned by [`PipeSender::send`] / [`PipeSender::try_send`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipeSendError<T> {
-    /// The receiver has been dropped; the value is handed back.
-    Disconnected(T),
-    /// The pipe is full and the policy is [`OverflowPolicy::Block`]
-    /// (returned by `try_send` only — `send` waits instead).
-    Full(T),
-}
-
-impl<T> PipeSendError<T> {
-    /// Recovers the value that could not be sent.
-    pub fn into_inner(self) -> T {
-        match self {
-            PipeSendError::Disconnected(v) | PipeSendError::Full(v) => v,
-        }
-    }
-}
-
 struct PipeInner<T> {
     queue: VecDeque<T>,
-    /// Waker of a pending [`RecvFuture`] / [`RecvBatchFuture`], if the
-    /// receiver is parked.
+    /// Waker of a pending [`RecvBatchFuture`], if the receiver is parked.
     recv_waker: Option<Waker>,
     /// A wakeup has been fired but the receiver has not polled since.
     /// While set, further sends coalesce into the in-flight wakeup instead
@@ -237,20 +186,14 @@ struct PipeInner<T> {
     wake_pending: bool,
     senders: usize,
     receiver_alive: bool,
-    /// Threads currently inside a `not_empty` wait ([`PipeReceiver::recv`]
-    /// / [`PipeReceiver::recv_timeout`]). Sends notify only while nonzero.
-    blocked_receivers: usize,
     /// Threads currently inside a `not_full` wait (a full `Block` pipe).
-    /// Receives notify only while nonzero.
+    /// Drains notify only while nonzero.
     blocked_senders: usize,
 }
 
 struct PipeShared<T> {
     inner: Mutex<PipeInner<T>>,
-    /// Signalled when a message arrives while `blocked_receivers > 0`, and
-    /// whenever the last sender disconnects.
-    not_empty: Condvar,
-    /// Signalled when a slot frees while `blocked_senders > 0`, and
+    /// Signalled when a drain frees slots while `blocked_senders > 0`, and
     /// whenever the receiver disconnects.
     not_full: Condvar,
     capacity: usize,
@@ -259,34 +202,6 @@ struct PipeShared<T> {
 }
 
 impl<T> PipeShared<T> {
-    /// Pops one message, updating counters and signalling one blocked
-    /// writer, if there is one.
-    fn pop(&self, inner: &mut PipeInner<T>) -> Option<T> {
-        let value = inner.queue.pop_front()?;
-        self.stats.received.fetch_add(1, Ordering::Relaxed);
-        if inner.blocked_senders > 0 {
-            self.not_full.notify_one();
-        }
-        Some(value)
-    }
-
-    /// Applies the drop policies to a queue at capacity. The caller must
-    /// ensure the queue is full and the policy is not `Block`.
-    fn drop_policy_outcome(&self, inner: &mut PipeInner<T>) -> SendOutcome {
-        match self.policy {
-            OverflowPolicy::DropNewest => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                SendOutcome::Rejected
-            }
-            OverflowPolicy::DropOldest => {
-                inner.queue.pop_front();
-                self.stats.evicted.fetch_add(1, Ordering::Relaxed);
-                SendOutcome::EnqueuedEvictingOldest
-            }
-            OverflowPolicy::Block => unreachable!("Block is handled by the caller"),
-        }
-    }
-
     /// Pops up to `max` messages into `buf`, updating the batch counters
     /// once for the whole drain and signalling blocked writers once instead
     /// of per message.
@@ -312,15 +227,11 @@ impl<T> PipeShared<T> {
     }
 
     /// Accounts `pushed` messages the caller just enqueued under `inner` and
-    /// signals the receiver: `not_empty` if a thread is blocked in a
-    /// receive, and the registered waker unless a wakeup is already in
-    /// flight, in which case the messages coalesce into it. The waker is
-    /// returned, not fired: the caller fires it after dropping the guard.
+    /// takes the receiver's waker unless a wakeup is already in flight, in
+    /// which case the messages coalesce into it. The waker is returned, not
+    /// fired: the caller fires it after dropping the guard.
     fn announce(&self, inner: &mut PipeInner<T>, pushed: u64) -> Option<Waker> {
         self.stats.enqueued.fetch_add(pushed, Ordering::Relaxed);
-        if inner.blocked_receivers > 0 {
-            self.not_empty.notify_one();
-        }
         let mut waker = None;
         let coalesced = if inner.wake_pending {
             pushed
@@ -339,21 +250,10 @@ impl<T> PipeShared<T> {
         waker
     }
 
-    /// Enqueues `value` and wakes the receiver, releasing the lock before
-    /// firing the waker.
-    fn push_and_wake(&self, mut inner: MutexGuard<'_, PipeInner<T>>, value: T) {
-        inner.queue.push_back(value);
-        let waker = self.announce(&mut inner, 1);
-        drop(inner);
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-
     /// Parks a sender on a full `Block` pipe until a slot frees or the
     /// receiver disconnects, counting the stall. Registering in
     /// `blocked_senders` under the lock the wait releases is what lets
-    /// receives skip the notify when nobody is parked here.
+    /// drains skip the notify when nobody is parked here.
     fn wait_for_slot<'a>(
         &self,
         mut inner: MutexGuard<'a, PipeInner<T>>,
@@ -381,12 +281,12 @@ pub struct BatchDrain {
     pub drained: usize,
     /// Messages still queued when the drain finished, read under the lock
     /// the drain already held — an apply loop deciding whether to re-yield
-    /// needs no second lock round trip for [`PipeReceiver::is_empty`].
+    /// needs no second lock round trip.
     pub backlog: usize,
 }
 
-/// What [`PipeSender::send_batch`] did with a batch, in the same per-message
-/// terms [`SendOutcome`] reports for single sends.
+/// What [`PipeSender::send_batch`] / [`PipeSender::try_send_batch`] did with
+/// a batch, counted per message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[must_use]
 pub struct BatchOutcome {
@@ -403,8 +303,7 @@ pub struct BatchOutcome {
     /// slot); the messages not yet enqueued were dropped.
     pub disconnected: bool,
     /// Messages [`PipeSender::try_send_batch`] turned away from a full
-    /// [`OverflowPolicy::Block`] pipe instead of waiting for a slot (what
-    /// [`PipeSender::try_send`] reports as [`PipeSendError::Full`]); the
+    /// [`OverflowPolicy::Block`] pipe instead of waiting for a slot; the
     /// pipe counts nothing for them. Always 0 from
     /// [`PipeSender::send_batch`].
     pub refused: u64,
@@ -452,10 +351,8 @@ pub fn bounded_pipe<T>(
             wake_pending: false,
             senders: 1,
             receiver_alive: true,
-            blocked_receivers: 0,
             blocked_senders: 0,
         }),
-        not_empty: Condvar::new(),
         not_full: Condvar::new(),
         capacity: capacity.max(1),
         policy,
@@ -487,7 +384,6 @@ impl<T> Drop for PipeSender<T> {
             let mut inner = self.shared.inner.lock().expect("pipe lock");
             inner.senders -= 1;
             if inner.senders == 0 {
-                self.shared.not_empty.notify_all();
                 match inner.recv_waker.take() {
                     Some(w) => {
                         inner.wake_pending = true;
@@ -514,62 +410,19 @@ impl<T> Drop for PipeReceiver<T> {
 }
 
 impl<T> PipeSender<T> {
-    /// Sends `value`, applying the overflow policy at capacity: `Block`
-    /// waits for a slot, `DropNewest` rejects `value`, `DropOldest` evicts
-    /// the oldest pending message. The returned [`SendOutcome`] says which
-    /// of those happened.
+    /// Sends one message: a one-element [`PipeSender::send_batch`], for
+    /// callers that need no per-message outcome.
     ///
     /// # Errors
-    /// Returns [`PipeSendError::Disconnected`] when the receiver is gone.
-    pub fn send(&self, value: T) -> Result<SendOutcome, PipeSendError<T>> {
-        let shared = &self.shared;
-        let mut inner = shared.inner.lock().expect("pipe lock");
-        if !inner.receiver_alive {
-            return Err(PipeSendError::Disconnected(value));
+    /// Returns the outcome (nothing enqueued, `disconnected` set) when the
+    /// receiver is gone.
+    pub fn send(&self, value: T) -> Result<(), BatchOutcome> {
+        let outcome = self.send_batch([value]);
+        if outcome.disconnected {
+            Err(outcome)
+        } else {
+            Ok(())
         }
-        let mut outcome = SendOutcome::Enqueued;
-        if inner.queue.len() >= shared.capacity {
-            if shared.policy == OverflowPolicy::Block {
-                inner = shared.wait_for_slot(inner);
-                if !inner.receiver_alive {
-                    return Err(PipeSendError::Disconnected(value));
-                }
-            } else {
-                outcome = shared.drop_policy_outcome(&mut inner);
-                if outcome == SendOutcome::Rejected {
-                    return Ok(outcome);
-                }
-            }
-        }
-        shared.push_and_wake(inner, value);
-        Ok(outcome)
-    }
-
-    /// Sends without ever blocking: at capacity, `Block` behaves like a
-    /// plain bounded channel and returns [`PipeSendError::Full`]; the drop
-    /// policies behave exactly as in [`PipeSender::send`].
-    ///
-    /// # Errors
-    /// [`PipeSendError::Full`] under `Block` at capacity,
-    /// [`PipeSendError::Disconnected`] when the receiver is gone.
-    pub fn try_send(&self, value: T) -> Result<SendOutcome, PipeSendError<T>> {
-        let shared = &self.shared;
-        let mut inner = shared.inner.lock().expect("pipe lock");
-        if !inner.receiver_alive {
-            return Err(PipeSendError::Disconnected(value));
-        }
-        let mut outcome = SendOutcome::Enqueued;
-        if inner.queue.len() >= shared.capacity {
-            if shared.policy == OverflowPolicy::Block {
-                return Err(PipeSendError::Full(value));
-            }
-            outcome = shared.drop_policy_outcome(&mut inner);
-            if outcome == SendOutcome::Rejected {
-                return Ok(outcome);
-            }
-        }
-        shared.push_and_wake(inner, value);
-        Ok(outcome)
     }
 
     /// Sends every message in `batch`, taking the pipe lock once per
@@ -580,14 +433,12 @@ impl<T> PipeSender<T> {
     /// many messages are enqueued — the producer-side complement of
     /// [`PipeReceiver::recv_batch_async`].
     ///
-    /// Overflow follows [`PipeSender::send`] per message: `Block` parks
-    /// until a slot frees (the window already enqueued is signalled first,
-    /// so a parked receiver always drains it), `DropNewest` rejects the
-    /// overflowing message, `DropOldest` evicts the head. Queue contents,
-    /// order and every counter end up exactly as after one `send` per
-    /// message; the returned [`BatchOutcome`] sums what those sends would
-    /// have reported, and flags a receiver that was gone instead of
-    /// returning an error so the part already enqueued stays accounted.
+    /// Overflow is applied per message: `Block` parks until a slot frees
+    /// (the window already enqueued is signalled first, so a parked
+    /// receiver always drains it), `DropNewest` rejects the overflowing
+    /// message, `DropOldest` evicts the head. A receiver that is gone is
+    /// flagged in the returned [`BatchOutcome`] rather than returned as an
+    /// error, so the part already enqueued stays accounted.
     ///
     /// `batch` is advanced while the pipe lock is held: pass an iterator
     /// that yields without waiting on anything (a slice, a drained buffer).
@@ -600,8 +451,7 @@ impl<T> PipeSender<T> {
 
     /// [`PipeSender::send_batch`] without ever waiting: where that would
     /// park on a full `Block` pipe, the rest of the batch is turned away
-    /// and counted in [`BatchOutcome::refused`] — one
-    /// [`PipeSender::try_send`] per message, in one lock hold. The drop
+    /// and counted in [`BatchOutcome::refused`], in one lock hold. The drop
     /// policies behave exactly as in `send_batch`. This is the send for a
     /// thread that must not block, such as a reactor task relaying to a
     /// sibling task's pipe.
@@ -642,19 +492,26 @@ impl<T> PipeSender<T> {
             let mut window = 0u64;
             while let Some(value) = pending.take() {
                 if inner.queue.len() >= shared.capacity {
-                    if shared.policy == OverflowPolicy::Block {
-                        // Window closed: signal what we have, then park
-                        // for a slot (or give up) on the next pass round
-                        // the loop.
-                        pending = Some(value);
-                        break;
+                    match shared.policy {
+                        OverflowPolicy::Block => {
+                            // Window closed: signal what we have, then park
+                            // for a slot (or give up) on the next pass round
+                            // the loop.
+                            pending = Some(value);
+                            break;
+                        }
+                        OverflowPolicy::DropNewest => {
+                            shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                            outcome.overflowed += 1;
+                            pending = iter.next();
+                            continue;
+                        }
+                        OverflowPolicy::DropOldest => {
+                            inner.queue.pop_front();
+                            shared.stats.evicted.fetch_add(1, Ordering::Relaxed);
+                            outcome.overflowed += 1;
+                        }
                     }
-                    outcome.overflowed += 1;
-                    if shared.drop_policy_outcome(&mut inner) == SendOutcome::Rejected {
-                        pending = iter.next();
-                        continue;
-                    }
-                    // DropOldest freed a slot; fall through and enqueue.
                 }
                 inner.queue.push_back(value);
                 window += 1;
@@ -730,16 +587,6 @@ impl<T> PipeSender<T> {
         self.len() == 0
     }
 
-    /// The pipe's capacity.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
-    }
-
-    /// The pipe's overflow policy.
-    pub fn policy(&self) -> OverflowPolicy {
-        self.shared.policy
-    }
-
     /// A snapshot of the pipe's counters.
     pub fn stats(&self) -> PipeStatsSnapshot {
         self.shared.stats.snapshot()
@@ -747,90 +594,13 @@ impl<T> PipeSender<T> {
 }
 
 impl<T> PipeReceiver<T> {
-    /// Receives without blocking; `None` means the pipe is currently empty
-    /// (disconnection is reported by [`PipeReceiver::recv`]).
-    pub fn try_recv(&self) -> Option<T> {
-        let mut inner = self.shared.inner.lock().expect("pipe lock");
-        self.shared.pop(&mut inner)
-    }
-
-    /// Blocks until a message arrives or every sender is dropped (`None`).
-    pub fn recv(&self) -> Option<T> {
-        let mut inner = self.shared.inner.lock().expect("pipe lock");
-        loop {
-            if let Some(v) = self.shared.pop(&mut inner) {
-                return Some(v);
-            }
-            if inner.senders == 0 {
-                return None;
-            }
-            inner.blocked_receivers += 1;
-            inner = self.shared.not_empty.wait(inner).expect("pipe lock");
-            inner.blocked_receivers -= 1;
-        }
-    }
-
-    /// Blocks until a message arrives, the timeout elapses, or every sender
-    /// is dropped. `None` covers both timeout and disconnection; check
-    /// [`PipeReceiver::is_disconnected`] to distinguish them.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.shared.inner.lock().expect("pipe lock");
-        loop {
-            if let Some(v) = self.shared.pop(&mut inner) {
-                return Some(v);
-            }
-            if inner.senders == 0 {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            inner.blocked_receivers += 1;
-            let (guard, _) = self
-                .shared
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .expect("pipe lock");
-            inner = guard;
-            inner.blocked_receivers -= 1;
-        }
-    }
-
-    /// Drains every message currently queued without blocking.
-    pub fn drain(&self) -> Vec<T> {
-        let mut inner = self.shared.inner.lock().expect("pipe lock");
-        let mut out = Vec::with_capacity(inner.queue.len());
-        while let Some(v) = self.shared.pop(&mut inner) {
-            out.push(v);
-        }
-        out
-    }
-
-    /// Drains up to `max` currently-queued messages into `buf` without
-    /// blocking, returning how many were moved. Counters are updated once
-    /// for the whole batch and blocked senders are signalled once — this is
-    /// the cheap path a batch-dequeuing apply task uses.
-    pub fn drain_into(&self, buf: &mut Vec<T>, max: usize) -> usize {
-        let mut inner = self.shared.inner.lock().expect("pipe lock");
-        self.shared.pop_batch(&mut inner, buf, max).drained
-    }
-
-    /// Returns a future resolving to the next message, or `None` once every
-    /// sender is dropped and the queue is drained. This is the reactor
-    /// integration point: the future registers its [`Waker`] with the pipe
-    /// and senders wake it on delivery.
-    pub fn recv_async(&self) -> RecvFuture<'_, T> {
-        RecvFuture { receiver: self }
-    }
-
     /// Returns a future that waits until the pipe is non-empty, then drains
     /// up to `max` messages into `buf` in one poll, resolving to how many
     /// it drained and how many it left queued ([`BatchDrain`]). Resolves to
     /// zero drained only once every sender is dropped and the queue is
     /// fully drained. One wakeup services the whole backlog — the
-    /// batch-dequeue half of the reactor apply path.
+    /// batch-dequeue half of the reactor apply path. The future registers
+    /// its [`Waker`] with the pipe and senders wake it on delivery.
     pub fn recv_batch_async<'a>(
         &'a self,
         buf: &'a mut Vec<T>,
@@ -851,49 +621,6 @@ impl<T> PipeReceiver<T> {
             .stats
             .budget_yields
             .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Returns `true` once every sender has been dropped.
-    pub fn is_disconnected(&self) -> bool {
-        self.shared.inner.lock().expect("pipe lock").senders == 0
-    }
-
-    /// Number of messages currently queued.
-    pub fn len(&self) -> usize {
-        self.shared.inner.lock().expect("pipe lock").queue.len()
-    }
-
-    /// Returns `true` if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A snapshot of the pipe's counters.
-    pub fn stats(&self) -> PipeStatsSnapshot {
-        self.shared.stats.snapshot()
-    }
-}
-
-/// Future returned by [`PipeReceiver::recv_async`].
-pub struct RecvFuture<'a, T> {
-    receiver: &'a PipeReceiver<T>,
-}
-
-impl<T> Future for RecvFuture<'_, T> {
-    type Output = Option<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let shared = &self.receiver.shared;
-        let mut inner = shared.inner.lock().expect("pipe lock");
-        inner.wake_pending = false;
-        if let Some(v) = shared.pop(&mut inner) {
-            return Poll::Ready(Some(v));
-        }
-        if inner.senders == 0 {
-            return Poll::Ready(None);
-        }
-        inner.recv_waker = Some(cx.waker().clone());
-        Poll::Pending
     }
 }
 
@@ -927,15 +654,38 @@ impl<T> Future for RecvBatchFuture<'_, T> {
 mod tests {
     use super::*;
 
+    /// Drains up to `max` queued messages synchronously: one poll of the
+    /// batch receive with a waker nobody listens to. (On an empty pipe with
+    /// a sender alive that poll registers the waker, as the delivery task's
+    /// does.)
+    fn drain_up_to<T>(rx: &PipeReceiver<T>, max: usize) -> Vec<T> {
+        let mut out = Vec::new();
+        let _ = std::pin::pin!(rx.recv_batch_async(&mut out, max))
+            .poll(&mut Context::from_waker(Waker::noop()));
+        out
+    }
+
+    fn drain<T>(rx: &PipeReceiver<T>) -> Vec<T> {
+        drain_up_to(rx, usize::MAX)
+    }
+
+    fn outcome(enqueued: u64, overflowed: u64) -> BatchOutcome {
+        BatchOutcome {
+            enqueued,
+            overflowed,
+            ..BatchOutcome::default()
+        }
+    }
+
     #[test]
     fn unbounded_pipe_round_trip() {
         let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
         for i in 0..100 {
-            assert_eq!(tx.send(i), Ok(SendOutcome::Enqueued));
+            assert_eq!(tx.send_batch([i]), outcome(1, 0));
         }
         assert_eq!(tx.len(), 100);
-        assert_eq!(rx.drain(), (0..100).collect::<Vec<_>>());
-        assert!(tx.is_empty() && rx.is_empty());
+        assert_eq!(drain(&rx), (0..100).collect::<Vec<_>>());
+        assert!(tx.is_empty());
         let stats = tx.stats();
         assert_eq!(stats.enqueued, 100);
         assert_eq!(stats.received, 100);
@@ -945,16 +695,9 @@ mod tests {
     #[test]
     fn send_batch_enqueues_everything_in_one_window() {
         let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
-        let sent = tx.send_batch(0..100);
-        assert_eq!(
-            sent,
-            BatchOutcome {
-                enqueued: 100,
-                ..BatchOutcome::default()
-            }
-        );
+        assert_eq!(tx.send_batch(0..100), outcome(100, 0));
         assert_eq!(tx.send_batch(std::iter::empty()), BatchOutcome::default());
-        assert_eq!(rx.drain(), (0..100).collect::<Vec<_>>());
+        assert_eq!(drain(&rx), (0..100).collect::<Vec<_>>());
         assert_eq!(tx.stats().enqueued, 100);
     }
 
@@ -963,14 +706,14 @@ mod tests {
         let (tx, rx) = bounded_pipe::<u64>(2, OverflowPolicy::DropNewest);
         let sent = tx.send_batch(0..5);
         assert_eq!((sent.enqueued, sent.overflowed), (2, 3), "only the window fits");
-        assert_eq!(rx.drain(), vec![0, 1]);
-        assert_eq!(rx.stats().rejected, 3);
+        assert_eq!(drain(&rx), vec![0, 1]);
+        assert_eq!(tx.stats().rejected, 3);
 
         let (tx, rx) = bounded_pipe::<u64>(2, OverflowPolicy::DropOldest);
         let sent = tx.send_batch(0..5);
         assert_eq!((sent.enqueued, sent.overflowed), (5, 3), "evictions still enqueue");
-        assert_eq!(rx.drain(), vec![3, 4]);
-        assert_eq!(rx.stats().evicted, 3);
+        assert_eq!(drain(&rx), vec![3, 4]);
+        assert_eq!(tx.stats().evicted, 3);
     }
 
     #[test]
@@ -988,7 +731,8 @@ mod tests {
         drop(tx);
         let mut got = Vec::new();
         while got.len() < 64 {
-            got.push(rx.recv().expect("sender alive until batch done"));
+            got.extend(drain(&rx));
+            std::thread::yield_now();
         }
         let sent = handle.join().unwrap();
         assert_eq!((sent.enqueued, sent.overflowed), (64, 0));
@@ -1000,24 +744,23 @@ mod tests {
     fn send_batch_reports_disconnect() {
         let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
         drop(rx);
-        assert_eq!(
-            tx.send_batch(7..10),
-            BatchOutcome {
-                disconnected: true,
-                ..BatchOutcome::default()
-            }
-        );
+        let gone = BatchOutcome {
+            disconnected: true,
+            ..BatchOutcome::default()
+        };
+        assert_eq!(tx.send_batch(7..10), gone);
+        assert_eq!(tx.send(10), Err(gone));
         assert_eq!(tx.stats().enqueued, 0);
     }
 
     #[test]
     fn drop_newest_rejects_at_capacity() {
         let (tx, rx) = bounded_pipe::<u64>(2, OverflowPolicy::DropNewest);
-        assert_eq!(tx.send(1), Ok(SendOutcome::Enqueued));
-        assert_eq!(tx.send(2), Ok(SendOutcome::Enqueued));
-        assert_eq!(tx.send(3), Ok(SendOutcome::Rejected));
-        assert_eq!(rx.drain(), vec![1, 2]);
-        let stats = rx.stats();
+        assert_eq!(tx.send_batch([1]), outcome(1, 0));
+        assert_eq!(tx.send_batch([2]), outcome(1, 0));
+        assert_eq!(tx.send_batch([3]), outcome(0, 1), "the incoming message is lost");
+        assert_eq!(drain(&rx), vec![1, 2]);
+        let stats = tx.stats();
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.enqueued, 2);
         assert_eq!(stats.overflow_dropped(), 1);
@@ -1026,15 +769,13 @@ mod tests {
     #[test]
     fn drop_oldest_evicts_at_capacity() {
         let (tx, rx) = bounded_pipe::<u64>(2, OverflowPolicy::DropOldest);
-        assert_eq!(tx.send(1), Ok(SendOutcome::Enqueued));
-        assert_eq!(tx.send(2), Ok(SendOutcome::Enqueued));
+        assert_eq!(tx.send_batch([1]), outcome(1, 0));
+        assert_eq!(tx.send_batch([2]), outcome(1, 0));
         for i in 3..=5 {
-            let outcome = tx.send(i).unwrap();
-            assert_eq!(outcome, SendOutcome::EnqueuedEvictingOldest);
-            assert!(outcome.was_enqueued() && outcome.lost_a_message());
+            assert_eq!(tx.send_batch([i]), outcome(1, 1), "enqueued, evicting the head");
         }
-        assert_eq!(rx.drain(), vec![4, 5]);
-        let stats = rx.stats();
+        assert_eq!(drain(&rx), vec![4, 5]);
+        let stats = tx.stats();
         assert_eq!(stats.evicted, 3);
         assert_eq!(stats.enqueued, 5);
         assert_eq!(stats.received, 2);
@@ -1043,68 +784,42 @@ mod tests {
     #[test]
     fn block_policy_stalls_the_sender_until_a_slot_frees() {
         let (tx, rx) = bounded_pipe::<u64>(1, OverflowPolicy::Block);
-        assert_eq!(tx.send(1), Ok(SendOutcome::Enqueued));
-        let handle = std::thread::spawn(move || tx.send(2).map(|_| tx.stats()));
-        // Give the sender time to park, then free the slot (test-only
-        // wall-clock coordination).
-        #[allow(clippy::disallowed_methods)]
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(rx.recv(), Some(1));
-        let stats = handle.join().unwrap().unwrap();
-        assert_eq!(stats.stalled_sends, 1);
-        assert!(stats.stall_micros > 0);
-        assert_eq!(rx.recv(), Some(2), "the stalled send completed");
-        assert_eq!(rx.recv(), None, "sender dropped after its send completed");
-        assert_eq!(rx.stats().received, 2);
-    }
-
-    #[test]
-    fn try_send_reports_full_under_block() {
-        let (tx, rx) = bounded_pipe::<u64>(1, OverflowPolicy::Block);
-        assert_eq!(tx.try_send(1), Ok(SendOutcome::Enqueued));
-        assert_eq!(tx.try_send(2), Err(PipeSendError::Full(2)));
-        assert_eq!(tx.capacity(), 1);
-        assert_eq!(tx.policy(), OverflowPolicy::Block);
-        drop(rx);
-        assert_eq!(tx.try_send(3), Err(PipeSendError::Disconnected(3)));
-        assert_eq!(tx.send(4).unwrap_err().into_inner(), 4);
-    }
-
-    #[test]
-    fn recv_blocks_until_message_or_disconnect() {
-        let (tx, rx) = bounded_pipe::<u64>(4, OverflowPolicy::Block);
-        let handle = std::thread::spawn(move || rx.recv());
-        tx.send(7).unwrap();
-        assert_eq!(handle.join().unwrap(), Some(7));
-
-        let (tx, rx) = bounded_pipe::<u64>(4, OverflowPolicy::Block);
-        let handle = std::thread::spawn(move || rx.recv());
-        drop(tx);
-        assert_eq!(handle.join().unwrap(), None);
-    }
-
-    #[test]
-    fn recv_timeout_expires_without_traffic() {
-        let (tx, rx) = bounded_pipe::<u64>(4, OverflowPolicy::Block);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(5)), None);
-        assert!(!rx.is_disconnected());
-        tx.send(1).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Some(1));
-        drop(tx);
-        assert!(rx.is_disconnected());
-        assert_eq!(rx.recv_timeout(Duration::from_millis(1)), None);
+        assert_eq!(tx.send_batch([1]), outcome(1, 0));
+        let stats = tx.clone();
+        let handle = std::thread::spawn(move || tx.send_batch([2]));
+        // Free the slot only once the sender has parked on it.
+        while stats.stats().stalled_sends == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(drain(&rx), vec![1]);
+        let sent = handle.join().unwrap();
+        assert!(sent.stalled && sent.enqueued == 1, "{sent:?}");
+        let counted = stats.stats();
+        assert_eq!(counted.stalled_sends, 1);
+        drop(stats);
+        assert_eq!(drain(&rx), vec![2], "the stalled send completed");
+        let mut buf = Vec::new();
+        assert_eq!(
+            std::pin::pin!(rx.recv_batch_async(&mut buf, 1))
+                .poll(&mut Context::from_waker(Waker::noop())),
+            Poll::Ready(BatchDrain::default()),
+            "every sender dropped after its send completed"
+        );
+        assert_eq!(counted.received, 1);
     }
 
     #[test]
     fn blocked_sender_unblocks_on_receiver_drop() {
         let (tx, rx) = bounded_pipe::<u64>(1, OverflowPolicy::Block);
         tx.send(1).unwrap();
+        let stats = tx.clone();
         let handle = std::thread::spawn(move || tx.send(2));
-        // Test-only wall-clock coordination: let the sender park first.
-        #[allow(clippy::disallowed_methods)]
-        std::thread::sleep(Duration::from_millis(10));
+        while stats.stats().stalled_sends == 0 {
+            std::thread::yield_now();
+        }
         drop(rx);
-        assert_eq!(handle.join().unwrap(), Err(PipeSendError::Disconnected(2)));
+        let sent = handle.join().unwrap().unwrap_err();
+        assert!(sent.stalled && sent.disconnected && sent.enqueued == 0, "{sent:?}");
     }
 
     /// Overflow counters must match a sequential oracle: replay the same
@@ -1126,7 +841,7 @@ mod tests {
                         match policy {
                             OverflowPolicy::DropNewest => {
                                 rejected += 1;
-                                assert_eq!(tx.send(v), Ok(SendOutcome::Rejected));
+                                assert_eq!(tx.send_batch([v]), outcome(0, 1));
                                 continue;
                             }
                             OverflowPolicy::DropOldest => {
@@ -1135,21 +850,22 @@ mod tests {
                             }
                             OverflowPolicy::Block => unreachable!(),
                         }
-                        assert_eq!(tx.send(v), Ok(SendOutcome::EnqueuedEvictingOldest));
+                        assert_eq!(tx.send_batch([v]), outcome(1, 1));
                     } else {
-                        assert_eq!(tx.send(v), Ok(SendOutcome::Enqueued));
+                        assert_eq!(tx.send_batch([v]), outcome(1, 0));
                     }
                     oracle.push_back(v);
                     enqueued += 1;
                 }
-                for _ in 0..(round % 5) {
-                    assert_eq!(rx.try_recv(), oracle.pop_front());
+                let take = (round % 5) as usize;
+                if take > 0 {
+                    let expected: Vec<u64> = (0..take).map_while(|_| oracle.pop_front()).collect();
+                    assert_eq!(drain_up_to(&rx, take), expected);
                 }
             }
             // Drain the tail and compare the full counter set.
-            let tail: Vec<u64> = rx.drain();
-            assert_eq!(tail, oracle.into_iter().collect::<Vec<_>>());
-            let stats = rx.stats();
+            assert_eq!(drain(&rx), oracle.into_iter().collect::<Vec<_>>());
+            let stats = tx.stats();
             assert_eq!(stats.enqueued, enqueued, "{policy}");
             assert_eq!(stats.rejected, rejected, "{policy}");
             assert_eq!(stats.evicted, evicted, "{policy}");
@@ -1252,13 +968,13 @@ mod tests {
             }
         );
         assert_eq!(tx.try_send_batch(5..6).refused, 1, "still full");
-        assert_eq!(rx.drain(), vec![0, 1]);
-        assert_eq!(rx.stats().enqueued, 2, "a refused message is counted nowhere");
+        assert_eq!(drain(&rx), vec![0, 1]);
+        assert_eq!(tx.stats().enqueued, 2, "a refused message is counted nowhere");
         // The drop policies never wait, so there is nothing to refuse.
         let (tx, rx) = bounded_pipe::<u32>(2, OverflowPolicy::DropOldest);
         let sent = tx.try_send_batch(0..5);
         assert_eq!((sent.enqueued, sent.overflowed, sent.refused), (5, 3, 0));
-        assert_eq!(rx.drain(), vec![3, 4]);
+        assert_eq!(drain(&rx), vec![3, 4]);
     }
 
     #[test]

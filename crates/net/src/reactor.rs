@@ -3,11 +3,12 @@
 //! The build environment is offline, so instead of tokio the invalidation
 //! plane runs on this minimal executor: a ready queue, a parked-task table
 //! and a timer wheel, all driven by one thread. N per-cache invalidation
-//! pipes ([`crate::pipe`]) register wakers with their [`RecvFuture`]s, so a
-//! single reactor thread multiplexes every cache's apply loop — replacing
-//! the thread-per-cache layout without losing wake-on-delivery semantics.
+//! pipes ([`crate::pipe`]) register wakers with their
+//! [`RecvBatchFuture`]s, so a single reactor thread multiplexes every
+//! cache's apply loop — replacing the thread-per-cache layout without
+//! losing wake-on-delivery semantics.
 //!
-//! [`RecvFuture`]: crate::pipe::RecvFuture
+//! [`RecvBatchFuture`]: crate::pipe::RecvBatchFuture
 //!
 //! Design:
 //!
@@ -28,7 +29,7 @@
 //!   durations use the same microsecond [`SimDuration`] arithmetic as the
 //!   latency models in [`crate::latency`] (one simulated microsecond maps
 //!   to one wall-clock microsecond), so a [`LatencyModel`] sample can be
-//!   slept on directly with [`TimerHandle::sleep_model`].
+//!   slept on directly with [`TimerHandle::sleep_sim`].
 //!
 //! [`LatencyModel`]: crate::latency::LatencyModel
 
@@ -302,11 +303,6 @@ impl Reactor {
         }
     }
 
-    /// Number of live (parked or ready) tasks.
-    pub fn live_tasks(&self) -> usize {
-        self.live
-    }
-
     /// Fires every timer whose deadline has passed; returns the next
     /// pending deadline, if any.
     fn fire_due_timers(&self) -> Option<Instant> {
@@ -474,11 +470,6 @@ impl ReactorHandle {
         self.shared.parked.notify_all();
     }
 
-    /// Returns `true` once shutdown has been requested.
-    pub fn is_shut_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
-    }
-
     /// A snapshot of the reactor's counters.
     pub fn stats(&self) -> ReactorStats {
         let c = &self.shared.counters;
@@ -555,16 +546,6 @@ impl TimerHandle {
     pub fn sleep_sim(&self, duration: SimDuration) -> Sleep {
         self.sleep(Duration::from_micros(duration.as_micros()))
     }
-
-    /// Samples a delay from `model` with `rng` and sleeps on it: the async
-    /// equivalent of the discrete-event channel's per-message latency.
-    pub fn sleep_model<R: rand::Rng + ?Sized>(
-        &self,
-        model: &crate::latency::LatencyModel,
-        rng: &mut R,
-    ) -> Sleep {
-        self.sleep_sim(model.sample(rng))
-    }
 }
 
 /// Future returned by the [`TimerHandle`] sleep constructors.
@@ -615,7 +596,6 @@ mod tests {
                 counter.fetch_add(1, Ordering::Relaxed);
             });
         }
-        assert_eq!(reactor.live_tasks(), 10);
         let handle = reactor.handle();
         reactor.run();
         assert_eq!(counter.load(Ordering::Relaxed), 10);
@@ -638,8 +618,9 @@ mod tests {
             senders.push(tx);
             let counter = Arc::clone(counter);
             reactor.spawn(async move {
-                while let Some(v) = rx.recv_async().await {
-                    counter.fetch_add(v, Ordering::Relaxed);
+                let mut batch = Vec::new();
+                while rx.recv_batch_async(&mut batch, 16).await.drained > 0 {
+                    counter.fetch_add(batch.drain(..).sum::<u64>(), Ordering::Relaxed);
                 }
             });
         }
@@ -709,7 +690,7 @@ mod tests {
                 max: SimDuration::from_millis(2),
             };
             for _ in 0..5 {
-                timer.sleep_model(&model, &mut rng).await;
+                timer.sleep_sim(model.sample(&mut rng)).await;
                 counter.fetch_add(1, Ordering::Relaxed);
             }
         });
@@ -723,17 +704,15 @@ mod tests {
         let (_tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
         reactor.spawn(async move {
             // Parks forever: the sender is never dropped nor written to.
-            let _ = rx.recv_async().await;
+            let _ = rx.recv_batch_async(&mut Vec::new(), 1).await;
         });
         let handle = reactor.handle();
-        assert!(!handle.is_shut_down());
         let thread = std::thread::spawn(move || reactor.run());
         // Test-only wall-clock coordination: let the reactor park first.
         #[allow(clippy::disallowed_methods)]
         std::thread::sleep(Duration::from_millis(10));
         handle.shutdown();
         thread.join().unwrap();
-        assert!(handle.is_shut_down());
         let stats = handle.stats();
         assert_eq!(stats.spawned, 1);
         assert_eq!(stats.completed, 0, "the parked task was abandoned");

@@ -16,23 +16,22 @@
 //! The same holds for the condvar notifies the message path guards with a
 //! waiter count or the reactor's parked flag (a notify nobody waits for is
 //! a wasted system call; a skipped notify somebody waits for is a hang).
-//! The second half of this file pins each guard from the waiter's side: a
-//! thread blocked in `recv` / `recv_timeout`, senders blocked on a full
-//! `Block` pipe, and a reactor thread that parks between wakes. Every wait
-//! there runs under a watchdog, so a wrong guard fails the test instead of
-//! hanging the suite.
+//! The second half of this file pins each guard from the waiter's side:
+//! senders blocked on a full `Block` pipe, and a reactor thread that parks
+//! between wakes. Every wait there runs under a watchdog, so a wrong guard
+//! fails the test instead of hanging the suite.
 
 mod common;
 
-use common::{spin_until, within_watchdog, WATCHDOG};
+use common::{spin_until, within_watchdog};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tcache_net::pipe::{
-    bounded_pipe, BatchDrain, OverflowPolicy, PipeReceiver, PipeSendError, PipeSender, UNBOUNDED,
+    bounded_pipe, BatchDrain, BatchOutcome, OverflowPolicy, PipeReceiver, PipeSender, UNBOUNDED,
 };
 use tcache_net::reactor::{yield_now, Reactor};
 
@@ -205,7 +204,7 @@ fn burst_sends_coalesce_into_one_wakeup() {
         );
     }
     assert_eq!(buf, vec![0, 1, 2, 3, 4]);
-    let stats = rx.stats();
+    let stats = tx.stats();
     assert_eq!(stats.batched_polls, 1);
     assert_eq!(stats.max_drain, 5);
     assert_eq!(stats.received, 5);
@@ -231,14 +230,18 @@ fn budget_yields_are_counted_per_full_batch_with_backlog() {
     for i in 0..100u64 {
         tx.send(i).unwrap();
     }
-    drop(tx); // Disconnect up front: the consumer drains and terminates.
-    let rx = Arc::new(rx);
     let mut reactor = Reactor::new();
     let applied = Arc::new(Mutex::new(Vec::new()));
-    spawn_batch_consumer(&mut reactor, Arc::clone(&rx), 16, Arc::clone(&applied));
-    reactor.run();
-    let stats = rx.stats();
-    assert_eq!(applied.lock().unwrap().len(), 100);
+    spawn_batch_consumer(&mut reactor, Arc::new(rx), 16, Arc::clone(&applied));
+    let thread = std::thread::spawn(move || reactor.run());
+    spin_until("the backlog is applied", || {
+        applied.lock().unwrap().len() == 100
+    });
+    // The sender stays alive until the counters are read, so the consumer
+    // is parked on an empty pipe, not finished.
+    let stats = tx.stats();
+    drop(tx);
+    thread.join().unwrap();
     assert_eq!(stats.batched_polls, 7, "ceil(100 / 16) drains");
     assert_eq!(stats.max_drain, 16);
     assert_eq!(
@@ -248,93 +251,23 @@ fn budget_yields_are_counted_per_full_batch_with_backlog() {
     assert_eq!(stats.coalesced_wakeups, 0, "no waker was ever parked");
 }
 
-/// The three ways a producer can enqueue one message.
-#[derive(Debug, Clone, Copy)]
-enum SendVia {
-    Send,
-    TrySend,
-    SendBatch,
-}
-
-/// The two ways a consumer thread can block for one message.
-#[derive(Debug, Clone, Copy)]
-enum RecvVia {
-    Recv,
-    RecvTimeout,
-}
-
-/// A consumer thread blocked in `recv()` / `recv_timeout()` must be woken
-/// by every send path, and by the last sender's drop. The producer sends
-/// message `i + 1` only after the consumer acknowledged message `i`, so the
-/// consumer is back inside its blocking receive — usually already asleep
-/// on the condvar — when most sends arrive: exactly the state in which
-/// `not_empty` must be notified. A guard that skips that notify strands
-/// the consumer, the acknowledgement never comes, and the watchdog fires.
-#[test]
-fn blocked_receiver_is_woken_by_every_send_path() {
-    const ROUNDS: u64 = 2_000;
-    for recv_via in [RecvVia::Recv, RecvVia::RecvTimeout] {
-        for send_via in [SendVia::Send, SendVia::TrySend, SendVia::SendBatch] {
-            let what = format!("{recv_via:?} consumer against {send_via:?} producer");
-            let received = within_watchdog(&what, move || {
-                let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
-                let (ack, acked) = mpsc::channel::<u64>();
-                let consumer = std::thread::spawn(move || {
-                    let mut received = Vec::new();
-                    loop {
-                        let message = match recv_via {
-                            RecvVia::Recv => rx.recv(),
-                            // The timeout is the watchdog's: it never
-                            // elapses unless the wakeup was lost.
-                            RecvVia::RecvTimeout => rx.recv_timeout(WATCHDOG),
-                        };
-                        match message {
-                            Some(v) => {
-                                received.push(v);
-                                ack.send(v).unwrap();
-                            }
-                            None => {
-                                assert!(rx.is_disconnected(), "timed out with the sender alive");
-                                return received;
-                            }
-                        }
-                    }
-                });
-                for i in 0..ROUNDS {
-                    match send_via {
-                        SendVia::Send => assert!(tx.send(i).unwrap().was_enqueued()),
-                        SendVia::TrySend => assert!(tx.try_send(i).unwrap().was_enqueued()),
-                        SendVia::SendBatch => assert_eq!(tx.send_batch([i]).enqueued, 1),
-                    }
-                    assert_eq!(acked.recv().unwrap(), i);
-                }
-                // The last sender's drop must end the blocked receive.
-                drop(tx);
-                consumer.join().unwrap()
-            });
-            assert_eq!(received, (0..ROUNDS).collect::<Vec<_>>(), "{what}");
-        }
-    }
-}
-
 /// Fills a capacity-1 `Block` pipe, parks `k` senders on it (message `0`
 /// occupies the slot, sender `i` carries message `i`), and returns once
 /// every one of them is inside its `not_full` wait: `stalled_sends` is
 /// bumped under the pipe lock just before the wait releases it, so any
 /// receive issued after this returns is ordered behind all `k` waits.
-#[allow(clippy::type_complexity)]
 fn park_senders_on_a_full_pipe(
     k: u64,
 ) -> (
     PipeReceiver<u64>,
-    Vec<std::thread::JoinHandle<Result<(), PipeSendError<u64>>>>,
+    Vec<std::thread::JoinHandle<BatchOutcome>>,
 ) {
     let (tx, rx) = bounded_pipe::<u64>(1, OverflowPolicy::Block);
     tx.send(0).unwrap();
     let senders: Vec<_> = (1..=k)
         .map(|i| {
             let tx: PipeSender<u64> = tx.clone();
-            std::thread::spawn(move || tx.send(i).map(|_| ()))
+            std::thread::spawn(move || tx.send_batch([i]))
         })
         .collect();
     spin_until("every sender parks", || tx.stats().stalled_sends == k);
@@ -342,49 +275,9 @@ fn park_senders_on_a_full_pipe(
 }
 
 /// `K` senders parked on a full capacity-1 `Block` pipe must all get
-/// through when the receiver frees slots with `free_slots` (called until
-/// every message has arrived): each pop has to notify `not_full` because a
-/// sender is waiting on it.
-fn assert_parked_senders_are_released_by(
-    what: &'static str,
-    free_slots: fn(&PipeReceiver<u64>, &mut Vec<u64>),
-) {
-    const K: u64 = 6;
-    let mut got = within_watchdog(what, move || {
-        let (rx, senders) = park_senders_on_a_full_pipe(K);
-        let mut got = Vec::new();
-        spin_until("every parked message arrives", || {
-            free_slots(&rx, &mut got);
-            got.len() as u64 == K + 1
-        });
-        for sender in senders {
-            sender.join().unwrap().unwrap();
-        }
-        got
-    });
-    got.sort_unstable();
-    assert_eq!(got, (0..=K).collect::<Vec<_>>(), "{what}");
-}
-
-/// One `try_recv` at a time (the single-message pop's `notify_one`).
-#[test]
-fn blocked_senders_are_released_by_try_recv() {
-    assert_parked_senders_are_released_by("try_recv against parked senders", |rx, got| {
-        got.extend(rx.try_recv());
-    });
-}
-
-/// Through the non-blocking batch drain (the batch pop's `notify_all`).
-#[test]
-fn blocked_senders_are_released_by_drain_into() {
-    assert_parked_senders_are_released_by("drain_into against parked senders", |rx, got| {
-        rx.drain_into(got, 4);
-    });
-}
-
-/// The same through the reactor's batch receive: the task's first poll
-/// frees the slot and must notify the parked senders, or nobody ever sends
-/// again and the task stays pending forever.
+/// through when the reactor's batch receive frees slots: each drain has to
+/// notify `not_full` because a sender is waiting on it, or nobody ever
+/// sends again and the task stays pending forever.
 #[test]
 fn blocked_senders_are_released_by_recv_batch_async() {
     const K: u64 = 6;
@@ -396,7 +289,8 @@ fn blocked_senders_are_released_by_recv_batch_async() {
         // Every sender drops its handle after its send, which ends the task.
         reactor.run();
         for sender in senders {
-            sender.join().unwrap().unwrap();
+            let sent = sender.join().unwrap();
+            assert!(sent.stalled && sent.enqueued == 1, "{sent:?}");
         }
         let got = applied.lock().unwrap().clone();
         got
@@ -405,24 +299,26 @@ fn blocked_senders_are_released_by_recv_batch_async() {
     assert_eq!(got, (0..=K).collect::<Vec<_>>());
 }
 
-/// Dropping the receiver releases every parked sender with its message
-/// handed back.
+/// Dropping the receiver releases every parked sender, each told that its
+/// message was dropped.
 #[test]
 fn blocked_senders_are_released_by_receiver_drop() {
     const K: u64 = 6;
-    let mut returned = within_watchdog("receiver drop against parked senders", || {
+    let released = within_watchdog("receiver drop against parked senders", || {
         let (rx, senders) = park_senders_on_a_full_pipe(K);
         drop(rx);
         senders
             .into_iter()
-            .map(|sender| match sender.join().unwrap() {
-                Err(PipeSendError::Disconnected(v)) => v,
-                other => panic!("expected a disconnect, got {other:?}"),
-            })
+            .map(|sender| sender.join().unwrap())
             .collect::<Vec<_>>()
     });
-    returned.sort_unstable();
-    assert_eq!(returned, (1..=K).collect::<Vec<_>>());
+    assert_eq!(released.len() as u64, K);
+    for sent in released {
+        assert!(
+            sent.stalled && sent.disconnected && sent.enqueued == 0,
+            "{sent:?}"
+        );
+    }
 }
 
 /// A reactor whose only task is woken from another thread, with randomized
@@ -441,8 +337,11 @@ fn cross_thread_wakes_never_strand_a_parking_reactor() {
         let mut reactor = Reactor::new();
         let task_acked = Arc::clone(&acked);
         reactor.spawn(async move {
-            while let Some(round) = rx.recv_async().await {
-                task_acked.store(round + 1, Ordering::Release);
+            let mut rounds = Vec::new();
+            while rx.recv_batch_async(&mut rounds, 16).await.drained > 0 {
+                let last = *rounds.last().expect("drained at least one");
+                rounds.clear();
+                task_acked.store(last + 1, Ordering::Release);
             }
         });
         let handle = reactor.handle();

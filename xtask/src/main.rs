@@ -3,12 +3,15 @@
 //! Currently one task: `lint`, a repo-specific static scan with three
 //! rules sharing one line scanner:
 //!
-//! * **lock-across-send** — a lock guard held across
-//!   `send`/`try_send`/`offer`/publish/upcall calls, the deadlock class PR 2
-//!   removed from the delivery plane's publish path: a thread
-//!   blocking on a bounded channel while holding a lock that the draining
-//!   thread needs is a classic distributed-cache stall, and clippy has no
-//!   lint for it.
+//! * **lock-across-send** — a lock guard held across a
+//!   `send`/`try_send`/`send_batch`/`try_send_batch`/`hand_off`/`offer`/
+//!   publish/upcall call, the deadlock class PR 2 removed from the delivery
+//!   plane's publish path: a thread blocking on a bounded channel while
+//!   holding a lock that the draining thread needs is a classic
+//!   distributed-cache stall, and clippy has no lint for it. `send_batch`
+//!   is the pipe call that parks on a full `Block` pipe; it, `send` (a
+//!   one-element `send_batch`), `try_send_batch`, `hand_off` and `offer`
+//!   are the only ways into a pipe.
 //! * **hot-path-alloc** — a heap allocation inside a function marked
 //!   `// lint: hot-path` (the allocation-free cached-read fast path).
 //!   `Vec::new`/`vec!`/`Box::new`/`format!`/`.to_vec()`/
@@ -44,7 +47,16 @@ const LOCK_PATTERNS: &[&str] = &[".lock()", ".read()", ".write()"];
 
 /// Patterns that hand control to a channel or an upcall — the calls a
 /// guard must not be held across.
-const SEND_PATTERNS: &[&str] = &[".send(", ".try_send(", ".offer(", ".publish(", "upcall("];
+const SEND_PATTERNS: &[&str] = &[
+    ".send(",
+    ".try_send(",
+    ".send_batch(",
+    ".try_send_batch(",
+    ".hand_off(",
+    ".offer(",
+    ".publish(",
+    "upcall(",
+];
 
 /// Marker comment that arms the hot-path allocation rule for the next
 /// `fn` declaration.
@@ -123,7 +135,8 @@ fn lint() -> ExitCode {
         }
         eprintln!(
             "xtask lint: {} finding(s) in {scanned} files — hold no lock across \
-             send/try_send/offer/publish/upcall, allocate nothing in `// {HOT_PATH_MARKER}` \
+             send/try_send/send_batch/try_send_batch/hand_off/offer/publish/upcall, \
+             allocate nothing in `// {HOT_PATH_MARKER}` \
              functions and key no default-hasher map by an id, or audit the site and \
              annotate it with `// {ALLOW_MARKER} — <reason>` (locks) / \
              `// {HOT_ALLOW_MARKER} — <reason>` (hot-path allocations) / \
@@ -500,6 +513,30 @@ mod tests {
         assert_eq!(found.len(), 1);
         assert!(found[0].contains("`.send`"));
         assert!(found[0].contains("guard"));
+    }
+
+    #[test]
+    fn flags_send_batch_under_held_guard() {
+        let src = "fn f() {\n    let guard = self.state.lock();\n    let _ = tx.send_batch(batch);\n}\n";
+        let found = findings_for(src);
+        assert_eq!(found.len(), 1, "{found:#?}");
+        assert!(found[0].contains("`.send_batch`"));
+    }
+
+    #[test]
+    fn flags_try_send_batch_under_held_guard() {
+        let src = "fn f() {\n    let guard = self.state.write();\n    let _ = tx.try_send_batch(batch);\n}\n";
+        let found = findings_for(src);
+        assert_eq!(found.len(), 1, "{found:#?}");
+        assert!(found[0].contains("`.try_send_batch`"));
+    }
+
+    #[test]
+    fn flags_hand_off_under_held_guard() {
+        let src = "fn f() {\n    let guard = self.state.lock();\n    let _ = tx.hand_off(batch, serve);\n}\n";
+        let found = findings_for(src);
+        assert_eq!(found.len(), 1, "{found:#?}");
+        assert!(found[0].contains("`.hand_off`"));
     }
 
     #[test]
