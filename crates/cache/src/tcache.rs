@@ -546,8 +546,10 @@ impl EdgeCache {
         }
         // Deliveries to one cache are serialized, but `restart` / `reconnect`
         // run on the fault-injecting thread and may adopt a newer position
-        // while a delivery that was in flight before the link was severed is
-        // applied here: `fetch_max` keeps the position from rewinding.
+        // while a delivery that was in flight since before the link was
+        // severed lands here once it is restored (a severed cache's own
+        // deliveries are discarded): `fetch_max` keeps the position from
+        // rewinding.
         self.last_seq.fetch_max(seq, Ordering::Relaxed);
     }
 

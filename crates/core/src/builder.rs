@@ -164,9 +164,9 @@ impl SystemBuilder {
     }
 
     /// One-way delay of invalidations, in milliseconds (default 0). The
-    /// delay is wall-clock and a *service time*: each cache's delivery task
-    /// sleeps it per message, in series, so `d` ms caps a cache at
-    /// `1000 / d` applied invalidations per second.
+    /// delay is a wall-clock latency: each invalidation lands that long
+    /// after its cache's delivery task takes it, independently of the
+    /// others in flight, so a delay holds back no message behind another.
     pub fn invalidation_delay_millis(mut self, millis: u64) -> Self {
         self.invalidation_delay = SimDuration::from_millis(millis);
         self

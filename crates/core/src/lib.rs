@@ -56,7 +56,8 @@
 //! * [`tcache_types`] — identifiers, versions, dependency lists;
 //! * [`tcache_db`] — the transactional backend store (2PL + 2PC, version
 //!   assignment, dependency aggregation, invalidation publication);
-//! * [`tcache_net`] — loss / latency models for the invalidation channel;
+//! * [`tcache_net`] — the invalidation link: loss / latency models, the
+//!   link step both planes drive, pipes and the reactor;
 //! * [`tcache_cache`] — the edge cache with the violation predicates and
 //!   strategies, plus the plain and TTL baselines;
 //! * [`tcache_monitor`] — the serialization-graph-testing oracle used by the
@@ -65,9 +66,9 @@
 //!
 //! The experiment harness lives in `tcache-sim`, *on top of* this crate:
 //! its live execution plane drives a [`TCacheSystem`], and its
-//! discrete-event plane (the deterministic virtual-time twin) drives
-//! [`tcache_net::fanout`] directly, so the harness depends on the facade
-//! rather than the other way around.
+//! discrete-event plane (the deterministic virtual-time twin) drives one
+//! [`tcache_net::LinkStep`] per cache directly, so the harness depends on
+//! the facade rather than the other way around.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -7,7 +7,6 @@ use std::time::Duration;
 use tcache_cache::{CacheStatsSnapshot, EdgeCache};
 use tcache_db::stats::DbStatsSnapshot;
 use tcache_db::Database;
-use tcache_net::channel::ChannelStats;
 use tcache_net::delivery::{DeliveryModel, DeliveryStatsSnapshot};
 use tcache_net::pipe::{OverflowPolicy, PipeStatsSnapshot};
 use tcache_net::reactor::ReactorStats;
@@ -77,14 +76,11 @@ pub struct CacheNodeStats {
     pub id: CacheId,
     /// This cache's statistics.
     pub cache: CacheStatsSnapshot,
-    /// This cache's invalidation-channel statistics, synthesized from the
-    /// publisher and delivery-task counters so the same fields describe the
-    /// link here and on `tcache-sim`'s discrete-event plane.
-    pub channel: ChannelStats,
     /// This cache's apply-pipe counters.
     pub pipe: PipeStatsSnapshot,
-    /// This cache's delivery-task counters — offered / dropped / delivered
-    /// messages and total modeled delay.
+    /// This cache's link counters — offered / dropped / delivered messages
+    /// and total modeled delay, the same fields `tcache-sim`'s
+    /// discrete-event plane reports for its links.
     pub delivery: DeliveryStatsSnapshot,
 }
 
@@ -95,8 +91,6 @@ pub struct SystemStats {
     pub cache: CacheStatsSnapshot,
     /// Database-side statistics.
     pub db: DbStatsSnapshot,
-    /// Invalidation channel statistics summed over every per-cache channel.
-    pub channel: ChannelStats,
     /// The per-cache breakdown, ordered by `CacheId`.
     pub per_cache: Vec<CacheNodeStats>,
 }
@@ -523,67 +517,26 @@ impl TCacheSystem {
 
     /// A combined statistics snapshot: aggregates over every cache plus the
     /// per-cache breakdown.
-    ///
-    /// The per-cache [`ChannelStats`] view is synthesized from the
-    /// publisher's and the delivery task's counters (`sent` = invalidations
-    /// the commit path offered, `dropped` = loss-model drops in the reactor
-    /// task, `delivered` = applications, overflow/stalls from the pipe's
-    /// policy), so experiment plumbing reads the same link statistics here
-    /// and on `tcache-sim`'s discrete-event plane.
     #[must_use]
     pub fn stats(&self) -> SystemStats {
-        let publishes = self.db.publish_stats();
         let per_cache: Vec<CacheNodeStats> = self
             .caches
             .iter()
             .enumerate()
-            .map(|(index, cache)| {
-                let delivery = self.reactor.delivery_stats(index);
-                let channel = if self.parents[index].is_some() {
-                    // A two-tier leaf has no publisher upcall: its link is
-                    // fed by the parent's relay, so `sent` is what the relay
-                    // put into its pipe.
-                    ChannelStats {
-                        sent: delivery.offered,
-                        dropped: delivery.dropped,
-                        delivered: delivery.delivered,
-                        overflowed: 0,
-                        stalled: 0,
-                    }
-                } else {
-                    let publish = publishes
-                        .iter()
-                        .find(|(id, _)| *id == cache.id())
-                        .map(|&(_, stats)| stats)
-                        .unwrap_or_default();
-                    ChannelStats {
-                        // Severed publishes never reached the link.
-                        sent: publish.invalidations.saturating_sub(publish.severed),
-                        dropped: delivery.dropped,
-                        delivered: delivery.delivered,
-                        overflowed: publish.overflowed,
-                        stalled: publish.stalled_publishes,
-                    }
-                };
-                CacheNodeStats {
-                    id: cache.id(),
-                    cache: cache.stats(),
-                    channel,
-                    pipe: self.reactor.pipe_stats(index),
-                    delivery,
-                }
+            .map(|(index, cache)| CacheNodeStats {
+                id: cache.id(),
+                cache: cache.stats(),
+                pipe: self.reactor.pipe_stats(index),
+                delivery: self.reactor.delivery_stats(index),
             })
             .collect();
         let mut cache_total = CacheStatsSnapshot::default();
-        let mut channel_total = ChannelStats::default();
         for node in &per_cache {
             cache_total.merge(node.cache);
-            channel_total.merge(node.channel);
         }
         SystemStats {
             cache: cache_total,
             db: self.db.stats(),
-            channel: channel_total,
             per_cache,
         }
     }
@@ -725,7 +678,7 @@ mod tests {
         // the new version.
         let v = system.read(ObjectId(5)).unwrap();
         assert!(v.version > tcache_types::Version::INITIAL);
-        assert!(system.stats().channel.sent >= 1);
+        assert!(system.stats().per_cache[0].delivery.offered >= 1);
     }
 
     #[test]
@@ -736,7 +689,7 @@ mod tests {
             .build();
         system.populate((0..20).map(|i| (ObjectId(i), Value::new(0))));
         system.update(&[ObjectId(1)]).unwrap();
-        // The invalidation is asleep on its 200 ms modeled delay.
+        // The invalidation is in flight on its 200 ms modeled delay.
         assert_eq!(system.quiesce(Duration::from_millis(1)), Ok(false));
         assert_eq!(system.quiesce_timeouts(), 1);
         assert_eq!(system.quiesce(SETTLE), Ok(true));
@@ -759,14 +712,13 @@ mod tests {
         assert!(system.quiesce(SETTLE).unwrap());
         let stats = system.stats();
         assert_eq!(stats.per_cache.len(), 4);
-        // Every channel carried the invalidation.
+        // Every link carried the invalidation.
         for node in &stats.per_cache {
-            assert_eq!(node.channel.sent, 1);
+            assert_eq!(node.delivery.offered, 1);
             assert_eq!(node.cache.reads, 1);
         }
         // Aggregates sum the per-cache views.
         assert_eq!(stats.cache.reads, 4);
-        assert_eq!(stats.channel.sent, 4);
         // Addressing an undeployed cache errors.
         assert_eq!(
             system.read_on(CacheId(9), ObjectId(1)).unwrap_err(),
@@ -830,8 +782,8 @@ mod tests {
                 "cache {}: every cache sees the invalidation exactly once",
                 node.id
             );
-            assert_eq!(node.channel.sent, 1, "cache {}", node.id);
-            assert_eq!(node.channel.dropped, 0, "cache {}", node.id);
+            assert_eq!(node.delivery.offered, 1, "cache {}", node.id);
+            assert_eq!(node.delivery.dropped, 0, "cache {}", node.id);
         }
         assert_eq!(system.relay_overflows(), 0);
 
@@ -969,6 +921,29 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_discards_what_is_in_flight_to_the_cache() {
+        let system = SystemBuilder::new()
+            .invalidation_delay_millis(20)
+            .seed(7)
+            .build();
+        system.populate((0..20).map(|i| (ObjectId(i), Value::new(0))));
+        let cache = system.cache(CacheId(0)).unwrap();
+        let before = cache.last_applied_seq();
+        system.update(&[ObjectId(1)]).unwrap();
+        // The invalidation is 20 ms from landing when the cache goes down.
+        system.crash_cache(CacheId(0), system.now()).unwrap();
+        assert!(system.quiesce(SETTLE).unwrap());
+        assert_eq!(
+            cache.last_applied_seq(),
+            before,
+            "a crashed cache applied an invalidation"
+        );
+        // Discarded at its deadline, and counted delivered there, as on the
+        // discrete-event plane.
+        assert_eq!(system.stats().per_cache[0].delivery.delivered, 1);
+    }
+
+    #[test]
     fn partition_and_heal_resync_under_gap_resync_policy() {
         let system = SystemBuilder::new()
             .caches(1)
@@ -1007,7 +982,7 @@ mod tests {
         let spike = SimDuration::from_millis(150);
         system.set_cache_extra_delay(CacheId(0), spike).unwrap();
         system.update(&[ObjectId(5)]).unwrap();
-        // Still in flight: the task is sleeping the surcharge out, so the
+        // Still in flight: its deadline carries the surcharge, so the
         // reactor cannot settle yet.
         assert_eq!(system.quiesce(Duration::from_millis(1)), Ok(false));
         assert!(system.quiesce(SETTLE).unwrap());
@@ -1044,7 +1019,7 @@ mod tests {
             "cache 1's invalidation was lost, its entry stays stale"
         );
         let stats = system.stats();
-        assert_eq!(stats.per_cache[0].channel.dropped, 0);
-        assert_eq!(stats.per_cache[1].channel.delivered, 0);
+        assert_eq!(stats.per_cache[0].delivery.dropped, 0);
+        assert_eq!(stats.per_cache[1].delivery.delivered, 0);
     }
 }

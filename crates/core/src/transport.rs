@@ -4,24 +4,27 @@
 //!
 //! A system moves invalidations exactly one way, the paper's (§II, §IV):
 //! the database's commit-path upcalls (`modeled_delivery_sink`) offer each
-//! committed batch to every root cache's [`Link`], which applies the
-//! cache's seeded loss / latency models in wall-clock time before the
-//! invalidation reaches the cache. A link with nothing to wait for serves
-//! the batch on the committing thread ([`Link::offer`]); everything else
-//! goes through the cache's bounded [`pipe`](tcache_net::pipe) to a
-//! *single* reactor thread ([`tcache_net::reactor`]) multiplexing all N
-//! per-cache delivery tasks ([`tcache_net::delivery`]). The pipe capacity
-//! bounds how far a slow cache can back up, and the overflow policy decides
-//! what that backlog costs: blocked commits ([`OverflowPolicy::Block`]) or
-//! bounded staleness ([`OverflowPolicy::DropOldest`] /
-//! [`OverflowPolicy::DropNewest`]). A crashed or partitioned cache's link
-//! is severed: its sink discards each batch at once (counted as `severed`
-//! in the publisher's stats), so no commit ever waits on a dead peer.
+//! committed batch to every root cache's [`Link`], whose link step
+//! ([`tcache_net::delivery::LinkStep`]) drops and delays each invalidation
+//! per the cache's seeded model in wall-clock time before it reaches the
+//! cache. A link with nothing to wait for serves the batch on the
+//! committing thread ([`Link::offer`]); everything else goes through the
+//! cache's bounded [`pipe`](tcache_net::pipe) to a *single* reactor thread
+//! ([`tcache_net::reactor`]) multiplexing all N per-cache delivery tasks,
+//! each holding its messages in flight until their deadlines. The pipe
+//! capacity bounds how far a slow cache can back up, and the overflow
+//! policy decides what that backlog costs: blocked commits
+//! ([`OverflowPolicy::Block`]) or bounded staleness
+//! ([`OverflowPolicy::DropOldest`] / [`OverflowPolicy::DropNewest`]). A
+//! crashed or partitioned cache's link is severed: its sink discards each
+//! batch at once (counted as `severed` in the publisher's stats), so no
+//! commit ever waits on a dead peer, and whatever was still in flight to it
+//! is discarded when its deadline comes.
 //!
 //! No virtual clock is involved in delivery. The deterministic
 //! virtual-time plane lives in `tcache-sim` (`plane::discrete`), which
-//! drives [`tcache_net::fanout`] directly and is pinned against this plane
-//! by the `cross_plane` tests.
+//! drives the same link step on its virtual clock and is pinned against
+//! this plane by the `cross_plane` tests.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,15 +66,13 @@ pub enum DeliveryMode {
 /// models ([`tcache_net::delivery`]) and applies what survives — on that
 /// thread, or on the thread that offered the batch.
 pub(crate) struct ReactorPlane {
-    /// Per-cache links: each owns its cache's pipe, delivery counters,
-    /// pause flag and delay-spike surcharge (the live half of
+    /// Per-cache links: each owns its cache's pipe, link step, delivery
+    /// counters, pause flag and delay-spike surcharge (the live half of
     /// `FaultKind::DelaySpike`). A paused link is never handed off to and
-    /// its task applies nothing further — up to one already-drained batch
+    /// its task admits and applies nothing: up to one drained batch
     /// ([`DEFAULT_BATCH_BUDGET`](tcache_net::delivery::DEFAULT_BATCH_BUDGET)
-    /// messages; the task checks the flag per
-    /// message *after* the batch drain) is held in limbo while the rest of
-    /// the backlog stays in the pipe — modelling a slow or wedged edge
-    /// cache.
+    /// messages) and whatever is in flight are held while the rest of the
+    /// backlog stays in the pipe — modelling a slow or wedged edge cache.
     links: Vec<Arc<Link<Invalidation>>>,
     /// Per-cache severed flags (crash / partition): a severed cache's link
     /// discards publishes at once instead of being offered them, so a
@@ -113,14 +114,17 @@ impl ReactorPlane {
     /// takes over (a handed-off root relays its batch's survivors in one
     /// offer; the root's delivery task relays message by message).
     /// Links are built leaves first precisely so a parent's apply closure
-    /// can capture its children's. Relays happen *before* the parent's link
-    /// counts the message as delivered, so [`ReactorPlane::quiesce`] can
-    /// never settle with a relay still in flight. A severed parent silences
+    /// can capture its children's. A cache severed by the time a delivery
+    /// lands discards it, relays included. Relays happen *before* the
+    /// parent's link counts the message as delivered, so
+    /// [`ReactorPlane::quiesce`] can never settle with a relay still in
+    /// flight. A severed parent silences
     /// its whole subtree; a severed leaf only itself.
     ///
-    /// A relay is a nested [`Link::offer`]: a root served on the committing
-    /// thread relays under its own pipe lock, so locks nest parent pipe →
-    /// child pipe, never the reverse (the tree is one level deep and a leaf
+    /// A relay is a nested [`Link::offer`] made under the parent's step lock
+    /// (and, for a root served on the committing thread, under its pipe
+    /// lock too), so locks nest parent pipe → parent step → child pipe →
+    /// child step, never the reverse (the tree is one level deep and a leaf
     /// relays nowhere).
     pub(crate) fn new(
         caches: &[Arc<EdgeCache>],
@@ -155,6 +159,7 @@ impl ReactorPlane {
                 .collect();
             let cache = Arc::clone(&caches[index]);
             let id = cache.id();
+            let cache_severed = Arc::clone(&severed[index]);
             let overflows = Arc::clone(&relay_overflows);
             let (tx, rx) = bounded_pipe::<Invalidation>(capacity, policy);
             let task = DeliveryTask::new(
@@ -163,6 +168,9 @@ impl ReactorPlane {
                 cache_delay_seed(run_seed, id),
             );
             let link = Link::new(tx, task, move |batch: &[Invalidation]| {
+                if cache_severed.load(Ordering::Acquire) {
+                    return;
+                }
                 cache.apply_invalidations(batch);
                 for (child, child_severed) in &children {
                     if child_severed.load(Ordering::Acquire) {
@@ -208,8 +216,8 @@ impl ReactorPlane {
 
     /// Waits until every *unpaused* cache's pipe is drained and its link
     /// has finished processing (paused caches keep their backlog by design).
-    /// A message the task popped but is still sleeping a modeled delay on
-    /// counts as unprocessed, so modeled in-flight delays are waited out.
+    /// A message still in flight on a link step counts as unprocessed, so
+    /// modeled delays are waited out.
     /// Returns `false` — and counts a quiesce timeout — on timeout.
     pub(crate) fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;

@@ -146,9 +146,10 @@ fn a_link_with_something_to_wait_for_is_never_handed_off_to() {
             .unwrap();
     }
     let sent = 2 * UPDATES;
-    // Quiesce skips the paused cache and waits the spiked one's sleeps out.
+    // Quiesce skips the paused cache and waits the spiked one's messages
+    // out: they are in flight together, so that takes one spike.
     assert!(system.quiesce(SETTLE).unwrap());
-    assert!(started.elapsed() >= Duration::from_micros(sent * spike.as_micros()));
+    assert!(started.elapsed() >= Duration::from_micros(spike.as_micros()));
     let after = system.stats();
     let moved = |pick: fn(&tcache::CacheNodeStats) -> u64, cache: usize| {
         pick(&after.per_cache[cache]) - pick(&before.per_cache[cache])
@@ -224,7 +225,7 @@ fn a_handed_off_root_relays_to_each_leaf_exactly_once() {
             "cache {cache}"
         );
         assert_eq!(now.pipe.enqueued, now.delivery.delivered, "cache {cache}");
-        assert_eq!(now.channel.sent, now.channel.delivered, "cache {cache}");
+        assert_eq!(now.delivery.offered, now.delivery.delivered, "cache {cache}");
     }
     assert_eq!(system.reactor_stats().unwrap().wakes, wakes);
     assert_eq!(system.relay_overflows(), 0);

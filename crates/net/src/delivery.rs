@@ -1,75 +1,79 @@
-//! Modeled delivery: the channel's loss and latency applied at the
-//! *receiving* end of each cache's link.
+//! The link model: one cache's unreliable invalidation link, as one
+//! [`LinkStep`] that both execution planes drive.
 //!
-//! The discrete-event plane models the unreliable invalidation link with
-//! [`crate::channel`], driven by a virtual clock. The live plane runs the
-//! same models in wall-clock time instead: the publisher offers every
-//! committed batch to the cache's [`Link`] unmodified, and the link — not
-//! the publisher — draws each message's drop decision, waits out its
-//! sampled delay and applies what survives, at the receiving end, where a
-//! real deployment's network and kernel queues live.
+//! The paper's links lose some invalidations and delay the rest, each one
+//! independently (§II). A [`LinkStep`] is exactly that, driven by an
+//! explicit clock. [`LinkStep::admit`] draws each offered message's drop
+//! decision, in offer order, and stamps each survivor with its deadline,
+//! `now + latency sample + delay spike`. [`LinkStep::deliver_due`] applies
+//! what is due by `now` in deadline order, ties in admission order. So
+//! messages overlap in flight, and under a latency model that is not
+//! constant a later message can overtake an earlier one. A step may also be
+//! [bounded](LinkStep::bounded): its in-flight capacity and
+//! [`OverflowPolicy`] shed (`DropNewest`, `DropOldest`, both by send order)
+//! or queue behind the backlog (`Block`, a c-server queue with c =
+//! capacity).
 //!
-//! A link serves its messages one of two ways, and [`Link::offer`] is the
-//! one place that chooses. A message that has something to wait for — a
-//! modeled delay, a delay spike, a paused cache, or simply earlier messages
-//! still queued or in the task's hands — goes through the cache's bounded
-//! [`pipe`](crate::pipe) to the cache's reactor task, which sleeps the
-//! delay on the reactor's timer ([`TimerHandle::sleep_sim`]). A batch
-//! with nothing to wait for is served on the offering thread itself, inside
-//! [`PipeSender::hand_off`]: a link modeled as zero-delay then delivers
-//! with zero lag rather than with a thread hand-over's. Both run the same
-//! link step over the same state, so which thread served a message shows
+//! The discrete-event plane (`tcache-sim`) keeps one step per cache and
+//! drives it on its virtual clock. The live plane drives the same step in
+//! wall-clock time at the receiving end, where a real deployment's network
+//! and kernel queues live: the publisher offers every committed batch to
+//! the cache's [`Link`] unmodified. A message that has something to wait
+//! for (a modeled delay, a delay spike, a paused cache, or earlier messages
+//! still queued or in flight) goes through the cache's
+//! [`pipe`](crate::pipe) to the cache's reactor task. The task admits each
+//! batch it drains at the wall-clock instant it drains it. It then waits
+//! for whichever comes first, the next batch or the earliest deadline on
+//! the reactor's timer ([`TimerHandle::sleep_sim`]), and applies what is
+//! due. Its step is unbounded: on the live plane the pipe bounds the link
+//! and pushes back on the publisher.
+//!
+//! A batch with nothing to wait for is served on the offering thread
+//! itself, inside [`PipeSender::hand_off`]: its drop decisions drawn in
+//! pipe order, `offered` and `dropped` counted once for the batch, its
+//! survivors applied in one call, and `delivered` counted after that call.
+//! A zero-delay link then delivers with zero lag rather than with a thread
+//! hand-over's. The pipe has already counted the batch `received`, so
+//! `processed()` catches up with `received` only once the batch is applied,
+//! as it does per message on the task. Which thread served a message shows
 //! in [`PipeStatsSnapshot::direct`] and nowhere else.
 //!
-//! The two differ only in granularity. The task sleeps each message's own
-//! modeled delay, so it counts and applies message by message (a
-//! one-element slice per `apply`). A handed-off batch has no delay to
-//! honour: its drop decisions are drawn in pipe order, `offered` and
-//! `dropped` are counted once for the batch, its survivors are applied in
-//! one call, and `delivered` is counted after that call — the pipe has
-//! already counted the batch `received`, so `processed()` catches up with
-//! `received` only once the batch is applied, as it does per message on
-//! the task.
-//!
-//! Reproducibility follows the repo-wide convention: the loss RNG is
-//! seeded from `(run_seed, CacheId)` with
-//! [`tcache_types::seeding::cache_channel_seed`] — the same stream the
-//! discrete-event channel uses — and the latency RNG gets its own disjoint
-//! stream ([`tcache_types::seeding::cache_delay_seed`]), so delay sampling
-//! never perturbs the drop pattern. The loss stream lives in the link, not
-//! in the task: the k-th message offered to a cache consumes the k-th draw
-//! whichever thread serves it. With a latency model that draws no
-//! randomness (the constant model), the messages a cache loses are
-//! bit-identical across both execution planes and invariant to how many
+//! Reproducibility follows the repo-wide convention. The loss RNG is seeded
+//! from `(run_seed, CacheId)` with
+//! [`tcache_types::seeding::cache_channel_seed`], and the latency RNG gets
+//! its own disjoint stream ([`tcache_types::seeding::cache_delay_seed`]),
+//! so delay sampling never perturbs the drop pattern. The loss stream lives
+//! in the step: the k-th message offered to a cache consumes the k-th draw
+//! whichever plane, and whichever thread, serves it. With a latency model
+//! that draws no randomness (the constant model), the messages a cache
+//! loses are bit-identical across both planes and invariant to how many
 //! caches are deployed.
-//!
-//! Because one task serves one cache, the modeled delay is a *service
-//! time*: a sleeping message delays the messages queued behind it, like a
-//! single-consumer store-and-forward pipeline. The discrete-event channel
-//! instead delays every message independently (messages can overlap and
-//! reorder). The two agree at zero delay — the configuration the
-//! cross-plane parity tests pin down.
 
 use crate::fault::{LossModel, LossState};
 use crate::latency::LatencyModel;
-use crate::pipe::{BatchOutcome, PipeReceiver, PipeSender, PipeStatsSnapshot};
+use crate::pipe::{BatchOutcome, OverflowPolicy, PipeReceiver, PipeSender, PipeStatsSnapshot};
 use crate::reactor::TimerHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::future::Future;
+use std::pin::pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use tcache_types::SimDuration;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::task::Poll;
+use std::time::{Duration, Instant};
+use tcache_types::{SimDuration, SimTime};
 
-/// The unreliable-link model one live link applies: every message offered
-/// to it is independently dropped per `loss`, and survivors are applied
-/// only after a delay sampled from `latency`.
+/// The unreliable-link model one link applies: every message offered to
+/// it is independently dropped per `loss`, and survivors are applied only
+/// after a delay sampled from `latency`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeliveryModel {
     /// Drop process of the link.
     pub loss: LossModel,
-    /// Delay process of the link (a service time: it holds up the messages
-    /// queued behind it, see the module docs).
+    /// Delay process of the link: each surviving message's own latency,
+    /// independent of the messages in flight beside it.
     pub latency: LatencyModel,
 }
 
@@ -92,45 +96,59 @@ impl DeliveryModel {
     }
 }
 
-/// Monotone counters of one live delivery task. Shared between the task
-/// and the observers sampling [`DeliveryCounters::snapshot`].
+/// Monotone counters of one link. Shared between whoever drives the link's
+/// step and the observers sampling [`DeliveryCounters::snapshot`].
 #[derive(Debug, Default)]
 pub struct DeliveryCounters {
     offered: AtomicU64,
     dropped: AtomicU64,
     delivered: AtomicU64,
     delay_micros: AtomicU64,
+    overflowed: AtomicU64,
+    stalled: AtomicU64,
 }
 
 /// A point-in-time copy of [`DeliveryCounters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeliveryStatsSnapshot {
-    /// Messages that reached the link step: popped off the pipe by the
-    /// task, or handed off to the offering thread.
+    /// Messages offered to the link step: popped off the pipe by the task,
+    /// handed off to the offering thread, or admitted by the discrete
+    /// plane.
     pub offered: u64,
     /// Messages the loss model dropped before application.
     pub dropped: u64,
-    /// Messages applied to the cache.
+    /// Messages whose deadline came: applied to the cache, or discarded
+    /// because the cache was severed by then.
     pub delivered: u64,
-    /// Total modeled delay slept before applications, in microseconds.
+    /// Total modeled delay (latency samples plus spikes) stamped on the
+    /// messages that survived the loss model, in microseconds.
     pub delay_micros: u64,
+    /// Messages a bounded step lost at capacity: rejected under
+    /// `DropNewest`, or evicted in send order under `DropOldest`. Always 0
+    /// on the live plane, whose step is unbounded.
+    pub overflowed: u64,
+    /// Messages a bounded `Block` step admitted late because every slot
+    /// was busy (publish-side stalls). Always 0 on the live plane.
+    pub stalled: u64,
 }
 
 impl DeliveryStatsSnapshot {
-    /// Messages the task has finished with (dropped or applied). Equal to
-    /// [`DeliveryStatsSnapshot::offered`] once the task is idle — the
-    /// quiesce condition of the live plane.
+    /// Messages the link has finished with (dropped, lost to overflow or
+    /// delivered). Equal to [`DeliveryStatsSnapshot::offered`] once nothing
+    /// is in flight — the quiesce condition of the live plane.
     pub fn processed(&self) -> u64 {
-        self.dropped + self.delivered
+        self.dropped + self.overflowed + self.delivered
     }
 
-    /// Accumulates another task's counters into this one. Sums saturate
+    /// Accumulates another link's counters into this one. Sums saturate
     /// instead of wrapping so long sweeps cannot corrupt aggregates.
     pub fn merge(&mut self, other: DeliveryStatsSnapshot) {
         self.offered = self.offered.saturating_add(other.offered);
         self.dropped = self.dropped.saturating_add(other.dropped);
         self.delivered = self.delivered.saturating_add(other.delivered);
         self.delay_micros = self.delay_micros.saturating_add(other.delay_micros);
+        self.overflowed = self.overflowed.saturating_add(other.overflowed);
+        self.stalled = self.stalled.saturating_add(other.stalled);
     }
 }
 
@@ -142,17 +160,22 @@ impl DeliveryCounters {
             dropped: self.dropped.load(Ordering::Acquire),
             delivered: self.delivered.load(Ordering::Acquire),
             delay_micros: self.delay_micros.load(Ordering::Acquire),
+            overflowed: self.overflowed.load(Ordering::Acquire),
+            stalled: self.stalled.load(Ordering::Acquire),
         }
     }
 
-    /// Messages finished with (dropped or applied), loaded directly.
+    /// Messages finished with (dropped, lost to overflow or delivered),
+    /// loaded directly.
     pub fn processed(&self) -> u64 {
-        self.dropped.load(Ordering::Acquire) + self.delivered.load(Ordering::Acquire)
+        self.dropped.load(Ordering::Acquire)
+            + self.overflowed.load(Ordering::Acquire)
+            + self.delivered.load(Ordering::Acquire)
     }
 }
 
-/// Everything one modeled delivery task needs besides its pipe and timer:
-/// the link model, the two disjoint RNG stream seeds (pass
+/// Everything one link needs besides its pipe and timer: the link model,
+/// the two disjoint RNG stream seeds (pass
 /// [`tcache_types::seeding::cache_channel_seed`] /
 /// [`tcache_types::seeding::cache_delay_seed`] values — see the module
 /// docs), the shared counters, and the pause flag.
@@ -160,22 +183,24 @@ impl DeliveryCounters {
 pub struct DeliveryTask {
     /// Link model the task applies.
     pub model: DeliveryModel,
-    /// Seed of the loss RNG stream (the discrete-event channel's stream).
+    /// Seed of the loss RNG stream.
     pub loss_seed: u64,
     /// Seed of the latency RNG stream (disjoint from the loss stream).
     pub delay_seed: u64,
-    /// Counters the task updates; observers snapshot them.
+    /// Counters the link updates; observers snapshot them.
     pub counters: Arc<DeliveryCounters>,
-    /// While set, the task holds deliveries (backlog stays in the pipe).
+    /// While set, the task holds deliveries: the backlog stays in the pipe
+    /// and nothing in flight is applied.
     pub paused: Arc<AtomicBool>,
     /// Extra delay (microseconds) added on top of every sampled latency —
-    /// a fault plan's delay spike, adjustable while the task runs. Zero
-    /// restores the configured latency model untouched.
+    /// a fault plan's delay spike, adjustable while the task runs. It is
+    /// stamped at admission, so messages already in flight keep their
+    /// deadlines. Zero restores the configured latency model untouched.
     pub extra_delay_micros: Arc<AtomicU64>,
-    /// Maximum messages drained and applied per wakeup before the task
-    /// cooperatively yields back to the reactor so sibling caches get a
-    /// turn. Clamped to at least 1; [`DEFAULT_BATCH_BUDGET`] is the tuned
-    /// default.
+    /// Maximum messages drained, and maximum applied, per wakeup before
+    /// the task cooperatively yields back to the reactor so sibling caches
+    /// get a turn. Clamped to at least 1; [`DEFAULT_BATCH_BUDGET`] is the
+    /// tuned default.
     pub batch_budget: usize,
 }
 
@@ -201,104 +226,209 @@ impl DeliveryTask {
     }
 }
 
-/// Runs one cache's modeled delivery loop until its pipe disconnects:
-/// drain a batch → per message (hold while `task.paused`) → draw the drop
-/// decision → sleep the sampled delay on `timer` → `apply`. One wakeup
-/// services up to [`DeliveryTask::batch_budget`] messages; if backlog
-/// remains after a full batch the task cooperatively yields so sibling
-/// caches on the shared reactor get a turn. Spawn the returned future onto
-/// a [`Reactor`](crate::reactor::Reactor) — one task per cache, every task
-/// multiplexed on the same reactor thread.
-///
-/// This is the delivery task of a bare pipe: every message reaches it
-/// through the queue. A [`Link`] runs the same loop ([`Link::deliver`]) and
-/// can also serve a batch on the offering thread.
-///
-/// Accounting counts every drained message individually: `offered` /
-/// `dropped` / `delivered` advance per message inside the batch, so the
-/// live plane's quiesce condition (`processed() == pipe received`) holds
-/// regardless of how the backlog was chunked into batches.
-pub async fn run_delivery<T, F>(rx: PipeReceiver<T>, timer: TimerHandle, task: DeliveryTask, apply: F)
-where
-    F: FnMut(T),
-{
-    deliver(rx, timer, Arc::new(LinkStep::new(task)), apply).await;
+/// A message in flight on a [`LinkStep`].
+#[derive(Debug)]
+struct InFlight<T> {
+    deadline: SimTime,
+    /// Admission order: breaks deadline ties, and is the send order
+    /// `DropOldest` evicts by.
+    seq: u64,
+    message: T,
 }
 
-/// The loss process of one link: model state plus the seeded RNG stream,
-/// advanced once per message in the order the pipe carried them, and the
-/// survivors of the batch being served on an offering thread.
+impl<T> PartialEq for InFlight<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.deadline, self.seq) == (other.deadline, other.seq)
+    }
+}
+impl<T> Eq for InFlight<T> {}
+impl<T> PartialOrd for InFlight<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for InFlight<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
+    }
+}
+
+/// One cache's link model, driven with an explicit clock: the seeded loss
+/// draw, deadline stamping, the in-flight heap and (when bounded) the
+/// overflow policy. See the module docs for how each plane drives it.
 #[derive(Debug)]
-struct LossDraw<T> {
-    state: LossState,
-    rng: StdRng,
+pub struct LinkStep<T> {
+    latency: LatencyModel,
+    /// Constant-zero latency: the step samples nothing. Gating on the mean
+    /// would also swallow random models whose integer-microsecond mean
+    /// rounds to zero (e.g. Uniform { 0, 1 µs }) even though they are
+    /// configured to delay.
+    zero_delay: bool,
+    loss: LossState,
+    loss_rng: StdRng,
+    delay_rng: StdRng,
+    counters: Arc<DeliveryCounters>,
+    extra_delay_micros: Arc<AtomicU64>,
+    in_flight: BinaryHeap<Reverse<InFlight<T>>>,
+    next_seq: u64,
+    /// In-flight messages admitted before the overflow policy engages.
+    capacity: usize,
+    policy: OverflowPolicy,
+    /// `Block` bookkeeping: one entry per occupied slot, holding the time
+    /// that slot frees (its occupant's deadline). A message finding every
+    /// slot busy is admitted only when the earliest slot frees, so
+    /// successive over-capacity sends queue up behind each other.
+    block_slots: BinaryHeap<Reverse<SimTime>>,
     /// Scratch for a handed-off batch that lost messages (a batch that
     /// lost none is applied as offered); empty between batches, kept to
     /// reuse its capacity.
     survivors: Vec<T>,
 }
 
-/// The state one link's messages pass through, shared by the delivery task
-/// and — for a [`Link`] — the threads it hands batches off to.
-#[derive(Debug)]
-struct LinkStep<T> {
-    task: DeliveryTask,
-    /// Never contended: a hand-off takes it under the pipe lock, which it
-    /// only gets while the task is waiting on its waker; the task takes it
-    /// only while holding a drained batch, when every hand-off is refused.
-    loss: Mutex<LossDraw<T>>,
-    /// Constant-zero latency: the link samples nothing and sleeps nothing.
-    /// Gating on the mean would also swallow random models whose
-    /// integer-microsecond mean rounds to zero (e.g. Uniform { 0, 1 µs })
-    /// even though they are configured to delay.
-    zero_delay: bool,
-}
-
 impl<T> LinkStep<T> {
-    fn new(task: DeliveryTask) -> Self {
+    /// An unbounded step applying `task`'s model from its two seeds,
+    /// counting into `task.counters` and reading its delay spike.
+    pub fn new(task: &DeliveryTask) -> Self {
         LinkStep {
-            loss: Mutex::new(LossDraw {
-                state: LossState::new(task.model.loss),
-                rng: StdRng::seed_from_u64(task.loss_seed),
-                survivors: Vec::new(),
-            }),
+            latency: task.model.latency,
             zero_delay: task.model.latency == LatencyModel::Constant(SimDuration::ZERO),
-            task,
+            loss: LossState::new(task.model.loss),
+            loss_rng: StdRng::seed_from_u64(task.loss_seed),
+            delay_rng: StdRng::seed_from_u64(task.delay_seed),
+            counters: Arc::clone(&task.counters),
+            extra_delay_micros: Arc::clone(&task.extra_delay_micros),
+            in_flight: BinaryHeap::new(),
+            next_seq: 0,
+            capacity: usize::MAX,
+            policy: OverflowPolicy::Block,
+            block_slots: BinaryHeap::new(),
+            survivors: Vec::new(),
         }
     }
 
-    /// Whether a message offered now has nothing to wait for on this link:
-    /// no modeled delay, no delay spike, not paused.
-    fn is_instant(&self) -> bool {
-        self.zero_delay
-            && self.task.extra_delay_micros.load(Ordering::Acquire) == 0
-            && !self.task.paused.load(Ordering::Acquire)
+    /// Holds at most `capacity` messages in flight (clamped to at least
+    /// 1), applying `policy` to an admission that finds the step full.
+    pub fn bounded(mut self, capacity: usize, policy: OverflowPolicy) -> Self {
+        self.capacity = capacity.max(1);
+        self.policy = policy;
+        self
+    }
+
+    /// Sets the delay spike added to every later admission's sampled
+    /// latency (zero clears it). The latency RNG stream is untouched: the
+    /// same delays are sampled, merely shifted.
+    pub fn set_extra_delay(&self, extra: SimDuration) {
+        self.extra_delay_micros
+            .store(extra.as_micros(), Ordering::Release);
+    }
+
+    /// Admits `messages` offered at `now`. Each draws its drop decision;
+    /// each survivor is stamped `now + latency sample + spike`. Once the
+    /// step holds `capacity` messages, the overflow policy decides:
+    /// `DropNewest` rejects the incoming message, `DropOldest` evicts the
+    /// oldest *sent* one still in flight, and `Block` admits it late — it
+    /// takes a slot only once one frees, so a stall of the publisher is
+    /// counted per message that actually had to wait.
+    pub fn admit(&mut self, now: SimTime, messages: impl IntoIterator<Item = T>) {
+        let counters = &*self.counters;
+        let extra = SimDuration::from_micros(self.extra_delay_micros.load(Ordering::Acquire));
+        for message in messages {
+            counters.offered.fetch_add(1, Ordering::Release);
+            if self.loss.should_drop(&mut self.loss_rng) {
+                counters.dropped.fetch_add(1, Ordering::Release);
+                continue;
+            }
+            // The spike is added *after* sampling, so toggling it never
+            // perturbs the delay RNG stream.
+            let delay = if self.zero_delay {
+                extra
+            } else {
+                self.latency.sample(&mut self.delay_rng) + extra
+            };
+            if delay > SimDuration::ZERO {
+                counters
+                    .delay_micros
+                    .fetch_add(delay.as_micros(), Ordering::Release);
+            }
+            let mut sent_at = now;
+            if self.policy == OverflowPolicy::Block && self.capacity != usize::MAX {
+                if self.block_slots.len() >= self.capacity {
+                    let Reverse(free_at) = self.block_slots.pop().expect("slots at capacity");
+                    if free_at > now {
+                        counters.stalled.fetch_add(1, Ordering::Release);
+                        sent_at = free_at;
+                    }
+                }
+                self.block_slots.push(Reverse(sent_at + delay));
+            } else if self.in_flight.len() >= self.capacity {
+                counters.overflowed.fetch_add(1, Ordering::Release);
+                if self.policy == OverflowPolicy::DropNewest {
+                    continue;
+                }
+                // DropOldest: under non-monotone latency the oldest send
+                // need not be the heap head. O(capacity), paid only on
+                // overflow.
+                let mut entries = std::mem::take(&mut self.in_flight).into_vec();
+                if let Some(pos) = (0..entries.len()).min_by_key(|&i| entries[i].0.seq) {
+                    entries.swap_remove(pos);
+                }
+                self.in_flight = entries.into();
+            }
+            self.in_flight.push(Reverse(InFlight {
+                deadline: sent_at + delay,
+                seq: self.next_seq,
+                message,
+            }));
+            self.next_seq += 1;
+        }
+    }
+
+    /// Applies up to `max` messages due by `now` in deadline order (ties in
+    /// admission order), counting each `delivered` once `apply` returns.
+    /// Returns how many it applied.
+    pub fn deliver_due(&mut self, now: SimTime, max: usize, mut apply: impl FnMut(T)) -> usize {
+        let mut applied = 0;
+        while applied < max && self.next_deadline().is_some_and(|deadline| deadline <= now) {
+            let Reverse(due) = self.in_flight.pop().expect("a deadline was peeked");
+            apply(due.message);
+            self.counters.delivered.fetch_add(1, Ordering::Release);
+            applied += 1;
+        }
+        applied
+    }
+
+    /// The earliest deadline in flight, if anything is.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.in_flight.peek().map(|Reverse(head)| head.deadline)
+    }
+
+    /// Number of messages in flight.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    /// The step's counters.
+    pub fn stats(&self) -> DeliveryStatsSnapshot {
+        self.counters.snapshot()
     }
 }
 
 impl<T: Clone> LinkStep<T> {
-    /// The whole link step of an instant link, run on the calling thread
-    /// for a batch the pipe handed off: the batch's drop decisions drawn in
-    /// pipe order, `offered` and `dropped` counted once, the survivors
-    /// applied in one call, then `delivered` counted — so `processed()`
-    /// reaches the pipe's `received` only once the batch is applied.
-    fn serve_now(&self, batch: &[T], apply: &Apply<T>) {
-        let counters = &self.task.counters;
-        let mut guard = self.loss.lock().expect("link loss state lock");
-        let LossDraw {
-            state,
-            rng,
-            survivors,
-        } = &mut *guard;
+    /// The whole step for a batch with nothing to wait for, run on the
+    /// offering thread: drop decisions drawn in pipe order, `offered` and
+    /// `dropped` counted once, the survivors applied in one call, then
+    /// `delivered` counted.
+    fn serve_now(&mut self, batch: &[T], apply: &Apply<T>) {
+        let counters = &*self.counters;
         let mut dropped = 0u64;
         for (i, message) in batch.iter().enumerate() {
-            if state.should_drop(rng) {
+            if self.loss.should_drop(&mut self.loss_rng) {
                 if dropped == 0 {
-                    survivors.extend_from_slice(&batch[..i]);
+                    self.survivors.extend_from_slice(&batch[..i]);
                 }
                 dropped += 1;
             } else if dropped > 0 {
-                survivors.push(message.clone());
+                self.survivors.push(message.clone());
             }
         }
         counters
@@ -307,91 +437,140 @@ impl<T: Clone> LinkStep<T> {
         if dropped > 0 {
             counters.dropped.fetch_add(dropped, Ordering::Release);
         }
-        let delivered = if dropped == 0 { batch } else { &survivors[..] };
+        let delivered = if dropped == 0 { batch } else { &self.survivors[..] };
         if !delivered.is_empty() {
             apply(delivered);
             counters
                 .delivered
                 .fetch_add(delivered.len() as u64, Ordering::Release);
         }
-        survivors.clear();
+        self.survivors.clear();
     }
 }
 
+/// What a live link's delivery task and its offering threads share: the
+/// task's configuration and the step. A hand-off takes the step lock under
+/// the pipe lock, and only once the task has finished everything it
+/// drained, so the two never apply at once.
+#[derive(Debug)]
+struct Shared<T> {
+    task: DeliveryTask,
+    step: Mutex<LinkStep<T>>,
+}
+
+impl<T> Shared<T> {
+    fn new(task: DeliveryTask) -> Self {
+        Shared {
+            step: Mutex::new(LinkStep::new(&task)),
+            task,
+        }
+    }
+
+    fn step(&self) -> MutexGuard<'_, LinkStep<T>> {
+        self.step.lock().expect("link step lock")
+    }
+
+    /// Whether a message offered now has nothing to wait for on this link:
+    /// no modeled delay, no delay spike, not paused.
+    fn is_instant(&self) -> bool {
+        self.task.model.latency == LatencyModel::Constant(SimDuration::ZERO)
+            && self.task.extra_delay_micros.load(Ordering::Acquire) == 0
+            && !self.task.paused.load(Ordering::Acquire)
+    }
+}
+
+/// Runs one cache's delivery loop until its pipe disconnects and nothing
+/// is left in flight: admit each drained batch at the wall-clock instant it
+/// was drained, wait for the next batch or the earliest deadline, whichever
+/// comes first, and apply what is due in deadline order (while
+/// `task.paused`, hold what was drained and what is in flight). One wakeup drains and applies up to
+/// [`DeliveryTask::batch_budget`] messages; with more left the task
+/// cooperatively yields so sibling caches on the shared reactor get a turn.
+/// Spawn the returned future onto a [`Reactor`](crate::reactor::Reactor) —
+/// one task per cache, every task multiplexed on the same reactor thread.
+///
+/// This is the delivery task of a bare pipe: every message reaches it
+/// through the queue. A [`Link`] runs the same loop ([`Link::deliver`]) and
+/// can also serve a batch on the offering thread.
+///
+/// `delivered` advances per message, after its `apply`, so the live plane's
+/// quiesce condition (`processed() == pipe received`) holds only once every
+/// message drained has been dropped or applied.
+pub async fn run_delivery<T, F>(rx: PipeReceiver<T>, timer: TimerHandle, task: DeliveryTask, apply: F)
+where
+    F: FnMut(T),
+{
+    deliver(rx, timer, Arc::new(Shared::new(task)), apply).await;
+}
+
 /// The delivery loop behind [`run_delivery`] and [`Link::deliver`].
-async fn deliver<T, F>(
-    rx: PipeReceiver<T>,
-    timer: TimerHandle,
-    step: Arc<LinkStep<T>>,
-    mut apply: F,
-) where
+async fn deliver<T, F>(rx: PipeReceiver<T>, timer: TimerHandle, shared: Arc<Shared<T>>, mut apply: F)
+where
     F: FnMut(T),
 {
     let DeliveryTask {
-        model,
-        delay_seed,
-        counters,
         paused,
-        extra_delay_micros,
         batch_budget,
         ..
-    } = &step.task;
-    let mut delay_rng = StdRng::seed_from_u64(*delay_seed);
+    } = &shared.task;
     let budget = (*batch_budget).max(1);
+    // The step's clock: wall time since the task started, in the
+    // microseconds latency samples are drawn in.
+    let epoch = Instant::now();
+    let now = || SimTime::from_micros(epoch.elapsed().as_micros() as u64);
     let mut batch: Vec<T> = Vec::with_capacity(budget.min(1024));
-    let mut drops: Vec<bool> = Vec::with_capacity(budget.min(1024));
+    let mut open = true;
     loop {
-        let drain = rx.recv_batch_async(&mut batch, budget).await;
-        if drain.drained == 0 {
-            return; // Every sender dropped and the pipe is drained.
-        }
-        // The whole batch's drop decisions in one hold, in pipe order.
-        {
-            let mut guard = step.loss.lock().expect("link loss state lock");
-            let LossDraw { state, rng, .. } = &mut *guard;
-            drops.extend(batch.iter().map(|_| state.should_drop(rng)));
-        }
-        for (message, dropped) in batch.drain(..).zip(drops.drain(..)) {
-            // A paused cache applies nothing: drained messages are held
-            // here (the rest of the backlog stays in the pipe, where the
-            // overflow policy governs it) until resume. Polling keeps the
-            // task simple — pause is a modeling facility and a 1 ms cycle
-            // bounds resume latency.
-            while paused.load(Ordering::Acquire) {
-                timer.sleep(std::time::Duration::from_millis(1)).await;
+        let next = shared.step().next_deadline();
+        let until_due = next.map(|deadline| timer.sleep_sim(deadline.since(now())));
+        let drain = match (open, until_due) {
+            // Every sender is gone, the pipe is drained, nothing in flight.
+            (false, None) => return,
+            (true, None) => Some(rx.recv_batch_async(&mut batch, budget).await),
+            (false, Some(sleep)) => {
+                sleep.await;
+                None
             }
-            counters.offered.fetch_add(1, Ordering::Release);
-            if dropped {
-                counters.dropped.fetch_add(1, Ordering::Release);
-                continue;
-            }
-            // The spike surcharge is added *after* sampling, so toggling it
-            // never perturbs the delay RNG stream (and the zero-delay fast
-            // path draws nothing, exactly as without a spike).
-            let extra = SimDuration::from_micros(extra_delay_micros.load(Ordering::Acquire));
-            if !step.zero_delay || extra > SimDuration::ZERO {
-                let delay = if step.zero_delay {
-                    extra
-                } else {
-                    model.latency.sample(&mut delay_rng) + extra
-                };
-                timer.sleep_sim(delay).await;
-                counters
-                    .delay_micros
-                    .fetch_add(delay.as_micros(), Ordering::Release);
-            }
-            apply(message);
-            counters.delivered.fetch_add(1, Ordering::Release);
+            (true, Some(sleep)) => first_of(rx.recv_batch_async(&mut batch, budget), sleep).await,
+        };
+        if drain.is_some_and(|drain| drain.drained == 0) {
+            open = false;
         }
-        if drain.backlog > 0 {
+        // A paused link admits and applies nothing: a batch just drained is
+        // held here, the rest of the backlog stays in the pipe (where the
+        // overflow policy governs it) and what is in flight stays there.
+        // Polling keeps the task simple — pause is a modeling facility and
+        // a 1 ms cycle bounds resume latency.
+        while paused.load(Ordering::Acquire) {
+            timer.sleep(Duration::from_millis(1)).await;
+        }
+        let backlog = drain.map_or(0, |drain| drain.backlog);
+        let applied = {
+            let mut step = shared.step();
+            let now = now();
+            step.admit(now, batch.drain(..));
+            step.deliver_due(now, budget, &mut apply)
+        };
+        if backlog > 0 {
             // Budget exhausted with backlog remaining (as of the drain,
-            // which read the queue length under the lock it already held):
-            // hand the reactor back to sibling tasks before draining the
-            // next batch.
+            // which read the queue length under the lock it already held).
             rx.note_budget_yield();
+        }
+        if backlog > 0 || applied == budget {
             crate::reactor::yield_now().await;
         }
     }
+}
+
+/// Polls `first`, then `second`: `Some` of `first`'s output, or `None` if
+/// `second` completed first.
+async fn first_of<A: Future>(first: A, second: impl Future<Output = ()>) -> Option<A::Output> {
+    let (mut first, mut second) = (pin!(first), pin!(second));
+    std::future::poll_fn(|cx| match first.as_mut().poll(cx) {
+        Poll::Ready(out) => Poll::Ready(Some(out)),
+        Poll::Pending => second.as_mut().poll(cx).map(|()| None),
+    })
+    .await
 }
 
 /// One cache's modeled link: the sending half of its pipe, the link step
@@ -399,7 +578,7 @@ async fn deliver<T, F>(
 /// on whichever thread [`Link::offer`] picks.
 pub struct Link<T> {
     sender: PipeSender<T>,
-    step: Arc<LinkStep<T>>,
+    shared: Arc<Shared<T>>,
     apply: Arc<Apply<T>>,
 }
 
@@ -410,17 +589,16 @@ impl<T> std::fmt::Debug for Link<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Link")
             .field("sender", &self.sender)
-            .field("model", &self.step.task.model)
+            .field("model", &self.shared.task.model)
             .finish_non_exhaustive()
     }
 }
 
 impl<T: Clone + Send + 'static> Link<T> {
     /// A link sending through `sender`, modeled per `task` (see
-    /// [`DeliveryTask`]; the link owns the loss stream the task would),
-    /// applying what survives with `apply` — from the delivery task (one
-    /// message per call) or from an offering thread (a handed-off batch's
-    /// survivors in one call), hence `Fn + Sync`.
+    /// [`DeliveryTask`]), applying what survives with `apply` — from the
+    /// delivery task (one message per call) or from an offering thread (a
+    /// handed-off batch's survivors in one call), hence `Fn + Sync`.
     pub fn new(
         sender: PipeSender<T>,
         task: DeliveryTask,
@@ -428,20 +606,19 @@ impl<T: Clone + Send + 'static> Link<T> {
     ) -> Self {
         Link {
             sender,
-            step: Arc::new(LinkStep::new(task)),
+            shared: Arc::new(Shared::new(task)),
             apply: Arc::new(apply),
         }
     }
 
     /// The link's delivery task, to spawn on the reactor `timer` belongs
-    /// to: [`run_delivery`]'s loop over this link's state, applying each
-    /// message after its own modeled delay as a one-element slice. `rx`
-    /// must be the receiving half of the pipe the link sends through. The
-    /// task runs until every sender of that pipe — this link's included —
-    /// is gone.
+    /// to: [`run_delivery`]'s loop over this link's step, applying each
+    /// message at its deadline as a one-element slice. `rx` must be the
+    /// receiving half of the pipe the link sends through. The task runs
+    /// until every sender of that pipe — this link's included — is gone.
     pub fn deliver(&self, rx: PipeReceiver<T>, timer: TimerHandle) -> impl Future<Output = ()> + Send + 'static {
         let apply = Arc::clone(&self.apply);
-        deliver(rx, timer, Arc::clone(&self.step), move |message| {
+        deliver(rx, timer, Arc::clone(&self.shared), move |message| {
             apply(std::slice::from_ref(&message));
         })
     }
@@ -454,13 +631,15 @@ impl<T: Clone + Send + 'static> Link<T> {
     /// `apply` call) when the link has nothing to wait for — constant zero
     /// latency, no delay spike, not paused — *and* the pipe accepts the
     /// hand-off ([`PipeSender::hand_off`]: receiver alive, queue empty,
-    /// delivery task waiting on its waker). Only the second condition
-    /// carries correctness — it is what keeps the link FIFO; the first
-    /// keeps messages that must wait on the reactor's timer. Otherwise the
-    /// batch is enqueued for the delivery task: with
-    /// [`PipeSender::send_batch`] if the caller may `wait` for a slot on a
-    /// full `Block` pipe, with [`PipeSender::try_send_batch`] if it may
-    /// not. A served batch reports as wholly `enqueued`.
+    /// delivery task waiting on its waker, and every message it took
+    /// finished, none still in flight). Only the second condition carries
+    /// correctness — it is what keeps the link's order and keeps the task
+    /// and the offering thread from applying at once; the first keeps
+    /// messages that must wait on the reactor's timer. Otherwise the batch
+    /// is enqueued for the delivery task: with [`PipeSender::send_batch`]
+    /// if the caller may `wait` for a slot on a full `Block` pipe, with
+    /// [`PipeSender::try_send_batch`] if it may not. A served batch reports
+    /// as wholly `enqueued`.
     ///
     /// No clock is read and no reactor state consulted: the rule is the
     /// same for the first commit after a lull and the millionth in a row.
@@ -469,12 +648,15 @@ impl<T: Clone + Send + 'static> Link<T> {
         // the link step serves the slice it was cut from instead, so a
         // batch that loses nothing is applied without a copy.
         let messages = batch.iter().cloned();
-        if self.step.is_instant()
+        let counters = &self.shared.task.counters;
+        if self.shared.is_instant()
             && self
                 .sender
-                .hand_off(messages.clone(), |_| {
-                    self.step.serve_now(batch, &*self.apply)
-                })
+                .hand_off(
+                    messages.clone(),
+                    |received| counters.processed() == received,
+                    |_| self.shared.step().serve_now(batch, &*self.apply),
+                )
                 .is_ok()
         {
             return BatchOutcome {
@@ -492,18 +674,18 @@ impl<T: Clone + Send + 'static> Link<T> {
     /// Holds (or releases) deliveries: a paused link is never handed off
     /// to, and its task applies nothing until resumed.
     pub fn set_paused(&self, paused: bool) {
-        self.step.task.paused.store(paused, Ordering::Release);
+        self.shared.task.paused.store(paused, Ordering::Release);
     }
 
     /// Whether the link is paused.
     pub fn is_paused(&self) -> bool {
-        self.step.task.paused.load(Ordering::Acquire)
+        self.shared.task.paused.load(Ordering::Acquire)
     }
 
-    /// Sets the delay surcharge added on top of every sampled latency (a
-    /// fault plan's delay spike; zero clears it).
+    /// Sets the delay surcharge added on top of every later admission's
+    /// sampled latency (a fault plan's delay spike; zero clears it).
     pub fn set_extra_delay(&self, extra: SimDuration) {
-        self.step
+        self.shared
             .task
             .extra_delay_micros
             .store(extra.as_micros(), Ordering::Release);
@@ -511,14 +693,14 @@ impl<T: Clone + Send + 'static> Link<T> {
 
     /// Whether nothing is in flight: the pipe is empty and every message it
     /// handed out (or handed off) has been dropped or applied. A message
-    /// whose modeled delay is still being slept counts as in flight.
+    /// waiting out its modeled delay counts as in flight.
     pub fn is_idle(&self) -> bool {
         // `processed` is read before `received`: both only grow and
         // processed <= received always (a message is counted received
         // before it is served), so equality here means they were equal at
         // the second read. The other order proves nothing.
         self.sender.is_empty()
-            && self.step.task.counters.processed() == self.sender.stats().received
+            && self.shared.task.counters.processed() == self.sender.stats().received
     }
 
     /// The pipe's counters.
@@ -528,14 +710,14 @@ impl<T: Clone + Send + 'static> Link<T> {
 
     /// The link step's counters (offered / dropped / delivered / delay).
     pub fn delivery_stats(&self) -> DeliveryStatsSnapshot {
-        self.step.task.counters.snapshot()
+        self.shared.task.counters.snapshot()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipe::{bounded_pipe, OverflowPolicy, UNBOUNDED};
+    use crate::pipe::{bounded_pipe, UNBOUNDED};
     use crate::reactor::Reactor;
     use std::sync::Mutex;
     use tcache_types::{cache_channel_seed, CacheId};
@@ -560,6 +742,61 @@ mod tests {
         (out, counters.snapshot())
     }
 
+    /// A live link over an unbounded pipe, its task on its own reactor
+    /// thread, recording each message with the instant it was applied.
+    struct Live {
+        link: Link<u64>,
+        applied: Arc<Mutex<Vec<(u64, Instant)>>>,
+        handle: crate::reactor::ReactorHandle,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl Live {
+        fn start(model: DeliveryModel) -> Self {
+            let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
+            let applied = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&applied);
+            let link = Link::new(tx, DeliveryTask::new(model, 5, 6), move |batch: &[u64]| {
+                let at = Instant::now();
+                sink.lock().unwrap().extend(batch.iter().map(|&m| (m, at)));
+            });
+            let mut reactor = Reactor::new();
+            reactor.spawn(link.deliver(rx, reactor.timer()));
+            let handle = reactor.handle();
+            let thread = std::thread::spawn(move || reactor.run());
+            Live {
+                link,
+                applied,
+                handle,
+                thread,
+            }
+        }
+
+        /// Waits (under a generous deadline) until the link is idle, stops
+        /// the reactor and returns what was applied, in order.
+        fn finish(self) -> Vec<(u64, Instant)> {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !self.link.is_idle() {
+                assert!(Instant::now() < deadline, "the link never settled");
+                std::thread::yield_now();
+            }
+            self.handle.shutdown();
+            self.thread.join().unwrap();
+            let applied = self.applied.lock().unwrap().clone();
+            applied
+        }
+    }
+
+    /// The order `model`'s step applies `count` messages admitted at one
+    /// instant, replayed in virtual time — the discrete plane's order.
+    fn replayed_order(model: DeliveryModel, count: u64) -> Vec<u64> {
+        let mut step = LinkStep::new(&DeliveryTask::new(model, 5, 6));
+        step.admit(SimTime::ZERO, 0..count);
+        let mut order = Vec::new();
+        step.deliver_due(SimTime::from_secs(1_000_000), usize::MAX, |m| order.push(m));
+        order
+    }
+
     #[test]
     fn reliable_model_applies_everything_in_order() {
         let (applied, stats) = run_messages(DeliveryModel::reliable(), 1, 100);
@@ -573,9 +810,8 @@ mod tests {
 
     #[test]
     fn drop_pattern_matches_the_seeded_loss_oracle_exactly() {
-        // The loss RNG stream is the discrete-event channel's: replaying
-        // LossState over the same seed predicts exactly which messages the
-        // live task drops.
+        // Replaying LossState over the link's loss seed predicts exactly
+        // which messages the live task drops.
         let seed = cache_channel_seed(42, CacheId(1));
         let model = DeliveryModel::uniform(0.4, SimDuration::ZERO);
         let (applied, stats) = run_messages(model, seed, 2_000);
@@ -592,13 +828,109 @@ mod tests {
 
     #[test]
     fn sampled_delays_are_slept_and_accounted() {
-        let model = DeliveryModel::uniform(0.0, SimDuration::from_millis(2));
-        let start = std::time::Instant::now();
-        let (applied, stats) = run_messages(model, 3, 5);
-        assert_eq!(applied.len(), 5);
-        assert_eq!(stats.delivered, 5);
-        assert_eq!(stats.delay_micros, 5 * 2_000);
-        assert!(start.elapsed() >= std::time::Duration::from_millis(10));
+        // Twenty messages on a 10 ms link are in flight together: the task
+        // waits the delay out once (~10 ms), not once per message (200 ms).
+        let model = DeliveryModel::uniform(0.0, SimDuration::from_millis(10));
+        let start = Instant::now();
+        let (applied, stats) = run_messages(model, 3, 20);
+        let elapsed = start.elapsed();
+        assert_eq!(applied, (0..20).collect::<Vec<_>>());
+        assert_eq!(stats.delivered, 20);
+        assert_eq!(stats.delay_micros, 20 * 10_000);
+        assert!(elapsed >= Duration::from_millis(10), "{elapsed:?}");
+        assert!(elapsed < Duration::from_millis(150), "{elapsed:?}: a service time");
+    }
+
+    #[test]
+    fn a_constant_delay_is_a_latency_not_a_service_time() {
+        // Twenty messages offered back to back on a 50 ms link all land
+        // within 500 ms (a service time would take a second), and none
+        // lands before its 50 ms are up.
+        let delay = Duration::from_millis(50);
+        let live = Live::start(DeliveryModel::uniform(0.0, SimDuration::from_millis(50)));
+        let mut offered_at = Vec::new();
+        let started = Instant::now();
+        for m in 0..20u64 {
+            offered_at.push(Instant::now());
+            assert_eq!(live.link.offer(&[m], true).enqueued, 1);
+        }
+        let applied = live.finish();
+        let order: Vec<u64> = applied.iter().map(|&(m, _)| m).collect();
+        assert_eq!(order, (0..20).collect::<Vec<_>>());
+        let last = applied.iter().map(|&(_, at)| at).max().unwrap();
+        assert!(last - started < Duration::from_millis(500), "{:?}", last - started);
+        for &(m, at) in &applied {
+            assert!(at - offered_at[m as usize] >= delay, "message {m} landed early");
+        }
+    }
+
+    #[test]
+    fn uniform_latency_reorders_as_the_step_replays_it() {
+        // One batch offered at once is admitted at one instant, so the live
+        // task applies it in exactly the order the same step computes in
+        // virtual time — not in offer order.
+        let model = DeliveryModel {
+            loss: LossModel::None,
+            latency: LatencyModel::Uniform {
+                min: SimDuration::from_millis(1),
+                max: SimDuration::from_millis(100),
+            },
+        };
+        let expected = replayed_order(model, 40);
+        assert_ne!(expected, (0..40).collect::<Vec<_>>(), "the seed must reorder");
+        let live = Live::start(model);
+        let batch: Vec<u64> = (0..40).collect();
+        assert_eq!(live.link.offer(&batch, true).enqueued, 40);
+        let applied: Vec<u64> = live.finish().into_iter().map(|(m, _)| m).collect();
+        assert_eq!(applied, expected);
+    }
+
+    #[test]
+    fn a_cleared_spike_hands_nothing_off_past_messages_in_flight() {
+        // Spiked messages are in flight when the spike clears. The next
+        // batch has nothing to wait for itself, but it is not handed off
+        // while the step holds them: it takes the queue and lands first,
+        // exactly as the step orders it in virtual time. The delivery task
+        // is polled by hand, so each poll runs it until it waits and the
+        // interleaving is the test's.
+        let spike = SimDuration::from_millis(30);
+        let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
+        let applied = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&applied);
+        let task = DeliveryTask::new(DeliveryModel::reliable(), 5, 6);
+        let link = Link::new(tx, task, move |batch: &[u64]| {
+            sink.lock().unwrap().extend_from_slice(batch)
+        });
+        let reactor = Reactor::new();
+        let mut task = Box::pin(link.deliver(rx, reactor.timer()));
+        let mut poll = || {
+            let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+            assert!(task.as_mut().poll(&mut cx).is_pending());
+        };
+        poll();
+        link.set_extra_delay(spike);
+        assert_eq!(link.offer(&[0, 1], true).enqueued, 2);
+        poll(); // Admitted; the task waits for a batch or their deadline.
+        link.set_extra_delay(SimDuration::ZERO);
+        assert_eq!(link.offer(&[2, 3], true).enqueued, 2);
+        assert_eq!(link.pipe_stats().direct, 0, "handed off past messages in flight");
+        poll();
+        assert_eq!(*applied.lock().unwrap(), vec![2, 3]);
+        // Let the spike run out (wall time is the live step's clock).
+        #[allow(clippy::disallowed_methods)]
+        std::thread::sleep(Duration::from_micros(spike.as_micros()));
+        poll();
+        assert!(link.is_idle());
+
+        let mut step = LinkStep::new(&DeliveryTask::new(DeliveryModel::reliable(), 5, 6));
+        step.set_extra_delay(spike);
+        step.admit(SimTime::ZERO, [0, 1]);
+        step.set_extra_delay(SimDuration::ZERO);
+        step.admit(SimTime::ZERO, [2, 3]);
+        let mut expected = Vec::new();
+        step.deliver_due(SimTime::ZERO + spike, usize::MAX, |m| expected.push(m));
+        assert_eq!(expected, vec![2, 3, 0, 1]);
+        assert_eq!(*applied.lock().unwrap(), expected);
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //!
 //! A sender can also skip the queue altogether: [`PipeSender::hand_off`]
 //! serves a batch on the sending thread when, under the pipe lock, the
-//! queue is empty and the receiver is waiting on its registered waker —
-//! the one state in which that is indistinguishable from enqueueing the
-//! batch and the receiver draining it at once.
+//! queue is empty and the receiver is waiting on its registered waker,
+//! done with everything it took — the one state in which that is
+//! indistinguishable from enqueueing the batch and the receiver draining
+//! it at once.
 
 use std::collections::VecDeque;
 use std::future::Future;
@@ -535,14 +536,16 @@ impl<T> PipeSender<T> {
     /// it, if — checked and acted on under the pipe lock — the receiver is
     /// alive, the queue is empty and the receiver's waker is registered:
     /// its last poll found nothing and it has not been woken since, so it
-    /// is waiting, not holding messages it drained earlier. In that state
-    /// an enqueue would wake the receiver to drain exactly this batch and
-    /// nothing else, so serving it here, with every other sender and the
-    /// receiver's next poll held off by the lock, keeps the pipe FIFO: what
-    /// was sent before has been received, what is sent after is served or
-    /// queued after. (That orders *processing* only for a receiver that
-    /// finishes what it drained before it polls again, as the delivery task
-    /// does.) Otherwise the batch comes back as `Err`, untouched, for the
+    /// is waiting — and `finished(received)` says the receiver is done with
+    /// the `received` messages it has taken. In that state an enqueue would
+    /// wake the receiver to drain exactly this batch and nothing else, so
+    /// serving it here, with every other sender and the receiver's next
+    /// poll held off by the lock, keeps the pipe FIFO: what was sent before
+    /// has been received, what is sent after is served or queued after.
+    /// (That orders *processing* only for a receiver that finishes what it
+    /// drained before it polls again, or whose `finished` says when it has:
+    /// the delivery task polls again while messages it drained are still in
+    /// flight.) Otherwise the batch comes back as `Err`, untouched, for the
     /// caller to enqueue. (Every push takes the waker, so today a registered
     /// waker already implies an empty queue; the queue is checked anyway
     /// because it, not the waker protocol, is the FIFO condition.)
@@ -553,19 +556,28 @@ impl<T> PipeSender<T> {
     /// yet accounted for. Capacity does not apply (nothing is queued), no
     /// waker fires and the receiver stays parked.
     ///
-    /// `serve` runs with the pipe lock held: of this pipe it may read
-    /// `stats()` and nothing else (every other call takes the lock), and
-    /// whatever it locks is ordered after this pipe's lock.
+    /// `finished` and `serve` run with the pipe lock held: of this pipe they
+    /// may read `stats()` and nothing else (every other call takes the
+    /// lock), and whatever they lock is ordered after this pipe's lock.
     ///
     /// # Errors
     /// Returns the batch when it was not served.
-    pub fn hand_off<I>(&self, batch: I, serve: impl FnOnce(I)) -> Result<(), I>
+    pub fn hand_off<I>(
+        &self,
+        batch: I,
+        finished: impl FnOnce(u64) -> bool,
+        serve: impl FnOnce(I),
+    ) -> Result<(), I>
     where
         I: ExactSizeIterator<Item = T>,
     {
         let shared = &self.shared;
         let inner = shared.inner.lock().expect("pipe lock");
-        if !(inner.receiver_alive && inner.queue.is_empty() && inner.recv_waker.is_some()) {
+        if !(inner.receiver_alive
+            && inner.queue.is_empty()
+            && inner.recv_waker.is_some()
+            && finished(shared.stats.received.load(Ordering::Relaxed)))
+        {
             return Err(batch);
         }
         let served = batch.len() as u64;
@@ -993,14 +1005,14 @@ mod tests {
         };
 
         // Never polled: no waker says the receiver is waiting.
-        assert_eq!(tx.hand_off(0..3, serve), Err(0..3));
+        assert_eq!(tx.hand_off(0..3, |_| true, serve), Err(0..3));
         assert_eq!(tx.stats(), PipeStatsSnapshot::default());
 
         // Waiting on an empty queue: served in order, past the capacity,
         // and the receiver is left parked — again and again.
         assert_eq!(poll_batch(&rx, &fires, &mut buf, 16), Poll::Pending);
-        assert_eq!(tx.hand_off(0..3, serve), Ok(()));
-        assert_eq!(tx.hand_off(3..4, serve), Ok(()));
+        assert_eq!(tx.hand_off(0..3, |_| true, serve), Ok(()));
+        assert_eq!(tx.hand_off(3..4, |_| true, serve), Ok(()));
         assert_eq!(*served.lock().unwrap(), vec![0, 1, 2, 3]);
         let stats = tx.stats();
         assert_eq!((stats.enqueued, stats.received, stats.direct), (4, 4, 4));
@@ -1011,7 +1023,7 @@ mod tests {
         // Something queued ahead (which also took the waker): refused.
         tx.send(4).unwrap();
         assert_eq!(fires.0.load(Ordering::Relaxed), 1);
-        assert_eq!(tx.hand_off(5..6, serve), Err(5..6));
+        assert_eq!(tx.hand_off(5..6, |_| true, serve), Err(5..6));
 
         // The receiver drained it and has not polled since — it may still
         // be working on what it holds: refused, although the queue is empty.
@@ -1023,11 +1035,14 @@ mod tests {
             })
         );
         assert!(tx.is_empty());
-        assert_eq!(tx.hand_off(5..6, serve), Err(5..6));
+        assert_eq!(tx.hand_off(5..6, |_| true, serve), Err(5..6));
 
-        // Done with it and waiting again: served.
+        // Waiting again, but still holding what it took: refused.
         assert_eq!(poll_batch(&rx, &fires, &mut buf, 16), Poll::Pending);
-        assert_eq!(tx.hand_off(5..6, serve), Ok(()));
+        assert_eq!(tx.hand_off(5..6, |received| received == 0, serve), Err(5..6));
+
+        // Done with it and waiting: served.
+        assert_eq!(tx.hand_off(5..6, |received| received == 5, serve), Ok(()));
         assert_eq!(*served.lock().unwrap(), vec![0, 1, 2, 3, 5]);
         assert_eq!(tx.stats().direct, 5);
         assert_eq!((tx.stats().received, tx.stats().batched_polls), (6, 1));
@@ -1035,7 +1050,7 @@ mod tests {
 
         // Receiver gone (its waker is still registered): refused.
         drop(rx);
-        assert_eq!(tx.hand_off(6..7, serve), Err(6..7));
+        assert_eq!(tx.hand_off(6..7, |_| true, serve), Err(6..7));
         assert_eq!(fires.0.load(Ordering::Relaxed), 1);
     }
 
@@ -1130,7 +1145,7 @@ mod tests {
                     }
                     1 => {
                         let expect_served = model.waiting && model.queue.is_empty();
-                        let served = tx.hand_off(batch.clone(), |batch| out.extend(batch));
+                        let served = tx.hand_off(batch.clone(), |_| true, |batch| out.extend(batch));
                         prop_assert_eq!(served.is_ok(), expect_served, "HandoffOnlyWhenReceiverWaiting");
                         match served {
                             Ok(()) => {

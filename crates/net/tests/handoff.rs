@@ -232,6 +232,10 @@ fn drop_pattern_matches_the_seeded_loss_oracle_on_both_paths() {
                 offer(20);
                 assert_eq!(harness.direct(), before, "a spiked link was handed off to");
                 harness.link.set_extra_delay(SimDuration::ZERO);
+                // A spike is a latency: zero-delay offers made while spiked
+                // messages are in flight may land first. Let them land, so
+                // the stream stays in pipe order for the oracle.
+                spin_until("the spiked messages land", || harness.link.is_idle());
             }
         }
         let offered = next;

@@ -2,11 +2,11 @@
 //!
 //! The paper's setup (§IV, Figure 2) wires a single cache; the harness
 //! generalizes it to a [`CacheTopology`] of N caches over the same backend.
-//! Each cache has its own invalidation channel (independently seeded from
-//! `(seed, CacheId)`, optionally with heterogeneous loss) and its own
-//! read-only client population; the consistency monitor classifies
-//! transactions both globally and per cache, since cache serializability is
-//! a per-cache-server property.
+//! Each cache has its own invalidation link (a [`LinkStep`], independently
+//! seeded from `(seed, CacheId)`, optionally with heterogeneous loss) and
+//! its own read-only client population; the consistency monitor classifies
+//! transactions both globally and per cache, since cache serializability
+//! is a per-cache-server property.
 
 use crate::plane::ExecutionPlane;
 use crate::results::ExperimentResult;
@@ -16,11 +16,13 @@ use std::sync::Arc;
 use tcache_cache::EdgeCache;
 use tcache_db::{Database, DatabaseConfig};
 use tcache_monitor::ConsistencyMonitor;
-use tcache_net::fanout::{CacheLink, InvalidationFanout};
+use tcache_db::Invalidation;
+use tcache_net::delivery::{DeliveryModel, DeliveryTask, LinkStep};
 use tcache_net::fault::{FaultEvent, FaultKind, FaultPlan};
 use tcache_net::pipe::OverflowPolicy;
 use tcache_types::{
-    CacheId, DependencyBound, ObjectId, RecoveryPolicy, SimDuration, SimTime, Strategy, Value,
+    cache_channel_seed, cache_delay_seed, CacheId, DependencyBound, ObjectId, RecoveryPolicy,
+    SimDuration, SimTime, Strategy, Value,
 };
 use tcache_workload::graph::GraphKind;
 use tcache_workload::{
@@ -309,10 +311,13 @@ pub struct ExperimentConfig {
     pub invalidation_loss: f64,
     /// One-way delivery delay of surviving invalidations.
     pub invalidation_delay: SimDuration,
-    /// In-flight capacity of each cache's invalidation pipe (`None` for the
-    /// paper's unbounded pipe).
+    /// Capacity of each cache's invalidation link (`None` for the paper's
+    /// unbounded link). On the discrete-event plane it bounds the messages
+    /// in flight on the cache's [`LinkStep`]; on the live plane it bounds
+    /// the cache's pipe, the queue in front of the step, which pushes back
+    /// on the publisher.
     pub pipe_capacity: Option<usize>,
-    /// What a full pipe does with an arriving invalidation.
+    /// What a full link does with an arriving invalidation.
     pub overflow_policy: OverflowPolicy,
     /// Deterministic schedule of injected faults (crashes, partitions,
     /// delay spikes). Empty by default; both execution planes walk the
@@ -424,9 +429,11 @@ pub struct Experiment {
     pub(crate) db: Arc<Database>,
     /// One cache per deployed column; `caches[i].id() == CacheId(i)`.
     pub(crate) caches: Vec<EdgeCache>,
-    /// Configured loss rate of each cache's channel (same indexing).
+    /// Configured loss rate of each cache's link (same indexing).
     pub(crate) losses: Vec<f64>,
-    pub(crate) fanout: InvalidationFanout,
+    /// Each cache's invalidation link, driven on the virtual clock (same
+    /// indexing).
+    pub(crate) links: Vec<LinkStep<Invalidation>>,
     pub(crate) monitor: ConsistencyMonitor,
     pub(crate) timeseries: TimeSeries,
 }
@@ -440,7 +447,7 @@ impl std::fmt::Debug for Experiment {
 }
 
 impl Experiment {
-    /// Builds all components (database, caches, per-cache channels,
+    /// Builds all components (database, caches, per-cache links,
     /// monitor) from the configuration and populates the database.
     ///
     /// # Panics
@@ -476,24 +483,30 @@ impl Experiment {
                 cache
             })
             .collect();
-        // Each cache's channel is seeded from (seed, CacheId), so the loss
+        // Each cache's link is seeded from (seed, CacheId), so the loss
         // pattern a cache observes does not depend on how many other caches
         // are deployed or how events interleave.
         let pipe_capacity = config.pipe_capacity.unwrap_or(usize::MAX);
-        let fanout = InvalidationFanout::new(
-            config.seed,
-            losses.iter().enumerate().map(|(i, &loss)| {
-                CacheLink::uniform(CacheId(i as u32), loss, config.invalidation_delay)
-                    .with_pipe(pipe_capacity, config.overflow_policy)
-            }),
-        );
+        let links = losses
+            .iter()
+            .enumerate()
+            .map(|(i, &loss)| {
+                let id = CacheId(i as u32);
+                LinkStep::new(&DeliveryTask::new(
+                    DeliveryModel::uniform(loss, config.invalidation_delay),
+                    cache_channel_seed(config.seed, id),
+                    cache_delay_seed(config.seed, id),
+                ))
+                .bounded(pipe_capacity, config.overflow_policy)
+            })
+            .collect();
         let timeseries = TimeSeries::new(config.timeseries_bin);
         Experiment {
             config,
             db,
             caches,
             losses,
-            fanout,
+            links,
             monitor: ConsistencyMonitor::new(),
             timeseries,
         }
@@ -538,9 +551,9 @@ mod tests {
         assert!((reads - 2500.0).abs() < 400.0, "read txns {reads}");
         assert!((updates - 500.0).abs() < 150.0, "update txns {updates}");
         assert!(result.hit_ratio() > 0.5);
-        assert!(result.channel.sent > 0);
-        let loss = result.channel.loss_ratio();
-        assert!((loss - 0.2).abs() < 0.05, "channel loss {loss}");
+        assert!(result.link.offered > 0);
+        let loss = result.link.dropped as f64 / result.link.offered as f64;
+        assert!((loss - 0.2).abs() < 0.05, "link loss {loss}");
     }
 
     #[test]
@@ -601,7 +614,7 @@ mod tests {
             result.report.committed_inconsistent, 0,
             "without loss or delay every committed transaction is consistent"
         );
-        assert_eq!(result.channel.dropped, 0);
+        assert_eq!(result.link.dropped, 0);
     }
 
     #[test]
@@ -627,19 +640,19 @@ mod tests {
             .sum();
         assert_eq!(inconsistent_sum, result.report.committed_inconsistent);
 
-        // Channel and cache stats aggregate across the fan-out.
-        let sent_sum: u64 = result.per_cache.iter().map(|c| c.channel.sent).sum();
-        assert_eq!(sent_sum, result.channel.sent);
+        // Link and cache stats aggregate across the caches.
+        let offered_sum: u64 = result.per_cache.iter().map(|c| c.link.offered).sum();
+        assert_eq!(offered_sum, result.link.offered);
         let reads_sum: u64 = result.per_cache.iter().map(|c| c.cache.reads).sum();
         assert_eq!(reads_sum, result.cache.reads);
 
-        // Every cache sees its own configured loss rate on its own channel.
+        // Every cache sees its own configured loss rate on its own link.
         for column in &result.per_cache {
+            let observed = column.link.dropped as f64 / column.link.offered as f64;
             assert!(
-                (column.channel.loss_ratio() - column.loss).abs() < 0.07,
-                "{}: observed loss {} configured {}",
+                (observed - column.loss).abs() < 0.07,
+                "{}: observed loss {observed} configured {}",
                 column.id,
-                column.channel.loss_ratio(),
                 column.loss
             );
             // Each cache serves roughly its share of the read traffic.
@@ -653,7 +666,7 @@ mod tests {
         for (a, b) in result.per_cache.iter().zip(&again.per_cache) {
             assert_eq!(a.report, b.report);
             assert_eq!(a.cache, b.cache);
-            assert_eq!(a.channel, b.channel);
+            assert_eq!(a.link, b.link);
         }
     }
 
@@ -697,8 +710,8 @@ mod tests {
         .run();
         assert_eq!(result.per_cache[1].report.read_only_total(), 0);
         assert!(result.per_cache[0].report.read_only_total() > 0);
-        // The idle cache still receives invalidations on its own channel.
-        assert!(result.per_cache[1].channel.sent > 0);
+        // The idle cache still receives invalidations on its own link.
+        assert!(result.per_cache[1].link.offered > 0);
     }
 
     #[test]
@@ -722,15 +735,15 @@ mod tests {
             ..base.clone()
         }
         .run();
-        assert!(dropped.channel.overflowed > 0);
-        assert_eq!(dropped.channel.stalled, 0);
+        assert!(dropped.link.overflowed > 0);
+        assert_eq!(dropped.link.stalled, 0);
         let blocked = ExperimentConfig {
             overflow_policy: OverflowPolicy::Block,
             ..base
         }
         .run();
-        assert_eq!(blocked.channel.overflowed, 0);
-        assert!(blocked.channel.stalled > 0);
+        assert_eq!(blocked.link.overflowed, 0);
+        assert!(blocked.link.stalled > 0);
     }
 
     #[test]

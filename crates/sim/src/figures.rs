@@ -555,7 +555,7 @@ pub struct LivePlaneRow {
     pub live_tcache_inconsistency_pct: f64,
     /// Invalidations this cache's live delivery task dropped.
     pub live_dropped: u64,
-    /// Invalidations the discrete-event channel dropped.
+    /// Invalidations the discrete-event plane's links dropped.
     pub sim_dropped: u64,
 }
 
@@ -626,8 +626,8 @@ pub fn live_plane(duration: SimDuration, seed: u64, losses: &[f64]) -> LivePlane
                 live_plain_inconsistency_pct: live.inconsistency_ratio() * 100.0,
                 sim_plain_inconsistency_pct: sim.inconsistency_ratio() * 100.0,
                 live_tcache_inconsistency_pct: tcache.inconsistency_ratio() * 100.0,
-                live_dropped: live.channel.dropped,
-                sim_dropped: sim.channel.dropped,
+                live_dropped: live.link.dropped,
+                sim_dropped: sim.link.dropped,
             }
         })
         .collect();
@@ -719,9 +719,9 @@ pub fn backpressure(
             capacity,
             policy: policy.to_string(),
             inconsistency_pct: result.inconsistency_ratio() * 100.0,
-            overflowed: result.channel.overflowed,
-            stalled: result.channel.stalled,
-            delivered: result.channel.delivered,
+            overflowed: result.link.overflowed,
+            stalled: result.link.stalled,
+            delivered: result.link.delivered,
         }
     };
     // An unbounded pipe never engages any policy, so the baseline is
@@ -984,7 +984,7 @@ pub fn scenarios(duration: SimDuration, seed: u64) -> ScenarioFigure {
             p50_us: aggregate.p50().unwrap_or(0),
             p99_us: aggregate.p99().unwrap_or(0),
             p999_us: aggregate.p999().unwrap_or(0),
-            dropped: result.channel.dropped,
+            dropped: result.link.dropped,
         });
     }
 
@@ -1013,7 +1013,7 @@ pub fn scenarios(duration: SimDuration, seed: u64) -> ScenarioFigure {
         .per_cache
         .iter()
         .zip(&two_tier.per_cache)
-        .all(|(a, b)| a.report == b.report && a.channel.dropped == b.channel.dropped);
+        .all(|(a, b)| a.report == b.report && a.link.dropped == b.link.dropped);
 
     ScenarioFigure {
         rows,

@@ -1,21 +1,23 @@
 //! The discrete-event execution plane.
 //!
 //! Replays a pre-built [`Schedule`] against the simulated components in
-//! virtual time: every transaction executes at its scheduled instant, the
-//! per-cache discrete-event channels ([`tcache_net::channel`]) drop and
-//! delay invalidations, and deliveries that became due are applied before
-//! each event — exactly the loop the experiment harness has always run,
-//! with workload generation factored out into the schedule so the live
-//! plane can execute the identical script.
+//! virtual time: every transaction executes at its scheduled instant, each
+//! cache's link ([`tcache_net::delivery::LinkStep`], the same link model
+//! the live plane drives in wall-clock time) drops and delays its
+//! invalidations, and deliveries that became due are applied before each
+//! event. A `DeliverInvalidations` event is scheduled at the earliest
+//! deadline across the links after every commit. Workload generation is
+//! factored out into the schedule so the live plane can execute the
+//! identical script.
 //!
 //! The configured [`FaultPlan`] is walked with a cursor: every event due by
 //! the current instant fires after pending deliveries are applied and
 //! before the transaction executes, mirroring the live plane (which
 //! quiesces deliveries after each commit and applies faults before each
 //! operation). A severed link — crash or partition — stops *publication*
-//! to that cache's channel, and deliveries addressed to a severed cache
-//! are discarded rather than applied, exactly like the reactor plane's
-//! delivery loop.
+//! to that cache's link, and deliveries that reach a severed cache are
+//! discarded rather than applied (still counted `delivered`), exactly like
+//! the live plane's apply.
 
 use crate::event::{Event, EventQueue};
 use crate::experiment::Experiment;
@@ -24,6 +26,7 @@ use crate::results::{CacheColumnResult, ExperimentResult};
 use crate::schedule::{Schedule, ScheduledTxn};
 use tcache_cache::{CacheStatsSnapshot, ReadMode};
 use tcache_monitor::ReadPhase;
+use tcache_net::delivery::{DeliveryStatsSnapshot, LinkStep};
 use tcache_net::fault::{FaultCursor, FaultEvent, FaultKind, FaultPlan};
 use tcache_types::{CacheId, SimTime, TransactionRecord};
 use tcache_workload::LatencyHistogram;
@@ -86,33 +89,34 @@ pub(crate) fn execute(mut exp: Experiment, schedule: &Schedule) -> ExperimentRes
     let per_cache: Vec<CacheColumnResult> = exp
         .caches
         .iter()
-        .zip(exp.fanout.stats())
+        .zip(&exp.links)
         .zip(&exp.losses)
         .zip(latency)
-        .map(|(((cache, (channel_id, channel)), &loss), latency)| {
-            debug_assert_eq!(cache.id(), channel_id);
+        .map(|(((cache, link), &loss), latency)| {
             CacheColumnResult {
                 id: cache.id(),
                 loss,
                 report: exp.monitor.cache_report(cache.id()),
                 degraded: exp.monitor.phase_report(cache.id(), ReadPhase::Degraded),
                 cache: cache.stats(),
-                channel,
+                link: link.stats(),
                 lifecycle: cache.lifecycle_stats(),
                 latency,
             }
         })
         .collect();
     let mut cache_total = CacheStatsSnapshot::default();
+    let mut link_total = DeliveryStatsSnapshot::default();
     for column in &per_cache {
         cache_total.merge(column.cache);
+        link_total.merge(column.link);
     }
     ExperimentResult {
         duration: exp.config.duration,
         report: exp.monitor.report(),
         cache: cache_total,
         db: exp.db.stats(),
-        channel: exp.fanout.aggregate_stats(),
+        link: link_total,
         per_cache,
         timeseries: exp.timeseries,
         execution_wall: None,
@@ -120,12 +124,14 @@ pub(crate) fn execute(mut exp: Experiment, schedule: &Schedule) -> ExperimentRes
 }
 
 fn deliver_due(exp: &mut Experiment, now: SimTime, severed: &[bool]) {
-    for (cache, invalidation) in exp.fanout.due(now) {
-        // A severed cache's deliveries are discarded, like the reactor
-        // plane's delivery loop draining a severed pipe without applying.
-        if !severed[cache.0 as usize] {
-            exp.caches[cache.0 as usize].apply_invalidation(invalidation);
-        }
+    for ((link, cache), &cut) in exp.links.iter_mut().zip(&exp.caches).zip(severed) {
+        // A severed cache's deliveries are discarded, like the live
+        // plane's apply skipping a severed cache.
+        link.deliver_due(now, usize::MAX, |invalidation| {
+            if !cut {
+                cache.apply_invalidation(invalidation);
+            }
+        });
     }
 }
 
@@ -156,12 +162,7 @@ fn apply_due_faults(
                 exp.caches[index].reconnect();
                 severed[index] = false;
             }
-            FaultKind::DelaySpike(extra) => {
-                exp.fanout
-                    .channel_mut(cache)
-                    .expect("fault plan names a deployed cache")
-                    .set_extra_delay(extra);
-            }
+            FaultKind::DelaySpike(extra) => exp.links[index].set_extra_delay(extra),
         }
     }
 }
@@ -184,19 +185,15 @@ fn run_update(
             exp.monitor.record_update_commit(&record);
             // Fan out per cache, skipping severed links: a crashed or
             // partitioned cache receives nothing, exactly like the live
-            // plane's publisher discarding sends toward a severed pipe.
-            // Per-cache channels draw from independent RNG streams, so
+            // plane's publisher discarding sends toward a severed link.
+            // Per-cache links draw from independent RNG streams, so
             // skipping one cache never perturbs another's loss pattern.
-            for (index, &cut) in severed.iter().enumerate() {
+            for (link, &cut) in exp.links.iter_mut().zip(severed) {
                 if !cut {
-                    exp.fanout.send_to(
-                        CacheId(index as u32),
-                        now,
-                        commit.invalidations.iter().copied(),
-                    );
+                    link.admit(now, commit.invalidations.iter().copied());
                 }
             }
-            if let Some(at) = exp.fanout.next_delivery_at() {
+            if let Some(at) = exp.links.iter().filter_map(LinkStep::next_deadline).min() {
                 queue.schedule(at, Event::DeliverInvalidations);
             }
         }

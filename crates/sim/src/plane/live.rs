@@ -10,9 +10,10 @@
 //!   transactions (the schedule already sized each population from
 //!   `CacheTopology::client_shares`);
 //! * the **reactor thread** runs every cache's delivery task, which
-//!   applies the per-cache loss / latency models in wall-clock time
-//!   ([`tcache_net::delivery`]), seeded from `(seed, CacheId)` exactly
-//!   like the discrete-event channels.
+//!   drives the cache's link step ([`tcache_net::delivery::LinkStep`]) in
+//!   wall-clock time, seeded from `(seed, CacheId)` exactly like the
+//!   discrete-event plane's steps; a link with nothing to wait for is
+//!   served on the committing thread instead.
 //!
 //! Classification is deferred: threads log what each transaction observed,
 //! and after the run the log is replayed through a fresh monitor, each
@@ -36,7 +37,7 @@ use std::time::{Duration, Instant};
 use tcache::{SystemBuilder, TCacheSystem};
 use tcache_cache::{CacheStatsSnapshot, ObservedVec, ReadMode};
 use tcache_monitor::{ConsistencyMonitor, ReadPhase};
-use tcache_net::delivery::DeliveryModel;
+use tcache_net::delivery::{DeliveryModel, DeliveryStatsSnapshot};
 use tcache_net::fault::{FaultCursor, FaultEvent, FaultKind};
 use tcache_types::{
     CacheId, CachePolicyConfig, ObjectId, SimTime, TransactionRecord, Value,
@@ -256,7 +257,7 @@ pub(crate) fn run(config: ExperimentConfig, options: LiveOptions) -> ExperimentR
         read_logs.extend(log);
         latency_columns.push(latency);
     }
-    // Wait out every in-flight delivery (sleeping modeled delays included)
+    // Wait out every in-flight delivery (modeled delays included)
     // so the final statistics and cache states are settled. Only the
     // lockstep plane turns a timeout into a failure (its contract is
     // determinism); a free-running run just reports what settled.
@@ -293,7 +294,7 @@ pub(crate) fn run(config: ExperimentConfig, options: LiveOptions) -> ExperimentR
             report: monitor.cache_report(node.id),
             degraded: monitor.phase_report(node.id, ReadPhase::Degraded),
             cache: node.cache,
-            channel: node.channel,
+            link: node.delivery,
             lifecycle: system
                 .cache(node.id)
                 .expect("cache is deployed")
@@ -302,15 +303,17 @@ pub(crate) fn run(config: ExperimentConfig, options: LiveOptions) -> ExperimentR
         })
         .collect();
     let mut cache_total = CacheStatsSnapshot::default();
+    let mut link_total = DeliveryStatsSnapshot::default();
     for column in &per_cache {
         cache_total.merge(column.cache);
+        link_total.merge(column.link);
     }
     ExperimentResult {
         duration: config.duration,
         report,
         cache: cache_total,
         db: system.database().stats(),
-        channel: stats.channel,
+        link: link_total,
         per_cache,
         timeseries,
         execution_wall: Some(execution_wall),

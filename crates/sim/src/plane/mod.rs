@@ -6,24 +6,32 @@
 //! of *execution plane* — the machinery that actually runs those
 //! transactions and delivers invalidations:
 //!
+//! Both planes model each cache's invalidation link with the same
+//! [`LinkStep`](tcache_net::delivery::LinkStep) — seeded loss, each
+//! message's own latency, an in-flight deadline heap — and differ only in
+//! the clock that drives it:
+//!
 //! * [`ExecutionPlane::DiscreteEvent`] (the default) replays the schedule
-//!   against the simulated components in virtual time: the per-cache
-//!   discrete-event channels ([`tcache_net::channel`]) drop and delay
-//!   invalidations, and nothing runs concurrently. Fast, exactly
-//!   reproducible, the plane every paper figure historically used.
+//!   against the simulated components in virtual time: each cache's step
+//!   admits the invalidations of every commit at its scheduled instant and
+//!   delivers them at their virtual deadlines, and nothing runs
+//!   concurrently. Fast, exactly reproducible, the plane every paper
+//!   figure historically used.
 //! * [`ExecutionPlane::Live`] partitions the same schedule over real
-//!   threads driving a real `TCacheSystem` in reactor transport with
-//!   modeled delivery: update transactions commit against the backend on
-//!   the driver thread, each cache's read-only client population runs on
-//!   its own thread (sized by `CacheTopology::client_shares`), and the
-//!   per-cache loss / latency models run *inside* the reactor's delivery
-//!   tasks ([`tcache_net::delivery`]), seeded from `(seed, CacheId)` like
+//!   threads driving a real `TCacheSystem`: update transactions commit
+//!   against the backend on the driver thread, each cache's read-only
+//!   client population runs on its own thread (sized by
+//!   `CacheTopology::client_shares`), and each cache's step runs in
+//!   wall-clock time *inside* the reactor's delivery task
+//!   ([`tcache_net::delivery`]), seeded from `(seed, CacheId)` like
 //!   everything else.
 //!
 //! Because both planes execute the same schedule against the same seeded
 //! loss streams, a lockstep live run at zero delivery delay produces the
 //! *same* `ConsistencyMonitor` verdicts as the discrete-event plane — the
-//! cross-plane parity the tests pin down. With free-running clients
+//! cross-plane parity the tests pin down. (At a non-zero delay the live
+//! plane's deadlines are wall-clock instants, which a lockstep run cannot
+//! align with the schedule's virtual ones.) With free-running clients
 //! ([`LivePacing::Concurrent`]) the live plane instead measures what the
 //! real stack does under genuine concurrency.
 //!

@@ -4,7 +4,7 @@ use crate::timeseries::TimeSeries;
 use tcache_cache::{CacheStatsSnapshot, LifecycleStatsSnapshot};
 use tcache_db::stats::DbStatsSnapshot;
 use tcache_monitor::MonitorReport;
-use tcache_net::channel::ChannelStats;
+use tcache_net::delivery::DeliveryStatsSnapshot;
 use tcache_types::{CacheId, SimDuration};
 use tcache_workload::LatencyHistogram;
 
@@ -14,7 +14,7 @@ use tcache_workload::LatencyHistogram;
 pub struct CacheColumnResult {
     /// The cache server.
     pub id: CacheId,
-    /// The configured loss rate of this cache's invalidation channel.
+    /// The configured loss rate of this cache's invalidation link.
     pub loss: f64,
     /// The monitor's classification of the transactions this cache served.
     /// (Update counters are global and stay zero here.)
@@ -25,8 +25,9 @@ pub struct CacheColumnResult {
     pub degraded: MonitorReport,
     /// This cache's statistics.
     pub cache: CacheStatsSnapshot,
-    /// This cache's channel statistics.
-    pub channel: ChannelStats,
+    /// This cache's link statistics: offered, dropped, delivered, and what
+    /// a bounded discrete-plane link lost to overflow or admitted late.
+    pub link: DeliveryStatsSnapshot,
     /// Fault/recovery lifecycle counters: stream gaps detected, log
     /// replays, snapshot resyncs, crash/partition events observed.
     pub lifecycle: LifecycleStatsSnapshot,
@@ -66,8 +67,8 @@ pub struct ExperimentResult {
     pub cache: CacheStatsSnapshot,
     /// Database-side statistics (reads served, updates committed, …).
     pub db: DbStatsSnapshot,
-    /// Invalidation channel statistics summed over all per-cache channels.
-    pub channel: ChannelStats,
+    /// Link statistics summed over every cache's link.
+    pub link: DeliveryStatsSnapshot,
     /// Per-cache measurements, indexed by `CacheId` (one entry per deployed
     /// cache; a single-cache run has exactly one).
     pub per_cache: Vec<CacheColumnResult>,
@@ -194,14 +195,14 @@ mod tests {
             report,
             cache,
             db: DbStatsSnapshot::default(),
-            channel: ChannelStats::default(),
+            link: DeliveryStatsSnapshot::default(),
             per_cache: vec![CacheColumnResult {
                 id: CacheId(0),
                 loss: 0.2,
                 report,
                 degraded: MonitorReport::default(),
                 cache,
-                channel: ChannelStats::default(),
+                link: DeliveryStatsSnapshot::default(),
                 lifecycle: LifecycleStatsSnapshot::default(),
                 latency: LatencyHistogram::new(),
             }],

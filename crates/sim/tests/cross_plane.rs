@@ -71,9 +71,9 @@ fn assert_verdict_parity(config: ExperimentConfig) {
         );
         assert_eq!(d.cache.hits, l.cache.hits, "{}: same hit counts", d.id);
         // The link carried the same traffic and lost the same messages.
-        assert_eq!(d.channel.sent, l.channel.sent, "{}: same sends", d.id);
+        assert_eq!(d.link.offered, l.link.offered, "{}: same sends", d.id);
         assert_eq!(
-            d.channel.dropped, l.channel.dropped,
+            d.link.dropped, l.link.dropped,
             "{}: same drop counts",
             d.id
         );
@@ -95,8 +95,8 @@ fn zero_loss_zero_delay_planes_produce_identical_verdicts() {
 
 #[test]
 fn lossy_zero_delay_planes_still_agree_exactly() {
-    // Constant (zero) latency draws nothing from the channel RNG, so the
-    // per-cache drop pattern is the same stream on both planes and the
+    // Each cache's loss draws come from the same `(seed, CacheId)` stream
+    // on both planes, so the per-cache drop pattern is identical and the
     // verdicts — including real inconsistencies and aborts — line up
     // message for message.
     let config = ExperimentConfig {
@@ -127,20 +127,20 @@ fn live_drop_counts_match_the_seeded_loss_oracle_exactly() {
     // Every committed update broadcast its invalidations to every cache,
     // so each cache's task saw the same message count.
     for (i, column) in live.per_cache.iter().enumerate() {
-        assert!(column.channel.sent > 0);
+        assert!(column.link.offered > 0);
         let mut rng = StdRng::seed_from_u64(cache_channel_seed(config.seed, CacheId(i as u32)));
         let mut oracle = LossState::new(LossModel::uniform(losses[i]));
-        let expected = (0..column.channel.sent)
+        let expected = (0..column.link.offered)
             .filter(|_| oracle.should_drop(&mut rng))
             .count() as u64;
         assert_eq!(
-            column.channel.dropped, expected,
+            column.link.dropped, expected,
             "{}: live drops must replay the seeded LossState oracle",
             column.id
         );
         assert_eq!(
-            column.channel.delivered,
-            column.channel.sent - expected,
+            column.link.delivered,
+            column.link.offered - expected,
             "{}: survivors are all applied",
             column.id
         );
@@ -245,7 +245,7 @@ fn scenario_schedules_preserve_cross_plane_parity() {
     // a cache, and fills the histograms — parity below is not vacuous.
     let reference = config.clone().run();
     assert!(reference.report.read_only_total() > 500);
-    assert!(reference.channel.dropped > 0);
+    assert!(reference.link.dropped > 0);
     assert_eq!(reference.per_cache[1].lifecycle.crashes, 1);
     for column in &reference.per_cache {
         assert_eq!(
