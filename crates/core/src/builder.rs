@@ -44,7 +44,6 @@ use tcache_types::{
 pub struct SystemBuilder {
     dependency_bound: DependencyBound,
     strategy: Strategy,
-    shards: usize,
     caches: usize,
     per_cache_loss: Option<Vec<f64>>,
     invalidation_loss: f64,
@@ -63,7 +62,6 @@ impl Default for SystemBuilder {
         SystemBuilder {
             dependency_bound: DependencyBound::Bounded(3),
             strategy: Strategy::Retry,
-            shards: 1,
             caches: 1,
             per_cache_loss: None,
             invalidation_loss: 0.0,
@@ -96,8 +94,8 @@ pub fn two_tier_parents(roots: usize, leaves_per_root: usize) -> Vec<Option<Cach
 
 impl SystemBuilder {
     /// Starts a builder with the defaults: dependency bound 3, RETRY
-    /// strategy, a single shard, one cache behind an unbounded pipe, a
-    /// reliable channel with no modeled delay.
+    /// strategy, one cache behind an unbounded pipe, a reliable channel
+    /// with no modeled delay.
     pub fn new() -> Self {
         SystemBuilder::default()
     }
@@ -117,16 +115,6 @@ impl SystemBuilder {
     /// Chooses the reaction to detected inconsistencies.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Number of database shards (two-phase commit spans them).
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "a database needs at least one shard");
-        self.shards = shards;
         self
     }
 
@@ -275,7 +263,6 @@ impl SystemBuilder {
             DependencyBound::Unbounded => CachePolicyConfig::unbounded(self.strategy),
         });
         let db = Arc::new(Database::new(DatabaseConfig {
-            shards: self.shards,
             dependency_bound: policy.dependency_bound,
             ..DatabaseConfig::default()
         }));
@@ -342,14 +329,12 @@ mod tests {
         let system = SystemBuilder::new()
             .dependency_bound(4)
             .strategy(Strategy::Evict)
-            .shards(3)
             .invalidation_loss(0.5)
             .invalidation_delay_millis(10)
             .seed(9)
             .build();
         assert_eq!(system.edge_cache().config().dependency_bound.limit(), 4);
         assert_eq!(system.edge_cache().config().strategy, Strategy::Evict);
-        assert_eq!(system.database().config().shards, 3);
         system.populate((0..30).map(|i| (ObjectId(i), Value::new(0))));
         assert_eq!(system.database().object_count(), 30);
         system.update(&[ObjectId(0), ObjectId(7), ObjectId(14)]).unwrap();
@@ -391,12 +376,6 @@ mod tests {
             .caches(5)
             .build();
         assert_eq!(system.cache_count(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
-        let _ = SystemBuilder::new().shards(0);
     }
 
     #[test]

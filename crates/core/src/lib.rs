@@ -54,7 +54,7 @@
 //! The crates behind the facade:
 //!
 //! * [`tcache_types`] — identifiers, versions, dependency lists;
-//! * [`tcache_db`] — the transactional backend store (2PL + 2PC, version
+//! * [`tcache_db`] — the transactional backend store (strict 2PL, version
 //!   assignment, dependency aggregation, invalidation publication);
 //! * [`tcache_net`] — the invalidation link: loss / latency models, the
 //!   link step both planes drive, pipes and the reactor;

@@ -1,6 +1,6 @@
-//! Crash faults racing the database's two-phase commit: a cache crashing
-//! (and restarting) between prepare and commit must never leak shard
-//! locks or leave a transaction unresolved. The cache fault plane lives
+//! Crash faults racing the database's commit: a cache crashing (and
+//! restarting) while updates lock, install and release must never leak a
+//! lock or leave a transaction unresolved. The cache fault plane lives
 //! entirely on the invalidation side — severed links discard publishes —
 //! so the commit path has nothing to wait on.
 
@@ -17,7 +17,6 @@ fn faulty_system(caches: usize) -> Arc<TCacheSystem> {
     let system = SystemBuilder::new()
         .dependency_bound(3)
         .strategy(Strategy::Abort)
-        .shards(4)
         .caches(caches)
         .transport(TransportMode::Reactor)
         .pipe_capacity(2)
@@ -31,8 +30,8 @@ fn faulty_system(caches: usize) -> Arc<TCacheSystem> {
 /// One updater thread racing one crash/restart churn thread. The pipe is a
 /// two-slot `Block` pipe — the hard-backpressure configuration — so if a
 /// crashed cache's deliveries could still block the commit path, this test
-/// would wedge. Every transaction must resolve and every shard lock must
-/// be released.
+/// would wedge. Every transaction must resolve and every lock must be
+/// released.
 #[test]
 fn crash_between_prepare_and_commit_resolves_and_leaks_no_locks() {
     let system = faulty_system(1);
@@ -65,8 +64,8 @@ fn crash_between_prepare_and_commit_resolves_and_leaks_no_locks() {
 
     let mut committed = 0u64;
     for round in 0..400u64 {
-        // Multi-object updates span shards, so 2PC prepares on several
-        // shards before committing — the window the crash churn races.
+        // Multi-object updates hold several locks between their reads and
+        // their installs — the window the crash churn races.
         let base = round % (OBJECTS - 2);
         system
             .update(&[ObjectId(base), ObjectId(base + 1), ObjectId(base + 2)])
@@ -82,7 +81,7 @@ fn crash_between_prepare_and_commit_resolves_and_leaks_no_locks() {
     assert_eq!(
         system.database().locked_objects(),
         0,
-        "no shard lock survives the crash churn"
+        "no lock survives the crash churn"
     );
     assert!(flips > 0, "the churn thread actually crashed the cache");
     // Leave the system healthy for teardown.
@@ -93,8 +92,7 @@ fn crash_between_prepare_and_commit_resolves_and_leaks_no_locks() {
 
 /// The 8-thread stress variant: four updater threads, two crash-churn
 /// threads (over two different caches), and two reader threads hammering
-/// the remaining healthy caches — all over a four-shard database with
-/// two-slot `Block` pipes.
+/// the remaining healthy caches — all with two-slot `Block` pipes.
 #[test]
 fn eight_thread_crash_stress_keeps_the_database_consistent() {
     let system = faulty_system(4);
@@ -147,8 +145,8 @@ fn eight_thread_crash_stress_keeps_the_database_consistent() {
             std::thread::spawn(move || {
                 for round in 0..150u64 {
                     let base = (lane * 7 + round) % (OBJECTS - 1);
-                    // Concurrent updaters can collide on shard locks; a
-                    // `PrepareRejected` abort is the 2PC protocol working,
+                    // Concurrent updaters can collide on locks; a
+                    // `LockConflict` abort is the no-wait policy working,
                     // not a fault — retry until this lane's update lands.
                     loop {
                         match system.update(&[ObjectId(base), ObjectId(base + 1)]) {

@@ -141,9 +141,8 @@ fn embedded_system_retry_repairs_stale_current_reads() {
 }
 
 #[test]
-fn multi_shard_database_preserves_behaviour() {
+fn reliable_channel_keeps_multi_object_reads_consistent() {
     let system = SystemBuilder::new()
-        .shards(4)
         .dependency_bound(3)
         .strategy(Strategy::Abort)
         .invalidation_loss(0.0)

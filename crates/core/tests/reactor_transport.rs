@@ -182,10 +182,15 @@ fn relay_overflows_count_what_a_full_leaf_pipe_loses_under_every_policy() {
             .build();
         system.populate((0..OBJECTS).map(|i| (ObjectId(i), Value::new(0))));
         system.pause_cache(CacheId(1)).unwrap();
+        // The root's own two-slot pipe drops too under the drop policies:
+        // left to a starved reactor thread it could keep just two of the
+        // commits, which fit the leaf's pipe and overflow nothing. Draining
+        // the root after each commit makes every one of them a relay.
         for round in 0..200u64 {
             system.update(&[ObjectId(round % OBJECTS)]).unwrap();
+            assert!(system.quiesce(Duration::from_secs(5)).unwrap());
         }
-        assert!(system.quiesce(Duration::from_secs(5)).unwrap());
+        assert_eq!(system.stats().per_cache[0].pipe.overflow_dropped(), 0);
         let leaf = system.stats().per_cache[1].pipe;
         assert!(system.relay_overflows() > 0, "{policy}: {leaf:?}");
         if policy == OverflowPolicy::Block {

@@ -1,29 +1,29 @@
 //! The database façade: the public entry point of the backend store.
 //!
-//! [`Database`] combines the shards, the two-phase-commit coordinator, the
-//! version clock and the dependency aggregation into the single-column
-//! backend used throughout the evaluation. Update transactions are executed
-//! with [`Database::execute_update`] (the evaluation's read-modify-write
-//! shape) or [`Database::execute_update_writes`] (explicit read and write
-//! sets); caches serve misses with [`Database::read_entry`].
+//! [`Database`] combines one versioned store, one lock table, the version
+//! clock and the dependency aggregation into the single-column backend used
+//! throughout the evaluation. Update transactions are executed with
+//! [`Database::execute_update`] (the evaluation's read-modify-write shape)
+//! or [`Database::execute_update_writes`] (explicit read and write sets);
+//! caches serve misses with [`Database::read_entry`].
 //!
 //! A commit is one pass under strict two-phase locking: dedupe the access
-//! set, lock every object at every participating shard (no-wait), read
-//! each once under its lock, assign the version, aggregate only the head
-//! of the dependency lists ([`AggregatedDependencies`]), install and
-//! release — and then sequence, log and publish the invalidations. A 5-key
+//! set, lock every object (no-wait), read each once under its lock, assign
+//! the version, aggregate only the head of the dependency lists
+//! ([`AggregatedDependencies`]), install and release — and then sequence,
+//! log and publish the invalidations. A 5-key
 //! update allocates its five dependency lists and the three vectors of its
 //! [`UpdateCommit`], nothing else (`tests/commit_allocs.rs` pins it).
 
+use crate::commit::{self, Access, TxnObject, TxnObjects};
 use crate::dependency_update::AggregatedDependencies;
 use crate::invalidation::{Invalidation, InvalidationBatch};
+use crate::locks::LockTable;
 use crate::log::{InvalidationLog, InvalidationReplay};
 use crate::publisher::{InvalidationPublisher, ReportingSink};
-use crate::shard::Shard;
 use crate::stats::{DbStats, DbStatsSnapshot};
-use crate::twopc::{Access, Coordinator, TxnObjects};
+use crate::store::VersionedStore;
 use crate::version_clock::VersionClock;
-use std::sync::Arc;
 use tcache_types::{
     AccessSet, CacheId, DependencyBound, ObjectEntry, ObjectId, TCacheResult, TxnId, Value,
     Version, WriteRecord,
@@ -32,12 +32,8 @@ use tcache_types::{
 /// Configuration of the backend database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatabaseConfig {
-    /// Number of shards the object space is hash-partitioned over.
-    pub shards: usize,
     /// Bound on the dependency lists stored with objects (§III-A).
     pub dependency_bound: DependencyBound,
-    /// Historical versions retained per object for auditing (0 disables).
-    pub history_depth: usize,
     /// Invalidations retained by the in-memory log for replay after a cache
     /// detects a sequence gap. A recovering cache whose gap is older than
     /// the retained suffix falls back to a snapshot resync.
@@ -47,17 +43,15 @@ pub struct DatabaseConfig {
 impl Default for DatabaseConfig {
     fn default() -> Self {
         DatabaseConfig {
-            shards: 1,
             dependency_bound: DependencyBound::default(),
-            history_depth: 0,
             invalidation_log_capacity: 1024,
         }
     }
 }
 
 impl DatabaseConfig {
-    /// Convenience constructor matching the paper's experiments: a single
-    /// shard with the given dependency-list bound.
+    /// Convenience constructor matching the paper's experiments: the given
+    /// dependency-list bound.
     pub fn with_bound(bound: usize) -> Self {
         DatabaseConfig {
             dependency_bound: DependencyBound::Bounded(bound),
@@ -92,7 +86,8 @@ pub struct UpdateCommit {
 /// The transactional backend key-value store.
 #[derive(Debug)]
 pub struct Database {
-    coordinator: Coordinator,
+    store: VersionedStore,
+    locks: LockTable,
     clock: VersionClock,
     stats: DbStats,
     config: DatabaseConfig,
@@ -102,15 +97,10 @@ pub struct Database {
 
 impl Database {
     /// Creates an empty database with the given configuration.
-    ///
-    /// # Panics
-    /// Panics if `config.shards` is zero.
     pub fn new(config: DatabaseConfig) -> Self {
-        let shards: Vec<Arc<Shard>> = (0..config.shards)
-            .map(|i| Arc::new(Shard::new(i, config.history_depth)))
-            .collect();
         Database {
-            coordinator: Coordinator::new(shards),
+            store: VersionedStore::new(),
+            locks: LockTable::new(),
             clock: VersionClock::new(),
             stats: DbStats::new(),
             config,
@@ -143,11 +133,6 @@ impl Database {
         self.publisher.publish_stats()
     }
 
-    /// The per-cache upcall registry (for inspection and advanced wiring).
-    pub fn invalidation_publisher(&self) -> &InvalidationPublisher {
-        &self.publisher
-    }
-
     /// The configuration the database was built with.
     pub fn config(&self) -> DatabaseConfig {
         self.config
@@ -156,15 +141,13 @@ impl Database {
     /// Loads objects at their initial version (outside any transaction).
     pub fn populate(&self, objects: impl IntoIterator<Item = (ObjectId, Value)>) {
         for (id, value) in objects {
-            self.coordinator.shard_for(id).populate(id, value);
+            self.store.insert_initial(id, value);
         }
     }
 
-    /// Number of objects stored across all shards.
+    /// Number of objects stored.
     pub fn object_count(&self) -> usize {
-        (0..self.config.shards)
-            .map(|i| self.coordinator.shard(i).store().len())
-            .sum()
+        self.store.len()
     }
 
     /// Serves a single-object read on behalf of a cache miss, returning the
@@ -177,29 +160,13 @@ impl Database {
     /// does not exist.
     pub fn read_entry(&self, id: ObjectId) -> TCacheResult<ObjectEntry> {
         self.stats.record_single_read();
-        self.coordinator.shard_for(id).read_entry(id)
+        self.store.get(id)
     }
 
     /// Reads an entry without counting it as externally generated load
     /// (used by tests and by the monitor when auditing).
     pub fn peek_entry(&self, id: ObjectId) -> TCacheResult<ObjectEntry> {
-        self.coordinator.shard_for(id).read_entry(id)
-    }
-
-    /// Reads one specific retained version of an object (the current entry
-    /// or, with `history_depth > 0`, an older one) as a single coherent
-    /// shard snapshot. This is the audit surface: the monitor and tests
-    /// can resolve the exact value/dependency state a transaction
-    /// observed, without locks and without counting as load.
-    ///
-    /// Returns `None` if the object is unknown or the version is not
-    /// retained.
-    pub fn read_version(
-        &self,
-        id: ObjectId,
-        version: Version,
-    ) -> Option<crate::store::HistoricalVersion> {
-        self.coordinator.shard_for(id).read_version(id, version)
+        self.store.get(id)
     }
 
     /// Executes the evaluation's standard update transaction over an access
@@ -216,7 +183,7 @@ impl Database {
         let mut objects = TxnObjects::new();
         for &id in access.objects() {
             if objects.iter().all(|o| o.id() != id) {
-                objects.push(self.coordinator.object(id, Access::Bump));
+                objects.push(TxnObject::new(id, Access::Bump));
             }
         }
         self.commit_update(txn, objects)
@@ -229,8 +196,8 @@ impl Database {
     /// written. An object written twice installs its last value.
     ///
     /// # Errors
-    /// Returns an error if any object is unknown or the two-phase commit is
-    /// rejected; in that case nothing is installed.
+    /// Returns an error if any object is unknown or a lock is refused; in
+    /// that case nothing is installed.
     pub fn execute_update_writes(
         &self,
         txn: TxnId,
@@ -241,25 +208,24 @@ impl Database {
         let mut objects = TxnObjects::new();
         for &id in reads {
             if objects.iter().all(|o| o.id() != id) {
-                objects.push(self.coordinator.object(id, Access::Read));
+                objects.push(TxnObject::new(id, Access::Read));
             }
         }
         for w in writes {
             match objects.iter_mut().find(|o| o.id() == w.object) {
                 Some(object) => object.set_access(Access::Write(w.value)),
-                None => objects.push(self.coordinator.object(w.object, Access::Write(w.value))),
+                None => objects.push(TxnObject::new(w.object, Access::Write(w.value))),
             }
         }
         self.commit_update(txn, objects)
     }
 
     /// The commit shared by both update shapes, one pass under strict
-    /// two-phase locking (see [`crate::twopc`]): lock and read every object
-    /// (phase one), assign the version, aggregate the dependency lists'
-    /// head, install and release (phase two), then sequence, log and
-    /// publish the invalidations.
+    /// two-phase locking: lock and read every object, assign the version,
+    /// aggregate the dependency lists' head, install and release, then
+    /// sequence, log and publish the invalidations.
     fn commit_update(&self, txn: TxnId, mut objects: TxnObjects) -> TCacheResult<UpdateCommit> {
-        if let Err(e) = self.coordinator.prepare(txn, &mut objects) {
+        if let Err(e) = commit::lock_and_read(&self.locks, &self.store, txn, &mut objects) {
             self.stats.record_update_abort();
             return Err(e);
         }
@@ -285,7 +251,9 @@ impl Database {
 
         let writes = objects.iter().filter(|o| o.access().writes()).count();
         let mut written = Vec::with_capacity(writes);
-        self.coordinator.commit(
+        commit::install_and_release(
+            &self.locks,
+            &self.store,
             txn,
             &objects,
             version,
@@ -333,13 +301,10 @@ impl Database {
         self.log.replay_after(after_seq)
     }
 
-    /// Number of objects currently exclusively locked across all shards.
-    /// Zero whenever no transaction is mid-flight — the invariant the
-    /// crash-during-2PC tests pin down.
+    /// Number of objects currently locked. Zero whenever no transaction is
+    /// mid-commit — the invariant the crash-during-commit tests pin down.
     pub fn locked_objects(&self) -> usize {
-        (0..self.config.shards)
-            .map(|i| self.coordinator.shard(i).locked_objects())
-            .sum()
+        self.locks.locked_objects()
     }
 
     /// The configured dependency bound.
@@ -350,9 +315,7 @@ impl Database {
     /// Approximate memory footprint of all stored entries in bytes
     /// (value payloads plus dependency lists).
     pub fn footprint_bytes(&self) -> usize {
-        (0..self.config.shards)
-            .map(|i| self.coordinator.shard(i).store().footprint_bytes())
-            .sum()
+        self.store.footprint_bytes()
     }
 }
 
@@ -375,7 +338,7 @@ mod tests {
         assert_eq!(e.version, Version::INITIAL);
         assert_eq!(db.stats().single_reads, 1);
         assert!(db.read_entry(ObjectId(99)).is_err());
-        assert_eq!(db.config().shards, 1);
+        assert_eq!(db.config(), DatabaseConfig::with_bound(3));
     }
 
     #[test]
@@ -494,10 +457,8 @@ mod tests {
         db.execute_update(TxnId(1), &vec![1u64, 2, 3].into()).unwrap();
         assert_eq!(counts[0].load(Ordering::Relaxed), 3);
         assert_eq!(counts[1].load(Ordering::Relaxed), 3);
-        assert_eq!(
-            db.invalidation_publisher().registered_caches(),
-            vec![CacheId(0), CacheId(1)]
-        );
+        let registered: Vec<CacheId> = db.publish_stats().iter().map(|&(c, _)| c).collect();
+        assert_eq!(registered, vec![CacheId(0), CacheId(1)]);
         // An aborted update publishes nothing.
         let _ = db.execute_update(TxnId(2), &vec![99u64].into());
         assert_eq!(counts[0].load(Ordering::Relaxed), 3);
@@ -511,13 +472,15 @@ mod tests {
     fn invalidations_are_sequenced_and_replayable() {
         let db = db_with(10, 3);
         assert_eq!(db.invalidation_latest_seq(), 0);
-        let c1 = db.execute_update(TxnId(1), &vec![1u64, 2].into()).unwrap();
+        let c1 = db.execute_update(TxnId(1), &vec![2u64, 1].into()).unwrap();
         let c2 = db.execute_update(TxnId(2), &vec![3u64].into()).unwrap();
-        // Each batch occupies a contiguous stream window, in commit order.
-        let seqs1: Vec<u64> = c1.invalidations.iter().map(|i| i.seq).collect();
-        let seqs2: Vec<u64> = c2.invalidations.iter().map(|i| i.seq).collect();
-        assert_eq!(seqs1, vec![1, 2]);
-        assert_eq!(seqs2, vec![3]);
+        // Each batch occupies a contiguous stream window, in commit order,
+        // stamped in the transaction's access order.
+        let stamped = |c: &UpdateCommit| -> Vec<(u64, u64)> {
+            c.invalidations.iter().map(|i| (i.object.as_u64(), i.seq)).collect()
+        };
+        assert_eq!(stamped(&c1), vec![(2, 1), (1, 2)]);
+        assert_eq!(stamped(&c2), vec![(3, 3)]);
         assert_eq!(db.invalidation_latest_seq(), 3);
         match db.replay_invalidations(1) {
             crate::log::InvalidationReplay::Replayed(invs) => {
@@ -561,25 +524,44 @@ mod tests {
         assert_eq!(db.stats().updates_committed, 0);
     }
 
+    /// A refused lock and an unknown object each abort holding no lock,
+    /// and neither consumes a version or a stream position: the next
+    /// commit's version is one more than the last commit's and the
+    /// invalidation stream has not moved.
     #[test]
-    fn multi_shard_database_behaves_identically() {
-        let config = DatabaseConfig {
-            shards: 4,
-            dependency_bound: DependencyBound::Bounded(3),
-            ..DatabaseConfig::default()
-        };
-        let db = Database::new(config);
-        db.populate((0..100).map(|i| (ObjectId(i), Value::new(0))));
-        assert_eq!(db.object_count(), 100);
-        let commit = db
-            .execute_update(TxnId(1), &vec![1u64, 2, 3, 4, 5].into())
+    fn aborts_hold_no_lock_and_consume_no_version_or_sequence() {
+        use crate::locks::LockMode;
+        let db = db_with(4, 3);
+        let first = db.execute_update(TxnId(1), &vec![0u64].into()).unwrap();
+        let seq = db.invalidation_latest_seq();
+
+        // A lock held by a dangling transaction refuses the update.
+        db.locks
+            .try_lock(TxnId(99), [(ObjectId(2), LockMode::Exclusive)])
             .unwrap();
-        assert_eq!(commit.written.len(), 5);
-        for &(o, v) in &commit.written {
-            assert_eq!(db.peek_entry(o).unwrap().version, v);
-        }
-        let e1 = db.peek_entry(ObjectId(1)).unwrap();
-        assert!(e1.dependencies.contains(ObjectId(5)));
+        let refused = db.execute_update(TxnId(2), &vec![1u64, 2].into());
+        assert!(matches!(
+            refused,
+            Err(TCacheError::UpdateAborted {
+                reason: tcache_types::ConflictReason::LockConflict,
+                ..
+            })
+        ));
+        assert_eq!(db.locked_objects(), 1, "only the dangling lock");
+        assert_eq!(db.invalidation_latest_seq(), seq);
+        db.locks.release(TxnId(99), [ObjectId(2)]);
+        let second = db.execute_update(TxnId(3), &vec![1u64].into()).unwrap();
+        assert_eq!(second.version.as_u64(), first.version.as_u64() + 1);
+        let seq = db.invalidation_latest_seq();
+
+        // An unknown object aborts after every lock was granted.
+        let unknown = db.execute_update(TxnId(4), &vec![1u64, 77].into());
+        assert_eq!(unknown.unwrap_err(), TCacheError::UnknownObject(ObjectId(77)));
+        assert_eq!(db.locked_objects(), 0);
+        assert_eq!(db.invalidation_latest_seq(), seq);
+        let third = db.execute_update(TxnId(5), &vec![1u64].into()).unwrap();
+        assert_eq!(third.version.as_u64(), second.version.as_u64() + 1);
+        assert_eq!(db.stats().updates_aborted, 2);
     }
 
     #[test]
@@ -590,25 +572,6 @@ mod tests {
         db.execute_update(TxnId(1), &access).unwrap();
         let e = db.peek_entry(ObjectId(0)).unwrap();
         assert_eq!(e.dependencies.len(), 19);
-    }
-
-    #[test]
-    fn read_version_serves_the_audit_surface() {
-        let config = DatabaseConfig {
-            history_depth: 4,
-            ..DatabaseConfig::with_bound(3)
-        };
-        let db = Database::new(config);
-        db.populate((0..4).map(|i| (ObjectId(i), Value::new(0))));
-        let c1 = db.execute_update(TxnId(1), &vec![1u64].into()).unwrap();
-        let c2 = db.execute_update(TxnId(2), &vec![1u64].into()).unwrap();
-        let old = db.read_version(ObjectId(1), c1.version).unwrap();
-        assert_eq!(old.value.numeric(), 1);
-        assert_eq!(old.installed_by, Some(TxnId(1)));
-        let cur = db.read_version(ObjectId(1), c2.version).unwrap();
-        assert_eq!(cur.value.numeric(), 2);
-        assert!(db.read_version(ObjectId(1), Version(999)).is_none());
-        assert!(db.read_version(ObjectId(99), c1.version).is_none());
     }
 
     #[test]
@@ -627,24 +590,6 @@ mod tests {
         assert_eq!(snap.total_reads(), 3);
         // Benchmark-pinned and never counted.
         assert_eq!(snap.read_path, crate::stats::ReadPathStatsSnapshot::default());
-    }
-
-    #[test]
-    fn multi_shard_stats_aggregate_every_store() {
-        let config = DatabaseConfig {
-            shards: 4,
-            dependency_bound: DependencyBound::Bounded(3),
-            ..DatabaseConfig::default()
-        };
-        let db = Database::new(config);
-        db.populate((0..16).map(|i| (ObjectId(i), Value::new(0))));
-        for i in 0..16 {
-            db.read_entry(ObjectId(i)).unwrap();
-        }
-        db.execute_update(TxnId(1), &vec![0u64, 1, 2, 3].into()).unwrap();
-        let snap = db.stats();
-        assert_eq!(snap.single_reads, 16);
-        assert_eq!(snap.update_reads, 4);
     }
 
     #[test]

@@ -5,14 +5,13 @@
 //! provides that substrate, built from scratch:
 //!
 //! * [`store`] — the versioned object store (latest version + dependency
-//!   list per object) with an optional multi-version history for auditing;
-//!   every read copies its entry under the lock of the object's bucket;
+//!   list per object); every read copies its entry under the lock of the
+//!   object's bucket;
 //! * [`locks`] — a per-object lock table with two-phase locking and no-wait
 //!   deadlock avoidance;
-//! * [`shard`] / [`twopc`] — hash-sharded participants and the two-phase
-//!   commit coordinator that spans them, under strict two-phase locking:
-//!   lock everything, read each object once under its lock, install,
-//!   release;
+//! * `commit` (private) — an update's commit over that one store and one
+//!   lock table, under strict two-phase locking: lock everything, read
+//!   each object once under its lock, install, release;
 //! * [`version_clock`] — transaction version assignment (a transaction's
 //!   version is larger than the version of every object it accessed);
 //! * [`dependency_update`] — the commit-time dependency-list aggregation and
@@ -48,16 +47,15 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
+mod commit;
 pub mod database;
 pub mod dependency_update;
 pub mod invalidation;
 pub mod locks;
 pub mod log;
 pub mod publisher;
-pub mod shard;
 pub mod stats;
 pub mod store;
-pub mod twopc;
 pub mod version_clock;
 
 pub use database::{Database, DatabaseConfig, UpdateCommit};
@@ -65,4 +63,4 @@ pub use invalidation::{Invalidation, InvalidationBatch};
 pub use log::{InvalidationLog, InvalidationReplay};
 pub use publisher::{InvalidationPublisher, PublishStats, ReportingSink, SinkReport};
 pub use stats::DbStats;
-pub use store::{HistoricalVersion, VersionedStore, BUCKETS};
+pub use store::{VersionedStore, BUCKETS};

@@ -7,7 +7,7 @@
 //! (deadlock avoidance without a waits-for graph).
 //!
 //! An update transaction locks everything it accesses *before* it reads
-//! anything (see [`crate::twopc`]): its written objects exclusively and, for
+//! anything, in one `try_lock`: its written objects exclusively and, for
 //! [`Database::execute_update_writes`], its read-only objects shared. It
 //! holds them until its writes are installed and then releases exactly the
 //! objects it locked — one lookup each, never a scan of the table. Cache

@@ -58,11 +58,6 @@ impl InvalidationLog {
         }
     }
 
-    /// The retention capacity the log was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Stamps the batch with the next consecutive sequence numbers and
     /// appends it to the retained suffix, evicting the oldest entries past
     /// capacity. This is the single source of truth for the stream counter,

@@ -181,15 +181,6 @@ impl InvalidationPublisher {
             .collect()
     }
 
-    /// One cache's publication statistics, if registered.
-    pub fn publish_stats_for(&self, cache: CacheId) -> Option<PublishStats> {
-        self.sinks
-            .read()
-            .iter()
-            .find(|r| r.cache == cache)
-            .map(|r| r.counters.snapshot())
-    }
-
     /// Fans one batch out to every registered cache. Empty batches are not
     /// published (an update that installed nothing invalidates nothing).
     ///
@@ -346,10 +337,12 @@ mod tests {
         publisher.publish(&batch(2));
         publisher.register(CacheId(3), counting_sink(&a));
         publisher.publish(&batch(1));
-        let stats = publisher.publish_stats_for(CacheId(3)).unwrap();
+        let all = publisher.publish_stats();
+        assert_eq!(all.len(), 1, "one registration per cache");
+        let (cache, stats) = &all[0];
+        assert_eq!(*cache, CacheId(3));
         assert_eq!(stats.batches, 2, "stats survive re-registration");
         assert_eq!(stats.invalidations, 3);
         assert_eq!(stats.enqueued, 3, "each sink's own report is recorded");
-        assert!(publisher.publish_stats_for(CacheId(9)).is_none());
     }
 }

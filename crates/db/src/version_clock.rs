@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use tcache_types::Version;
 
-/// A monotone version clock shared by all shards of the database.
+/// The database's monotone version clock.
 #[derive(Debug, Default)]
 pub struct VersionClock {
     current: AtomicU64,
@@ -51,12 +51,6 @@ impl VersionClock {
             }
         }
     }
-
-    /// Advances the clock to be at least `version` (used when replaying or
-    /// importing state).
-    pub fn witness(&self, version: Version) {
-        self.current.fetch_max(version.as_u64(), Ordering::SeqCst);
-    }
 }
 
 #[cfg(test)]
@@ -81,17 +75,6 @@ mod tests {
         // Later assignments keep increasing even with smaller observations.
         let v2 = clock.assign(vec![Version(1)]);
         assert!(v2 > v);
-    }
-
-    #[test]
-    fn witness_advances_clock() {
-        let clock = VersionClock::new();
-        clock.witness(Version(100));
-        let v = clock.assign(vec![]);
-        assert!(v > Version(100));
-        // Witnessing something old does not move the clock backwards.
-        clock.witness(Version(5));
-        assert!(clock.current() > Version(100));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A counting global allocator (per-thread counters, so the test harness's
 //! other threads cannot interfere) pins what a warmed 5-key
-//! `Database::execute_update` on a bare single-shard database allocates:
+//! `Database::execute_update` on a bare database allocates:
 //! the five written objects' dependency lists (one `Arc` each; a bound-3
 //! list is stored inline) and the `reads`, `written` and `invalidations`
 //! vectors of the `UpdateCommit` — 8 in all. Everything else (the access

@@ -1,7 +1,7 @@
 //! Concurrent updaters of the same objects must not lose writes.
 //!
 //! The commit locks every object it writes *before* reading it (strict
-//! two-phase locking, `twopc.rs`), so of two updaters racing on one object
+//! two-phase locking, `commit.rs`), so of two updaters racing on one object
 //! the second cannot read until the first has installed: every committed
 //! update's bump lands on top of the previous one, and versions installed
 //! on an object only ever grow. Before the one-pass commit the reads ran
@@ -15,13 +15,12 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 use tcache_db::{Database, DatabaseConfig};
-use tcache_types::{AccessSet, DependencyBound, ObjectId, TCacheError, TxnId, Value, Version};
+use tcache_types::{AccessSet, ObjectId, TCacheError, TxnId, Value, Version};
 
 const THREADS: u64 = 4;
 const COMMITS_PER_THREAD: u64 = 20_000;
 const WATCHDOG: Duration = Duration::from_secs(300);
-/// The two contended objects; with three shards they live on different
-/// shards (2PC across two participants).
+/// The two contended objects.
 const HOT: [ObjectId; 2] = [ObjectId(4), ObjectId(5)];
 
 fn within_watchdog<R: Send + 'static>(
@@ -42,12 +41,8 @@ fn within_watchdog<R: Send + 'static>(
 /// and after each commit reads both objects back: neither may carry a
 /// version below the one this thread just installed. Returns the aborts
 /// seen.
-fn hammer(shards: usize) -> u64 {
-    let db = Arc::new(Database::new(DatabaseConfig {
-        shards,
-        dependency_bound: DependencyBound::Bounded(3),
-        ..DatabaseConfig::default()
-    }));
+fn hammer() -> u64 {
+    let db = Arc::new(Database::new(DatabaseConfig::with_bound(3)));
     db.populate((0..8).map(|i| (ObjectId(i), Value::new(0))));
     let updaters: Vec<_> = (0..THREADS)
         .map(|lane| {
@@ -114,10 +109,5 @@ fn hammer(shards: usize) -> u64 {
 
 #[test]
 fn four_updaters_of_two_objects_lose_no_write_on_one_shard() {
-    within_watchdog("one shard", || hammer(1));
-}
-
-#[test]
-fn four_updaters_of_two_objects_lose_no_write_across_three_shards() {
-    within_watchdog("three shards", || hammer(3));
+    within_watchdog("one store", hammer);
 }

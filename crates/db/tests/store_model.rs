@@ -1,14 +1,12 @@
 //! The versioned store held to a naive reference model, and raced.
 //!
-//! [`VersionedStore`] splits the object space over locked buckets and keeps
-//! each object's retained history next to its live entry. None of that may
-//! be observable: the store must behave like a plain entry map plus a
-//! per-object history `Vec` trimmed to the configured depth. Three layers
-//! pin that down:
+//! [`VersionedStore`] splits the object space over locked buckets. None of
+//! that may be observable: the store must behave like a plain entry map.
+//! Three layers pin that down:
 //!
-//! 1. a property test applying random install / get / version_of /
-//!    contains / history / read_version sequences to the store and to
-//!    [`Model`], comparing every observable after every operation;
+//! 1. a property test applying random install / get / len / footprint
+//!    sequences to the store and to [`Model`], comparing every observable
+//!    after every operation;
 //! 2. a property test running concurrent readers against a writer,
 //!    checking every observation is a committed snapshot and the
 //!    per-object version sequences are monotone (an untorn, valid read
@@ -22,45 +20,25 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use tcache_db::{HistoricalVersion, VersionedStore};
+use tcache_db::VersionedStore;
 use tcache_types::{
-    seeding, DependencyList, ObjectEntry, ObjectId, TCacheError, TCacheResult, TxnId, Value,
-    Version,
+    seeding, DependencyList, ObjectEntry, ObjectId, TCacheError, TCacheResult, Value, Version,
 };
 
 const OBJECTS: u64 = 16;
 
-/// The reference: an entry map and a history `Vec` per object, kept in the
-/// most direct way the store's contract allows.
+/// The reference: an entry map, kept in the most direct way the store's
+/// contract allows.
 struct Model {
-    depth: usize,
     entries: BTreeMap<ObjectId, ObjectEntry>,
-    history: BTreeMap<ObjectId, Vec<HistoricalVersion>>,
 }
 
 impl Model {
-    fn populated(depth: usize) -> Model {
-        let mut model = Model {
-            depth,
-            entries: BTreeMap::new(),
-            history: BTreeMap::new(),
-        };
-        for i in 0..OBJECTS {
-            let entry = ObjectEntry::initial(ObjectId(i), Value::new(0));
-            if depth > 0 {
-                model.history.insert(
-                    ObjectId(i),
-                    vec![HistoricalVersion {
-                        version: Version::INITIAL,
-                        value: entry.value.clone(),
-                        dependencies: Arc::clone(&entry.dependencies),
-                        installed_by: None,
-                    }],
-                );
-            }
-            model.entries.insert(ObjectId(i), entry);
-        }
-        model
+    fn populated() -> Model {
+        let entries = (0..OBJECTS)
+            .map(|i| (ObjectId(i), ObjectEntry::initial(ObjectId(i), Value::new(0))))
+            .collect();
+        Model { entries }
     }
 
     fn install(
@@ -69,27 +47,14 @@ impl Model {
         value: Value,
         version: Version,
         deps: DependencyList,
-        txn: TxnId,
     ) -> TCacheResult<()> {
         let entry = self
             .entries
             .get_mut(&id)
             .ok_or(TCacheError::UnknownObject(id))?;
-        entry.value = value.clone();
+        entry.value = value;
         entry.version = version;
         entry.dependencies = Arc::new(deps);
-        if self.depth > 0 {
-            let versions = self.history.entry(id).or_default();
-            versions.push(HistoricalVersion {
-                version,
-                value,
-                dependencies: Arc::clone(&entry.dependencies),
-                installed_by: Some(txn),
-            });
-            while versions.len() > self.depth {
-                versions.remove(0);
-            }
-        }
         Ok(())
     }
 
@@ -98,29 +63,6 @@ impl Model {
             .get(&id)
             .cloned()
             .ok_or(TCacheError::UnknownObject(id))
-    }
-
-    fn history(&self, id: ObjectId) -> Vec<HistoricalVersion> {
-        self.history.get(&id).cloned().unwrap_or_default()
-    }
-
-    /// The newest retained record of `version`, else the live entry if it
-    /// is at `version` (its installer then unknown).
-    fn read_version(&self, id: ObjectId, version: Version) -> Option<HistoricalVersion> {
-        let retained = self
-            .history(id)
-            .into_iter()
-            .rev()
-            .find(|h| h.version == version);
-        retained.or_else(|| {
-            let e = self.entries.get(&id)?;
-            (e.version == version).then(|| HistoricalVersion {
-                version,
-                value: e.value.clone(),
-                dependencies: Arc::clone(&e.dependencies),
-                installed_by: None,
-            })
-        })
     }
 
     fn footprint_bytes(&self) -> usize {
@@ -159,8 +101,8 @@ fn assert_untorn(entry: &ObjectEntry, obj: u64) {
     }
 }
 
-fn populated(history: usize) -> VersionedStore {
-    let s = VersionedStore::new(history);
+fn populated() -> VersionedStore {
+    let s = VersionedStore::new();
     for i in 0..OBJECTS {
         s.insert_initial(ObjectId(i), Value::new(0));
     }
@@ -173,11 +115,6 @@ fn assert_matches_model(store: &VersionedStore, model: &Model) {
     for i in 0..OBJECTS {
         let id = ObjectId(i);
         assert_eq!(store.get(id), model.get(id), "o{i} diverged from the model");
-        assert_eq!(
-            store.history(id),
-            model.history(id),
-            "o{i} history diverged"
-        );
     }
 }
 
@@ -224,11 +161,10 @@ proptest! {
     /// unknown objects (rejected installs included) are exercised too.
     #[test]
     fn random_ops_match_the_reference_model(
-        depth in 0usize..4,
-        ops in prop::collection::vec((0u32..6, 0u64..OBJECTS + 2, 1u64..500), 1..120),
+        ops in prop::collection::vec((0u32..4, 0u64..OBJECTS + 2, 1u64..500), 1..120),
     ) {
-        let store = populated(depth);
-        let mut model = Model::populated(depth);
+        let store = populated();
+        let mut model = Model::populated();
         let mut next_version = 1u64;
         for &(kind, obj, val) in &ops {
             let id = ObjectId(obj);
@@ -238,30 +174,21 @@ proptest! {
                     next_version += 1;
                     let mut deps = DependencyList::bounded(2);
                     deps.record(ObjectId(val % OBJECTS), v);
-                    let got = store.install(id, Value::new(val), v, deps.clone(), TxnId(val));
-                    let want = model.install(id, Value::new(val), v, deps, TxnId(val));
+                    let got = store.install(id, Value::new(val), v, deps.clone());
+                    let want = model.install(id, Value::new(val), v, deps);
                     prop_assert_eq!(got, want);
                 }
                 1 => prop_assert_eq!(store.get(id), model.get(id)),
-                2 => prop_assert_eq!(store.version_of(id), model.get(id).map(|e| e.version)),
-                3 => prop_assert_eq!(store.contains(id), model.entries.contains_key(&id)),
-                4 => prop_assert_eq!(store.history(id), model.history(id)),
-                _ => {
-                    let v = Version(val % next_version);
-                    prop_assert_eq!(store.read_version(id, v), model.read_version(id, v));
-                }
+                2 => prop_assert_eq!(store.len(), model.entries.len()),
+                _ => prop_assert_eq!(store.footprint_bytes(), model.footprint_bytes()),
             }
         }
         prop_assert_eq!(store.len(), model.entries.len());
         prop_assert_eq!(store.is_empty(), model.entries.is_empty());
         prop_assert_eq!(store.footprint_bytes(), model.footprint_bytes());
-        let mut ids = store.object_ids();
-        ids.sort_unstable();
-        prop_assert_eq!(ids, model.entries.keys().copied().collect::<Vec<_>>());
-        for i in 0..OBJECTS {
+        for i in 0..OBJECTS + 2 {
             let id = ObjectId(i);
             prop_assert_eq!(store.get(id), model.get(id));
-            prop_assert_eq!(store.history(id), model.history(id));
         }
     }
 }
@@ -278,8 +205,8 @@ proptest! {
         seed in 0u64..1_000_000,
         installs in 200u64..600,
     ) {
-        let store = Arc::new(populated(2));
-        let mut model = Model::populated(2);
+        let store = Arc::new(populated());
+        let mut model = Model::populated();
         let installs: Vec<(u64, u64)> = (0..installs)
             .map(|i| (seeding::derive_stream_seed(seed, i) % OBJECTS, i + 1))
             .collect();
@@ -287,13 +214,13 @@ proptest! {
             for &(obj, v) in &installs {
                 let (value, deps) = install_payload(obj, v);
                 store
-                    .install(ObjectId(obj), value, Version(v), deps, TxnId(v))
+                    .install(ObjectId(obj), value, Version(v), deps)
                     .expect("populated");
             }
         });
         for &(obj, v) in &installs {
             let (value, deps) = install_payload(obj, v);
-            model.install(ObjectId(obj), value, Version(v), deps, TxnId(v)).unwrap();
+            model.install(ObjectId(obj), value, Version(v), deps).unwrap();
         }
         assert_matches_model(&store, &model);
     }
@@ -308,10 +235,10 @@ proptest! {
 fn eight_thread_stress_matches_sequential_oracle() {
     const INSTALLS_PER_WRITER: u64 = 4_000;
     const HALF: u64 = OBJECTS / 2;
-    let store = Arc::new(populated(0));
+    let store = Arc::new(populated());
 
     // Writer w installs versions into objects [w * HALF, (w + 1) * HALF),
-    // so installs of one object are serialized (as the 2PC lock table
+    // so installs of one object are serialized (as the commit's lock table
     // guarantees in the real database) while buckets still see concurrent
     // writers.
     let writes = |w: u64| (0..INSTALLS_PER_WRITER).map(move |i| (w * HALF + i % HALF, i + 1));
@@ -323,7 +250,7 @@ fn eight_thread_stress_matches_sequential_oracle() {
                     for (obj, v) in writes(w) {
                         let (value, deps) = install_payload(obj, v);
                         store
-                            .install(ObjectId(obj), value, Version(v), deps, TxnId(v))
+                            .install(ObjectId(obj), value, Version(v), deps)
                             .expect("populated");
                     }
                 })
@@ -334,11 +261,11 @@ fn eight_thread_stress_matches_sequential_oracle() {
         }
     });
 
-    let mut model = Model::populated(0);
+    let mut model = Model::populated();
     for (obj, v) in (0..2u64).flat_map(writes) {
         let (value, deps) = install_payload(obj, v);
         model
-            .install(ObjectId(obj), value, Version(v), deps, TxnId(v))
+            .install(ObjectId(obj), value, Version(v), deps)
             .unwrap();
     }
     assert_matches_model(&store, &model);
@@ -350,7 +277,7 @@ fn eight_thread_stress_matches_sequential_oracle() {
 #[test]
 fn reader_racing_writer_never_observes_torn_entry() {
     const INSTALLS: u64 = 30_000;
-    let store = Arc::new(VersionedStore::new(0));
+    let store = Arc::new(VersionedStore::new());
     store.insert_initial(ObjectId(0), Value::new(0));
 
     let done = Arc::new(AtomicBool::new(false));
@@ -400,13 +327,7 @@ fn reader_racing_writer_never_observes_torn_entry() {
         installed += 1;
         let (value, deps) = install_payload(0, installed);
         store
-            .install(
-                ObjectId(0),
-                value,
-                Version(installed),
-                deps,
-                TxnId(installed),
-            )
+            .install(ObjectId(0), value, Version(installed), deps)
             .unwrap();
         if installed > INSTALLS {
             // Only a starved reader is missing: give it the core.

@@ -214,10 +214,14 @@ fn drop_pattern_matches_the_seeded_loss_oracle_on_both_paths() {
         for round in 0..24 {
             // Served here: offer until fifty more messages were handed off
             // (the first few after a queued stretch may still queue behind
-            // the task's backlog).
+            // the task's backlog). Offer only once the link is idle: an
+            // offering thread that outpaces the task keeps the queue
+            // non-empty, and nothing is handed off past a queue.
             let target = harness.direct() + 50;
             spin_until("the link returns to hand-off", || {
-                offer(6);
+                if harness.link.is_idle() {
+                    offer(6);
+                }
                 harness.direct() >= target
             });
             // Served by the task: the link has something to wait for.

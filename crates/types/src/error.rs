@@ -59,18 +59,12 @@ pub enum ConflictReason {
     /// A lock could not be acquired because another in-flight transaction
     /// holds it.
     LockConflict,
-    /// The two-phase-commit prepare phase was rejected by a shard.
-    PrepareRejected,
-    /// Deadlock avoidance (wound-wait / no-wait) killed the transaction.
-    DeadlockAvoidance,
 }
 
 impl fmt::Display for ConflictReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConflictReason::LockConflict => write!(f, "lock conflict"),
-            ConflictReason::PrepareRejected => write!(f, "prepare rejected"),
-            ConflictReason::DeadlockAvoidance => write!(f, "deadlock avoidance"),
         }
     }
 }
@@ -147,10 +141,6 @@ mod tests {
 
     #[test]
     fn conflict_reason_display() {
-        assert_eq!(ConflictReason::PrepareRejected.to_string(), "prepare rejected");
-        assert_eq!(
-            ConflictReason::DeadlockAvoidance.to_string(),
-            "deadlock avoidance"
-        );
+        assert_eq!(ConflictReason::LockConflict.to_string(), "lock conflict");
     }
 }

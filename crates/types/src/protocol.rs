@@ -23,10 +23,10 @@ use std::fmt;
 /// One atomic step of the modeled protocol.
 ///
 /// Each variant corresponds to an operation of the real system with its
-/// concurrency collapsed to a single serializable step (update 2PC becomes
-/// an atomic install-and-publish; a read-only transaction advances one key
-/// per step so that commits and invalidation deliveries can interleave
-/// with it).
+/// concurrency collapsed to a single serializable step (an update's
+/// commit becomes an atomic install-and-publish; a read-only transaction
+/// advances one key per step so that commits and invalidation deliveries
+/// can interleave with it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProtocolAction {
     /// The update transaction at index `update` of the configuration
