@@ -18,11 +18,13 @@
 //! * a whole-transaction call ([`EdgeCache::execute_transaction`],
 //!   [`EdgeCache::execute_read_only`]) runs the step over a thread-local
 //!   record;
-//! * the §III-B call [`EdgeCache::read`] runs it over the record the
-//!   `ShardedTransactionTable` stores between the calls of a
-//!   transaction. While any such transaction is open
-//!   (`open_records_hint() != 0`) whole-transaction calls use the table as
-//!   well, so a client may mix the two interfaces under one `TxnId`.
+//! * the §III-B call [`EdgeCache::read`] runs it in place on the record
+//!   the `ShardedTransactionTable` keeps for the transaction's whole life,
+//!   under that transaction's stripe lock. While any such transaction is
+//!   open (`open_records_hint() != 0`) whole-transaction calls use the
+//!   table as well, so a client may mix the two interfaces under one
+//!   `TxnId`. The record belongs to the id, not to a thread: a
+//!   transaction's calls may come from different threads.
 //!
 //! # Concurrency
 //!
@@ -33,17 +35,19 @@
 //!   different objects proceed in parallel (including concurrently with
 //!   invalidation upcalls);
 //! * the transaction table is striped by `TxnId` hash, so different
-//!   clients' transactions never contend;
+//!   clients' transactions rarely contend;
 //! * statistics are atomics.
 //!
-//! No code path holds two stripe locks at once, so the cache is
-//! deadlock-free by construction. A call checks its transaction's record
-//! *out* of the table (one map operation under the transaction stripe),
-//! runs the step with no transaction stripe held — the step borrows the
-//! cached entry under its object stripe, reads the backend and
-//! mutates storage — and stores the record back afterwards. The protocol
-//! itself is per-transaction sequential (one client drives one `TxnId`),
-//! which is the only ordering the consistency predicates need.
+//! A table call holds its transaction's stripe across the read step, which
+//! borrows the cached entry under its object stripe, reads the backend
+//! under a DB bucket lock and mutates storage. The lock order is therefore
+//! **txn stripe → object stripe or DB bucket**, and it has no reverse edge:
+//! nothing that runs under an object-stripe lock or a DB bucket lock (hit
+//! borrows, invalidation applies, the database's upcalls) calls into the
+//! transaction table, so the cache is deadlock-free by construction. The
+//! protocol itself is per-transaction sequential (one client drives one
+//! `TxnId`), which is the only ordering the consistency predicates need;
+//! calls that do overlap under one id serialize on its stripe.
 
 use crate::consistency::{Violation, ViolationKind};
 use crate::lifecycle::{
@@ -295,10 +299,11 @@ impl EdgeCache {
     /// on the thread-local record (`local`) or on the record the
     /// transaction table keeps for `txn`.
     ///
-    /// The table branch is the one place a multi-call transaction ends:
-    /// unless the step succeeded and more reads follow, the record is not
-    /// stored back — so the last read, an abort and any other error all
-    /// discard it and lower the hint the first call raised.
+    /// The table branch is one `with_record` call, the one place a
+    /// multi-call transaction ends: unless the steps succeed and more reads
+    /// follow, the table drops the record — so the last read, an abort and
+    /// any other error all discard it and lower the hint the first call
+    /// raised.
     // lint: hot-path
     fn run(
         &self,
@@ -326,19 +331,12 @@ impl EdgeCache {
                 steps(&mut rec)
             })?;
         } else {
-            let stored = self.txns.take(txn);
-            let first = stored.is_none();
-            if first {
-                self.stats.record_promoted_txn();
-            }
-            let mut rec = stored.unwrap_or_default();
-            let result = steps(&mut rec);
-            if result.is_ok() && !last_op {
-                self.txns.put(txn, rec, first);
-            } else if !first {
-                self.txns.finish();
-            }
-            result?;
+            self.txns.with_record(txn, last_op, |rec, first| {
+                if first {
+                    self.stats.record_promoted_txn();
+                }
+                steps(rec)
+            })?;
         }
         if last_op {
             self.stats.record_commit();
@@ -353,9 +351,10 @@ impl EdgeCache {
     /// [`TCacheError::InconsistencyAbort`].
     ///
     /// On a hit the cached entry is *borrowed* under its storage stripe
-    /// lock — no entry clone, no `Arc` refcount ping-pong. No transaction
-    /// stripe is held here (see the module docs), so reading the backend
-    /// and mutating storage below nest under no lock.
+    /// lock — no entry clone, no `Arc` refcount ping-pong. On the table
+    /// driver the transaction's stripe is held throughout, so the storage
+    /// stripes and DB bucket locks taken below nest under it (the lock
+    /// order of the module docs); nothing here calls into the table.
     // lint: hot-path
     fn read_step(
         &self,

@@ -20,13 +20,15 @@
 //! maps are inline small-vectors with linear scans — read sets are small —
 //! so a record of up to [`READS_INLINE`] reads never touches the heap.
 //!
-//! [`ShardedTransactionTable`] stores the record of a transaction that
-//! spans several client calls between those calls, striped by `TxnId` hash
-//! so different clients never contend on one lock.
+//! [`ShardedTransactionTable`] keeps the record of a transaction that
+//! spans several client calls for the transaction's whole life, striped by
+//! `TxnId` hash so different clients rarely contend on one lock; each call
+//! checks and updates the record in place under its stripe's lock.
 
 use crate::consistency::{pick_worse, Violation, ViolationKind};
 use crate::stripe::Striped;
 use smallvec::SmallVec;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tcache_types::{DependencyList, IdMap, ObjectId, TxnId, Version};
 
@@ -154,23 +156,30 @@ fn fold<const N: usize>(
 const TXN_STRIPES: usize = 16;
 
 /// Where the record of a transaction that spans several client calls
-/// (`read(txn, key, last_op = false)`) waits between those calls, striped
-/// by `TxnId` hash. A call checks the record out with
-/// [`take`](ShardedTransactionTable::take), runs its read on it with no
-/// lock held, and either [`put`](ShardedTransactionTable::put)s it back or
-/// [`finish`](ShardedTransactionTable::finish)es the transaction, so a
-/// stripe lock only ever covers one hash-map operation.
+/// (`read(txn, key, last_op = false)`) lives for the transaction's whole
+/// life, striped by `TxnId` hash. Each call is one
+/// [`with_record`](ShardedTransactionTable::with_record): one lock of
+/// `txn`'s stripe and one probe, with the read step run on the stored
+/// record *in place* while the stripe is held — no check-out.
 ///
-/// One client drives one `TxnId`, one call at a time (§III-B). Concurrent
-/// calls for the *same* id would each see part of the record; the worst
-/// they do to the table is leave the hint raised.
+/// **Lock order: txn stripe → object stripe or DB bucket.** The step
+/// nests storage stripes and database bucket locks under the transaction
+/// stripe; nothing that runs under an object-stripe lock or a DB bucket
+/// lock (hit borrows, invalidation applies, the database's upcalls)
+/// calls into this table, so the order has no reverse edge and no cycle.
+///
+/// One client drives one `TxnId`, one call at a time (§III-B), but the
+/// calls may come from any thread: the record follows the id, not the
+/// thread. Concurrent calls for the *same* id serialize on its stripe,
+/// each seeing every read the previous ones recorded, so a stored record
+/// and its hint raise stay one-to-one.
 #[derive(Debug)]
 pub(crate) struct ShardedTransactionTable {
     stripes: Striped<IdMap<TxnId, TxnRecord>>,
-    /// Number of transactions open across client calls: records stored in
-    /// a stripe plus records checked out of one. Zero means "no multi-call
-    /// transaction is in progress anywhere", which is what lets a
-    /// whole-transaction call run on a local record: a stored record for
+    /// Number of records stored in the stripes, changed only under the
+    /// stripe lock that inserts or removes the record. Zero means "no
+    /// multi-call transaction is in progress anywhere", which is what lets
+    /// a whole-transaction call run on a local record: a stored record for
     /// its txn id could only have been left by a *previous sequential call
     /// of the same client*, and that call raised this counter before
     /// returning.
@@ -186,34 +195,39 @@ impl ShardedTransactionTable {
         }
     }
 
-    fn stripe(&self, txn: TxnId) -> &parking_lot::Mutex<IdMap<TxnId, TxnRecord>> {
-        self.stripes.stripe_for(txn.as_u64())
-    }
-
-    /// Checks out the record stored for `txn`; `None` means this is the
-    /// transaction's first read. The hint stays raised while the record is
-    /// checked out.
-    pub(crate) fn take(&self, txn: TxnId) -> Option<TxnRecord> {
-        self.stripe(txn).lock().remove(&txn)
-    }
-
-    /// Stores `record` until the next call of `txn`. `first` marks a record
-    /// that did not come out of [`take`](ShardedTransactionTable::take):
-    /// the transaction becomes open across calls and raises the hint
-    /// (after the stripe lock is released; within one client this is
-    /// sequenced before any later call, which is all the gate needs).
-    pub(crate) fn put(&self, txn: TxnId, record: TxnRecord, first: bool) {
-        self.stripe(txn).lock().insert(txn, record);
-        if first {
-            self.open_hint.fetch_add(1, Ordering::Release);
+    /// Runs one call of `txn` under its stripe's lock: `step` gets the
+    /// stored record, or — on the transaction's first call, flagged by the
+    /// `bool` — a fresh one. The transaction stays open, its record stored
+    /// and the hint raised, only if `step` succeeds and `last_op` is
+    /// false; the last read, an abort and any other error end it, removing
+    /// a stored record and lowering the hint.
+    // lint: hot-path
+    pub(crate) fn with_record<E>(
+        &self,
+        txn: TxnId,
+        last_op: bool,
+        step: impl FnOnce(&mut TxnRecord, bool) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut stripe = self.stripes.stripe_for(txn.as_u64()).lock();
+        match stripe.entry(txn) {
+            Entry::Occupied(mut stored) => {
+                let result = step(stored.get_mut(), false);
+                if result.is_err() || last_op {
+                    stored.remove();
+                    self.open_hint.fetch_sub(1, Ordering::Release);
+                }
+                result
+            }
+            Entry::Vacant(slot) => {
+                let mut record = TxnRecord::default();
+                let result = step(&mut record, true);
+                if result.is_ok() && !last_op {
+                    slot.insert(record);
+                    self.open_hint.fetch_add(1, Ordering::Release);
+                }
+                result
+            }
         }
-    }
-
-    /// Ends a transaction whose record came out of
-    /// [`take`](ShardedTransactionTable::take) and is not put back (last
-    /// read, abort or error).
-    pub(crate) fn finish(&self) {
-        self.open_hint.fetch_sub(1, Ordering::Release);
     }
 
     /// The open-transaction hint. Zero is a sound "table is quiet" signal;
@@ -273,34 +287,55 @@ mod tests {
         assert_eq!(v.expected_version, Version(4));
     }
 
+    /// One call of `txn` on `t` that records a read of `key` and fails if
+    /// `fail`; returns whether the call found no stored record.
+    fn call(t: &ShardedTransactionTable, txn: u64, key: u64, last_op: bool, fail: bool) -> bool {
+        let mut fresh = false;
+        let result = t.with_record(TxnId(txn), last_op, |record, first| {
+            fresh = first;
+            record.record_read(ObjectId(key), Version(1), &deplist(&[]));
+            if fail {
+                Err(())
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(result.is_err(), fail);
+        fresh
+    }
+
     #[test]
     fn table_stores_records_between_calls_and_tracks_the_hint() {
         let t = ShardedTransactionTable::new();
         assert_eq!((t.len(), t.open_records_hint()), (0, 0));
         for i in 0..40u64 {
-            assert!(t.take(TxnId(i)).is_none(), "first read: nothing stored");
-            let mut record = TxnRecord::default();
-            record.record_read(ObjectId(i), Version(1), &deplist(&[]));
-            t.put(TxnId(i), record, true);
+            assert!(call(&t, i, i, false, false), "first call: nothing stored");
         }
         assert_eq!((t.len(), t.open_records_hint()), (40, 40));
 
-        // A checked-out record keeps the hint raised; putting it back does
-        // not raise it twice.
-        let record = t.take(TxnId(7)).expect("stored by the first call");
-        assert!(record
-            .check_read(ObjectId(7), Version(0), &deplist(&[]))
-            .is_some());
-        assert_eq!((t.len(), t.open_records_hint()), (39, 40));
-        t.put(TxnId(7), record, false);
+        // A later call sees the stored record, updated in place, and
+        // raises nothing.
+        assert!(!call(&t, 7, 70, false, false));
+        let seen = t.with_record(TxnId(7), false, |record, _| {
+            match record.check_read(ObjectId(7), Version(0), &deplist(&[])) {
+                Some(_) => Ok(()),
+                None => Err(()),
+            }
+        });
+        assert!(seen.is_ok(), "the first call's read is in the record");
         assert_eq!((t.len(), t.open_records_hint()), (40, 40));
 
-        // Finishing drops the record and lowers the hint; the id then
+        // The last read removes the record and lowers the hint; the id then
         // starts fresh.
-        drop(t.take(TxnId(7)));
-        t.finish();
+        assert!(!call(&t, 7, 7, true, false));
         assert_eq!((t.len(), t.open_records_hint()), (39, 39));
-        assert!(t.take(TxnId(7)).is_none());
+        assert!(call(&t, 7, 7, true, false), "a one-call transaction");
+        assert_eq!((t.len(), t.open_records_hint()), (39, 39));
+
+        // A failing call ends the transaction too, stored or not.
+        assert!(!call(&t, 8, 8, false, true));
+        assert!(call(&t, 1000, 8, false, true));
+        assert_eq!((t.len(), t.open_records_hint()), (38, 38));
     }
 }
 

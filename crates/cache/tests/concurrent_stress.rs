@@ -10,13 +10,17 @@
 //! single-threaded replay (the old single-lock behaviour) must reach the
 //! same verdicts.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 use tcache_cache::EdgeCache;
 use tcache_db::{Database, DatabaseConfig, UpdateCommit};
-use tcache_types::{CacheId, ObjectId, SimTime, Strategy, TxnId, Value};
+use tcache_types::{CacheId, ObjectId, SimTime, Strategy, TCacheError, TxnId, Value};
 
 const PAIRS: u64 = 64;
+/// Objects `2 * PAIRS ..` are never written together with a pair object:
+/// reading one next to a pair cannot raise a violation of its own.
+const EXTRAS: u64 = 32;
 const THREADS: u64 = 8;
 const TXNS_PER_THREAD: u64 = 500;
 
@@ -47,7 +51,7 @@ fn build_stale_pairs(cache: &EdgeCache, db: &Arc<Database>) -> Vec<UpdateCommit>
 
 fn setup(strategy: Strategy) -> (Arc<Database>, Arc<EdgeCache>, Vec<UpdateCommit>) {
     let db = Arc::new(Database::new(DatabaseConfig::with_bound(5)));
-    db.populate((0..2 * PAIRS).map(|i| (ObjectId(i), Value::new(0))));
+    db.populate((0..2 * PAIRS + EXTRAS).map(|i| (ObjectId(i), Value::new(0))));
     let cache = Arc::new(EdgeCache::tcache(CacheId(0), Arc::clone(&db), 5, strategy));
     let commits = build_stale_pairs(&cache, &db);
     (db, cache, commits)
@@ -230,7 +234,7 @@ fn miss_storm_under_concurrent_updates_reads_coherent_snapshots() {
         );
     }
 
-    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let done = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
             let cache = Arc::clone(&cache);
@@ -284,5 +288,204 @@ fn miss_storm_under_concurrent_updates_reads_coherent_snapshots() {
         db_stats.update_reads,
         2 * UPDATES,
         "each update reads its two objects once, under its locks"
+    );
+}
+
+/// `true` if the next whole-transaction call on `cache` runs on the
+/// thread-local record, i.e. the open-record gate is down.
+fn next_whole_txn_takes_the_fast_path(cache: &EdgeCache, txn: TxnId) -> bool {
+    let before = cache.stats().fastpath_txns;
+    cache
+        .execute_transaction(SimTime::ZERO, txn, &[ObjectId(0)])
+        .unwrap();
+    cache.stats().fastpath_txns == before + 1
+}
+
+/// Overlapping calls under one `TxnId` — a client that misuses the
+/// interface — must not leak the open-record hint: once the transaction's
+/// last read has run, whole-transaction calls take the fast path again.
+/// Calls under one id serialize on its stripe, so the first call stores the
+/// record and raises the hint once, and every later call finds it.
+#[test]
+fn overlapping_calls_under_one_txn_id_do_not_leak_the_gate() {
+    const ROUNDS: u64 = 5;
+    const CALLERS: u64 = 4;
+    const CALLS: u64 = 2_000;
+    let db = Arc::new(Database::new(DatabaseConfig::with_bound(5)));
+    db.populate((0..16).map(|i| (ObjectId(i), Value::new(0))));
+    let cache = Arc::new(EdgeCache::tcache(CacheId(0), Arc::clone(&db), 5, Strategy::Abort));
+    for round in 0..ROUNDS {
+        let txn = TxnId(round);
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|c| {
+                let cache = Arc::clone(&cache);
+                std::thread::spawn(move || {
+                    for i in 0..CALLS {
+                        let key = ObjectId((c * 5 + i) % 16);
+                        cache.read(SimTime::ZERO, txn, key, false).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().unwrap();
+        }
+        cache.read(SimTime::ZERO, txn, ObjectId(0), true).unwrap();
+        assert_eq!(cache.open_transactions(), 0);
+        assert!(
+            next_whole_txn_takes_the_fast_path(&cache, TxnId(1_000 + round)),
+            "round {round}: the open-record gate stayed raised with no record open"
+        );
+    }
+}
+
+/// A transaction's record belongs to its id, not to the thread that
+/// began it: a client whose calls land on different threads (a session
+/// moved between workers) is still checked against everything it read.
+#[test]
+fn a_transaction_continued_on_another_thread_is_still_checked() {
+    let (_db, cache, _commits) = setup(Strategy::Abort);
+    let now = SimTime::from_secs(1);
+    let txn = TxnId(42);
+    let (fresh, stale) = (ObjectId(0), ObjectId(1));
+    let first = Arc::clone(&cache);
+    std::thread::spawn(move || first.read(now, txn, fresh, false).unwrap())
+        .join()
+        .unwrap();
+    let last = Arc::clone(&cache);
+    let verdict = std::thread::spawn(move || last.read(now, txn, stale, true))
+        .join()
+        .unwrap();
+    assert!(
+        matches!(
+            verdict,
+            Err(TCacheError::InconsistencyAbort {
+                violating_object,
+                ..
+            }) if violating_object == stale
+        ),
+        "the second thread's read must be checked against the first's: {verdict:?}"
+    );
+    assert_eq!(cache.open_transactions(), 0);
+}
+
+/// The lock order **txn stripe → object stripe or DB bucket** under load.
+/// Four threads each keep several key-by-key transactions open over stale
+/// pairs (with an extra object read in between, often a miss), one thread
+/// commits updates of the extra objects whose invalidations a synchronous
+/// upcall applies from inside the commit, and one thread issues
+/// whole-transaction calls over the same objects. Everything must finish
+/// within the wall-clock bound (a deadlock would not), every pair
+/// transaction must abort, and afterwards no record is open and the gate
+/// is down.
+#[test]
+fn key_by_key_transactions_invalidations_and_whole_calls_keep_the_lock_order() {
+    const KEY_BY_KEY_THREADS: u64 = 4;
+    const OPEN_AT_ONCE: u64 = 4;
+    const ROUNDS: u64 = 1_000;
+    const UPDATES: u64 = 10_000;
+    const BOUND: Duration = Duration::from_secs(120);
+
+    let (db, cache, _commits) = setup(Strategy::Abort);
+    {
+        let cache = Arc::clone(&cache);
+        db.register_invalidation_upcall(
+            CacheId(0),
+            Box::new(move |batch| {
+                cache.apply_invalidations(batch.invalidations());
+                tcache_db::SinkReport::default()
+            }),
+        );
+    }
+    let extra = |n: u64| ObjectId(2 * PAIRS + n % EXTRAS);
+    let pair = |n: u64| (ObjectId(2 * (n % PAIRS)), ObjectId(2 * (n % PAIRS) + 1));
+    let now = SimTime::from_secs(1);
+    let txn_ids = Arc::new(AtomicU64::new(10_000_000));
+    let key_by_key_done = Arc::new(AtomicU64::new(0));
+    let (done_tx, done_rx) = mpsc::channel::<(&'static str, u64)>();
+
+    for t in 0..KEY_BY_KEY_THREADS {
+        let (cache, txn_ids, done, done_tx) = (
+            Arc::clone(&cache),
+            Arc::clone(&txn_ids),
+            Arc::clone(&key_by_key_done),
+            done_tx.clone(),
+        );
+        std::thread::spawn(move || {
+            let mut aborted = 0;
+            for round in 0..ROUNDS {
+                let txns: Vec<(TxnId, u64)> = (0..OPEN_AT_ONCE)
+                    .map(|j| {
+                        let txn = TxnId(txn_ids.fetch_add(1, Ordering::Relaxed));
+                        (txn, t * 7 + round * OPEN_AT_ONCE + j)
+                    })
+                    .collect();
+                for &(txn, n) in &txns {
+                    cache.read(now, txn, pair(n).0, false).unwrap();
+                }
+                for &(txn, n) in &txns {
+                    cache.read(now, txn, extra(n + t), false).unwrap();
+                }
+                for &(txn, n) in &txns {
+                    match cache.read(now, txn, pair(n).1, true) {
+                        Err(TCacheError::InconsistencyAbort { .. }) => aborted += 1,
+                        other => panic!("stale pair {n} not detected: {other:?}"),
+                    }
+                }
+            }
+            done.fetch_add(1, Ordering::Release);
+            done_tx.send(("key-by-key", aborted)).unwrap();
+        });
+    }
+    {
+        let (db, done_tx) = (Arc::clone(&db), done_tx.clone());
+        std::thread::spawn(move || {
+            for i in 0..UPDATES {
+                let object = extra(i).as_u64();
+                db.execute_update(TxnId(20_000_000 + i), &vec![object].into())
+                    .unwrap();
+            }
+            done_tx.send(("updates", UPDATES)).unwrap();
+        });
+    }
+    {
+        let (cache, txn_ids, done) = (
+            Arc::clone(&cache),
+            Arc::clone(&txn_ids),
+            Arc::clone(&key_by_key_done),
+        );
+        std::thread::spawn(move || {
+            let mut aborted = 0;
+            let mut n = 0;
+            while done.load(Ordering::Acquire) < KEY_BY_KEY_THREADS {
+                let (fresh, stale) = pair(n);
+                let txn = TxnId(txn_ids.fetch_add(1, Ordering::Relaxed));
+                let outcome = cache
+                    .execute_transaction(now, txn, &[fresh, extra(n), stale])
+                    .unwrap();
+                assert!(outcome.is_aborted(), "stale pair {n} not detected");
+                aborted += 1;
+                n += 1;
+            }
+            done_tx.send(("whole", aborted)).unwrap();
+        });
+    }
+
+    let deadline = Instant::now() + BOUND;
+    let mut key_by_key_aborted = 0;
+    for _ in 0..KEY_BY_KEY_THREADS + 2 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let (who, count) = done_rx
+            .recv_timeout(left)
+            .unwrap_or_else(|e| panic!("workers did not finish within {BOUND:?} ({e}): a deadlock or a panic"));
+        if who == "key-by-key" {
+            key_by_key_aborted += count;
+        }
+    }
+    assert_eq!(key_by_key_aborted, KEY_BY_KEY_THREADS * ROUNDS * OPEN_AT_ONCE);
+    assert_eq!(cache.open_transactions(), 0, "every record was removed");
+    assert!(
+        next_whole_txn_takes_the_fast_path(&cache, TxnId(30_000_000)),
+        "the open-record gate is down once no record is open"
     );
 }

@@ -2,8 +2,8 @@
 //!
 //! A whole-transaction call ([`EdgeCache::execute_read_only`]) runs the
 //! read step on a thread-local record; the §III-B interface
-//! ([`EdgeCache::read`], key by key) runs the same step on the record the
-//! transaction table stores between calls. This test prepares two
+//! ([`EdgeCache::read`], key by key) runs the same step, in place, on the
+//! record the transaction table keeps for the transaction's whole life. This test prepares two
 //! identical caches holding stale entries (updates whose invalidations were
 //! withheld), runs one key list through each driver, and requires the same
 //! observed versions, the same verdict, the same statistics — apart from

@@ -4,9 +4,11 @@
 //! other threads cannot interfere) pins the tentpole guarantee: once the
 //! cache and the thread-local scratch are warm, a 3-read cache-hit
 //! read-only transaction through [`EdgeCache::execute_read_only`] performs
-//! **zero** heap allocations end to end. CI runs this suite in release
-//! mode; the guarantee is structural (inline small-buffers, borrowed
-//! entries, reused scratch), so it holds in debug builds too.
+//! **zero** heap allocations end to end — and so does a 5-read
+//! transaction driven key by key through [`EdgeCache::read`], whose record
+//! lives in the transaction table. CI runs this suite in release mode; the
+//! guarantee is structural (inline small-buffers, borrowed entries, reused
+//! scratch and table capacity), so it holds in debug builds too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -84,10 +86,44 @@ fn cached_three_read_txn_is_allocation_free() {
 }
 
 #[test]
+fn cached_five_read_key_by_key_txn_is_allocation_free() {
+    let db = Arc::new(Database::new(DatabaseConfig::with_bound(4)));
+    db.populate((0..16).map(|i| (ObjectId(i), Value::new(0))));
+    let cache = EdgeCache::tcache(CacheId(0), Arc::clone(&db), 4, Strategy::Abort);
+    let now = SimTime::ZERO;
+    let keys = [1, 2, 3, 4, 5].map(ObjectId);
+    let run = |txn: TxnId| {
+        for (i, &key) in keys.iter().enumerate() {
+            let last_op = i + 1 == keys.len();
+            let read = cache.read(now, txn, key, last_op).expect("cached read");
+            assert_eq!(read.id, key);
+        }
+    };
+
+    // Warm up: the first transactions miss, and the first transaction seen
+    // on each of the table's stripes sizes that stripe's map. Enough ids
+    // that every stripe has seen one.
+    for t in 0..256u64 {
+        run(TxnId(100 + t));
+    }
+
+    let before = allocations_on_this_thread();
+    for t in 0..64u64 {
+        run(TxnId(10_000 + t));
+    }
+    let allocated = allocations_on_this_thread() - before;
+    assert_eq!(
+        allocated, 0,
+        "cached 5-read key-by-key transactions performed {allocated} heap allocations over 64 transactions"
+    );
+    assert_eq!(cache.open_transactions(), 0);
+}
+
+#[test]
 fn promoted_multi_call_txns_still_work_under_the_counting_allocator() {
-    // Sanity: the slow (promoted) path coexists with the fast path and
-    // both classify reads identically; this multi-call transaction forces
-    // a table record and is *allowed* to allocate.
+    // Sanity: the table driver coexists with the fast path and both
+    // classify reads identically; this multi-call transaction forces a
+    // table record.
     let db = Arc::new(Database::new(DatabaseConfig::with_bound(4)));
     db.populate((0..8).map(|i| (ObjectId(i), Value::new(0))));
     let cache = EdgeCache::tcache(CacheId(0), Arc::clone(&db), 4, Strategy::Abort);
